@@ -37,11 +37,15 @@ __all__ = [
     "mul",
     "scale",
     "matmul",
+    "matvec_rows",
     "transpose",
     "sum",
     "index",
     "row",
     "stack_rows",
+    "gather_rows",
+    "scatter_add_rows",
+    "scale_rows",
     "softmax",
     "silu",
     "stop_gradient",
@@ -271,6 +275,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return op_node(ad @ bd, (a, b), backward_fn, "matmul")
 
 
+def matvec_rows(w: Tensor, x: Tensor) -> Tensor:
+    """Row ``i`` of the result is ``w @ x[i]``, for ``w`` (o,k) and ``x`` (m,k).
+
+    Each row is its own matrix-vector product, so it is bit-identical to
+    ``matmul(w, row(x, i))`` whatever the other rows are; a blocked
+    ``x @ w.T`` may round a row differently depending on the batch.
+    """
+    wd, xd = w.data, x.data
+    if wd.ndim != 2 or xd.ndim != 2 or wd.shape[1] != xd.shape[1]:
+        raise ShapeError(f"matvec_rows: shapes {wd.shape} and {xd.shape} do not match")
+
+    def backward_fn(g):
+        return g.T @ xd, g @ wd
+
+    return op_node(np.matmul(wd, xd[:, :, None])[:, :, 0], (w, x), backward_fn,
+                   "matvec_rows")
+
+
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.data.shape}")
@@ -339,6 +361,59 @@ def stack_rows(rows: Iterable[Tensor]) -> Tensor:
         return tuple(g[i].copy() for i in range(len(rows)))
 
     return op_node(np.stack([r.data for r in rows]), rows, backward_fn, "stack_rows")
+
+
+def _row_index(index, n_rows: int, op: str) -> np.ndarray:
+    idx = np.asarray(index)
+    if idx.ndim != 1 or idx.size == 0 or not np.issubdtype(idx.dtype, np.integer):
+        raise ShapeError(f"{op}: index must be a non-empty 1-D integer array")
+    if idx.min() < 0 or idx.max() >= n_rows:
+        raise ShapeError(f"{op}: index out of range for {n_rows} rows")
+    return idx
+
+
+def gather_rows(a: Tensor, index) -> Tensor:
+    """``a[index]`` along the first axis; an index may repeat."""
+    idx = _row_index(index, a.data.shape[0], "gather_rows")
+
+    def backward_fn(g):
+        out = np.zeros_like(a.data)
+        np.add.at(out, idx, g)
+        return (out,)
+
+    return op_node(a.data[idx], (a,), backward_fn, "gather_rows")
+
+
+def scatter_add_rows(base: Tensor, index, rows: Tensor) -> Tensor:
+    """Copy of ``base`` with ``rows[i]`` added to row ``index[i]``.
+
+    Rows sharing an index are added in index order, so a target row
+    receives its terms as the left fold ``((base + r0) + r1) + ...``.
+    """
+    idx = _row_index(index, base.data.shape[0], "scatter_add_rows")
+    if rows.data.shape != (idx.size,) + base.data.shape[1:]:
+        raise ShapeError(f"scatter_add_rows: rows of shape {rows.data.shape} do not "
+                         f"fit {idx.size} indices into {base.data.shape}")
+    out = base.data.copy()
+    np.add.at(out, idx, rows.data)
+
+    def backward_fn(g):
+        return g, g[idx]
+
+    return op_node(out, (base, rows), backward_fn, "scatter_add_rows")
+
+
+def scale_rows(a: Tensor, c: Tensor) -> Tensor:
+    """Row ``i`` of matrix ``a`` times entry ``i`` of vector ``c``."""
+    ad, cd = a.data, c.data
+    if ad.ndim != 2 or cd.shape != (ad.shape[0],):
+        raise ShapeError(f"scale_rows: shapes {ad.shape} and {cd.shape} do not match")
+    col = cd[:, None]
+
+    def backward_fn(g):
+        return g * col, (g * ad).sum(axis=1)
+
+    return op_node(ad * col, (a, c), backward_fn, "scale_rows")
 
 
 # ---------------------------------------------------------------------------

@@ -89,18 +89,28 @@ class EstimatorDraw:
         return hybrid_scale(self.delta, self.bern)
 
 
-def apply_estimator(o: ad.Tensor, delta: int, bern: int) -> ad.Tensor:
+def apply_estimator(o: ad.Tensor, delta, bern) -> ad.Tensor:
     """Scale ``o`` forward while doubling its gradient path.
 
     Returns ``2*o + const(scale*o - 2*o)``: the value equals ``scale * o``
     (up to one rounding of the detached difference) and backward sees only
     the ``2*o`` term, so every upstream gradient is exactly twice that of a
     plain ``o`` graph.
+
+    ``delta`` and ``bern`` are 0/1 ints for one output, or 0/1 arrays of
+    length m for the rows of an [m, d] output, one draw per row.
     """
-    s = hybrid_scale(delta, bern)
+    if np.ndim(delta) == 0 and np.ndim(bern) == 0:
+        s = hybrid_scale(delta, bern)
+    else:
+        delta, bern = np.asarray(delta), np.asarray(bern)
+        if o.data.ndim != 2 or delta.shape != (o.data.shape[0],) or bern.shape != delta.shape:
+            raise ad.ShapeError("per-row delta and bern need one entry per row of o")
+        if not (np.isin(delta, (0, 1)).all() and np.isin(bern, (0, 1)).all()):
+            raise ValueError("delta and bern must be 0 or 1")
+        s = np.maximum(delta, (1.0 + 2.0 * bern) / 3.0)[:, None]
     doubled = ad.scale(o, 2.0)
-    correction = ad.stop_gradient(ad.sub(ad.scale(o, s), doubled))
-    return ad.add(doubled, correction)
+    return ad.add(doubled, ad.Tensor(o.data * s - doubled.data))
 
 
 # ---------------------------------------------------------------------------

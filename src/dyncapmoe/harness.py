@@ -8,11 +8,13 @@ and the model classifies tokens.  With zero noise the labels are linearly
 recoverable, so cross-entropy on the planted task is reducible and the
 smoke-training criterion is meaningful.
 
-Training uses sampled Top-P routing.  Per-token rng streams are keyed
-(seed, layer, token) — not by step — so a zero-learning-rate run repeats
-the identical forward every step (flat loss curve) and token order never
-matters.  Selections still evolve across steps because the same underlying
-uniforms are applied to the current, shifting routing probabilities.
+Training uses sampled Top-P routing.  Token t of layer li draws from the
+rng stream ``np.random.default_rng([seed, 5077 + li, t])`` — keyed by layer
+and token, not by step — so a zero-learning-rate run repeats the identical
+forward every step (flat loss curve).  Selections still evolve across steps
+because the same underlying uniforms are applied to the current, shifting
+routing probabilities.  Inference (``mode="infer"``) takes the
+deterministic Top-P prefix in every routing mode and draws nothing.
 
 Finite-difference checking freezes every discrete choice (active sets, B,
 argmax flags): the training objective is only piecewise smooth in the
@@ -309,42 +311,24 @@ class ToyTransformer:
         mixed = ad.matmul(ad.softmax(scores), v)
         return ad.add(X, ad.matmul(mixed, attn.w_o))
 
-    def _moe_rows(self, X: ad.Tensor, li: int, mode: str,
-                  frozen: list[moe.RoutingDecision] | None):
-        """Returns (new X, decisions, all-selections-match flag)."""
-        block = self.blocks[li]
-        n = X.data.shape[0]
-        rows, decisions = [], []
-        matches = True
-        for t in range(n):
-            x_t = ad.row(X, t)
-            if frozen is not None:
-                y, ok = block.forward_frozen(x_t, frozen[t])
-                matches = matches and ok
-                d = frozen[t]
-            elif mode == "train":
-                rng = np.random.default_rng([self.cfg.seed, 5077 + li, t])
-                y, d = block.forward_train(x_t, rng)
-            else:
-                y, d = block.forward_infer(x_t)
-            decisions.append(d)
-            rows.append(ad.add(x_t, y))
-        return ad.stack_rows(rows), decisions, matches
-
     def forward(self, batch: SyntheticBatch, mode: str = "train",
                 frozen: list[list[moe.RoutingDecision]] | None = None):
         """Full pass to the mean cross-entropy.
 
-        Returns (loss, decisions per layer, matches): ``matches`` is only
-        meaningful when replaying frozen decisions.
+        ``mode`` is "train" or "infer" (see ``DynamicCapacityMoE.forward_rows``);
+        ``frozen`` replays recorded decisions and overrides it.  Returns
+        (loss, decisions per layer, matches): ``matches`` is only meaningful
+        when replaying frozen decisions.
         """
         X = ad.Tensor(batch.tokens)
         per_layer: list[list[moe.RoutingDecision]] = []
         matches = True
         for li in range(self.cfg.layers):
             X = self._attend(X, batch.position_ids, li)
-            X, decisions, ok = self._moe_rows(
-                X, li, mode, frozen[li] if frozen is not None else None)
+            Y, decisions, ok = self.blocks[li].forward_rows(
+                X, mode, key=(self.cfg.seed, 5077 + li),
+                frozen=frozen[li] if frozen is not None else None)
+            X = ad.add(X, Y)
             matches = matches and ok
             per_layer.append(decisions)
         logits = ad.matmul(X, self.w_cls)

@@ -13,10 +13,17 @@ and ambiguous ones get several.  Three expert roles exist:
 
 Two selection modes are provided.  ``deterministic`` takes the descending-
 probability prefix; ``sampled`` draws experts without replacement until the
-drawn original probability mass reaches P.  Training forwards wrap each
-routed contribution in the hybrid straight-through estimator from
+drawn original probability mass reaches P.  ``routing_mode`` applies to
+training forwards only: inference always takes the deterministic prefix, so
+it draws nothing and needs no rng.  Training forwards wrap each routed
+contribution in the hybrid straight-through estimator from
 :mod:`dyncapmoe.estimator`; gate probabilities are never renormalized after
 selection.
+
+:meth:`DynamicCapacityMoE.forward_rows` runs the layer on a batch of token
+rows: one router product, vectorized deterministic selection, and one gated
+FFN per routed expert over the rows of the tokens that chose it (dropless
+grouped dispatch).  The per-token forwards are one-row calls of it.
 """
 
 from __future__ import annotations
@@ -162,48 +169,42 @@ def _check_probs(p: np.ndarray, top_p: float) -> np.ndarray:
     return p
 
 
-def _decision_from_order(order: Sequence[int], k: int, p: np.ndarray,
-                         argmax_slot: int, n_routed: int) -> RoutingDecision:
+def _decision_from_order(order: Sequence[int], p: np.ndarray, argmax_slot: int,
+                         n_routed: int, berns: Sequence[int] | None = None,
+                         shared: tuple[ExpertActivation, ...] = ()) -> RoutingDecision:
+    """Decision activating ``order`` (slots in selection order); with
+    ``berns``, entry r carries draw ``berns[r]`` and its estimator scale."""
+    routed, null = ExpertRole.ROUTED, ExpertRole.NULL
     entries = []
-    for rank, slot in enumerate(order[:k]):
-        role = ExpertRole.ROUTED if slot < n_routed else ExpertRole.NULL
+    for rank, slot in enumerate(order):
+        is_argmax = slot == argmax_slot
+        bern, scale = None, 1.0
+        if berns is not None:
+            bern = berns[rank]
+            scale = est.hybrid_scale(int(is_argmax), bern)
         entries.append(ExpertActivation(
-            index=int(slot), role=role, gate_prob=float(p[slot]),
-            rank=rank, is_argmax=(slot == argmax_slot)))
-    return RoutingDecision(active=tuple(int(s) for s in order[:k]), k=k,
-                           per_expert=tuple(entries))
+            index=slot, role=routed if slot < n_routed else null,
+            gate_prob=float(p[slot]), rank=rank, is_argmax=is_argmax, bern=bern,
+            forward_scale=scale))
+    return RoutingDecision(active=tuple(order), k=len(order), per_expert=tuple(entries),
+                           shared=shared)
 
 
-def select_top_p_deterministic(p: np.ndarray, top_p: float,
-                               argmax_slot: int | None = None,
-                               n_routed: int | None = None) -> RoutingDecision:
-    """Minimal descending-probability prefix with cumulative mass >= top_p.
+def _prefix_lists(P: np.ndarray, top_p: float) -> list[list[int]]:
+    """Deterministic Top-P on every row of ``P`` [n, slots]: the active
+    slots of each row, in selection order.
 
-    Ties sort stably, lower index first.  If rounding leaves the full sum
-    short of ``top_p`` (only possible at top_p == 1), every slot activates.
+    Ties sort stably, lower index first; a row whose full sum falls short of
+    ``top_p`` through rounding activates every slot.
     """
-    p = _check_probs(p, top_p)
-    order = np.argsort(-p, kind="stable")
-    csum = np.cumsum(p[order])
-    reach = np.nonzero(csum >= top_p)[0]
-    k = int(reach[0]) + 1 if reach.size else p.size
-    if argmax_slot is None:
-        argmax_slot = int(np.argmax(p))
-    if n_routed is None:
-        n_routed = p.size
-    return _decision_from_order(order.tolist(), k, p, argmax_slot, n_routed)
+    order = np.argsort(-P, axis=1, kind="stable")
+    reach = np.cumsum(np.take_along_axis(P, order, axis=1), axis=1) >= top_p
+    k = np.where(reach.any(axis=1), reach.argmax(axis=1) + 1, P.shape[1])
+    return [row[:kk] for row, kk in zip(order.tolist(), k.tolist())]
 
 
-def select_top_p_sampled(p: np.ndarray, top_p: float, rng: np.random.Generator,
-                         argmax_slot: int | None = None,
-                         n_routed: int | None = None) -> RoutingDecision:
-    """Draw slots without replacement (renormalized remaining mass) until the
-    ORIGINAL probabilities of the drawn slots sum to >= top_p.
-
-    Zero-probability slots are never drawn while positive mass remains; one
-    uniform variate is consumed per draw (inverse-CDF over the remainder).
-    """
-    p = _check_probs(p, top_p)
+def _draw_top_p(p: np.ndarray, top_p: float, rng: np.random.Generator) -> list[int]:
+    """Sampled Top-P draw order; one uniform variate per draw."""
     remaining = list(range(p.size))
     drawn: list[int] = []
     mass = 0.0
@@ -220,11 +221,42 @@ def select_top_p_sampled(p: np.ndarray, top_p: float, rng: np.random.Generator,
         mass += float(p[slot])
         if mass >= top_p:
             break
+    return drawn
+
+
+def select_top_p_deterministic(p: np.ndarray, top_p: float,
+                               argmax_slot: int | None = None,
+                               n_routed: int | None = None) -> RoutingDecision:
+    """Minimal descending-probability prefix with cumulative mass >= top_p.
+
+    Ties sort stably, lower index first.  If rounding leaves the full sum
+    short of ``top_p`` (only possible at top_p == 1), every slot activates.
+    """
+    p = _check_probs(p, top_p)
     if argmax_slot is None:
         argmax_slot = int(np.argmax(p))
     if n_routed is None:
         n_routed = p.size
-    return _decision_from_order(drawn, len(drawn), p, argmax_slot, n_routed)
+    return _decision_from_order(_prefix_lists(p[None, :], top_p)[0], p, argmax_slot,
+                                n_routed)
+
+
+def select_top_p_sampled(p: np.ndarray, top_p: float, rng: np.random.Generator,
+                         argmax_slot: int | None = None,
+                         n_routed: int | None = None) -> RoutingDecision:
+    """Draw slots without replacement (renormalized remaining mass) until the
+    ORIGINAL probabilities of the drawn slots sum to >= top_p.
+
+    Zero-probability slots are never drawn while positive mass remains; one
+    uniform variate is consumed per draw (inverse-CDF over the remainder).
+    """
+    p = _check_probs(p, top_p)
+    drawn = _draw_top_p(p, top_p, rng)
+    if argmax_slot is None:
+        argmax_slot = int(np.argmax(p))
+    if n_routed is None:
+        n_routed = p.size
+    return _decision_from_order(drawn, p, argmax_slot, n_routed)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -237,10 +269,12 @@ class ExpertParams:
 
 
 def gated_ffn(x: ad.Tensor, params: ExpertParams) -> ad.Tensor:
-    """W_down @ (silu(W_gate @ x) * (W_up @ x))."""
-    gate = ad.silu(ad.matmul(params.w_gate, x))
-    up = ad.matmul(params.w_up, x)
-    return ad.matmul(params.w_down, ad.mul(gate, up))
+    """W_down @ (silu(W_gate @ x) * (W_up @ x)) for a token ``x`` [d_model],
+    or row by row for token rows ``x`` [m, d_model]."""
+    apply = ad.matmul if x.data.ndim == 1 else ad.matvec_rows
+    gate = ad.silu(apply(params.w_gate, x))
+    up = apply(params.w_up, x)
+    return apply(params.w_down, ad.mul(gate, up))
 
 
 def _init_expert(d_model: int, hidden: int, seed_key: list) -> ExpertParams:
@@ -294,18 +328,6 @@ class DynamicCapacityMoE:
         logits = ad.matmul(self.router, x)
         return RouterState(logits=logits, probs=ad.softmax(logits))
 
-    def _select(self, state: RouterState, rng: np.random.Generator | None) -> RoutingDecision:
-        p = state.probs.data
-        if self.config.routing_mode == "deterministic":
-            return select_top_p_deterministic(p, self.config.top_p, state.argmax_slot,
-                                              self.config.n_routed)
-        if rng is None:
-            raise ValueError("sampled routing requires an rng")
-        return select_top_p_sampled(p, self.config.top_p, rng, state.argmax_slot,
-                                    self.config.n_routed)
-
-    # -------------------------------------------------------------- forwards
-
     def expert_forward(self, x: ad.Tensor, index: int) -> ad.Tensor:
         cfg = self.config
         if 0 <= index < cfg.n_routed:
@@ -316,37 +338,141 @@ class DynamicCapacityMoE:
             return gated_ffn(x, self.shared[index - cfg.n_slots])
         raise IndexError(f"expert index {index} out of range")
 
+    # -------------------------------------------------------------- forwards
+
+    def forward_rows(self, X: ad.Tensor, mode: str = "infer",
+                     key: Sequence[int] | None = None,
+                     frozen: Sequence[RoutingDecision] | None = None,
+                     ) -> tuple[ad.Tensor, list[RoutingDecision], bool]:
+        """The layer on a batch: row t of ``X`` [n, d_model] is token t.
+
+        Returns ``(Y, decisions, matches)``: ``Y`` [n, d_model] holds each
+        token's mixture output (no residual), ``decisions`` one
+        RoutingDecision per token.
+
+        * ``mode="infer"``: the deterministic Top-P prefix, whatever
+          ``config.routing_mode``; gates are raw probabilities.
+        * ``mode="train"``: selection follows ``config.routing_mode`` and
+          every routed contribution goes through the hybrid estimator.
+          Token t draws from ``np.random.default_rng([*key, t])``: the
+          sampled selection first, then one B ~ Bernoulli(5/8) per active
+          slot in rank order, null slots included.
+        * ``frozen`` (one recorded decision per token) replays those
+          choices and ignores ``mode`` and ``key``; see
+          :meth:`forward_frozen`.  ``matches`` is only meaningful here.
+
+        Each routed expert runs once on the rows of the tokens that chose
+        it; null slots never reach the tape and shared experts run on every
+        row.  Every row is computed as it would be alone, bit for bit.
+        """
+        if mode not in ("infer", "train"):
+            raise ValueError("mode must be 'infer' or 'train'")
+        if X.data.ndim != 2 or X.data.shape[1] != self.config.d_model:
+            raise ad.ShapeError(f"token rows must have shape (n, {self.config.d_model}), "
+                                f"got {X.data.shape}")
+        rngs = None
+        if frozen is None and mode == "train":
+            if key is None:
+                raise ValueError("train mode needs an rng key")
+            rngs = [np.random.default_rng([*key, t]) for t in range(X.data.shape[0])]
+        return self._forward_rows(X, rngs, frozen)
+
+    def _forward_rows(self, X: ad.Tensor, rngs, frozen):
+        """``forward_rows`` with per-token generators: train when ``rngs`` is
+        given, replay when ``frozen`` is, inference otherwise."""
+        cfg = self.config
+        n = X.data.shape[0]
+        logits = ad.matvec_rows(self.router, X)
+        probs = ad.softmax(logits)
+        P = probs.data
+        p_rows = P.tolist()
+        argmax = np.argmax(logits.data, axis=1).tolist()  # ties: lowest index
+        matches = True
+        if frozen is not None:
+            if len(frozen) != n:
+                raise ValueError(f"need one frozen decision per token, got {len(frozen)} "
+                                 f"for {n}")
+            decisions = list(frozen)
+            matches = all(e.is_argmax == (e.index == argmax[t])
+                          for t, d in enumerate(decisions) for e in d.per_expert)
+            if cfg.routing_mode == "deterministic":
+                matches = matches and all(tuple(slots) == d.active for slots, d in
+                                          zip(_prefix_lists(P, cfg.top_p), decisions))
+        else:
+            if rngs is not None and cfg.routing_mode == "sampled":
+                orders = [_draw_top_p(P[t], cfg.top_p, rngs[t]) for t in range(n)]
+            else:
+                orders = _prefix_lists(P, cfg.top_p)
+            shared = self._shared_entries()
+            decisions = []
+            for t, slots in enumerate(orders):
+                berns = None
+                if rngs is not None:
+                    berns = [int(u < est.BERNOULLI_P) for u in rngs[t].random(len(slots))]
+                decisions.append(_decision_from_order(slots, p_rows[t], argmax[t],
+                                                      cfg.n_routed, berns, shared))
+        Y = self._mix(X, probs, decisions, train=rngs is not None,
+                      replay=frozen is not None)
+        for params in self.shared:
+            out = gated_ffn(X, params)
+            Y = out if Y is None else ad.add(Y, out)
+        if Y is None:
+            Y = ad.zeros((n, cfg.d_model))
+        return Y, decisions, matches
+
+    def _mix(self, X: ad.Tensor, probs: ad.Tensor, decisions, train: bool,
+             replay: bool) -> ad.Tensor | None:
+        """Sum of the routed contributions per token; None if there are none.
+
+        Contributions are (token, rank) pairs listed rank-major: each expert
+        fills its pairs' rows of a pair buffer, and one scatter then adds the
+        buffer into the output in that order, so every token sums its terms
+        in selection order, exactly as a per-token left fold does.
+        """
+        cfg = self.config
+        pairs = sorted((e.rank, t, e.index, int(e.is_argmax), e.bern, e.forward_scale)
+                       for t, d in enumerate(decisions) for e in d.per_expert
+                       if e.role is ExpertRole.ROUTED)
+        if not pairs:
+            return None
+        _, tok, slot, delta, bern, scale = (np.array(col) for col in zip(*pairs))
+        gates = ad.transpose(probs)  # row j: every token's gate for slot j
+        buf = ad.zeros((len(pairs), cfg.d_model))
+        for j, params in enumerate(self.routed):
+            pos = np.flatnonzero(slot == j)
+            if not pos.size:
+                continue
+            rows = tok[pos]
+            o = ad.scale_rows(gated_ffn(ad.gather_rows(X, rows), params),
+                              ad.gather_rows(ad.row(gates, j), rows))
+            if train:
+                o = est.apply_estimator(o, delta[pos], bern[pos])
+            elif replay:
+                o = ad.scale_rows(o, ad.Tensor(scale[pos]))
+            buf = ad.scatter_add_rows(buf, pos, o)
+        return ad.scatter_add_rows(ad.zeros((len(X.data), cfg.d_model)), tok, buf)
+
     def _shared_entries(self) -> tuple[ExpertActivation, ...]:
         return tuple(ExpertActivation(
             index=self.config.n_slots + s, role=ExpertRole.SHARED, gate_prob=1.0,
             rank=-1, is_argmax=False) for s in range(self.config.n_shared))
 
-    def _accumulate(self, terms: list[ad.Tensor]) -> ad.Tensor:
-        if not terms:
-            return ad.zeros((self.config.d_model,))
-        y = terms[0]
-        for t in terms[1:]:
-            y = ad.add(y, t)
-        return y
+    def _forward_token(self, x: ad.Tensor, rngs, frozen):
+        if x.data.shape != (self.config.d_model,):
+            raise ad.ShapeError(f"token must have shape ({self.config.d_model},), "
+                                f"got {x.data.shape}")
+        Y, decisions, matches = self._forward_rows(ad.stack_rows([x]), rngs, frozen)
+        return ad.row(Y, 0), decisions[0], matches
 
     def forward_infer(self, x: ad.Tensor) -> tuple[ad.Tensor, RoutingDecision]:
         """y = sum over active slots of p_i * Expert_i(x), plus shared experts.
 
+        Selection is the deterministic Top-P prefix in every routing mode.
         Gates are the raw softmax probabilities; null slots contribute zero
         and are skipped outright.
         """
-        state = self.route(x)
-        decision = self._select(state, None)
-        terms = []
-        for entry in decision.per_expert:
-            if entry.role is ExpertRole.NULL:
-                continue
-            gate = ad.index(state.probs, entry.index)
-            terms.append(ad.mul(gate, self.expert_forward(x, entry.index)))
-        for s in range(self.config.n_shared):
-            terms.append(self.expert_forward(x, self.config.n_slots + s))
-        decision = dataclasses.replace(decision, shared=self._shared_entries())
-        return self._accumulate(terms), decision
+        y, decision, _ = self._forward_token(x, None, None)
+        return y, decision
 
     def forward_train(self, x: ad.Tensor,
                       rng: np.random.Generator) -> tuple[ad.Tensor, RoutingDecision]:
@@ -358,24 +484,8 @@ class DynamicCapacityMoE:
         Shared experts are added plainly.  Selection follows
         ``config.routing_mode``; sampled draws consume the same rng first.
         """
-        state = self.route(x)
-        decision = self._select(state, rng)
-        entries = []
-        terms = []
-        for entry in decision.per_expert:
-            bern = int(rng.random() < est.BERNOULLI_P)
-            scale = est.hybrid_scale(int(entry.is_argmax), bern)
-            entries.append(dataclasses.replace(entry, bern=bern, forward_scale=scale))
-            if entry.role is ExpertRole.NULL:
-                continue  # o is identically zero: no term, no gradient
-            gate = ad.index(state.probs, entry.index)
-            o = ad.mul(gate, self.expert_forward(x, entry.index))
-            terms.append(est.apply_estimator(o, int(entry.is_argmax), bern))
-        for s in range(self.config.n_shared):
-            terms.append(self.expert_forward(x, self.config.n_slots + s))
-        decision = dataclasses.replace(decision, per_expert=tuple(entries),
-                                       shared=self._shared_entries())
-        return self._accumulate(terms), decision
+        y, decision, _ = self._forward_token(x, [rng], None)
+        return y, decision
 
     def forward_frozen(self, x: ad.Tensor,
                        frozen: RoutingDecision) -> tuple[ad.Tensor, bool]:
@@ -393,41 +503,21 @@ class DynamicCapacityMoE:
         deterministic mode, the same active set); finite-difference checks
         skip coordinates where it flips.
         """
-        state = self.route(x)
-        matches = all(e.is_argmax == (e.index == state.argmax_slot)
-                      for e in frozen.per_expert)
-        if self.config.routing_mode == "deterministic":
-            live = self._select(state, None)
-            matches = matches and live.active == frozen.active
-        terms = []
-        for entry in frozen.per_expert:
-            if entry.role is ExpertRole.NULL:
-                continue
-            gate = ad.index(state.probs, entry.index)
-            o = ad.mul(gate, self.expert_forward(x, entry.index))
-            terms.append(ad.scale(o, entry.forward_scale))
-        for s in range(self.config.n_shared):
-            terms.append(self.expert_forward(x, self.config.n_slots + s))
-        return self._accumulate(terms), matches
+        y, _, matches = self._forward_token(x, None, [frozen])
+        return y, matches
 
     # ----------------------------------------------------------------- batch
 
     def layer_apply(self, tokens, mode: str = "infer",
                     step: int = 0) -> tuple[list[ad.Tensor], list[RoutingDecision]]:
-        """Route every token independently; per-token rng streams are keyed
-        (seed, step, token_index) so logging is order-independent."""
-        if mode not in ("infer", "train"):
-            raise ValueError("mode must be 'infer' or 'train'")
+        """:meth:`forward_rows` on a list of tokens, one output per token.
+
+        Train mode keys token t's rng stream (config.seed, step, t), so
+        logging is order-independent; infer mode draws nothing.
+        """
         xs = [t if isinstance(t, ad.Tensor) else ad.Tensor(t) for t in tokens]
         if not xs:
             raise ValueError("token batch must be non-empty")
-        outputs, decisions = [], []
-        for t, x in enumerate(xs):
-            if mode == "infer":
-                y, d = self.forward_infer(x)
-            else:
-                rng = np.random.default_rng([self.config.seed, step, t])
-                y, d = self.forward_train(x, rng)
-            outputs.append(y)
-            decisions.append(d)
-        return outputs, decisions
+        Y, decisions, _ = self.forward_rows(ad.stack_rows(xs), mode,
+                                            key=(self.config.seed, step))
+        return [ad.row(Y, t) for t in range(len(xs))], decisions

@@ -311,13 +311,19 @@ class RopeFreqConfig:
 
     def pair_angles(self, pid: PositionId) -> np.ndarray:
         """Rotation angle per coordinate pair, blocks concatenated t|h|w."""
+        return self.pair_angles_rows([pid])[0]
+
+    def pair_angles_rows(self, pids: Sequence[PositionId]) -> np.ndarray:
+        """``pair_angles`` of every PositionId, one row each: one outer
+        product of positions and frequencies per block."""
+        pos = np.array(pids, dtype=np.float64).reshape(len(pids), 3)
         parts = []
-        for d_block, pos in zip(self.split, (pid.t, pid.h, pid.w)):
+        for d_block, column in zip(self.split, pos.T):
             if d_block == 0:
                 continue
             i = np.arange(d_block // 2, dtype=np.float64)
-            parts.append(float(pos) * self.base ** (-2.0 * i / d_block))
-        return np.concatenate(parts)
+            parts.append(np.outer(column, self.base ** (-2.0 * i / d_block)))
+        return np.concatenate(parts, axis=1)
 
 
 def _rotate_pairs(data: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -353,7 +359,7 @@ def apply_rope3d_rows(mat: ad.Tensor, pids: Iterable[PositionId],
     if mat.data.ndim != 2 or mat.data.shape != (len(pids), cfg.head_dim):
         raise ad.ShapeError(f"expected shape ({len(pids)}, {cfg.head_dim}), "
                             f"got {mat.data.shape}")
-    angles = np.stack([cfg.pair_angles(p) for p in pids])
+    angles = cfg.pair_angles_rows(pids)
     cos, sin = np.cos(angles), np.sin(angles)
     y = _rotate_pairs(mat.data, cos, sin)
 

@@ -209,6 +209,53 @@ def test_index_row_stack_grads():
     npt.assert_array_equal(r1.grad, [1.0, 1.0])
 
 
+def test_gather_rows_repeated_index_accumulates_grad():
+    a = ad.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    g = ad.gather_rows(a, [1, 1, 2])
+    npt.assert_array_equal(g.data, [[2.0, 3.0], [2.0, 3.0], [4.0, 5.0]])
+    ad.backward(ad.sum(g))
+    npt.assert_array_equal(a.grad, [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
+    v = ad.gather_rows(ad.Tensor([5.0, 6.0, 7.0]), [2, 0])
+    npt.assert_array_equal(v.data, [7.0, 5.0])
+
+
+def test_scatter_add_rows_folds_repeated_rows_in_index_order():
+    rows = np.array([[1e16], [1.0], [-1e16]])
+    out = ad.scatter_add_rows(ad.zeros((2, 1)), [0, 0, 0], ad.Tensor(rows))
+    npt.assert_array_equal(out.data, [[((0.0 + 1e16) + 1.0) - 1e16], [0.0]])
+    assert out.data[0, 0] == 0.0  # a different order would leave 1.0
+
+
+def test_matvec_rows_rows_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(3)
+    w = ad.Tensor(rng.normal(size=(7, 32)))
+    x = rng.normal(size=(40, 32))
+    batched = ad.matvec_rows(w, ad.Tensor(x)).data
+    for i in range(len(x)):
+        npt.assert_array_equal(batched[i], ad.matmul(w, ad.Tensor(x[i])).data)
+    npt.assert_array_equal(ad.matvec_rows(w, ad.Tensor(x[::-1])).data, batched[::-1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ad.gather_rows(ad.zeros((3, 2)), [3]),
+    lambda: ad.gather_rows(ad.zeros((3, 2)), [-1]),
+    lambda: ad.gather_rows(ad.zeros((3, 2)), []),
+    lambda: ad.gather_rows(ad.zeros((3, 2)), [[0]]),
+    lambda: ad.gather_rows(ad.zeros((3, 2)), [0.0]),
+    lambda: ad.scatter_add_rows(ad.zeros((3, 2)), [0, 1], ad.zeros((3, 2))),
+    lambda: ad.scatter_add_rows(ad.zeros((3, 2)), [0], ad.zeros((1, 3))),
+    lambda: ad.scatter_add_rows(ad.zeros((3, 2)), [5], ad.zeros((1, 2))),
+    lambda: ad.scale_rows(ad.zeros((3, 2)), ad.zeros((2,))),
+    lambda: ad.scale_rows(ad.zeros((3,)), ad.zeros((3,))),
+    lambda: ad.scale_rows(ad.zeros((3, 2)), ad.zeros((3, 1))),
+    lambda: ad.matvec_rows(ad.zeros((4, 3)), ad.zeros((2, 4))),
+    lambda: ad.matvec_rows(ad.zeros((4, 3)), ad.zeros((3,))),
+])
+def test_row_ops_reject_bad_shapes(call):
+    with pytest.raises(ad.ShapeError):
+        call()
+
+
 def test_scalar_broadcast_mul_grads():
     s = ad.Tensor(2.0, requires_grad=True)
     v = ad.Tensor([1.0, 2.0, 3.0], requires_grad=True)
@@ -225,6 +272,8 @@ def test_every_op_backward_matches_finite_differences(seed):
     yv = rng.uniform(-2, 2, size=(3, 4))
     wv = rng.uniform(-2, 2, size=(4, 2))
     mv = rng.uniform(-1, 1, size=(3, 2))
+    gv = rng.uniform(-1, 1, size=(4, 4))
+    cv = rng.uniform(-1, 1, size=3)
 
     cases = {
         "add": lambda t: ad.sum(ad.mul(ad.add(t, ad.Tensor(yv)), ad.Tensor(yv))),
@@ -237,6 +286,20 @@ def test_every_op_backward_matches_finite_differences(seed):
         "silu": lambda t: ad.sum(ad.mul(ad.silu(t), ad.Tensor(yv))),
         "sum": lambda t: ad.scale(ad.sum(t), 2.0),
         "row": lambda t: ad.sum(ad.mul(ad.row(t, 1), ad.Tensor(yv[1]))),
+        "gather_rows": lambda t: ad.sum(ad.mul(ad.gather_rows(t, [2, 0, 2, 2]),
+                                               ad.Tensor(gv))),
+        "scatter_add_rows.base": lambda t: ad.sum(ad.mul(
+            ad.scatter_add_rows(t, [1, 1, 0], ad.Tensor(yv)), ad.Tensor(gv[:3]))),
+        "scatter_add_rows.rows": lambda t: ad.sum(ad.mul(
+            ad.scatter_add_rows(ad.Tensor(gv), [3, 0, 3], t), ad.Tensor(gv))),
+        "scale_rows.a": lambda t: ad.sum(ad.mul(ad.scale_rows(t, ad.Tensor(cv)),
+                                                ad.Tensor(yv))),
+        "scale_rows.c": lambda t: ad.sum(ad.mul(
+            ad.scale_rows(ad.Tensor(yv), ad.matmul(t, ad.Tensor(wv[:, 0]))), ad.Tensor(yv))),
+        "matvec_rows.x": lambda t: ad.sum(ad.mul(ad.matvec_rows(ad.Tensor(wv.T), t),
+                                                 ad.Tensor(mv))),
+        "matvec_rows.w": lambda t: ad.sum(ad.mul(ad.matvec_rows(t, ad.Tensor(gv)),
+                                                 ad.Tensor(gv[:, :3]))),
     }
     for name, f in cases.items():
         x = ad.Tensor(xv, requires_grad=True)

@@ -68,6 +68,28 @@ class TestApplyEstimator:
         ad.backward(ad.sum(ad.mul(ad.scale(o2, 2.0), ad.Tensor(up))))
         npt.assert_allclose(grad_est, w2.grad, rtol=0, atol=1e-12)
 
+    def test_per_row_draws_match_row_by_row_application(self):
+        rng = np.random.default_rng(12)
+        ov = rng.uniform(-2, 2, size=(4, 3))
+        delta, bern = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        o = ad.Tensor(ov, requires_grad=True)
+        out = est.apply_estimator(o, delta, bern)
+        for i in range(4):
+            npt.assert_array_equal(
+                out.data[i], est.apply_estimator(ad.Tensor(ov[i]), delta[i], bern[i]).data)
+        ad.backward(ad.sum(out))
+        npt.assert_array_equal(o.grad, np.full((4, 3), 2.0))
+
+    @pytest.mark.parametrize("delta,bern,error", [
+        ([0, 1], [0, 1, 1], ad.ShapeError),
+        ([0, 1, 1], [0, 1], ad.ShapeError),
+        ([0, 2, 1], [0, 1, 1], ValueError),
+        ([0, 1, 1], [0, 1, -1], ValueError),
+    ])
+    def test_per_row_draws_are_validated(self, delta, bern, error):
+        with pytest.raises(error):
+            est.apply_estimator(ad.Tensor(np.ones((3, 2))), np.array(delta), np.array(bern))
+
 
 class TestExactGradientOracle:
     def test_identical_experts_uniform_probs_zero_grad(self):

@@ -323,6 +323,30 @@ class TestApplyRope3d:
         with pytest.raises(ad.ShapeError):
             rp.apply_rope3d(ad.Tensor(np.zeros(10)), rp.PositionId(0, 0, 0), self.cfg())
 
+    @pytest.mark.parametrize("segment", [
+        rp.TextSegment(7), rp.AudioSegment(7.5), rp.ImageSegment(3, 5),
+        rp.VideoSegment(9.0, 1.0, 2, 3, f_l=2, f_u=6),
+    ], ids=lambda seg: seg.modality)
+    @pytest.mark.parametrize("cfg", [
+        rp.RopeFreqConfig(24), rp.RopeFreqConfig(6), rp.RopeFreqConfig(8, split=(8, 0, 0)),
+        rp.RopeFreqConfig(10, split=(2, 0, 8), base=500.0),
+    ], ids=lambda cfg: f"{cfg.head_dim}-{'-'.join(map(str, cfg.split))}")
+    def test_angle_table_equals_per_position_loop(self, segment, cfg):
+        """The vectorized table is bit-identical to building each row alone."""
+        pids = rp.assign_sequence([rp.TextSegment(3), segment], theta=2)
+
+        def row_loop(pid):
+            parts = []
+            for d_block, pos in zip(cfg.split, (pid.t, pid.h, pid.w)):
+                if d_block == 0:
+                    continue
+                i = np.arange(d_block // 2, dtype=np.float64)
+                parts.append(float(pos) * cfg.base ** (-2.0 * i / d_block))
+            return np.concatenate(parts)
+
+        npt.assert_array_equal(cfg.pair_angles_rows(pids),
+                               np.stack([row_loop(p) for p in pids]))
+
 
 def rope_dot(q, k, m, n, cfg):
     qm = rope_oracle(q, rp.PositionId(*(int(v) for v in m)), cfg)
