@@ -86,7 +86,7 @@ def cmd_analyze(args) -> int:
         lines += [f"{args.layer},{k},{repr(frac)}" for k, frac in hist.items()]
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     elif args.group_by == "modality":
-        groups = sorted({r.modality for r in trace.records() if r.layer == args.layer})
+        groups = an.layer_modalities(trace, args.layer)
         if not groups:
             raise ValueError(f"no records for layer {args.layer}")
         reports = [an.activation_proportions(trace, args.layer, modality=m)

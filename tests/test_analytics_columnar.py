@@ -1,0 +1,228 @@
+"""The columnar routing trace against the record-based reference.
+
+``tests/analytics_reference.py`` keeps the record-by-record analytics; every
+report, series and export of the columnar store must equal it exactly on
+random traces, and the importers must reject what the format forbids.
+"""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import analytics_reference as ref
+from dyncapmoe import analytics as an
+
+# Strings a fixed-width, NUL-padded or comment-aware parser would mangle,
+# and ones that JSON writes with an escape.
+MODALITIES = ("text", "image", "# hash", "  lead", "tail#", "a_modality_longer_than_8",
+              "vidéo", "", "nul", "nul\x00")
+ROLES = ("routed", "null", "shared", "odd#role", "pad \x00")
+GATES = (5e-324, 1 / 3, 0.1, 1.0, 0.0, -0.0, 0.7071067811865476, 1e-300)
+
+gate = st.one_of(st.sampled_from(GATES), st.floats(0.0, 1.0))
+
+
+@st.composite
+def trace_records(draw, max_records=40):
+    keys = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2), st.integers(0, 8)),
+                         min_size=1, max_size=max_records, unique=True))
+    records = []
+    for step, layer, token in keys:
+        routable = draw(st.lists(st.tuples(st.integers(0, 7), st.sampled_from(ROLES), gate),
+                                 min_size=1, max_size=4))
+        shared = draw(st.lists(st.tuples(st.integers(5, 9), gate), max_size=2))
+        slots = [an.SlotEntry(e, role, g, rank) for rank, (e, role, g) in enumerate(routable)]
+        slots += [an.SlotEntry(e, "shared", g, -1) for e, g in shared]
+        slots = draw(st.permutations(slots))
+        records.append(an.TraceRecord(step, layer, token, draw(st.sampled_from(MODALITIES)),
+                                      tuple(slots)))
+    return draw(st.permutations(records))
+
+
+def build(records, split):
+    """The columnar trace, read once after ``split`` adds, and the reference."""
+    trace, oracle = an.RoutingTrace(), ref.RoutingTrace()
+    for i, rec in enumerate(records):
+        if i == split:
+            trace.records()  # folds the first batch in; the rest re-sorts
+        trace.add(rec)
+        oracle.add(rec)
+    return trace, oracle
+
+
+def outcome(fn, *args, **kwargs):
+    """The result with its dict order, or the error it raised."""
+    try:
+        result = fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, an.ActivationReport):
+        return result, list(result.counts.items()), list(result.role_of.items())
+    if isinstance(result, dict):
+        return list(result.items())
+    return result
+
+
+PROPERTY = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@PROPERTY
+@given(records=trace_records(), split=st.integers(0, 40))
+def test_reports_equal_the_reference(records, split):
+    trace, oracle = build(records, split)
+    assert len(trace) == len(oracle)
+    assert trace.records() == oracle.records()
+    experts = sorted({s.expert_id for r in records for s in r.slots}) + [99]
+    for layer in range(4):
+        assert an.layer_modalities(trace, layer) == sorted(
+            {r.modality for r in oracle.records() if r.layer == layer})
+        for modality in (None, *MODALITIES, "absent"):
+            assert trace.select(layer, modality=modality) == oracle.select(layer, modality=modality)
+            for include_shared in (False, True):
+                assert (outcome(an.activation_proportions, trace, layer, modality, include_shared)
+                        == outcome(ref.activation_proportions, oracle, layer, modality,
+                                   include_shared))
+            assert (outcome(an.expert_count_histogram, trace, layer, modality)
+                    == outcome(ref.expert_count_histogram, oracle, layer, modality))
+        for step in (0, 3, 7):
+            assert trace.select(layer, step=step) == oracle.select(layer, step=step)
+        for expert_id in experts:
+            assert (an.dynamics_over_steps(trace, layer, expert_id)
+                    == ref.dynamics_over_steps(oracle, layer, expert_id))
+
+
+@PROPERTY
+@given(records=trace_records(), split=st.integers(0, 40))
+def test_exports_equal_the_reference_and_round_trip(records, split, tmp_path):
+    trace, oracle = build(records, split)
+    for fmt in ("csv", "jsonl"):
+        path, want = tmp_path / f"trace.{fmt}", tmp_path / f"oracle.{fmt}"
+        again = tmp_path / f"again.{fmt}"
+        an.export_trace(trace, path, fmt=fmt)
+        ref.export_trace(oracle, want, fmt=fmt)
+        assert path.read_bytes() == want.read_bytes()
+        back = an.import_trace(path)
+        assert back.records() == ref.import_trace(path).records()
+        an.export_trace(back, again, fmt=fmt)
+        assert again.read_bytes() == want.read_bytes()
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=trace_records(), cut=st.integers(1, 40))
+def test_adds_after_an_import_match_the_reference(records, cut, tmp_path):
+    """An imported trace takes further adds, and still rejects duplicates."""
+    cut = min(cut, len(records))
+    path = tmp_path / "head.csv"
+    an.export_trace(build(records[:cut], 0)[0], path)
+    trace, oracle = an.import_trace(path), ref.import_trace(path)
+    for rec in records[cut:]:
+        trace.add(rec)
+        oracle.add(rec)
+    assert trace.records() == oracle.records()
+    with pytest.raises(an.DuplicateRecordError):
+        trace.add(records[0])
+
+
+# ---------------------------------------------------------------------------
+# import checks
+# ---------------------------------------------------------------------------
+
+HEADER = ",".join(an.CSV_COLUMNS)
+
+
+def write_csv(tmp_path, rows):
+    path = tmp_path / "trace.csv"
+    path.write_text(HEADER + "\n" + "".join(row + "\n" for row in rows), encoding="utf-8")
+    return path
+
+
+def write_jsonl(tmp_path, records):
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
+def jsonl_record(step, layer, token, k, ranks, modality="text"):
+    return {"step": step, "layer": layer, "token_index": token, "modality": modality, "k": k,
+            "slots": [{"expert_id": i, "role": "routed", "gate_prob": 0.5, "selected_rank": r}
+                      for i, r in enumerate(ranks)]}
+
+
+def test_csv_key_that_returns_after_another_key_is_a_duplicate(tmp_path):
+    path = write_csv(tmp_path, ["0,0,0,text,1,routed,0.5,0,1",
+                                "0,0,1,text,2,routed,0.5,0,1",
+                                "0,0,0,image,3,routed,0.5,0,1"])
+    with pytest.raises(an.DuplicateRecordError, match=r"\(0, 0, 0\)"):
+        an.import_trace(path)
+
+
+def test_jsonl_duplicate_key_is_rejected_on_the_same_content(tmp_path):
+    path = write_jsonl(tmp_path, [jsonl_record(0, 0, 0, 1, [0]), jsonl_record(0, 0, 1, 1, [0]),
+                                  jsonl_record(0, 0, 0, 1, [0], modality="image")])
+    with pytest.raises(an.DuplicateRecordError, match=r"\(0, 0, 0\)"):
+        an.import_trace(path)
+
+
+def test_csv_contiguous_rows_of_one_key_are_one_record(tmp_path):
+    path = write_csv(tmp_path, ["0,0,0,text,1,routed,0.5,0,2",
+                                "0,0,0,text,2,routed,0.25,1,2",
+                                "0,0,0,text,9,shared,1.0,-1,2"])
+    (rec,) = an.import_trace(path).records()
+    assert rec.k == 2 and [s.expert_id for s in rec.slots] == [1, 2, 9]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_csv_k_column_must_match_routable_slots(tmp_path, k):
+    path = write_csv(tmp_path, [f"0,0,0,text,1,routed,0.5,0,{k}",
+                                f"0,0,0,text,2,routed,0.5,1,{k}",
+                                f"0,0,0,text,9,shared,1.0,-1,{k}"])
+    with pytest.raises(ValueError, match=rf"k is {k} but record \(0, 0, 0\) has 2"):
+        an.import_trace(path)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_jsonl_k_must_match_routable_slots(tmp_path, k):
+    path = write_jsonl(tmp_path, [jsonl_record(0, 0, 0, k, [0, 1, -1])])
+    with pytest.raises(ValueError, match=rf"k is {k} but record \(0, 0, 0\) has 2"):
+        an.import_trace(path)
+
+
+def test_record_without_routable_slot_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="routable slot"):
+        an.import_trace(write_csv(tmp_path, ["0,0,0,text,9,shared,1.0,-1,0"]))
+    with pytest.raises(ValueError, match="routable slot"):
+        an.import_trace(write_jsonl(tmp_path, [jsonl_record(0, 0, 0, 0, [])]))
+
+
+@pytest.mark.parametrize("row", ["0,0,0,text,1,routed,0.5,0", "0,0,0,te,xt,1,routed,0.5,0,1",
+                                 ""])
+def test_csv_row_with_wrong_column_count_is_rejected(tmp_path, row):
+    path = write_csv(tmp_path, ["0,0,1,text,1,routed,0.5,0,1", row])
+    with pytest.raises(ValueError, match="malformed CSV row"):
+        an.import_trace(path)
+
+
+def test_csv_without_trailing_newline_imports(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(HEADER + "\n0,0,0, # x,1,routed,0.5,0,1", encoding="utf-8")
+    (rec,) = an.import_trace(path).records()
+    assert rec.modality == " # x"
+
+
+def test_csv_rows_out_of_key_order_are_sorted(tmp_path):
+    path = write_csv(tmp_path, ["1,0,0,text,1,routed,0.5,0,1",
+                                "0,1,0,image,2,routed,0.5,0,1",
+                                "0,0,5,text,3,routed,0.5,0,1"])
+    keys = [(r.step, r.layer, r.token_index) for r in an.import_trace(path).records()]
+    assert keys == [(0, 0, 5), (0, 1, 0), (1, 0, 0)]
+
+
+@pytest.mark.parametrize("step", [1.5, 2**63, "3"])
+def test_jsonl_key_that_is_no_int64_is_rejected_not_converted(tmp_path, step):
+    path = write_jsonl(tmp_path, [jsonl_record(step, 0, 0, 1, [0])])
+    with pytest.raises(ValueError, match="expected int64 integers"):
+        an.import_trace(path)

@@ -1,11 +1,14 @@
-"""The benchmark's tracer wraps named program attributes; this keeps them.
+"""The benchmark's use of the program; this keeps it working.
 
 ``perfbench/tracer.py`` replaces each ``(owner, attr)`` in ``SPAN_SITES``
 through ``vars(owner)[attr]`` when ``--trace 1`` runs, so renaming or
 deleting one of them would break traced runs without failing anything else.
+``perfbench/workloads.py`` checks the analyze workload's reports, series
+and JSONL round trip against its own counts; one run of it is a test here.
 """
 
 import importlib.util
+import signal
 import time
 from pathlib import Path
 
@@ -14,15 +17,26 @@ import pytest
 
 from dyncapmoe import harness as hn
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("tracer")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))  # for its ``import tracer``
+        return load("workloads")
 
 
 def test_every_span_site_exists(tracer):
@@ -45,3 +59,13 @@ def test_installed_wraps_and_restores_every_site(tracer):
     assert all(vars(owner)[attr] is fn
                for (owner, attr, _, _), fn in zip(tracer.SPAN_SITES, originals))
     assert t.calls["harness.forward"] > 0 and t.counts["tape_nodes"] > 0
+
+
+def test_analyze_workload_checks_pass(workloads, tmp_path):
+    handler = signal.getsignal(signal.SIGALRM)  # Run() installs its own
+    try:
+        run = workloads.Run()
+        workloads.analyze(1, run, tmp_path)
+    finally:
+        signal.signal(signal.SIGALRM, handler)
+    assert run.attempted == 1 and run.failed == 0
