@@ -26,6 +26,12 @@ once.  Every report, export and import is a few NumPy passes (group-bys
 and sorts) over the columns, so its cost is near-linear in the trace size
 rather than a Python scan per record or per step; only ``records`` and
 ``select`` build :class:`TraceRecord` objects, on demand.
+
+Two ways in: :func:`record` appends one token's
+:class:`~dyncapmoe.moe.RoutingDecision`; :func:`record_rows` appends a
+whole layer's :class:`~dyncapmoe.moe.Routing` as one column block, with
+the same records and the same duplicate-key check, and no per-token
+objects.  Training logs through the latter.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ __all__ = [
     "RoutingTrace",
     "ActivationReport",
     "record",
+    "record_rows",
     "activation_proportions",
     "expert_count_histogram",
     "dynamics_over_steps",
@@ -101,6 +108,9 @@ class TraceRecord:
 
 _SLOT_COLUMNS = ("step", "layer", "token_index", "modality", "expert_id", "role",
                  "gate_prob", "selected_rank")
+# Role codes of a Routing block: routed below n_routed, null below n_slots.
+_ROLES = tuple(role.value for role in (moe.ExpertRole.ROUTED, moe.ExpertRole.NULL,
+                                       moe.ExpertRole.SHARED))
 
 
 def _encode(values: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -207,16 +217,53 @@ class _Columns:
         return dataclasses.replace(
             self, offsets=offsets, **{f: getattr(self, f)[slots] for f in _SLOT_COLUMNS})
 
-    def concat(self, other: "_Columns") -> "_Columns":
-        modalities, modality_map = _union(self.modalities, other.modalities)
-        roles, role_map = _union(self.roles, other.roles)
-        other = dataclasses.replace(other, modality=modality_map[other.modality],
-                                    role=role_map[other.role])
-        return dataclasses.replace(
-            self, modalities=modalities, roles=roles,
-            offsets=np.concatenate((self.offsets, other.offsets[1:] + self.offsets[-1])),
-            **{f: np.concatenate((getattr(self, f), getattr(other, f)))
-               for f in _SLOT_COLUMNS})
+    @classmethod
+    def join(cls, parts: Sequence["_Columns"]) -> "_Columns":
+        """The records of every part, in order; vocabularies are merged."""
+        modalities, roles = (), ()
+        modality, role = [], []
+        for c in parts:
+            modalities, modality_map = _union(modalities, c.modalities)
+            roles, role_map = _union(roles, c.roles)
+            modality.append(modality_map[c.modality])
+            role.append(role_map[c.role])
+        ends = np.cumsum([c.offsets[-1] for c in parts])
+        return cls(modality=np.concatenate(modality), role=np.concatenate(role),
+                   offsets=np.concatenate([parts[0].offsets[:1]] + [
+                       c.offsets[1:] + end - c.offsets[-1] for c, end in zip(parts, ends)]),
+                   modalities=modalities, roles=roles,
+                   **{f: np.concatenate([getattr(c, f) for c in parts])
+                      for f in _SLOT_COLUMNS if f not in ("modality", "role")})
+
+    @classmethod
+    def of_routing(cls, step: int, layer: int, modality_tags: Sequence[str],
+                   routing: moe.Routing) -> "_Columns":
+        """One record per token of a layer's routing: its active slots in
+        rank order, then the shared experts with rank -1."""
+        n, n_slots = routing.rank.shape
+        if len(modality_tags) != n:
+            raise ValueError(f"need one modality tag per token, got {len(modality_tags)} "
+                             f"for {n}")
+        shared = np.broadcast_to(np.arange(n_slots, n_slots + routing.n_shared),
+                                 (n, routing.n_shared))
+        # sort key of each slot: its rank, shared experts after every rank
+        key = np.hstack((routing.rank, shared))
+        tok, slot = np.nonzero(key >= 0)
+        order = np.lexsort((key[tok, slot], tok))
+        tok, slot = tok[order], slot[order]
+        routable = slot < n_slots
+        gate = np.ones(tok.size)
+        gate[routable] = routing.gate[tok[routable], slot[routable]]
+        rank = np.full(tok.size, -1, dtype=np.int64)
+        rank[routable] = routing.rank[tok[routable], slot[routable]]
+        modalities, modality = _encode(modality_tags)
+        return cls(step=np.full(tok.size, step, dtype=np.int64),
+                   layer=np.full(tok.size, layer, dtype=np.int64), token_index=tok,
+                   modality=modality[tok], expert_id=slot,
+                   role=np.searchsorted([routing.n_routed, n_slots], slot, side="right"),
+                   gate_prob=gate, selected_rank=rank,
+                   offsets=_offsets(np.bincount(tok, minlength=n)),
+                   modalities=modalities, roles=_ROLES)
 
     def checked(self, k: np.ndarray | None = None) -> "_Columns":
         """Validated and sorted by key.
@@ -268,6 +315,7 @@ class RoutingTrace:
     def __init__(self):
         self._columns = _Columns.empty()
         self._pending: list[TraceRecord] = []  # added since the last read
+        self._blocks: list[_Columns] = []      # column blocks added since the last read
         self._keys: set[tuple[int, int, int]] | None = set()  # None: not built yet
 
     @classmethod
@@ -277,33 +325,55 @@ class RoutingTrace:
         return trace
 
     def __len__(self) -> int:
-        return len(self._columns) + len(self._pending)
+        return len(self._columns) + len(self._pending) + sum(map(len, self._blocks))
 
-    def add(self, rec: TraceRecord) -> None:
+    def _known_keys(self) -> set[tuple[int, int, int]]:
         if self._keys is None:
             c = self._columns
             self._keys = set(zip(c.step[c.starts].tolist(), c.layer[c.starts].tolist(),
                                  c.token_index[c.starts].tolist()))
+        return self._keys
+
+    def add(self, rec: TraceRecord) -> None:
+        keys = self._keys if self._keys is not None else self._known_keys()
         key = (rec.step, rec.layer, rec.token_index)
-        if key in self._keys:
+        if key in keys:
             raise DuplicateRecordError(f"record already exists for {key}")
         if rec.k < 1:
             raise ValueError("a record needs at least one routable slot")
-        self._keys.add(key)
+        keys.add(key)
         self._pending.append(rec)
+
+    def _add_columns(self, block: _Columns) -> None:
+        """Append a block of records; like :meth:`add` for each of them."""
+        known = self._known_keys()
+        s = block.starts
+        keys = list(zip(block.step[s].tolist(), block.layer[s].tolist(),
+                        block.token_index[s].tolist()))
+        new = set(keys)
+        if len(new) < len(keys) or not known.isdisjoint(new):
+            dup = next(key for i, key in enumerate(keys) if key in known or key in keys[:i])
+            raise DuplicateRecordError(f"record already exists for {dup}")
+        if (block.k() < 1).any():
+            raise ValueError("a record needs at least one routable slot")
+        known.update(new)
+        self._blocks.append(block)
 
     def _store(self) -> _Columns:
         """The columns, with records added since the last read folded in."""
-        if self._pending:
+        if self._pending or self._blocks:
+            parts = [self._columns, *self._blocks]
             recs = self._pending
-            slots = [s for r in recs for s in r.slots]
-            added = _Columns.from_fields(
-                [r.step for r in recs], [r.layer for r in recs],
-                [r.token_index for r in recs], [r.modality for r in recs],
-                [len(r.slots) for r in recs], [s.expert_id for s in slots],
-                [s.role for s in slots], [s.gate_prob for s in slots],
-                [s.selected_rank for s in slots])
-            self._columns, self._pending = self._columns.concat(added).checked(), []
+            if recs:
+                slots = [s for r in recs for s in r.slots]
+                parts.append(_Columns.from_fields(
+                    [r.step for r in recs], [r.layer for r in recs],
+                    [r.token_index for r in recs], [r.modality for r in recs],
+                    [len(r.slots) for r in recs], [s.expert_id for s in slots],
+                    [s.role for s in slots], [s.gate_prob for s in slots],
+                    [s.selected_rank for s in slots]))
+            self._columns = _Columns.join(parts).checked()
+            self._pending, self._blocks = [], []
         return self._columns
 
     def records(self) -> list[TraceRecord]:
@@ -331,6 +401,16 @@ def record(trace: RoutingTrace, step: int, layer: int, token_index: int,
               for e in decision.shared]
     trace.add(TraceRecord(step=step, layer=layer, token_index=token_index,
                           modality=modality_tag, slots=tuple(slots)))
+
+
+def record_rows(trace: RoutingTrace, step: int, layer: int,
+                modality_tags: Sequence[str], routing: moe.Routing) -> None:
+    """Append one layer's routing, token t as record (step, layer, t).
+
+    The records equal those of :func:`record` called on every ``routing[t]``
+    in turn, but they go in as one column block, with no per-token objects.
+    """
+    trace._add_columns(_Columns.of_routing(step, layer, modality_tags, routing))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ which involves no sampling and no masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,13 +36,10 @@ from . import autodiff as ad
 __all__ = [
     "BERNOULLI_P",
     "hybrid_scale",
-    "EstimatorDraw",
     "apply_estimator",
     "ClosedFormObjective",
     "exact_gradient_oracle",
     "estimator_expectation",
-    "euler_scale_reference",
-    "heun_scale_reference",
     "heun_quadrature",
 ]
 
@@ -64,29 +61,6 @@ def hybrid_scale(delta: int, bern: int) -> float:
     delta = _check_binary(delta, "delta")
     bern = _check_binary(bern, "bern")
     return max(float(delta), (1.0 + 2.0 * bern) / 3.0)
-
-
-@dataclass(frozen=True)
-class EstimatorDraw:
-    """One sampled expert with its estimator randomness.
-
-    ``forward_scale`` is derived, never stored independently, so the
-    invariants (scale = max(delta, (1+2B)/3); delta=1 forces scale 1)
-    hold by construction.
-    """
-
-    expert_index: int
-    delta: int
-    bern: int
-    bernoulli_prob: float = field(default=BERNOULLI_P, init=False)
-
-    def __post_init__(self):
-        _check_binary(self.delta, "delta")
-        _check_binary(self.bern, "bern")
-
-    @property
-    def forward_scale(self) -> float:
-        return hybrid_scale(self.delta, self.bern)
 
 
 def apply_estimator(o: ad.Tensor, delta, bern) -> ad.Tensor:
@@ -225,31 +199,8 @@ def estimator_expectation(obj: ClosedFormObjective, z_values: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# coefficient references
+# quadrature
 # ---------------------------------------------------------------------------
-
-def euler_scale_reference() -> dict[str, float]:
-    """First-order branch coefficients: gradient 2 * f'(1 * a)."""
-    return {"outer": 2.0, "inner": 1.0}
-
-
-def heun_scale_reference() -> dict[int, dict[str, float]]:
-    """Third-order branch coefficients per Bernoulli outcome.
-
-    outer * inner == 2 on both rows, which is exactly why a single doubled
-    gradient path with a varying forward scale realizes both branches.
-    """
-    table = {
-        1: {"outer": 2.0, "inner": 1.0},
-        0: {"outer": 6.0, "inner": 1.0 / 3.0},
-    }
-    for bern, coeffs in table.items():
-        expected_outer = 6.0 - 4.0 * bern
-        expected_inner = (1.0 + 2.0 * bern) / 3.0
-        assert coeffs["outer"] == expected_outer and coeffs["inner"] == expected_inner
-        assert coeffs["outer"] * coeffs["inner"] == 2.0
-    return table
-
 
 def heun_quadrature(g, a: float) -> float:
     """a * ((1/4) g(a) + (3/4) g(a/3)): integrates g over [0, a] exactly for deg <= 2."""

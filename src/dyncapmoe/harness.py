@@ -16,11 +16,16 @@ because the same underlying uniforms are applied to the current, shifting
 routing probabilities.  Inference (``mode="infer"``) takes the
 deterministic Top-P prefix in every routing mode and draws nothing.
 
+Each layer forward returns its routing as one :class:`~dyncapmoe.moe.Routing`
+(struct-of-arrays), and ``train`` logs it into the run's trace with one
+:func:`~dyncapmoe.analytics.record_rows` call per layer and step.
+
 Finite-difference checking freezes every discrete choice (active sets, B,
-argmax flags): the training objective is only piecewise smooth in the
-router weights, so central differences are compared against the gradient
-of the frozen (smooth) branch, and any coordinate whose perturbation flips
-a live selection is skipped and reported rather than compared.
+argmax flags) by replaying the recorded Routing: the training objective is
+only piecewise smooth in the router weights, so central differences are
+compared against the gradient of the frozen (smooth) branch, and any
+coordinate whose perturbation flips a live selection is skipped and
+reported rather than compared.
 """
 
 from __future__ import annotations
@@ -312,25 +317,25 @@ class ToyTransformer:
         return ad.add(X, ad.matmul(mixed, attn.w_o))
 
     def forward(self, batch: SyntheticBatch, mode: str = "train",
-                frozen: list[list[moe.RoutingDecision]] | None = None):
+                frozen: list[moe.Routing] | None = None):
         """Full pass to the mean cross-entropy.
 
         ``mode`` is "train" or "infer" (see ``DynamicCapacityMoE.forward_rows``);
-        ``frozen`` replays recorded decisions and overrides it.  Returns
-        (loss, decisions per layer, matches): ``matches`` is only meaningful
-        when replaying frozen decisions.
+        ``frozen`` replays a recorded :class:`~dyncapmoe.moe.Routing` per layer
+        and overrides it.  Returns (loss, routing per layer, matches):
+        ``matches`` is only meaningful when replaying frozen routing.
         """
         X = ad.Tensor(batch.tokens)
-        per_layer: list[list[moe.RoutingDecision]] = []
+        per_layer: list[moe.Routing] = []
         matches = True
         for li in range(self.cfg.layers):
             X = self._attend(X, batch.position_ids, li)
-            Y, decisions, ok = self.blocks[li].forward_rows(
+            Y, routing, ok = self.blocks[li].forward_rows(
                 X, mode, key=(self.cfg.seed, 5077 + li),
                 frozen=frozen[li] if frozen is not None else None)
             X = ad.add(X, Y)
             matches = matches and ok
-            per_layer.append(decisions)
+            per_layer.append(routing)
         logits = ad.matmul(X, self.w_cls)
         return cross_entropy(logits, batch.labels), per_layer, matches
 
@@ -367,9 +372,8 @@ def train(cfg: ToyModelConfig, model: ToyTransformer | None = None) -> TrainResu
         if not math.isfinite(value):
             raise TrainingDivergedError(f"loss diverged at step {step}: {value!r}")
         losses.append(value)
-        for li, decisions in enumerate(per_layer):
-            for t, decision in enumerate(decisions):
-                an.record(trace, step, li, t, batch.modality_tags[t], decision)
+        for li, routing in enumerate(per_layer):
+            an.record_rows(trace, step, li, batch.modality_tags, routing)
         ad.backward(loss)
         for t in params.values():
             if t.grad is not None:
@@ -390,6 +394,11 @@ class BlockReport:
     n_skipped: int  # coordinates whose perturbation flipped a live selection
 
 
+def _within(err: float, tol: float) -> bool:
+    """The one pass test of a gradient check; a NaN error fails it."""
+    return err <= tol
+
+
 @dataclasses.dataclass(frozen=True)
 class GradCheckReport:
     blocks: tuple[BlockReport, ...]
@@ -400,22 +409,22 @@ class GradCheckReport:
 
     @property
     def failed_blocks(self) -> tuple[str, ...]:
-        return tuple(b.name for b in self.blocks if b.max_rel_err > self.tol)
+        return tuple(b.name for b in self.blocks if not _within(b.max_rel_err, self.tol))
 
     @property
     def passed(self) -> bool:
         return not self.failed_blocks and all(
-            e <= self.unbiasedness_tol for e in self.unbiasedness_err.values())
+            _within(e, self.unbiasedness_tol) for e in self.unbiasedness_err.values())
 
     def lines(self) -> list[str]:
         out = []
         for b in self.blocks:
-            status = "ok" if b.max_rel_err <= self.tol else "FAIL"
+            status = "ok" if _within(b.max_rel_err, self.tol) else "FAIL"
             skipped = f", skipped {b.n_skipped} flipped" if b.n_skipped else ""
             out.append(f"{status:4s} {b.name}: max rel err {b.max_rel_err:.3e} "
                        f"({b.n_checked} coords{skipped})")
         for n_r, err in sorted(self.unbiasedness_err.items()):
-            status = "ok" if err <= self.unbiasedness_tol else "FAIL"
+            status = "ok" if _within(err, self.unbiasedness_tol) else "FAIL"
             out.append(f"{status:4s} unbiasedness N_r={n_r}: max abs err {err:.3e}")
         return out
 
@@ -444,8 +453,12 @@ def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
     draws; analytic gradients come from that frozen graph.  Each coordinate
     is then perturbed by +/-eps and the frozen loss re-evaluated; if either
     perturbation would flip a live selection the coordinate is skipped and
-    counted instead of compared.
+    counted instead of compared.  ``eps`` and ``tol`` must be finite and
+    positive (``ValueError`` otherwise).
     """
+    for name, value in (("eps", eps), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     model = ToyTransformer(cfg)
     batch = generate_batch(cfg.segments, cfg.seed, cfg.d_model, cfg.n_classes,
                            cfg.noise, cfg.theta)

@@ -23,7 +23,11 @@ selection.
 :meth:`DynamicCapacityMoE.forward_rows` runs the layer on a batch of token
 rows: one router product, vectorized deterministic selection, and one gated
 FFN per routed expert over the rows of the tokens that chose it (dropless
-grouped dispatch).  The per-token forwards are one-row calls of it.
+grouped dispatch).  It returns the batch's choices as one :class:`Routing`,
+``[n, n_slots]`` arrays of rank, gate, argmax flag, B draw and forward
+scale; a token's :class:`RoutingDecision` is built only when someone indexes
+the Routing.  Frozen replay takes a Routing back.  The per-token forwards
+are one-row calls of ``forward_rows``.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ __all__ = [
     "RouterState",
     "ExpertActivation",
     "RoutingDecision",
+    "Routing",
     "ExpertParams",
     "DynamicCapacityMoE",
     "gated_ffn",
@@ -158,6 +163,102 @@ class RoutingDecision:
         return float(sum(e.gate_prob for e in self.per_expert))
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class Routing(Sequence[RoutingDecision]):
+    """One layer's routing result for a batch of tokens, as columns.
+
+    Every array is a read-only ``[n, n_slots]`` view, row t for token t:
+
+    * ``rank``: selection order of each slot, -1 where the slot is inactive
+      (k of a row is its count of ranks >= 0);
+    * ``gate``: the raw router probabilities;
+    * ``is_argmax``: the slot is the row's logit argmax;
+    * ``bern``: the estimator's B draw (bool), or None where nothing was
+      drawn (inference);
+    * ``scale``: the forward scale max(delta, (1+2B)/3), 1 at inference.
+
+    Only active entries carry meaning.  ``n_routed`` and ``n_shared`` fix
+    each slot's role and the always-on shared experts.  As a read-only
+    sequence, ``routing[t]`` is token t's :class:`RoutingDecision`, built
+    when asked for; :meth:`from_decisions` goes the other way.
+    """
+
+    rank: np.ndarray
+    gate: np.ndarray
+    is_argmax: np.ndarray
+    bern: np.ndarray | None
+    scale: np.ndarray
+    n_routed: int
+    n_shared: int = 0
+
+    def __post_init__(self):
+        if np.ndim(self.rank) != 2:
+            raise ValueError("rank must be [n, n_slots]")
+        for name in ("rank", "gate", "is_argmax", "bern", "scale"):
+            array = getattr(self, name)
+            if array is None:
+                continue
+            view = np.asarray(array).view()
+            if view.shape != np.shape(self.rank):
+                raise ValueError(f"{name} must have the shape of rank")
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    @classmethod
+    def from_decisions(cls, decisions: Sequence[RoutingDecision],
+                       config: "MoEConfig") -> "Routing":
+        """The record of per-token decisions made by a layer with ``config``.
+
+        Each decision lists its active slots in rank order.  B is either
+        drawn for every active slot of every decision or for none.
+        """
+        n, n_slots = len(decisions), config.n_slots
+        rank = np.full((n, n_slots), -1, dtype=np.int64)
+        gate = np.zeros((n, n_slots))
+        is_argmax = np.zeros((n, n_slots), dtype=bool)
+        bern = np.zeros((n, n_slots), dtype=bool)
+        scale = np.ones((n, n_slots))
+        drawn = set()
+        for t, d in enumerate(decisions):
+            for r, e in enumerate(d.per_expert):
+                if e.rank != r or e.index != d.active[r] or not 0 <= e.index < n_slots:
+                    raise ValueError(f"token {t}: per_expert must list the active slots "
+                                     f"of {n_slots} in rank order")
+                rank[t, e.index] = r
+                gate[t, e.index] = e.gate_prob
+                is_argmax[t, e.index] = e.is_argmax
+                scale[t, e.index] = e.forward_scale
+                drawn.add(e.bern is not None)
+                bern[t, e.index] = bool(e.bern)
+        if len(drawn) > 1:
+            raise ValueError("B must be drawn for every active slot or for none")
+        return cls(rank, gate, is_argmax, bern if drawn == {True} else None, scale,
+                   config.n_routed, config.n_shared)
+
+    def __len__(self) -> int:
+        return self.rank.shape[0]
+
+    def __getitem__(self, t: int) -> RoutingDecision:
+        n, n_slots = self.rank.shape
+        if not -n <= t < n:
+            raise IndexError(f"token {t} out of range for {n} tokens")
+        rank = self.rank[t]
+        k = int((rank >= 0).sum())
+        order = np.argsort(np.where(rank >= 0, rank, n_slots), kind="stable")[:k].tolist()
+        gate, is_argmax, scale = (a[t].tolist() for a in (self.gate, self.is_argmax,
+                                                          self.scale))
+        bern = [None] * n_slots if self.bern is None else self.bern[t].astype(int).tolist()
+        per_expert = tuple(ExpertActivation(
+            index=slot, role=ExpertRole.ROUTED if slot < self.n_routed else ExpertRole.NULL,
+            gate_prob=gate[slot], rank=r, is_argmax=is_argmax[slot], bern=bern[slot],
+            forward_scale=scale[slot]) for r, slot in enumerate(order))
+        shared = tuple(ExpertActivation(
+            index=n_slots + s, role=ExpertRole.SHARED, gate_prob=1.0, rank=-1,
+            is_argmax=False) for s in range(self.n_shared))
+        return RoutingDecision(active=tuple(order), k=k, per_expert=per_expert,
+                               shared=shared)
+
+
 def _check_probs(p: np.ndarray, top_p: float) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size < 1:
@@ -169,38 +270,31 @@ def _check_probs(p: np.ndarray, top_p: float) -> np.ndarray:
     return p
 
 
-def _decision_from_order(order: Sequence[int], p: np.ndarray, argmax_slot: int,
-                         n_routed: int, berns: Sequence[int] | None = None,
-                         shared: tuple[ExpertActivation, ...] = ()) -> RoutingDecision:
-    """Decision activating ``order`` (slots in selection order); with
-    ``berns``, entry r carries draw ``berns[r]`` and its estimator scale."""
-    routed, null = ExpertRole.ROUTED, ExpertRole.NULL
-    entries = []
-    for rank, slot in enumerate(order):
-        is_argmax = slot == argmax_slot
-        bern, scale = None, 1.0
-        if berns is not None:
-            bern = berns[rank]
-            scale = est.hybrid_scale(int(is_argmax), bern)
-        entries.append(ExpertActivation(
-            index=slot, role=routed if slot < n_routed else null,
-            gate_prob=float(p[slot]), rank=rank, is_argmax=is_argmax, bern=bern,
-            forward_scale=scale))
-    return RoutingDecision(active=tuple(order), k=len(order), per_expert=tuple(entries),
-                           shared=shared)
-
-
-def _prefix_lists(P: np.ndarray, top_p: float) -> list[list[int]]:
-    """Deterministic Top-P on every row of ``P`` [n, slots]: the active
-    slots of each row, in selection order.
+def _prefix_ranks(P: np.ndarray, top_p: float) -> np.ndarray:
+    """Deterministic Top-P on every row of ``P`` [n, slots]: each slot's
+    rank in the row's selection order, -1 where it stays inactive.
 
     Ties sort stably, lower index first; a row whose full sum falls short of
     ``top_p`` through rounding activates every slot.
     """
+    n_slots = P.shape[1]
     order = np.argsort(-P, axis=1, kind="stable")
     reach = np.cumsum(np.take_along_axis(P, order, axis=1), axis=1) >= top_p
-    k = np.where(reach.any(axis=1), reach.argmax(axis=1) + 1, P.shape[1])
-    return [row[:kk] for row, kk in zip(order.tolist(), k.tolist())]
+    k = np.where(reach.any(axis=1), reach.argmax(axis=1) + 1, n_slots)
+    ranks = np.arange(n_slots)
+    rank = np.empty(P.shape, dtype=np.int64)
+    np.put_along_axis(rank, order, np.where(ranks < k[:, None], ranks, -1), axis=1)
+    return rank
+
+
+def _ranks_of(orders: Sequence[Sequence[int]], n_slots: int) -> np.ndarray:
+    """The rank matrix of per-token selection orders."""
+    lens = np.array([len(o) for o in orders], dtype=np.int64)
+    rank = np.full((lens.size, n_slots), -1, dtype=np.int64)
+    starts = np.cumsum(lens) - lens
+    rank[np.repeat(np.arange(lens.size), lens), np.concatenate(orders).astype(np.int64)] = (
+        np.arange(lens.sum()) - np.repeat(starts, lens))
+    return rank
 
 
 def _draw_top_p(p: np.ndarray, top_p: float, rng: np.random.Generator) -> list[int]:
@@ -224,6 +318,16 @@ def _draw_top_p(p: np.ndarray, top_p: float, rng: np.random.Generator) -> list[i
     return drawn
 
 
+def _one_token(rank: np.ndarray, p: np.ndarray, argmax_slot: int | None,
+               n_routed: int | None) -> RoutingDecision:
+    """The inference decision of one token with selection ranks ``rank``."""
+    if argmax_slot is None:
+        argmax_slot = int(np.argmax(p))
+    is_argmax = (np.arange(p.size) == argmax_slot)[None, :]
+    return Routing(rank, p[None, :], is_argmax, None, np.ones_like(rank, dtype=np.float64),
+                   p.size if n_routed is None else n_routed)[0]
+
+
 def select_top_p_deterministic(p: np.ndarray, top_p: float,
                                argmax_slot: int | None = None,
                                n_routed: int | None = None) -> RoutingDecision:
@@ -233,12 +337,7 @@ def select_top_p_deterministic(p: np.ndarray, top_p: float,
     short of ``top_p`` (only possible at top_p == 1), every slot activates.
     """
     p = _check_probs(p, top_p)
-    if argmax_slot is None:
-        argmax_slot = int(np.argmax(p))
-    if n_routed is None:
-        n_routed = p.size
-    return _decision_from_order(_prefix_lists(p[None, :], top_p)[0], p, argmax_slot,
-                                n_routed)
+    return _one_token(_prefix_ranks(p[None, :], top_p), p, argmax_slot, n_routed)
 
 
 def select_top_p_sampled(p: np.ndarray, top_p: float, rng: np.random.Generator,
@@ -251,12 +350,8 @@ def select_top_p_sampled(p: np.ndarray, top_p: float, rng: np.random.Generator,
     uniform variate is consumed per draw (inverse-CDF over the remainder).
     """
     p = _check_probs(p, top_p)
-    drawn = _draw_top_p(p, top_p, rng)
-    if argmax_slot is None:
-        argmax_slot = int(np.argmax(p))
-    if n_routed is None:
-        n_routed = p.size
-    return _decision_from_order(drawn, p, argmax_slot, n_routed)
+    return _one_token(_ranks_of([_draw_top_p(p, top_p, rng)], p.size), p, argmax_slot,
+                      n_routed)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -342,13 +437,13 @@ class DynamicCapacityMoE:
 
     def forward_rows(self, X: ad.Tensor, mode: str = "infer",
                      key: Sequence[int] | None = None,
-                     frozen: Sequence[RoutingDecision] | None = None,
-                     ) -> tuple[ad.Tensor, list[RoutingDecision], bool]:
+                     frozen: Routing | None = None,
+                     ) -> tuple[ad.Tensor, Routing, bool]:
         """The layer on a batch: row t of ``X`` [n, d_model] is token t.
 
-        Returns ``(Y, decisions, matches)``: ``Y`` [n, d_model] holds each
-        token's mixture output (no residual), ``decisions`` one
-        RoutingDecision per token.
+        Returns ``(Y, routing, matches)``: ``Y`` [n, d_model] holds each
+        token's mixture output (no residual), ``routing`` the batch's
+        :class:`Routing` (``routing[t]`` is token t's decision).
 
         * ``mode="infer"``: the deterministic Top-P prefix, whatever
           ``config.routing_mode``; gates are raw probabilities.
@@ -357,9 +452,10 @@ class DynamicCapacityMoE:
           Token t draws from ``np.random.default_rng([*key, t])``: the
           sampled selection first, then one B ~ Bernoulli(5/8) per active
           slot in rank order, null slots included.
-        * ``frozen`` (one recorded decision per token) replays those
-          choices and ignores ``mode`` and ``key``; see
-          :meth:`forward_frozen`.  ``matches`` is only meaningful here.
+        * ``frozen`` (a recorded Routing; :meth:`Routing.from_decisions`
+          builds one from decisions) replays those choices and ignores
+          ``mode`` and ``key``; see :meth:`forward_frozen`.  ``matches`` is
+          only meaningful here.
 
         Each routed expert runs once on the rows of the tokens that chose
         it; null slots never reach the tape and shared experts run on every
@@ -370,14 +466,19 @@ class DynamicCapacityMoE:
         if X.data.ndim != 2 or X.data.shape[1] != self.config.d_model:
             raise ad.ShapeError(f"token rows must have shape (n, {self.config.d_model}), "
                                 f"got {X.data.shape}")
+        n = X.data.shape[0]
         rngs = None
-        if frozen is None and mode == "train":
+        if frozen is not None:
+            if len(frozen) != n or frozen.rank.shape[1] != self.config.n_slots:
+                raise ValueError(f"frozen routing must cover {n} tokens and "
+                                 f"{self.config.n_slots} slots")
+        elif mode == "train":
             if key is None:
                 raise ValueError("train mode needs an rng key")
-            rngs = [np.random.default_rng([*key, t]) for t in range(X.data.shape[0])]
+            rngs = [np.random.default_rng([*key, t]) for t in range(n)]
         return self._forward_rows(X, rngs, frozen)
 
-    def _forward_rows(self, X: ad.Tensor, rngs, frozen):
+    def _forward_rows(self, X: ad.Tensor, rngs, frozen: Routing | None):
         """``forward_rows`` with per-token generators: train when ``rngs`` is
         given, replay when ``frozen`` is, inference otherwise."""
         cfg = self.config
@@ -385,42 +486,44 @@ class DynamicCapacityMoE:
         logits = ad.matvec_rows(self.router, X)
         probs = ad.softmax(logits)
         P = probs.data
-        p_rows = P.tolist()
-        argmax = np.argmax(logits.data, axis=1).tolist()  # ties: lowest index
+        is_argmax = np.argmax(logits.data, axis=1)[:, None] == np.arange(cfg.n_slots)
         matches = True
         if frozen is not None:
-            if len(frozen) != n:
-                raise ValueError(f"need one frozen decision per token, got {len(frozen)} "
-                                 f"for {n}")
-            decisions = list(frozen)
-            matches = all(e.is_argmax == (e.index == argmax[t])
-                          for t, d in enumerate(decisions) for e in d.per_expert)
+            routing = frozen
+            active = routing.rank >= 0
+            matches = not (active & (routing.is_argmax != is_argmax)).any()
             if cfg.routing_mode == "deterministic":
-                matches = matches and all(tuple(slots) == d.active for slots, d in
-                                          zip(_prefix_lists(P, cfg.top_p), decisions))
+                matches = matches and np.array_equal(_prefix_ranks(P, cfg.top_p),
+                                                     routing.rank)
+        elif rngs is None:
+            routing = Routing(_prefix_ranks(P, cfg.top_p), P, is_argmax, None,
+                              np.ones(P.shape), cfg.n_routed, cfg.n_shared)
         else:
-            if rngs is not None and cfg.routing_mode == "sampled":
-                orders = [_draw_top_p(P[t], cfg.top_p, rngs[t]) for t in range(n)]
+            if cfg.routing_mode == "sampled":
+                rank = _ranks_of([_draw_top_p(P[t], cfg.top_p, rngs[t]) for t in range(n)],
+                                 cfg.n_slots)
             else:
-                orders = _prefix_lists(P, cfg.top_p)
-            shared = self._shared_entries()
-            decisions = []
-            for t, slots in enumerate(orders):
-                berns = None
-                if rngs is not None:
-                    berns = [int(u < est.BERNOULLI_P) for u in rngs[t].random(len(slots))]
-                decisions.append(_decision_from_order(slots, p_rows[t], argmax[t],
-                                                      cfg.n_routed, berns, shared))
-        Y = self._mix(X, probs, decisions, train=rngs is not None,
-                      replay=frozen is not None)
+                rank = _prefix_ranks(P, cfg.top_p)
+            # each token's B draws, in rank order, follow its selection draws
+            tok, slot = np.nonzero(rank >= 0)
+            order = np.lexsort((rank[tok, slot], tok))
+            k = np.bincount(tok, minlength=n).tolist()
+            u = np.ones(P.shape)
+            u[tok[order], slot[order]] = np.concatenate(
+                [rng.random(k_t) for rng, k_t in zip(rngs, k)])
+            bern = u < est.BERNOULLI_P
+            routing = Routing(rank, P, is_argmax, bern,
+                              np.maximum(is_argmax, (1.0 + 2.0 * bern) / 3.0),
+                              cfg.n_routed, cfg.n_shared)
+        Y = self._mix(X, probs, routing, train=rngs is not None, replay=frozen is not None)
         for params in self.shared:
             out = gated_ffn(X, params)
             Y = out if Y is None else ad.add(Y, out)
         if Y is None:
             Y = ad.zeros((n, cfg.d_model))
-        return Y, decisions, matches
+        return Y, routing, matches
 
-    def _mix(self, X: ad.Tensor, probs: ad.Tensor, decisions, train: bool,
+    def _mix(self, X: ad.Tensor, probs: ad.Tensor, routing: Routing, train: bool,
              replay: bool) -> ad.Tensor | None:
         """Sum of the routed contributions per token; None if there are none.
 
@@ -430,14 +533,14 @@ class DynamicCapacityMoE:
         in selection order, exactly as a per-token left fold does.
         """
         cfg = self.config
-        pairs = sorted((e.rank, t, e.index, int(e.is_argmax), e.bern, e.forward_scale)
-                       for t, d in enumerate(decisions) for e in d.per_expert
-                       if e.role is ExpertRole.ROUTED)
-        if not pairs:
+        rank = routing.rank[:, :cfg.n_routed]
+        tok, slot = np.nonzero(rank >= 0)
+        if not tok.size:
             return None
-        _, tok, slot, delta, bern, scale = (np.array(col) for col in zip(*pairs))
+        order = np.lexsort((tok, rank[tok, slot]))
+        tok, slot = tok[order], slot[order]
         gates = ad.transpose(probs)  # row j: every token's gate for slot j
-        buf = ad.zeros((len(pairs), cfg.d_model))
+        buf = ad.zeros((tok.size, cfg.d_model))
         for j, params in enumerate(self.routed):
             pos = np.flatnonzero(slot == j)
             if not pos.size:
@@ -446,23 +549,18 @@ class DynamicCapacityMoE:
             o = ad.scale_rows(gated_ffn(ad.gather_rows(X, rows), params),
                               ad.gather_rows(ad.row(gates, j), rows))
             if train:
-                o = est.apply_estimator(o, delta[pos], bern[pos])
+                o = est.apply_estimator(o, routing.is_argmax[rows, j], routing.bern[rows, j])
             elif replay:
-                o = ad.scale_rows(o, ad.Tensor(scale[pos]))
+                o = ad.scale_rows(o, ad.Tensor(routing.scale[rows, j]))
             buf = ad.scatter_add_rows(buf, pos, o)
         return ad.scatter_add_rows(ad.zeros((len(X.data), cfg.d_model)), tok, buf)
 
-    def _shared_entries(self) -> tuple[ExpertActivation, ...]:
-        return tuple(ExpertActivation(
-            index=self.config.n_slots + s, role=ExpertRole.SHARED, gate_prob=1.0,
-            rank=-1, is_argmax=False) for s in range(self.config.n_shared))
-
-    def _forward_token(self, x: ad.Tensor, rngs, frozen):
+    def _forward_token(self, x: ad.Tensor, rngs, frozen: Routing | None):
         if x.data.shape != (self.config.d_model,):
             raise ad.ShapeError(f"token must have shape ({self.config.d_model},), "
                                 f"got {x.data.shape}")
-        Y, decisions, matches = self._forward_rows(ad.stack_rows([x]), rngs, frozen)
-        return ad.row(Y, 0), decisions[0], matches
+        Y, routing, matches = self._forward_rows(ad.stack_rows([x]), rngs, frozen)
+        return ad.row(Y, 0), routing[0], matches
 
     def forward_infer(self, x: ad.Tensor) -> tuple[ad.Tensor, RoutingDecision]:
         """y = sum over active slots of p_i * Expert_i(x), plus shared experts.
@@ -503,13 +601,14 @@ class DynamicCapacityMoE:
         deterministic mode, the same active set); finite-difference checks
         skip coordinates where it flips.
         """
-        y, _, matches = self._forward_token(x, None, [frozen])
+        y, _, matches = self._forward_token(
+            x, None, Routing.from_decisions([frozen], self.config))
         return y, matches
 
     # ----------------------------------------------------------------- batch
 
     def layer_apply(self, tokens, mode: str = "infer",
-                    step: int = 0) -> tuple[list[ad.Tensor], list[RoutingDecision]]:
+                    step: int = 0) -> tuple[list[ad.Tensor], Routing]:
         """:meth:`forward_rows` on a list of tokens, one output per token.
 
         Train mode keys token t's rng stream (config.seed, step, t), so
@@ -518,6 +617,6 @@ class DynamicCapacityMoE:
         xs = [t if isinstance(t, ad.Tensor) else ad.Tensor(t) for t in tokens]
         if not xs:
             raise ValueError("token batch must be non-empty")
-        Y, decisions, _ = self.forward_rows(ad.stack_rows(xs), mode,
-                                            key=(self.config.seed, step))
-        return [ad.row(Y, t) for t in range(len(xs))], decisions
+        Y, routing, _ = self.forward_rows(ad.stack_rows(xs), mode,
+                                          key=(self.config.seed, step))
+        return [ad.row(Y, t) for t in range(len(xs))], routing

@@ -118,6 +118,16 @@ class TestGradcheckCommand:
     def test_missing_config_file_exits_1(self, tmp_path):
         assert cli.main(["gradcheck", "--config", str(tmp_path / "no.json")]) == 1
 
+    @pytest.mark.parametrize("flag,value", [("--eps", "0"), ("--eps", "-1e-6"),
+                                            ("--eps", "nan"), ("--eps", "inf"),
+                                            ("--tol", "0"), ("--tol", "nan"),
+                                            ("--tol", "inf")])
+    def test_eps_and_tol_must_be_finite_and_positive(self, flag, value, capsys):
+        assert cli.main(["gradcheck", f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and flag[2:] in captured.err
+        assert "gradcheck passed" not in captured.out
+
 
 class TestTrainCommand:
     def test_zero_steps_writes_header_only_loss_file(self, tmp_path):

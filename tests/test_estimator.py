@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import estimator_reference as est_ref
 from dyncapmoe import autodiff as ad
 from dyncapmoe import estimator as est
 
@@ -28,11 +29,11 @@ class TestHybridScale:
             est.hybrid_scale(0, -1)
 
     def test_draw_invariants(self):
-        d = est.EstimatorDraw(expert_index=3, delta=0, bern=0)
+        d = est_ref.EstimatorDraw(expert_index=3, delta=0, bern=0)
         assert d.forward_scale == pytest.approx(1 / 3, abs=0)
         assert d.bernoulli_prob == 5 / 8
-        assert est.EstimatorDraw(0, 1, 0).forward_scale == 1.0
-        assert est.EstimatorDraw(0, 1, 1).forward_scale == 1.0
+        assert est_ref.EstimatorDraw(0, 1, 0).forward_scale == 1.0
+        assert est_ref.EstimatorDraw(0, 1, 1).forward_scale == 1.0
 
 
 class TestApplyEstimator:
@@ -163,18 +164,18 @@ class TestEstimatorExpectation:
 
 class TestCoefficientReferences:
     def test_euler_reference(self):
-        ref = est.euler_scale_reference()
+        ref = est_ref.euler_scale_reference()
         assert ref == {"outer": 2.0, "inner": 1.0}
 
     def test_heun_table_and_product_identity(self):
-        table = est.heun_scale_reference()
+        table = est_ref.heun_scale_reference()
         assert table[1]["outer"] == 2.0 and table[1]["inner"] == 1.0
         assert table[0]["outer"] == 6.0 and table[0]["inner"] == pytest.approx(1 / 3, abs=0)
         for bern in (0, 1):
             assert (6 - 4 * bern) * (1 + 2 * bern) / 3 == 2.0
 
     def test_expected_outer_coefficient(self):
-        table = est.heun_scale_reference()
+        table = est_ref.heun_scale_reference()
         mean_outer = est.BERNOULLI_P * table[1]["outer"] + (1 - est.BERNOULLI_P) * table[0]["outer"]
         assert mean_outer == 3.5
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -227,6 +228,23 @@ class TestGradCheck:
         rep = hn.grad_check(hn.gradcheck_default_config())
         text = "\n".join(rep.lines())
         assert "router" in text and "cls.w" in text and "unbiasedness" in text
+
+    @pytest.mark.parametrize("eps,tol", [(0.0, 1e-4), (-1e-6, 1e-4), (math.nan, 1e-4),
+                                         (1e-6, 0.0), (1e-6, math.nan), (1e-6, math.inf)])
+    def test_eps_and_tol_must_be_finite_and_positive(self, eps, tol):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            hn.grad_check(hn.gradcheck_default_config(), eps=eps, tol=tol)
+
+    def test_nan_error_fails_the_block_and_the_report(self):
+        block = hn.BlockReport(name="router", max_rel_err=math.nan, n_checked=3,
+                               n_skipped=0)
+        rep = hn.GradCheckReport(blocks=(block,), tol=1e-4, eps=1e-6,
+                                 unbiasedness_err={2: 0.0})
+        assert rep.failed_blocks == ("router",)
+        assert not rep.passed
+        assert rep.lines()[0].startswith("FAIL router")
+        nan_sweep = dataclasses.replace(rep, blocks=(), unbiasedness_err={2: math.nan})
+        assert not nan_sweep.passed and nan_sweep.lines()[0].startswith("FAIL")
 
     def test_failing_tolerance_lists_blocks(self):
         rep = hn.grad_check(hn.gradcheck_default_config(), eps=1e-6, tol=1e-300)

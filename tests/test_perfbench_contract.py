@@ -4,9 +4,13 @@
 through ``vars(owner)[attr]`` when ``--trace 1`` runs, so renaming or
 deleting one of them would break traced runs without failing anything else.
 ``perfbench/workloads.py`` checks the analyze workload's reports, series
-and JSONL round trip against its own counts; one run of it is a test here.
+and JSONL round trip against its own counts, and the training workloads'
+losses and routing; one short run of each is a test here, as is the
+tracer's count of routing decisions, which reads the per-token forwards'
+result.
 """
 
+import dataclasses
 import importlib.util
 import signal
 import time
@@ -15,7 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dyncapmoe import autodiff as ad
 from dyncapmoe import harness as hn
+from dyncapmoe import moe
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -61,11 +67,42 @@ def test_installed_wraps_and_restores_every_site(tracer):
     assert t.calls["harness.forward"] > 0 and t.counts["tape_nodes"] > 0
 
 
-def test_analyze_workload_checks_pass(workloads, tmp_path):
+def run_workload(workloads, episode):
+    """A fresh ``Run`` after ``episode(run)``; SIGALRM is restored."""
     handler = signal.getsignal(signal.SIGALRM)  # Run() installs its own
     try:
         run = workloads.Run()
-        workloads.analyze(1, run, tmp_path)
+        episode(run)
     finally:
         signal.signal(signal.SIGALRM, handler)
+    return run
+
+
+def test_analyze_workload_checks_pass(workloads, tmp_path):
+    run = run_workload(workloads, lambda run: workloads.analyze(1, run, tmp_path))
     assert run.attempted == 1 and run.failed == 0
+
+
+@pytest.mark.parametrize("workload", ["train-smoke", "trainval-128"])
+def test_train_workload_checks_pass(workloads, workload):
+    # Two ops on one model: an episode also checks that its last loss is
+    # below its first.
+    if workload == "train-smoke":
+        cfg, infer = dataclasses.replace(hn.smoke_train_config(1), steps=1), False
+    else:
+        cfg, infer = workloads.trainval_config(1), True
+    run = run_workload(workloads, lambda run: workloads._train_episode(run, cfg, 2, infer))
+    assert run.attempted == 2 and run.failed == 0
+    assert len(run.values["final_loss"]) == 1
+
+
+def test_tracer_counts_decisions_of_the_per_token_forwards(tracer):
+    layer = moe.DynamicCapacityMoE(moe.MoEConfig(d_model=4, n_routed=2, n_null=1,
+                                                 expert_hidden=3, top_p=1.0))
+    x = ad.Tensor(np.linspace(-1.0, 1.0, 4))
+    t = tracer.Tracer(time.perf_counter)
+    with t.installed():
+        layer.forward_train(x, np.random.default_rng(0))
+        layer.forward_infer(x)
+    assert t.counts["decisions"] == 2
+    assert t.counts["active_slots"] == 6 and t.counts["null_slots"] == 2

@@ -1,0 +1,182 @@
+"""The columnar ``moe.Routing`` record and its trace logging.
+
+Property tests draw random layer configs, token counts and routing modes
+and check every row of the Routing that ``forward_rows`` returns: k >= 1,
+ranks 0..k-1 each once, gate mass >= P unless every slot is active, and in
+deterministic selection a minimal prefix that holds the argmax.  The
+per-token views must equal the decisions of the per-token reference in
+``tests/moe_reference.py`` exactly.
+
+``analytics.record_rows`` must log a Routing exactly as the per-token
+``analytics.record`` loop does: same records, byte-identical CSV and JSONL.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import moe_reference as ref
+from dyncapmoe import analytics as an
+from dyncapmoe import autodiff as ad
+from dyncapmoe import moe
+
+PROPERTY = settings(max_examples=200, deadline=None)
+
+
+@st.composite
+def layers(draw):
+    cfg = moe.MoEConfig(
+        d_model=draw(st.integers(1, 6)), n_routed=draw(st.integers(1, 5)),
+        expert_hidden=draw(st.integers(1, 4)), n_null=draw(st.integers(0, 2)),
+        n_shared=draw(st.integers(0, 2)), shared_hidden=draw(st.integers(1, 3)),
+        top_p=draw(st.one_of(st.sampled_from((1.0, 0.5, 0.7, 1e-9)),
+                             st.floats(0.0, 1.0, exclude_min=True))),
+        routing_mode=draw(st.sampled_from(("deterministic", "sampled"))),
+        seed=draw(st.integers(0, 2**16)))
+    return moe.DynamicCapacityMoE(cfg)
+
+
+def token_rows(seed, n, d, spread):
+    """Token rows; spread 0 gives equal logits, so every slot ties."""
+    return ad.Tensor(spread * np.random.default_rng([seed, 77]).normal(size=(n, d)))
+
+
+@PROPERTY
+@given(layer=layers(), n=st.integers(1, 24), mode=st.sampled_from(("infer", "train")),
+       spread=st.sampled_from((0.0, 0.1, 1.0, 10.0)), key=st.integers(0, 2**16))
+def test_every_row_is_a_valid_top_p_selection(layer, n, mode, spread, key):
+    cfg = layer.config
+    X = token_rows(key, n, cfg.d_model, spread)
+    _, routing, _ = layer.forward_rows(X, mode, key=(key, 3))
+    assert isinstance(routing, moe.Routing) and len(routing) == n
+    assert routing.rank.shape == routing.gate.shape == (n, cfg.n_slots)
+    assert (routing.bern is None) == (mode == "infer")
+    deterministic = mode == "infer" or cfg.routing_mode == "deterministic"
+    for t in range(n):
+        rank, gate = routing.rank[t], routing.gate[t]
+        k = int((rank >= 0).sum())
+        assert k >= 1
+        assert sorted(rank[rank >= 0].tolist()) == list(range(k))
+        order = np.argsort(np.where(rank >= 0, rank, cfg.n_slots), kind="stable")[:k]
+        mass = 0.0
+        for slot in order.tolist():  # left to right in rank order, as the layer sums
+            before, mass = mass, mass + gate[slot]
+        assert mass >= cfg.top_p or k == cfg.n_slots
+        argmax = int(np.argmax(routing.is_argmax[t]))
+        assert routing.is_argmax[t].sum() == 1
+        if deterministic:
+            assert before < cfg.top_p
+            assert rank[argmax] >= 0
+    with pytest.raises((ValueError, AttributeError)):
+        routing.rank[0, 0] = 7
+    with pytest.raises(AttributeError):
+        routing.rank = routing.rank
+
+
+@PROPERTY
+@given(layer=layers(), n=st.integers(1, 16), mode=st.sampled_from(("infer", "train")),
+       spread=st.sampled_from((0.0, 1.0, 10.0)), key=st.integers(0, 2**16))
+def test_views_equal_the_per_token_reference(layer, n, mode, spread, key):
+    X = token_rows(key, n, layer.config.d_model, spread)
+    _, routing, _ = layer.forward_rows(X, mode, key=(key, 3))
+    _, want, _ = ref.moe_rows(layer, X, mode, (key, 3))
+    assert list(routing) == want
+    assert routing[-1] == want[-1]
+    rebuilt = moe.Routing.from_decisions(want, layer.config)
+    assert list(rebuilt) == want
+    _, replayed, matches = layer.forward_rows(X, frozen=rebuilt)
+    assert replayed is rebuilt and matches
+
+
+def test_from_decisions_rejects_mixed_draws_and_foreign_slots():
+    layer = moe.DynamicCapacityMoE(moe.MoEConfig(d_model=3, n_routed=2, expert_hidden=2,
+                                                 n_null=1, top_p=1.0))
+    _, routing, _ = layer.forward_rows(token_rows(0, 2, 3, 1.0), "train", key=(0,))
+    decisions = list(routing)
+    undrawn = dataclasses.replace(decisions[1], per_expert=tuple(
+        dataclasses.replace(e, bern=None) for e in decisions[1].per_expert))
+    with pytest.raises(ValueError, match="every active slot or for none"):
+        moe.Routing.from_decisions([decisions[0], undrawn], layer.config)
+    narrow = dataclasses.replace(layer.config, n_null=0)
+    with pytest.raises(ValueError, match="rank order"):
+        moe.Routing.from_decisions(decisions, narrow)
+    with pytest.raises(IndexError):
+        routing[2]
+
+
+# ---------------------------------------------------------------------------
+# trace logging
+# ---------------------------------------------------------------------------
+
+MODALITY_CYCLE = ("text", "image", "# odd", "")
+
+
+def logged_both_ways(layer, steps, n, mode):
+    """The same routings logged by record_rows and by the per-token loop."""
+    by_rows, by_token = an.RoutingTrace(), an.RoutingTrace()
+    tags = [MODALITY_CYCLE[t % len(MODALITY_CYCLE)] for t in range(n)]
+    for step in steps:
+        for li in range(2):
+            X = token_rows(step * 2 + li, n, layer.config.d_model, 1.0)
+            _, routing, _ = layer.forward_rows(X, mode, key=(step, li))
+            an.record_rows(by_rows, step, li, tags, routing)
+            for t, decision in enumerate(routing):
+                an.record(by_token, step, li, t, tags[t], decision)
+    return by_rows, by_token
+
+
+@pytest.mark.parametrize("n_null,n_shared,mode", [(0, 0, "infer"), (1, 2, "train"),
+                                                  (2, 1, "infer"), (1, 0, "train")])
+def test_record_rows_equals_the_per_token_record_loop(tmp_path, n_null, n_shared, mode):
+    layer = moe.DynamicCapacityMoE(moe.MoEConfig(
+        d_model=4, n_routed=3, expert_hidden=3, n_null=n_null, n_shared=n_shared,
+        top_p=0.8, routing_mode="sampled", seed=5))
+    # steps out of order, so the block store has to sort on read
+    by_rows, by_token = logged_both_ways(layer, (3, 0, 2), 9, mode)
+    assert len(by_rows) == len(by_token) == 3 * 2 * 9
+    records = by_rows.records()
+    assert records == by_token.records()
+    roles = {s.role for r in records for s in r.slots}
+    assert ("null" in roles) == (n_null > 0) and ("shared" in roles) == (n_shared > 0)
+    for fmt in ("csv", "jsonl"):
+        an.export_trace(by_rows, tmp_path / f"rows.{fmt}", fmt=fmt)
+        an.export_trace(by_token, tmp_path / f"token.{fmt}", fmt=fmt)
+        assert (tmp_path / f"rows.{fmt}").read_bytes() == \
+            (tmp_path / f"token.{fmt}").read_bytes()
+
+
+def test_record_rows_mixes_with_add_and_imports(tmp_path):
+    layer = moe.DynamicCapacityMoE(moe.MoEConfig(d_model=4, n_routed=3, expert_hidden=3,
+                                                 n_null=1, n_shared=1, seed=2))
+    by_rows, by_token = logged_both_ways(layer, (0,), 5, "train")
+    an.export_trace(by_rows, tmp_path / "trace.csv")
+    loaded = an.import_trace(tmp_path / "trace.csv")
+    _, routing, _ = layer.forward_rows(token_rows(9, 5, 4, 1.0), "infer")
+    an.record_rows(loaded, 1, 0, ["text"] * 5, routing)
+    an.record(loaded, 1, 1, 0, "image", routing[0])
+    an.record_rows(by_token, 1, 0, ["text"] * 5, routing)
+    an.record(by_token, 1, 1, 0, "image", routing[0])
+    assert loaded.records() == by_token.records()
+
+
+def test_repeated_key_raises_at_append_time():
+    layer = moe.DynamicCapacityMoE(moe.MoEConfig(d_model=4, n_routed=3, expert_hidden=3,
+                                                 n_null=1, n_shared=2, seed=1))
+    _, routing, _ = layer.forward_rows(token_rows(1, 4, 4, 1.0), "infer")
+    trace = an.RoutingTrace()
+    an.record_rows(trace, 2, 1, ["text"] * 4, routing)
+    with pytest.raises(an.DuplicateRecordError):
+        an.record_rows(trace, 2, 1, ["text"] * 4, routing)
+    with pytest.raises(an.DuplicateRecordError):
+        an.record(trace, 2, 1, 3, "text", routing[3])
+    an.record(trace, 2, 0, 3, "text", routing[3])
+    with pytest.raises(an.DuplicateRecordError):
+        an.record_rows(trace, 2, 0, ["text"] * 4, routing)
+    with pytest.raises(ValueError, match="one modality tag per token"):
+        an.record_rows(trace, 5, 0, ["text"] * 3, routing)
+    assert len(trace) == 5  # rejected blocks left nothing behind
+    an.record_rows(trace, 2, 2, ["text"] * 4, routing)
+    assert [r.token_index for r in trace.select(2)] == [0, 1, 2, 3]
