@@ -85,7 +85,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = _as_f64(data)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("tensor data contains NaN or Inf")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -133,7 +133,7 @@ def op_node(data: np.ndarray, parents: Sequence[Tensor],
     rotation, the training loss) define their own ops through it.
     """
     arr = _as_f64(data)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"op '{op_kind}' produced NaN or Inf")
     out = Tensor.__new__(Tensor)
     out.data = arr

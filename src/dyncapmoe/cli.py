@@ -4,6 +4,7 @@ Subcommands:
 
 * ``gradcheck`` — finite-difference campaign plus the unbiasedness
   enumeration on a (default or JSON) model config; exit 1 if any block fails.
+  ``--json PATH`` also writes the report as JSON for byte-for-byte diffs.
 * ``train``     — plain-SGD run on the planted-signal task; writes
   ``loss.csv`` and ``trace.csv`` into ``--out``.
 * ``analyze``   — activation proportions / expert-count histogram from a
@@ -43,6 +44,9 @@ def _reseed(cfg: hn.ToyModelConfig, seed: int) -> hn.ToyModelConfig:
 def cmd_gradcheck(args) -> int:
     cfg = _load_config(args.config, hn.gradcheck_default_config)
     report = hn.grad_check(cfg, eps=args.eps, tol=args.tol)
+    if args.json:
+        Path(args.json).write_text(json.dumps(report.to_json_dict(), indent=2) + "\n",
+                                   encoding="utf-8")
     for line in report.lines():
         print(line)
     if not report.passed:
@@ -129,6 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-6, help="FD step (default 1e-6)")
     p.add_argument("--tol", type=float, default=1e-4,
                    help="max rel-err per block (default 1e-4)")
+    p.add_argument("--json", metavar="PATH",
+                   help="also write the report as JSON (exact repr of every error)")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train", help="train on the planted-signal task")

@@ -26,6 +26,15 @@ only piecewise smooth in the router weights, so central differences are
 compared against the gradient of the frozen (smooth) branch, and any
 coordinate whose perturbation flips a live selection is skipped and
 reported rather than compared.
+
+The forward runs in stages: each layer's attention, each layer's MoE with
+its residual add, then the classifier head and the loss.  A parameter of
+stage s changes nothing before stage s, so the gradient check records every
+stage's input once, during the frozen replay that yields the analytic
+gradients, and evaluates each perturbed loss by resuming the forward at the
+perturbed parameter's stage.  The skipped prefix would recompute the
+recorded bits from the same parameters, so the report is exactly the one a
+full forward per evaluation gives.
 """
 
 from __future__ import annotations
@@ -295,17 +304,29 @@ class ToyTransformer:
         self.w_cls = ad.seeded_normal((d, cfg.n_classes), base + [cfg.layers, 4],
                                       std=d ** -0.5, requires_grad=True)
 
-    def parameters(self) -> dict[str, ad.Tensor]:
-        out: dict[str, ad.Tensor] = {}
+    def stage_parameters(self) -> list[dict[str, ad.Tensor]]:
+        """One name -> tensor dict per stage of :meth:`forward`.
+
+        Stage ``2*li`` is layer li's attention, stage ``2*li + 1`` its MoE
+        (with the residual add) and stage ``2*layers`` the classifier head
+        and the loss.  A stage's parameters change nothing computed by an
+        earlier stage.
+        """
+        stages: list[dict[str, ad.Tensor]] = []
         for li, (attn, block) in enumerate(zip(self.attn, self.blocks)):
-            out[f"layer{li}.attn.w_q"] = attn.w_q
-            out[f"layer{li}.attn.w_k"] = attn.w_k
-            out[f"layer{li}.attn.w_v"] = attn.w_v
-            out[f"layer{li}.attn.w_o"] = attn.w_o
-            for name, t in block.parameters().items():
-                out[f"layer{li}.moe.{name}"] = t
-        out["cls.w"] = self.w_cls
-        return out
+            stages.append({f"layer{li}.attn.w_q": attn.w_q,
+                           f"layer{li}.attn.w_k": attn.w_k,
+                           f"layer{li}.attn.w_v": attn.w_v,
+                           f"layer{li}.attn.w_o": attn.w_o})
+            stages.append({f"layer{li}.moe.{name}": t
+                           for name, t in block.parameters().items()})
+        stages.append({"cls.w": self.w_cls})
+        return stages
+
+    def parameters(self) -> dict[str, ad.Tensor]:
+        """Every parameter by name, stage by stage."""
+        return {name: t for stage in self.stage_parameters()
+                for name, t in stage.items()}
 
     def _attend(self, X: ad.Tensor, pids, li: int) -> ad.Tensor:
         attn = self.attn[li]
@@ -317,25 +338,46 @@ class ToyTransformer:
         return ad.add(X, ad.matmul(mixed, attn.w_o))
 
     def forward(self, batch: SyntheticBatch, mode: str = "train",
-                frozen: list[moe.Routing] | None = None):
-        """Full pass to the mean cross-entropy.
+                frozen: list[moe.Routing] | None = None, *,
+                stage_inputs: list[tuple[np.ndarray, bool]] | None = None):
+        """Full pass to the mean cross-entropy, one stage after another (see
+        :meth:`stage_parameters`).
 
         ``mode`` is "train" or "infer" (see ``DynamicCapacityMoE.forward_rows``);
         ``frozen`` replays a recorded :class:`~dyncapmoe.moe.Routing` per layer
-        and overrides it.  Returns (loss, routing per layer, matches):
+        and overrides it.  Returns (loss, routing of each MoE stage run, matches):
         ``matches`` is only meaningful when replaying frozen routing.
+
+        ``stage_inputs`` (internal to :func:`grad_check`) lists the inputs
+        of stages 0..s as (X data, matches of the stages before).  Empty,
+        the pass starts at stage 0; otherwise it resumes at stage s from the
+        last entry.  Either way it appends the input of every stage it runs
+        after that.  Given the same parameters a stage computes the same
+        bits, so a pass resumed from a recorded prefix returns what the full
+        pass returns.
         """
-        X = ad.Tensor(batch.tokens)
+        start, x, matches = 0, batch.tokens, True
+        if stage_inputs:
+            start = len(stage_inputs) - 1
+            x, matches = stage_inputs[-1]
+        X = ad.Tensor(x)
         per_layer: list[moe.Routing] = []
-        matches = True
-        for li in range(self.cfg.layers):
-            X = self._attend(X, batch.position_ids, li)
-            Y, routing, ok = self.blocks[li].forward_rows(
-                X, mode, key=(self.cfg.seed, 5077 + li),
-                frozen=frozen[li] if frozen is not None else None)
-            X = ad.add(X, Y)
-            matches = matches and ok
-            per_layer.append(routing)
+        head = 2 * self.cfg.layers
+        for stage in range(start, head + 1):
+            if stage_inputs is not None and stage == len(stage_inputs):
+                stage_inputs.append((X.data, matches))
+            if stage == head:
+                break
+            li = stage // 2
+            if stage % 2 == 0:
+                X = self._attend(X, batch.position_ids, li)
+            else:
+                Y, routing, ok = self.blocks[li].forward_rows(
+                    X, mode, key=(self.cfg.seed, 5077 + li),
+                    frozen=frozen[li] if frozen is not None else None)
+                X = ad.add(X, Y)
+                matches = matches and ok
+                per_layer.append(routing)
         logits = ad.matmul(X, self.w_cls)
         return cross_entropy(logits, batch.labels), per_layer, matches
 
@@ -428,6 +470,20 @@ class GradCheckReport:
             out.append(f"{status:4s} unbiasedness N_r={n_r}: max abs err {err:.3e}")
         return out
 
+    def to_json_dict(self) -> dict:
+        """The report as JSON-ready data.  Errors are ``repr`` strings (exact,
+        and NaN stays legal JSON), so two serialized reports diff byte for
+        byte."""
+        return {
+            "eps": self.eps, "tol": self.tol, "passed": self.passed,
+            "blocks": [{"name": b.name, "max_rel_err": repr(b.max_rel_err),
+                        "n_checked": b.n_checked, "n_skipped": b.n_skipped}
+                       for b in self.blocks],
+            "unbiasedness_tol": self.unbiasedness_tol,
+            "unbiasedness_err": {str(n_r): repr(err)
+                                 for n_r, err in sorted(self.unbiasedness_err.items())},
+        }
+
 
 def _unbiasedness_sweep(n_experts_list=(2, 3, 4), d=8, seeds=range(5)) -> dict[int, float]:
     worst: dict[int, float] = {}
@@ -455,6 +511,13 @@ def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
     perturbation would flip a live selection the coordinate is skipped and
     counted instead of compared.  ``eps`` and ``tol`` must be finite and
     positive (``ValueError`` otherwise).
+
+    The frozen replay that yields the analytic gradients also records each
+    stage's input (see :meth:`ToyTransformer.forward`).  A coordinate of
+    stage s is re-evaluated by resuming the forward at stage s from that
+    record: stages before s see the same parameters as the replay, so they
+    would recompute the recorded bits, and the report is the one a full
+    forward per evaluation gives, to the bit.
     """
     for name, value in (("eps", eps), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
@@ -464,36 +527,39 @@ def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
                            cfg.noise, cfg.theta)
     _, frozen, _ = model.forward(batch, mode="train")
 
-    loss, _, _ = model.forward(batch, frozen=frozen)
+    stage_inputs: list[tuple[np.ndarray, bool]] = []
+    loss, _, _ = model.forward(batch, frozen=frozen, stage_inputs=stage_inputs)
     ad.backward(loss)
     params = model.parameters()
     analytic = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
                 for name, t in params.items()}
     ad.zero_grads(params.values())
 
-    def frozen_loss() -> tuple[float, bool]:
-        value, _, ok = model.forward(batch, frozen=frozen)
+    def frozen_loss(stage: int) -> tuple[float, bool]:
+        value, _, ok = model.forward(batch, frozen=frozen,
+                                     stage_inputs=stage_inputs[:stage + 1])
         return float(value.data), ok
 
     blocks = []
-    for name, t in params.items():
-        fd = np.zeros_like(t.data)
-        keep = np.ones(t.data.shape, dtype=bool)
-        skipped = 0
-        for idx in np.ndindex(t.data.shape):
-            orig = t.data[idx]
-            t.data[idx] = orig + eps
-            up, ok_up = frozen_loss()
-            t.data[idx] = orig - eps
-            down, ok_down = frozen_loss()
-            t.data[idx] = orig
-            if not (ok_up and ok_down):
-                keep[idx] = False
-                skipped += 1
-                continue
-            fd[idx] = (up - down) / (2.0 * eps)
-        err = ad.max_rel_err(analytic[name][keep], fd[keep]) if keep.any() else 0.0
-        blocks.append(BlockReport(name=name, max_rel_err=float(err),
-                                  n_checked=int(keep.sum()), n_skipped=skipped))
+    for stage, stage_params in enumerate(model.stage_parameters()):
+        for name, t in stage_params.items():
+            fd = np.zeros_like(t.data)
+            keep = np.ones(t.data.shape, dtype=bool)
+            skipped = 0
+            for idx in np.ndindex(t.data.shape):
+                orig = t.data[idx]
+                t.data[idx] = orig + eps
+                up, ok_up = frozen_loss(stage)
+                t.data[idx] = orig - eps
+                down, ok_down = frozen_loss(stage)
+                t.data[idx] = orig
+                if not (ok_up and ok_down):
+                    keep[idx] = False
+                    skipped += 1
+                    continue
+                fd[idx] = (up - down) / (2.0 * eps)
+            err = ad.max_rel_err(analytic[name][keep], fd[keep]) if keep.any() else 0.0
+            blocks.append(BlockReport(name=name, max_rel_err=float(err),
+                                      n_checked=int(keep.sum()), n_skipped=skipped))
     return GradCheckReport(blocks=tuple(blocks), tol=tol, eps=eps,
                            unbiasedness_err=_unbiasedness_sweep())

@@ -118,6 +118,33 @@ class TestGradcheckCommand:
     def test_missing_config_file_exits_1(self, tmp_path):
         assert cli.main(["gradcheck", "--config", str(tmp_path / "no.json")]) == 1
 
+    def test_json_report_matches_the_printed_report(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert cli.main(["gradcheck"]) == 0
+        plain = capsys.readouterr().out
+        assert cli.main(["gradcheck", "--json", str(path)]) == 0
+        assert capsys.readouterr().out == plain  # stdout does not change
+        data = json.loads(path.read_text(encoding="utf-8"))
+        report = hn.grad_check(hn.gradcheck_default_config())
+        assert data["eps"] == 1e-6 and data["tol"] == 1e-4 and data["passed"] is True
+        assert [(b["name"], b["max_rel_err"], b["n_checked"], b["n_skipped"])
+                for b in data["blocks"]] == \
+            [(b.name, repr(b.max_rel_err), b.n_checked, b.n_skipped) for b in report.blocks]
+        assert data["unbiasedness_err"] == {str(n_r): repr(err) for n_r, err
+                                            in sorted(report.unbiasedness_err.items())}
+        assert path.read_text(encoding="utf-8") == \
+            json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+    def test_json_report_is_written_when_the_check_fails(self, tmp_path):
+        path = tmp_path / "report.json"
+        assert cli.main(["gradcheck", "--tol", "1e-300", "--json", str(path)]) == 1
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert data["passed"] is False and data["tol"] == 1e-300
+
+    def test_unwritable_json_path_exits_1(self, tmp_path, capsys):
+        assert cli.main(["gradcheck", "--json", str(tmp_path / "no" / "r.json")]) == 1
+        assert "error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,value", [("--eps", "0"), ("--eps", "-1e-6"),
                                             ("--eps", "nan"), ("--eps", "inf"),
                                             ("--tol", "0"), ("--tol", "nan"),

@@ -5,7 +5,8 @@ through ``vars(owner)[attr]`` when ``--trace 1`` runs, so renaming or
 deleting one of them would break traced runs without failing anything else.
 ``perfbench/workloads.py`` checks the analyze workload's reports, series
 and JSONL round trip against its own counts, and the training workloads'
-losses and routing; one short run of each is a test here, as is the
+losses and routing, and the gradcheck workload its campaigns' reports and
+evaluation count; one short run of each is a test here, as is the
 tracer's count of routing decisions, which reads the per-token forwards'
 result.
 """
@@ -94,6 +95,15 @@ def test_train_workload_checks_pass(workloads, workload):
     run = run_workload(workloads, lambda run: workloads._train_episode(run, cfg, 2, infer))
     assert run.attempted == 2 and run.failed == 0
     assert len(run.values["final_loss"]) == 1
+
+
+def test_gradcheck_workload_checks_pass(workloads, monkeypatch):
+    # Every coordinate of the default config counts two evaluations, however
+    # little of the forward each one reruns.
+    monkeypatch.setattr(workloads, "GRADCHECK_CAMPAIGNS", 1)
+    run = run_workload(workloads, lambda run: workloads.gradcheck(1, run))
+    assert run.attempted == 1 and run.failed == 0
+    assert run.values["fd_evals"] == [1404]
 
 
 def test_tracer_counts_decisions_of_the_per_token_forwards(tracer):
