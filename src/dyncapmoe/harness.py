@@ -8,12 +8,12 @@ and the model classifies tokens.  With zero noise the labels are linearly
 recoverable, so cross-entropy on the planted task is reducible and the
 smoke-training criterion is meaningful.
 
-Training uses sampled Top-P routing.  Token t of layer li draws from the
-rng stream ``np.random.default_rng([seed, 5077 + li, t])`` — keyed by layer
-and token, not by step — so a zero-learning-rate run repeats the identical
-forward every step (flat loss curve).  Selections still evolve across steps
-because the same underlying uniforms are applied to the current, shifting
-routing probabilities.  Inference (``mode="infer"``) takes the
+Training uses sampled Top-P routing.  Each layer li draws one uniform block
+from the Philox stream keyed ``(seed, 5077 + li)``; token t reads row t of
+it — keyed by layer and token, not by step — so a zero-learning-rate run
+repeats the identical forward every step (flat loss curve).  Selections
+still evolve across steps because the same underlying uniforms are applied
+to the current, shifting routing probabilities.  Inference (``mode="infer"``) takes the
 deterministic Top-P prefix in every routing mode and draws nothing.
 
 Each layer forward returns its routing as one :class:`~dyncapmoe.moe.Routing`
@@ -142,8 +142,12 @@ class ToyModelConfig:
             raise ValueError("rope.head_dim must equal head_dim")
         if self.n_classes < 2:
             raise ValueError("need at least two classes")
-        if self.noise < 0 or self.learning_rate < 0 or self.steps < 0:
-            raise ValueError("noise, learning_rate and steps must be non-negative")
+        for name in ("noise", "learning_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        if self.steps < 0:
+            raise ValueError("steps must be non-negative")
         if not self.segments:
             raise ValueError("segment list must be non-empty")
         object.__setattr__(self, "segments", tuple(self.segments))

@@ -13,21 +13,22 @@ and ambiguous ones get several.  Three expert roles exist:
 
 Two selection modes are provided.  ``deterministic`` takes the descending-
 probability prefix; ``sampled`` draws experts without replacement until the
-drawn original probability mass reaches P.  ``routing_mode`` applies to
-training forwards only: inference always takes the deterministic prefix, so
-it draws nothing and needs no rng.  Training forwards wrap each routed
-contribution in the hybrid straight-through estimator from
-:mod:`dyncapmoe.estimator`; gate probabilities are never renormalized after
-selection.
+drawn original probability mass reaches P.  Both take the same prefix rule:
+sampled selection only sorts by Gumbel keys instead of probabilities.
+``routing_mode`` applies to training forwards only: inference always takes
+the deterministic prefix, so it draws nothing and needs no rng.  Training
+forwards wrap each routed contribution in the hybrid straight-through
+estimator from :mod:`dyncapmoe.estimator`; gate probabilities are never
+renormalized after selection.
 
 :meth:`DynamicCapacityMoE.forward_rows` runs the layer on a batch of token
-rows: one router product, vectorized deterministic selection, and one gated
-FFN per routed expert over the rows of the tokens that chose it (dropless
-grouped dispatch).  It returns the batch's choices as one :class:`Routing`,
-``[n, n_slots]`` arrays of rank, gate, argmax flag, B draw and forward
-scale; a token's :class:`RoutingDecision` is built only when someone indexes
-the Routing.  Frozen replay takes a Routing back.  The per-token forwards
-are one-row calls of ``forward_rows``.
+rows: one router product, one uniform block in training, vectorized
+selection, and one gated FFN per routed expert over the rows of the tokens
+that chose it (dropless grouped dispatch).  It returns the batch's choices
+as one :class:`Routing`, ``[n, n_slots]`` arrays of rank, gate, argmax
+flag, B draw and forward scale; a token's :class:`RoutingDecision` is built
+only when someone indexes the Routing.  Frozen replay takes a Routing
+back.  The per-token forwards are one-row calls of ``forward_rows``.
 """
 
 from __future__ import annotations
@@ -270,52 +271,30 @@ def _check_probs(p: np.ndarray, top_p: float) -> np.ndarray:
     return p
 
 
-def _prefix_ranks(P: np.ndarray, top_p: float) -> np.ndarray:
-    """Deterministic Top-P on every row of ``P`` [n, slots]: each slot's
-    rank in the row's selection order, -1 where it stays inactive.
+def _prefix_ranks(P: np.ndarray, top_p: float, U: np.ndarray | None = None) -> np.ndarray:
+    """Top-P on every row of ``P`` [n, slots]: each slot's rank in the row's
+    selection order, -1 where it stays inactive.
 
-    Ties sort stably, lower index first; a row whose full sum falls short of
-    ``top_p`` through rounding activates every slot.
+    Without ``U`` the order is descending probability, ties stably lower
+    index first: deterministic Top-P.  With uniforms ``U`` [n, slots] it is
+    descending Gumbel key ``log p - log(-log u)``, which orders the slots as
+    drawing without replacement in proportion to p does (Gumbel-top-k);
+    a zero probability or ``u == 0`` sorts last.  Either way the row takes
+    the shortest prefix whose original mass reaches ``top_p``, and a row
+    whose full sum falls short through rounding activates every slot.
     """
     n_slots = P.shape[1]
-    order = np.argsort(-P, axis=1, kind="stable")
+    keys = P
+    if U is not None:
+        with np.errstate(divide="ignore"):
+            keys = np.log(P) - np.log(-np.log(U))
+    order = np.argsort(-keys, axis=1, kind="stable")
     reach = np.cumsum(np.take_along_axis(P, order, axis=1), axis=1) >= top_p
     k = np.where(reach.any(axis=1), reach.argmax(axis=1) + 1, n_slots)
     ranks = np.arange(n_slots)
     rank = np.empty(P.shape, dtype=np.int64)
     np.put_along_axis(rank, order, np.where(ranks < k[:, None], ranks, -1), axis=1)
     return rank
-
-
-def _ranks_of(orders: Sequence[Sequence[int]], n_slots: int) -> np.ndarray:
-    """The rank matrix of per-token selection orders."""
-    lens = np.array([len(o) for o in orders], dtype=np.int64)
-    rank = np.full((lens.size, n_slots), -1, dtype=np.int64)
-    starts = np.cumsum(lens) - lens
-    rank[np.repeat(np.arange(lens.size), lens), np.concatenate(orders).astype(np.int64)] = (
-        np.arange(lens.sum()) - np.repeat(starts, lens))
-    return rank
-
-
-def _draw_top_p(p: np.ndarray, top_p: float, rng: np.random.Generator) -> list[int]:
-    """Sampled Top-P draw order; one uniform variate per draw."""
-    remaining = list(range(p.size))
-    drawn: list[int] = []
-    mass = 0.0
-    while remaining:
-        weights = p[remaining]
-        total = float(weights.sum())
-        if total <= 0.0:
-            break  # only zero-probability slots left; mass cannot grow
-        cdf = np.cumsum(weights) / total
-        j = int(np.searchsorted(cdf, rng.random(), side="right"))
-        j = min(j, len(remaining) - 1)
-        slot = remaining.pop(j)
-        drawn.append(slot)
-        mass += float(p[slot])
-        if mass >= top_p:
-            break
-    return drawn
 
 
 def _one_token(rank: np.ndarray, p: np.ndarray, argmax_slot: int | None,
@@ -346,12 +325,13 @@ def select_top_p_sampled(p: np.ndarray, top_p: float, rng: np.random.Generator,
     """Draw slots without replacement (renormalized remaining mass) until the
     ORIGINAL probabilities of the drawn slots sum to >= top_p.
 
-    Zero-probability slots are never drawn while positive mass remains; one
-    uniform variate is consumed per draw (inverse-CDF over the remainder).
+    The draw order is the Gumbel-top-k order of ``p.size`` uniforms from
+    ``rng``, one per slot (see ``_prefix_ranks``); zero-probability slots
+    are never drawn while positive mass remains.
     """
     p = _check_probs(p, top_p)
-    return _one_token(_ranks_of([_draw_top_p(p, top_p, rng)], p.size), p, argmax_slot,
-                      n_routed)
+    return _one_token(_prefix_ranks(p[None, :], top_p, rng.random((1, p.size))), p,
+                      argmax_slot, n_routed)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -449,9 +429,11 @@ class DynamicCapacityMoE:
           ``config.routing_mode``; gates are raw probabilities.
         * ``mode="train"``: selection follows ``config.routing_mode`` and
           every routed contribution goes through the hybrid estimator.
-          Token t draws from ``np.random.default_rng([*key, t])``: the
-          sampled selection first, then one B ~ Bernoulli(5/8) per active
-          slot in rank order, null slots included.
+          The forward draws one uniform block
+          ``Generator(Philox(key)).random((n, 2 * n_slots))``; row t, which
+          depends on ``key`` and t only, is token t's.  Sampled selection
+          ranks its first n_slots entries as Gumbel keys, and entry
+          n_slots + j sets B ~ Bernoulli(5/8) of slot j.
         * ``frozen`` (a recorded Routing; :meth:`Routing.from_decisions`
           builds one from decisions) replays those choices and ignores
           ``mode`` and ``key``; see :meth:`forward_frozen`.  ``matches`` is
@@ -467,7 +449,7 @@ class DynamicCapacityMoE:
             raise ad.ShapeError(f"token rows must have shape (n, {self.config.d_model}), "
                                 f"got {X.data.shape}")
         n = X.data.shape[0]
-        rngs = None
+        U = None
         if frozen is not None:
             if len(frozen) != n or frozen.rank.shape[1] != self.config.n_slots:
                 raise ValueError(f"frozen routing must cover {n} tokens and "
@@ -475,12 +457,13 @@ class DynamicCapacityMoE:
         elif mode == "train":
             if key is None:
                 raise ValueError("train mode needs an rng key")
-            rngs = [np.random.default_rng([*key, t]) for t in range(n)]
-        return self._forward_rows(X, rngs, frozen)
+            U = np.random.Generator(np.random.Philox(list(key))).random(
+                (n, 2 * self.config.n_slots))
+        return self._forward_rows(X, U, frozen)
 
-    def _forward_rows(self, X: ad.Tensor, rngs, frozen: Routing | None):
-        """``forward_rows`` with per-token generators: train when ``rngs`` is
-        given, replay when ``frozen`` is, inference otherwise."""
+    def _forward_rows(self, X: ad.Tensor, U: np.ndarray | None, frozen: Routing | None):
+        """``forward_rows`` on a uniform block: train when ``U`` [n, 2 * n_slots]
+        is given, replay when ``frozen`` is, inference otherwise."""
         cfg = self.config
         n = X.data.shape[0]
         logits = ad.matvec_rows(self.router, X)
@@ -495,27 +478,17 @@ class DynamicCapacityMoE:
             if cfg.routing_mode == "deterministic":
                 matches = matches and np.array_equal(_prefix_ranks(P, cfg.top_p),
                                                      routing.rank)
-        elif rngs is None:
+        elif U is None:
             routing = Routing(_prefix_ranks(P, cfg.top_p), P, is_argmax, None,
                               np.ones(P.shape), cfg.n_routed, cfg.n_shared)
         else:
-            if cfg.routing_mode == "sampled":
-                rank = _ranks_of([_draw_top_p(P[t], cfg.top_p, rngs[t]) for t in range(n)],
-                                 cfg.n_slots)
-            else:
-                rank = _prefix_ranks(P, cfg.top_p)
-            # each token's B draws, in rank order, follow its selection draws
-            tok, slot = np.nonzero(rank >= 0)
-            order = np.lexsort((rank[tok, slot], tok))
-            k = np.bincount(tok, minlength=n).tolist()
-            u = np.ones(P.shape)
-            u[tok[order], slot[order]] = np.concatenate(
-                [rng.random(k_t) for rng, k_t in zip(rngs, k)])
-            bern = u < est.BERNOULLI_P
+            sampled = cfg.routing_mode == "sampled"
+            rank = _prefix_ranks(P, cfg.top_p, U[:, :cfg.n_slots] if sampled else None)
+            bern = U[:, cfg.n_slots:] < est.BERNOULLI_P
             routing = Routing(rank, P, is_argmax, bern,
                               np.maximum(is_argmax, (1.0 + 2.0 * bern) / 3.0),
                               cfg.n_routed, cfg.n_shared)
-        Y = self._mix(X, probs, routing, train=rngs is not None, replay=frozen is not None)
+        Y = self._mix(X, probs, routing, train=U is not None, replay=frozen is not None)
         for params in self.shared:
             out = gated_ffn(X, params)
             Y = out if Y is None else ad.add(Y, out)
@@ -555,11 +528,11 @@ class DynamicCapacityMoE:
             buf = ad.scatter_add_rows(buf, pos, o)
         return ad.scatter_add_rows(ad.zeros((len(X.data), cfg.d_model)), tok, buf)
 
-    def _forward_token(self, x: ad.Tensor, rngs, frozen: Routing | None):
+    def _forward_token(self, x: ad.Tensor, U: np.ndarray | None, frozen: Routing | None):
         if x.data.shape != (self.config.d_model,):
             raise ad.ShapeError(f"token must have shape ({self.config.d_model},), "
                                 f"got {x.data.shape}")
-        Y, routing, matches = self._forward_rows(ad.stack_rows([x]), rngs, frozen)
+        Y, routing, matches = self._forward_rows(ad.stack_rows([x]), U, frozen)
         return ad.row(Y, 0), routing[0], matches
 
     def forward_infer(self, x: ad.Tensor) -> tuple[ad.Tensor, RoutingDecision]:
@@ -576,13 +549,15 @@ class DynamicCapacityMoE:
                       rng: np.random.Generator) -> tuple[ad.Tensor, RoutingDecision]:
         """Training forward: estimator-wrapped routed contributions.
 
-        For every activated slot D (null slots included, keeping the rng
-        stream aligned with the decision record): draw B ~ Bernoulli(5/8),
-        set delta = [D == argmax z], and add apply_estimator(p_D * E_D(x)).
-        Shared experts are added plainly.  Selection follows
-        ``config.routing_mode``; sampled draws consume the same rng first.
+        For every activated slot D (null slots included): draw
+        B ~ Bernoulli(5/8), set delta = [D == argmax z], and add
+        apply_estimator(p_D * E_D(x)).  Shared experts are added plainly.
+        Selection follows ``config.routing_mode``.  The token takes one row
+        ``rng.random((1, 2 * n_slots))``, used as ``forward_rows`` uses a
+        row of its block: Gumbel keys first, then one B uniform per slot.
         """
-        y, decision, _ = self._forward_token(x, [rng], None)
+        y, decision, _ = self._forward_token(x, rng.random((1, 2 * self.config.n_slots)),
+                                             None)
         return y, decision
 
     def forward_frozen(self, x: ad.Tensor,
@@ -611,8 +586,9 @@ class DynamicCapacityMoE:
                     step: int = 0) -> tuple[list[ad.Tensor], Routing]:
         """:meth:`forward_rows` on a list of tokens, one output per token.
 
-        Train mode keys token t's rng stream (config.seed, step, t), so
-        logging is order-independent; infer mode draws nothing.
+        Train mode keys the uniform block (config.seed, step): token t's row
+        depends on the key and t only, so logging is order-independent;
+        infer mode draws nothing.
         """
         xs = [t if isinstance(t, ad.Tensor) else ad.Tensor(t) for t in tokens]
         if not xs:

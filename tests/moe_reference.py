@@ -6,6 +6,12 @@ estimator and sums its terms left to right, and the harness assembles the
 batch row by row.  ``DynamicCapacityMoE.forward_rows`` and
 ``ToyTransformer.forward`` are tested against it.  Inference takes the
 deterministic prefix in every routing mode, as the layer does.
+
+A training token t reads row t of the layer's uniform block
+``Generator(Philox(key)).random((n, 2 * n_slots))``.  Sampled selection
+orders the slots by Gumbel key ``log p - log(-log u)`` over the row's first
+n_slots entries and walks until the mass reaches P; entry n_slots + j is
+the B uniform of slot j.
 """
 
 from __future__ import annotations
@@ -20,30 +26,49 @@ from dyncapmoe import harness as hn
 from dyncapmoe import moe
 
 
-def prefix_decision(p: np.ndarray, top_p: float, argmax_slot: int,
-                    n_routed: int) -> moe.RoutingDecision:
-    """Deterministic Top-P for one probability vector, one token at a time."""
-    order = np.argsort(-p, kind="stable")
-    csum = np.cumsum(p[order])
-    reach = np.nonzero(csum >= top_p)[0]
-    k = int(reach[0]) + 1 if reach.size else p.size
+def walk_decision(p: np.ndarray, order, top_p: float, argmax_slot: int,
+                  n_routed: int) -> moe.RoutingDecision:
+    """Take slots in ``order`` until their mass reaches top_p (all of them if
+    rounding leaves the full sum short)."""
+    chosen, mass = [], 0.0
+    for slot in order:
+        chosen.append(slot)
+        mass += float(p[slot])
+        if mass >= top_p:
+            break
     entries = []
-    for rank, slot in enumerate(order[:k].tolist()):
+    for rank, slot in enumerate(chosen):
         role = moe.ExpertRole.ROUTED if slot < n_routed else moe.ExpertRole.NULL
         entries.append(moe.ExpertActivation(
             index=slot, role=role, gate_prob=float(p[slot]), rank=rank,
             is_argmax=(slot == argmax_slot)))
-    return moe.RoutingDecision(active=tuple(order[:k].tolist()), k=k,
+    return moe.RoutingDecision(active=tuple(chosen), k=len(chosen),
                                per_expert=tuple(entries))
 
 
-def _select(layer, state, rng):
+def prefix_decision(p: np.ndarray, top_p: float, argmax_slot: int,
+                    n_routed: int) -> moe.RoutingDecision:
+    """Deterministic Top-P for one probability vector, one token at a time."""
+    order = sorted(range(p.size), key=lambda j: -p[j])
+    return walk_decision(p, order, top_p, argmax_slot, n_routed)
+
+
+def gumbel_decision(p: np.ndarray, u: np.ndarray, top_p: float, argmax_slot: int,
+                    n_routed: int) -> moe.RoutingDecision:
+    """Sampled Top-P for one probability vector and one uniform per slot."""
+    with np.errstate(divide="ignore"):
+        keys = np.log(p) - np.log(-np.log(u))
+    order = sorted(range(p.size), key=lambda j: -keys[j])
+    return walk_decision(p, order, top_p, argmax_slot, n_routed)
+
+
+def _select(layer, state, u):
     cfg = layer.config
-    if rng is None or cfg.routing_mode == "deterministic":
+    if u is None or cfg.routing_mode == "deterministic":
         return prefix_decision(state.probs.data, cfg.top_p, state.argmax_slot,
                                cfg.n_routed)
-    return moe.select_top_p_sampled(state.probs.data, cfg.top_p, rng,
-                                    state.argmax_slot, cfg.n_routed)
+    return gumbel_decision(state.probs.data, u[:cfg.n_slots], cfg.top_p,
+                           state.argmax_slot, cfg.n_routed)
 
 
 def _shared_entries(layer):
@@ -77,13 +102,14 @@ def forward_infer(layer, x):
     return _accumulate(layer, terms), decision
 
 
-def forward_train(layer, x, rng):
+def forward_train(layer, x, u):
+    """The training forward of one token with uniform row ``u`` [2 * n_slots]."""
     state = layer.route(x)
-    decision = _select(layer, state, rng)
+    decision = _select(layer, state, u)
     entries = []
     terms = []
     for entry in decision.per_expert:
-        bern = int(rng.random() < est.BERNOULLI_P)
+        bern = int(u[layer.config.n_slots + entry.index] < est.BERNOULLI_P)
         scale = est.hybrid_scale(int(entry.is_argmax), bern)
         entries.append(dataclasses.replace(entry, bern=bern, forward_scale=scale))
         if entry.role is moe.ExpertRole.NULL:
@@ -120,18 +146,22 @@ def forward_frozen(layer, x, frozen):
 def moe_rows(layer, X, mode, key, frozen=None):
     """The per-token batch loop: returns (X + layer output, decisions, matches).
 
-    Train mode keys token t's stream ``np.random.default_rng([*key, t])``.
+    Train mode gives token t row t of the uniform block keyed by ``key``.
     """
+    n = X.data.shape[0]
     rows, decisions = [], []
     matches = True
-    for t in range(X.data.shape[0]):
+    if mode == "train" and frozen is None:
+        U = np.random.Generator(np.random.Philox(list(key))).random(
+            (n, 2 * layer.config.n_slots))
+    for t in range(n):
         x_t = ad.row(X, t)
         if frozen is not None:
             y, ok = forward_frozen(layer, x_t, frozen[t])
             matches = matches and ok
             d = frozen[t]
         elif mode == "train":
-            y, d = forward_train(layer, x_t, np.random.default_rng([*key, t]))
+            y, d = forward_train(layer, x_t, U[t])
         else:
             y, d = forward_infer(layer, x_t)
         decisions.append(d)

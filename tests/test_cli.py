@@ -1,7 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import dyncapmoe
 
 from dyncapmoe import analytics as an
 from dyncapmoe import cli
@@ -52,6 +58,22 @@ class TestUsageErrors:
 
     def test_missing_required_flag_exits_2(self):
         assert cli.main(["analyze", "--layer", "0", "--out", "x.csv"]) == 2
+
+
+@pytest.mark.parametrize("module", ["dyncapmoe", "dyncapmoe.cli"])
+def test_module_forms_run_the_cli(module):
+    src = str(Path(dyncapmoe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    failed = run("gradcheck", "--eps", "0")
+    assert failed.returncode == 1 and "eps must be finite" in failed.stderr
+    helped = run("--help")
+    assert helped.returncode == 0 and "rope-dump" in helped.stdout
 
 
 class TestRopeDump:
@@ -182,6 +204,18 @@ class TestTrainCommand:
                              "--seed", "11", "--out", str(out)]) == 0
         assert (out1 / "loss.csv").read_bytes() == (out2 / "loss.csv").read_bytes()
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+
+    @pytest.mark.parametrize("field", ["noise", "learning_rate"])
+    def test_non_finite_config_exits_1(self, tiny_config_file, tmp_path, capsys, field):
+        d = json.loads(tiny_config_file.read_text())
+        d[field] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {field} must be finite" in err
+        assert not out.exists()
 
     def test_seed_changes_the_run(self, tiny_config_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -60,6 +60,16 @@ class TestToyModelConfig:
         with pytest.raises(ValueError):
             tiny_config(rope=rp.RopeFreqConfig(12))  # mismatched head_dim
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5])
+    @pytest.mark.parametrize("field", ["noise", "learning_rate"])
+    def test_rejects_non_finite_or_negative_rates(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**{field: value})
+        d = tiny_config().to_json_dict()
+        d[field] = value
+        with pytest.raises(ValueError, match=field):
+            hn.ToyModelConfig.from_json_dict(d)
+
 
 class TestGenerateBatch:
     def test_same_seed_identical(self):

@@ -26,16 +26,16 @@ def prefix_oracle(p, top_p):
     return chosen  # rounding deficit: everything active
 
 
-def sampled_inclusion_exact(p, top_p):
-    """Exact per-slot inclusion probabilities by enumerating draw orders."""
-    n = len(p)
-    incl = np.zeros(n)
+def ordered_prefixes_exact(p, top_p):
+    """Exact probability of every ordered Top-P prefix: draws without
+    replacement in proportion to the remaining mass (Plackett-Luce), until
+    the drawn mass reaches top_p."""
+    prefixes = {}
 
     def walk(remaining, drawn, mass, prob):
         total = sum(p[i] for i in remaining)
         if mass >= top_p or not remaining or total <= 0.0:
-            for i in drawn:
-                incl[i] += prob
+            prefixes[tuple(drawn)] = prefixes.get(tuple(drawn), 0.0) + prob
             return
         for i in remaining:
             if p[i] == 0.0:
@@ -43,7 +43,15 @@ def sampled_inclusion_exact(p, top_p):
             walk([j for j in remaining if j != i], drawn + [i],
                  mass + p[i], prob * p[i] / total)
 
-    walk(list(range(n)), [], 0.0, 1.0)
+    walk(list(range(len(p))), [], 0.0, 1.0)
+    return prefixes
+
+
+def sampled_inclusion_exact(p, top_p):
+    """Exact per-slot inclusion probabilities by enumerating draw orders."""
+    incl = np.zeros(len(p))
+    for drawn, prob in ordered_prefixes_exact(p, top_p).items():
+        incl[list(drawn)] += prob
     return incl
 
 
@@ -242,6 +250,30 @@ class TestSelectSampled:
         freq = counts / trials
         npt.assert_allclose(freq, exact, atol=0.01)
         assert freq[0] >= p[0]  # argmax slot included at least as often as its prob
+
+    @pytest.mark.parametrize("p,top_p", [((0.5, 0.3, 0.2), 0.7),
+                                         ((0.1, 0.4, 0.2, 0.3), 0.8)])
+    def test_gumbel_prefixes_match_plackett_luce_enumeration(self, p, top_p):
+        exact = ordered_prefixes_exact(list(p), top_p)
+        assert math.isclose(sum(exact.values()), 1.0, abs_tol=1e-12)
+        n, trials = len(p), 200_000
+        U = np.random.default_rng([n, 8191]).random((trials, n))
+        rank = moe._prefix_ranks(np.tile(p, (trials, 1)), top_p, U)
+        # each row's ordered prefix as one base-(n+1) code: digit r is 1 + the
+        # slot of rank r, 0 past the prefix
+        k = (rank >= 0).sum(axis=1)
+        order = np.argsort(np.where(rank >= 0, rank, n), axis=1, kind="stable")
+        digits = np.where(np.arange(n) < k[:, None], order + 1, 0)
+        place = (n + 1) ** np.arange(n)
+        codes, counts = np.unique(digits @ place, return_counts=True)
+        want = {sum((slot + 1) * place[r] for r, slot in enumerate(drawn)): prob
+                for drawn, prob in exact.items()}
+        assert set(codes.tolist()) <= set(want)  # no prefix the rule cannot take
+        freq = dict(zip(codes.tolist(), (counts / trials).tolist()))
+        for code, prob in want.items():
+            # four standard errors of a 200k-trial frequency
+            se = math.sqrt(prob * (1.0 - prob) / trials)
+            assert abs(freq.get(code, 0.0) - prob) <= 4.0 * se, (code, prob)
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,8 @@ and check every row of the Routing that ``forward_rows`` returns: k >= 1,
 ranks 0..k-1 each once, gate mass >= P unless every slot is active, and in
 deterministic selection a minimal prefix that holds the argmax.  The
 per-token views must equal the decisions of the per-token reference in
-``tests/moe_reference.py`` exactly.
+``tests/moe_reference.py`` exactly, and in training the first m rows of a
+batch must route and mix as they do in an m-row batch, bit for bit.
 
 ``analytics.record_rows`` must log a Routing exactly as the per-token
 ``analytics.record`` loop does: same records, byte-identical CSV and JSONL.
@@ -89,6 +90,23 @@ def test_views_equal_the_per_token_reference(layer, n, mode, spread, key):
     assert list(rebuilt) == want
     _, replayed, matches = layer.forward_rows(X, frozen=rebuilt)
     assert replayed is rebuilt and matches
+
+
+@pytest.mark.parametrize("routing_mode", ["deterministic", "sampled"])
+@PROPERTY
+@given(layer=layers(), n=st.integers(1, 24), data=st.data(),
+       spread=st.sampled_from((0.0, 1.0, 10.0)), key=st.integers(0, 2**16))
+def test_train_rows_do_not_depend_on_the_batch_behind_them(routing_mode, layer, n, data,
+                                                           spread, key):
+    layer = moe.DynamicCapacityMoE(dataclasses.replace(layer.config,
+                                                       routing_mode=routing_mode))
+    m = data.draw(st.integers(1, n), label="m")
+    X = token_rows(key, n, layer.config.d_model, spread)
+    Y, routing, _ = layer.forward_rows(X, "train", key=(key, 3))
+    Y_m, routing_m, _ = layer.forward_rows(ad.Tensor(X.data[:m]), "train", key=(key, 3))
+    for name in ("rank", "gate", "is_argmax", "bern", "scale"):
+        assert getattr(routing_m, name).tobytes() == getattr(routing, name)[:m].tobytes()
+    assert Y_m.data.tobytes() == Y.data[:m].tobytes()
 
 
 def test_from_decisions_rejects_mixed_draws_and_foreign_slots():
