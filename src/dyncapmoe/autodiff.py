@@ -51,7 +51,6 @@ __all__ = [
     "stop_gradient",
     "backward",
     "zero_grads",
-    "finite_diff_grad",
     "max_rel_err",
 ]
 
@@ -99,26 +98,9 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() needs a scalar, got shape {self.data.shape}")
-        return float(self.data.reshape(()))
-
     def __repr__(self) -> str:
         return (f"Tensor(shape={self.data.shape}, op={self.op_kind!r}, "
                 f"requires_grad={self.requires_grad})")
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 def op_node(data: np.ndarray, parents: Sequence[Tensor],
@@ -246,7 +228,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for (m,k)@(k,n), (m,k)@(k,) and (k,)@(k,n)."""
+    """Matrix product for (m,k)@(k,n) and (m,k)@(k,)."""
     ad, bd = a.data, b.data
     if ad.ndim == 2 and bd.ndim == 2:
         if ad.shape[1] != bd.shape[0]:
@@ -261,13 +243,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def backward_fn(g):
             return np.outer(g, bd), ad.T @ g
-
-    elif ad.ndim == 1 and bd.ndim == 2:
-        if ad.shape[0] != bd.shape[0]:
-            raise ShapeError(f"matmul: inner dims {ad.shape} @ {bd.shape}")
-
-        def backward_fn(g):
-            return bd @ g, np.outer(ad, g)
 
     else:
         raise ShapeError(f"matmul: unsupported ranks {ad.ndim} and {bd.ndim}")
@@ -510,40 +485,6 @@ def backward(loss: Tensor) -> None:
 def zero_grads(tensors: Iterable[Tensor]) -> None:
     for t in tensors:
         t.grad = None
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-# ---------------------------------------------------------------------------
-
-def _scalar_value(v) -> float:
-    if isinstance(v, Tensor):
-        if v.data.size != 1:
-            raise ShapeError("finite_diff_grad needs a scalar-valued function")
-        return float(v.data.reshape(()))
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.size != 1:
-        raise ShapeError("finite_diff_grad needs a scalar-valued function")
-    return float(arr.reshape(()))
-
-
-def finite_diff_grad(f: Callable[[Tensor], object], x: Tensor, eps: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of ``f`` at ``x``: (f(x+eps*e_i) - f(x-eps*e_i)) / (2 eps).
-
-    Completely independent of the tape; ``f`` is evaluated on plain
-    perturbed copies, two per coordinate.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    base = x.data
-    grad = np.zeros_like(base)
-    for idx in np.ndindex(base.shape):
-        plus = base.copy()
-        plus[idx] += eps
-        minus = base.copy()
-        minus[idx] -= eps
-        grad[idx] = (_scalar_value(f(Tensor(plus))) - _scalar_value(f(Tensor(minus)))) / (2.0 * eps)
-    return grad
 
 
 def max_rel_err(a, b) -> float:

@@ -107,7 +107,7 @@ def cmd_rope_dump(args) -> int:
     if "segments" not in spec:
         raise ValueError("segment spec must contain a 'segments' list")
     segments = hn.segments_from_json(spec["segments"])
-    theta = args.theta if args.theta is not None else int(spec.get("theta", 1))
+    theta = args.theta if args.theta is not None else spec.get("theta", 1)
     ids, tags = rp.assign_sequence_tagged(segments, theta)
     lines = [json.dumps({"index": i, "modality": tag,
                          "t": pid.t, "h": pid.h, "w": pid.w})

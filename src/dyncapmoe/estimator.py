@@ -49,18 +49,23 @@ __all__ = [
 BERNOULLI_P = 5.0 / 8.0
 
 
-def _check_binary(value: int, name: str) -> int:
-    value = int(value)
-    if value not in (0, 1):
+def _check_binary(value, name: str) -> np.ndarray:
+    value = np.asarray(value)
+    if not ((value == 0) | (value == 1)).all():
         raise ValueError(f"{name} must be 0 or 1, got {value}")
     return value
 
 
-def hybrid_scale(delta: int, bern: int) -> float:
-    """Forward scale max(delta, (1+2B)/3): 1 on the argmax branch, else (1+2B)/3."""
+def hybrid_scale(delta, bern):
+    """Forward scale max(delta, (1+2B)/3): 1 on the argmax branch, else (1+2B)/3.
+
+    ``delta`` and ``bern`` are 0/1 ints, giving a float, or 0/1 arrays of
+    one shape, giving the scale of every entry.
+    """
     delta = _check_binary(delta, "delta")
     bern = _check_binary(bern, "bern")
-    return max(float(delta), (1.0 + 2.0 * bern) / 3.0)
+    scale = np.maximum(delta, (1.0 + 2.0 * bern) / 3.0)
+    return float(scale) if scale.ndim == 0 else scale
 
 
 def apply_estimator(o: ad.Tensor, delta, bern) -> ad.Tensor:
@@ -74,15 +79,13 @@ def apply_estimator(o: ad.Tensor, delta, bern) -> ad.Tensor:
     ``delta`` and ``bern`` are 0/1 ints for one output, or 0/1 arrays of
     length m for the rows of an [m, d] output, one draw per row.
     """
-    if np.ndim(delta) == 0 and np.ndim(bern) == 0:
-        s = hybrid_scale(delta, bern)
-    else:
-        delta, bern = np.asarray(delta), np.asarray(bern)
-        if o.data.ndim != 2 or delta.shape != (o.data.shape[0],) or bern.shape != delta.shape:
-            raise ad.ShapeError("per-row delta and bern need one entry per row of o")
-        if not (np.isin(delta, (0, 1)).all() and np.isin(bern, (0, 1)).all()):
-            raise ValueError("delta and bern must be 0 or 1")
-        s = np.maximum(delta, (1.0 + 2.0 * bern) / 3.0)[:, None]
+    per_row = np.ndim(delta) > 0 or np.ndim(bern) > 0
+    if per_row and (o.data.ndim != 2 or np.shape(delta) != (o.data.shape[0],)
+                    or np.shape(bern) != np.shape(delta)):
+        raise ad.ShapeError("per-row delta and bern need one entry per row of o")
+    s = hybrid_scale(delta, bern)
+    if per_row:
+        s = s[:, None]
     doubled = ad.scale(o, 2.0)
     return ad.add(doubled, ad.Tensor(o.data * s - doubled.data))
 

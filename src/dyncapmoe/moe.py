@@ -28,7 +28,8 @@ that chose it (dropless grouped dispatch).  It returns the batch's choices
 as one :class:`Routing`, ``[n, n_slots]`` arrays of rank, gate, argmax
 flag, B draw and forward scale; a token's :class:`RoutingDecision` is built
 only when someone indexes the Routing.  Frozen replay takes a Routing
-back.  The per-token forwards are one-row calls of ``forward_rows``.
+back, hand-edited with :func:`dataclasses.replace` if need be.  The
+per-token forwards are one-row calls of ``forward_rows``.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ class Routing(Sequence[RoutingDecision]):
     Only active entries carry meaning.  ``n_routed`` and ``n_shared`` fix
     each slot's role and the always-on shared experts.  As a read-only
     sequence, ``routing[t]`` is token t's :class:`RoutingDecision`, built
-    when asked for; :meth:`from_decisions` goes the other way.
+    when asked for.
     """
 
     rank: np.ndarray
@@ -204,37 +205,6 @@ class Routing(Sequence[RoutingDecision]):
                 raise ValueError(f"{name} must have the shape of rank")
             view.flags.writeable = False
             object.__setattr__(self, name, view)
-
-    @classmethod
-    def from_decisions(cls, decisions: Sequence[RoutingDecision],
-                       config: "MoEConfig") -> "Routing":
-        """The record of per-token decisions made by a layer with ``config``.
-
-        Each decision lists its active slots in rank order.  B is either
-        drawn for every active slot of every decision or for none.
-        """
-        n, n_slots = len(decisions), config.n_slots
-        rank = np.full((n, n_slots), -1, dtype=np.int64)
-        gate = np.zeros((n, n_slots))
-        is_argmax = np.zeros((n, n_slots), dtype=bool)
-        bern = np.zeros((n, n_slots), dtype=bool)
-        scale = np.ones((n, n_slots))
-        drawn = set()
-        for t, d in enumerate(decisions):
-            for r, e in enumerate(d.per_expert):
-                if e.rank != r or e.index != d.active[r] or not 0 <= e.index < n_slots:
-                    raise ValueError(f"token {t}: per_expert must list the active slots "
-                                     f"of {n_slots} in rank order")
-                rank[t, e.index] = r
-                gate[t, e.index] = e.gate_prob
-                is_argmax[t, e.index] = e.is_argmax
-                scale[t, e.index] = e.forward_scale
-                drawn.add(e.bern is not None)
-                bern[t, e.index] = bool(e.bern)
-        if len(drawn) > 1:
-            raise ValueError("B must be drawn for every active slot or for none")
-        return cls(rank, gate, is_argmax, bern if drawn == {True} else None, scale,
-                   config.n_routed, config.n_shared)
 
     def __len__(self) -> int:
         return self.rank.shape[0]
@@ -297,31 +267,25 @@ def _prefix_ranks(P: np.ndarray, top_p: float, U: np.ndarray | None = None) -> n
     return rank
 
 
-def _one_token(rank: np.ndarray, p: np.ndarray, argmax_slot: int | None,
-               n_routed: int | None) -> RoutingDecision:
-    """The inference decision of one token with selection ranks ``rank``."""
-    if argmax_slot is None:
-        argmax_slot = int(np.argmax(p))
-    is_argmax = (np.arange(p.size) == argmax_slot)[None, :]
-    return Routing(rank, p[None, :], is_argmax, None, np.ones_like(rank, dtype=np.float64),
-                   p.size if n_routed is None else n_routed)[0]
+def _one_token(rank: np.ndarray, p: np.ndarray) -> RoutingDecision:
+    """The inference decision of one token with selection ranks ``rank``;
+    the argmax is p's and every slot counts as routed."""
+    is_argmax = (np.arange(p.size) == np.argmax(p))[None, :]
+    return Routing(rank, p[None, :], is_argmax, None, np.ones(rank.shape), p.size)[0]
 
 
-def select_top_p_deterministic(p: np.ndarray, top_p: float,
-                               argmax_slot: int | None = None,
-                               n_routed: int | None = None) -> RoutingDecision:
+def select_top_p_deterministic(p: np.ndarray, top_p: float) -> RoutingDecision:
     """Minimal descending-probability prefix with cumulative mass >= top_p.
 
     Ties sort stably, lower index first.  If rounding leaves the full sum
     short of ``top_p`` (only possible at top_p == 1), every slot activates.
     """
     p = _check_probs(p, top_p)
-    return _one_token(_prefix_ranks(p[None, :], top_p), p, argmax_slot, n_routed)
+    return _one_token(_prefix_ranks(p[None, :], top_p), p)
 
 
-def select_top_p_sampled(p: np.ndarray, top_p: float, rng: np.random.Generator,
-                         argmax_slot: int | None = None,
-                         n_routed: int | None = None) -> RoutingDecision:
+def select_top_p_sampled(p: np.ndarray, top_p: float,
+                         rng: np.random.Generator) -> RoutingDecision:
     """Draw slots without replacement (renormalized remaining mass) until the
     ORIGINAL probabilities of the drawn slots sum to >= top_p.
 
@@ -330,8 +294,7 @@ def select_top_p_sampled(p: np.ndarray, top_p: float, rng: np.random.Generator,
     are never drawn while positive mass remains.
     """
     p = _check_probs(p, top_p)
-    return _one_token(_prefix_ranks(p[None, :], top_p, rng.random((1, p.size))), p,
-                      argmax_slot, n_routed)
+    return _one_token(_prefix_ranks(p[None, :], top_p, rng.random((1, p.size))), p)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -367,8 +330,8 @@ class DynamicCapacityMoE:
     """The MoE layer: router weight, routed/shared expert banks, null slots.
 
     Routable slot indices 0..n_routed-1 are parameterized experts and
-    n_routed..n_slots-1 are null slots.  ``expert_forward`` additionally
-    accepts n_slots..n_slots+n_shared-1 for the shared experts.
+    n_routed..n_slots-1 are null slots; the shared experts sit outside
+    routing.
     """
 
     def __init__(self, config: MoEConfig):
@@ -403,16 +366,6 @@ class DynamicCapacityMoE:
         logits = ad.matmul(self.router, x)
         return RouterState(logits=logits, probs=ad.softmax(logits))
 
-    def expert_forward(self, x: ad.Tensor, index: int) -> ad.Tensor:
-        cfg = self.config
-        if 0 <= index < cfg.n_routed:
-            return gated_ffn(x, self.routed[index])
-        if cfg.n_routed <= index < cfg.n_slots:
-            return ad.zeros((cfg.d_model,))  # null slot: constant zero, no tape
-        if cfg.n_slots <= index < cfg.n_slots + cfg.n_shared:
-            return gated_ffn(x, self.shared[index - cfg.n_slots])
-        raise IndexError(f"expert index {index} out of range")
-
     # -------------------------------------------------------------- forwards
 
     def forward_rows(self, X: ad.Tensor, mode: str = "infer",
@@ -434,10 +387,9 @@ class DynamicCapacityMoE:
           depends on ``key`` and t only, is token t's.  Sampled selection
           ranks its first n_slots entries as Gumbel keys, and entry
           n_slots + j sets B ~ Bernoulli(5/8) of slot j.
-        * ``frozen`` (a recorded Routing; :meth:`Routing.from_decisions`
-          builds one from decisions) replays those choices and ignores
-          ``mode`` and ``key``; see :meth:`forward_frozen`.  ``matches`` is
-          only meaningful here.
+        * ``frozen`` (a recorded Routing of n rows) replays those choices
+          and ignores ``mode`` and ``key``; see :meth:`forward_frozen`.
+          ``matches`` is only meaningful here.
 
         Each routed expert runs once on the rows of the tokens that chose
         it; null slots never reach the tape and shared experts run on every
@@ -448,17 +400,12 @@ class DynamicCapacityMoE:
         if X.data.ndim != 2 or X.data.shape[1] != self.config.d_model:
             raise ad.ShapeError(f"token rows must have shape (n, {self.config.d_model}), "
                                 f"got {X.data.shape}")
-        n = X.data.shape[0]
         U = None
-        if frozen is not None:
-            if len(frozen) != n or frozen.rank.shape[1] != self.config.n_slots:
-                raise ValueError(f"frozen routing must cover {n} tokens and "
-                                 f"{self.config.n_slots} slots")
-        elif mode == "train":
+        if frozen is None and mode == "train":
             if key is None:
                 raise ValueError("train mode needs an rng key")
             U = np.random.Generator(np.random.Philox(list(key))).random(
-                (n, 2 * self.config.n_slots))
+                (X.data.shape[0], 2 * self.config.n_slots))
         return self._forward_rows(X, U, frozen)
 
     def _forward_rows(self, X: ad.Tensor, U: np.ndarray | None, frozen: Routing | None):
@@ -466,6 +413,8 @@ class DynamicCapacityMoE:
         is given, replay when ``frozen`` is, inference otherwise."""
         cfg = self.config
         n = X.data.shape[0]
+        if frozen is not None and (len(frozen) != n or frozen.rank.shape[1] != cfg.n_slots):
+            raise ValueError(f"frozen routing must cover {n} tokens and {cfg.n_slots} slots")
         logits = ad.matvec_rows(self.router, X)
         probs = ad.softmax(logits)
         P = probs.data
@@ -485,8 +434,7 @@ class DynamicCapacityMoE:
             sampled = cfg.routing_mode == "sampled"
             rank = _prefix_ranks(P, cfg.top_p, U[:, :cfg.n_slots] if sampled else None)
             bern = U[:, cfg.n_slots:] < est.BERNOULLI_P
-            routing = Routing(rank, P, is_argmax, bern,
-                              np.maximum(is_argmax, (1.0 + 2.0 * bern) / 3.0),
+            routing = Routing(rank, P, is_argmax, bern, est.hybrid_scale(is_argmax, bern),
                               cfg.n_routed, cfg.n_shared)
         Y = self._mix(X, probs, routing, train=U is not None, replay=frozen is not None)
         for params in self.shared:
@@ -560,9 +508,8 @@ class DynamicCapacityMoE:
                                              None)
         return y, decision
 
-    def forward_frozen(self, x: ad.Tensor,
-                       frozen: RoutingDecision) -> tuple[ad.Tensor, bool]:
-        """Replay a recorded decision with its forward scales as constants.
+    def forward_frozen(self, x: ad.Tensor, frozen: Routing) -> tuple[ad.Tensor, bool]:
+        """Replay a recorded one-row Routing with its forward scales as constants.
 
         Gate probabilities stay live on the tape; the discrete choices
         (active set, delta, B — hence each slot's scale) are pinned, so the
@@ -576,23 +523,5 @@ class DynamicCapacityMoE:
         deterministic mode, the same active set); finite-difference checks
         skip coordinates where it flips.
         """
-        y, _, matches = self._forward_token(
-            x, None, Routing.from_decisions([frozen], self.config))
+        y, _, matches = self._forward_token(x, None, frozen)
         return y, matches
-
-    # ----------------------------------------------------------------- batch
-
-    def layer_apply(self, tokens, mode: str = "infer",
-                    step: int = 0) -> tuple[list[ad.Tensor], Routing]:
-        """:meth:`forward_rows` on a list of tokens, one output per token.
-
-        Train mode keys the uniform block (config.seed, step): token t's row
-        depends on the key and t only, so logging is order-independent;
-        infer mode draws nothing.
-        """
-        xs = [t if isinstance(t, ad.Tensor) else ad.Tensor(t) for t in tokens]
-        if not xs:
-            raise ValueError("token batch must be non-empty")
-        Y, routing, _ = self.forward_rows(ad.stack_rows(xs), mode,
-                                          key=(self.config.seed, step))
-        return [ad.row(Y, t) for t in range(len(xs))], routing

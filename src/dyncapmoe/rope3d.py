@@ -63,6 +63,11 @@ class PositionId(NamedTuple):
 # modality segments
 # ---------------------------------------------------------------------------
 
+def _check_time(value: float, name: str) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclasses.dataclass(frozen=True)
 class TextSegment:
     n_tokens: int
@@ -79,8 +84,7 @@ class AudioSegment:
     modality = "audio"
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValueError("audio duration must be positive")
+        _check_time(self.duration_s, "duration_s")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,8 +113,8 @@ class VideoSegment:
     modality = "video"
 
     def __post_init__(self):
-        if self.duration_s <= 0 or self.fps <= 0:
-            raise ValueError("video duration and fps must be positive")
+        _check_time(self.duration_s, "duration_s")
+        _check_time(self.fps, "fps")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("frame grid must be at least 1x1")
         if self.f_l < 1 or self.f_u < self.f_l:
@@ -126,8 +130,8 @@ def frame_count(duration_s: float, fps: float, f_l: int, f_u: int) -> int:
     """Sampled frames f_s = duration*fps, clamped to [f_l, f_u]."""
     if f_l < 1 or f_u < f_l:
         raise ValueError("frame clamp needs 1 <= f_l <= f_u")
-    f_s = max(1, int(round(duration_s * fps)))
-    return min(max(f_s, f_l), f_u)
+    f_s = max(1, int(round(min(duration_s * fps, f_u))))  # clamp first: the product may be inf
+    return max(f_s, f_l)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +159,7 @@ def assign_text(start: int, n: int) -> list[PositionId]:
 
 
 def _audio_units(duration_s: float) -> int:
-    if duration_s <= 0:
-        raise ValueError("audio duration must be positive")
+    _check_time(duration_s, "duration_s")
     return int(math.ceil(duration_s / AUDIO_UNIT_SECONDS))
 
 
@@ -177,8 +180,7 @@ def assign_audio(start: int, duration_s: float, theta: int = 1) -> list[Position
 
 def audio_real_token_count(duration_s: float) -> int:
     """Tokens carrying signal: 20 per 3 s, partial units pro-rated upward."""
-    if duration_s <= 0:
-        raise ValueError("audio duration must be positive")
+    _check_time(duration_s, "duration_s")
     return int(math.ceil(duration_s * AUDIO_TOKENS_PER_UNIT / AUDIO_UNIT_SECONDS))
 
 
@@ -236,8 +238,8 @@ def assign_video(start: int, duration_s: float, fps: float, rows: int, cols: int
     """
     start = _check_start(start)
     theta = _check_theta(theta)
-    if duration_s <= 0 or fps <= 0:
-        raise ValueError("video duration and fps must be positive")
+    _check_time(duration_s, "duration_s")
+    _check_time(fps, "fps")
     f_n = frame_count(duration_s, fps, f_l, f_u)
     ids = []
     for j in range(f_n):
@@ -296,8 +298,8 @@ class RopeFreqConfig:
     def __post_init__(self):
         if self.head_dim < 2 or self.head_dim % 2:
             raise ValueError("head_dim must be a positive even number")
-        if self.base <= 0:
-            raise ValueError("base must be positive")
+        if not (math.isfinite(self.base) and self.base > 0):
+            raise ValueError(f"base must be finite and positive, got {self.base}")
         if self.split is None:
             third = self.head_dim // 3
             side = third - (third % 2)
@@ -309,13 +311,10 @@ class RopeFreqConfig:
         if d_t + d_h + d_w != self.head_dim:
             raise ValueError("split blocks must sum to head_dim")
 
-    def pair_angles(self, pid: PositionId) -> np.ndarray:
-        """Rotation angle per coordinate pair, blocks concatenated t|h|w."""
-        return self.pair_angles_rows([pid])[0]
-
     def pair_angles_rows(self, pids: Sequence[PositionId]) -> np.ndarray:
-        """``pair_angles`` of every PositionId, one row each: one outer
-        product of positions and frequencies per block."""
+        """Rotation angle per coordinate pair of every PositionId, one row
+        each with blocks concatenated t|h|w: one outer product of positions
+        and frequencies per block."""
         pos = np.array(pids, dtype=np.float64).reshape(len(pids), 3)
         parts = []
         for d_block, column in zip(self.split, pos.T):
@@ -334,22 +333,25 @@ def _rotate_pairs(data: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndar
     return out
 
 
-def apply_rope3d(vec: ad.Tensor, pid: PositionId, cfg: RopeFreqConfig) -> ad.Tensor:
-    """Rotate interleaved pairs of ``vec`` by the per-block angle tables.
+def _rope(x: ad.Tensor, angles: np.ndarray, op_kind: str) -> ad.Tensor:
+    """Rotate interleaved pairs of ``x`` by ``angles`` (one tape node).
 
     Rotations are orthogonal, so the backward pass is the inverse rotation
     of the upstream gradient and the vector norm is preserved.
     """
-    if vec.data.shape != (cfg.head_dim,):
-        raise ad.ShapeError(f"expected shape ({cfg.head_dim},), got {vec.data.shape}")
-    angles = cfg.pair_angles(pid)
     cos, sin = np.cos(angles), np.sin(angles)
-    y = _rotate_pairs(vec.data, cos, sin)
 
     def backward_fn(g):
         return (_rotate_pairs(g, cos, -sin),)
 
-    return ad.op_node(y, (vec,), backward_fn, "rope3d")
+    return ad.op_node(_rotate_pairs(x.data, cos, sin), (x,), backward_fn, op_kind)
+
+
+def apply_rope3d(vec: ad.Tensor, pid: PositionId, cfg: RopeFreqConfig) -> ad.Tensor:
+    """Rotate interleaved pairs of ``vec`` by the per-block angle tables."""
+    if vec.data.shape != (cfg.head_dim,):
+        raise ad.ShapeError(f"expected shape ({cfg.head_dim},), got {vec.data.shape}")
+    return _rope(vec, cfg.pair_angles_rows([pid])[0], "rope3d")
 
 
 def apply_rope3d_rows(mat: ad.Tensor, pids: Iterable[PositionId],
@@ -359,11 +361,4 @@ def apply_rope3d_rows(mat: ad.Tensor, pids: Iterable[PositionId],
     if mat.data.ndim != 2 or mat.data.shape != (len(pids), cfg.head_dim):
         raise ad.ShapeError(f"expected shape ({len(pids)}, {cfg.head_dim}), "
                             f"got {mat.data.shape}")
-    angles = cfg.pair_angles_rows(pids)
-    cos, sin = np.cos(angles), np.sin(angles)
-    y = _rotate_pairs(mat.data, cos, sin)
-
-    def backward_fn(g):
-        return (_rotate_pairs(g, cos, -sin),)
-
-    return ad.op_node(y, (mat,), backward_fn, "rope3d_rows")
+    return _rope(mat, cfg.pair_angles_rows(pids), "rope3d_rows")

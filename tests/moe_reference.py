@@ -71,6 +71,18 @@ def _select(layer, state, u):
                            state.argmax_slot, cfg.n_routed)
 
 
+def expert_output(layer, x, index):
+    """Expert ``index`` on one token ``x`` [d_model]: routed slots run their
+    gated FFN, null slots are constant zeros, and index n_slots + s is
+    shared expert s."""
+    cfg = layer.config
+    if index < cfg.n_routed:
+        return moe.gated_ffn(x, layer.routed[index])
+    if index < cfg.n_slots:
+        return ad.zeros((cfg.d_model,))
+    return moe.gated_ffn(x, layer.shared[index - cfg.n_slots])
+
+
 def _shared_entries(layer):
     cfg = layer.config
     return tuple(moe.ExpertActivation(
@@ -95,9 +107,9 @@ def forward_infer(layer, x):
         if entry.role is moe.ExpertRole.NULL:
             continue
         gate = ad.index(state.probs, entry.index)
-        terms.append(ad.mul(gate, layer.expert_forward(x, entry.index)))
+        terms.append(ad.mul(gate, expert_output(layer, x, entry.index)))
     for s in range(layer.config.n_shared):
-        terms.append(layer.expert_forward(x, layer.config.n_slots + s))
+        terms.append(expert_output(layer, x, layer.config.n_slots + s))
     decision = dataclasses.replace(decision, shared=_shared_entries(layer))
     return _accumulate(layer, terms), decision
 
@@ -115,10 +127,10 @@ def forward_train(layer, x, u):
         if entry.role is moe.ExpertRole.NULL:
             continue
         gate = ad.index(state.probs, entry.index)
-        o = ad.mul(gate, layer.expert_forward(x, entry.index))
+        o = ad.mul(gate, expert_output(layer, x, entry.index))
         terms.append(est.apply_estimator(o, int(entry.is_argmax), bern))
     for s in range(layer.config.n_shared):
-        terms.append(layer.expert_forward(x, layer.config.n_slots + s))
+        terms.append(expert_output(layer, x, layer.config.n_slots + s))
     decision = dataclasses.replace(decision, per_expert=tuple(entries),
                                    shared=_shared_entries(layer))
     return _accumulate(layer, terms), decision
@@ -136,10 +148,10 @@ def forward_frozen(layer, x, frozen):
         if entry.role is moe.ExpertRole.NULL:
             continue
         gate = ad.index(state.probs, entry.index)
-        o = ad.mul(gate, layer.expert_forward(x, entry.index))
+        o = ad.mul(gate, expert_output(layer, x, entry.index))
         terms.append(ad.scale(o, entry.forward_scale))
     for s in range(layer.config.n_shared):
-        terms.append(layer.expert_forward(x, layer.config.n_slots + s))
+        terms.append(expert_output(layer, x, layer.config.n_slots + s))
     return _accumulate(layer, terms), matches
 
 

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+import moe_reference as ref
 import dyncapmoe.analytics as an
 import dyncapmoe.autodiff as ad
 import dyncapmoe.estimator as est
@@ -238,13 +239,13 @@ def test_criterion_08_null_and_shared_semantics():
         terms_all, terms_no_null = [], []
         for entry in decision.per_expert:
             gate = ad.index(state.probs, entry.index)
-            term = ad.mul(gate, layer.expert_forward(x, entry.index)).data
+            term = ad.mul(gate, ref.expert_output(layer, x, entry.index)).data
             terms_all.append(term)
             if entry.role is not moe.ExpertRole.NULL:
                 terms_no_null.append(term)
         if len(terms_no_null) < len(terms_all):
             n_with_null += 1
-        shared = [layer.expert_forward(x, cfg.n_slots + s).data
+        shared = [ref.expert_output(layer, x, cfg.n_slots + s).data
                   for s in range(cfg.n_shared)]
 
         def fold(terms):
@@ -264,7 +265,8 @@ def test_criterion_08_null_and_shared_semantics():
                                routing_mode="sampled", seed=12)
     shared_layer = moe.DynamicCapacityMoE(shared_cfg)
     tokens = rng.normal(size=(1000, shared_cfg.d_model))
-    _, decisions = shared_layer.layer_apply(tokens, mode="train", step=0)
+    _, decisions, _ = shared_layer.forward_rows(ad.Tensor(tokens), "train",
+                                                key=(shared_cfg.seed, 0))
     trace = an.RoutingTrace()
     for t, decision in enumerate(decisions):
         an.record(trace, 0, 0, t, "text", decision)
@@ -292,7 +294,8 @@ def test_criterion_09_analytics_sums_and_csv_round_trip(tmp_path):
         layer = moe.DynamicCapacityMoE(cfg)
         for step in range(3):
             tokens = rng.normal(size=(40, cfg.d_model))
-            _, decisions = layer.layer_apply(tokens, mode="train", step=step)
+            _, decisions, _ = layer.forward_rows(ad.Tensor(tokens), "train",
+                                                 key=(cfg.seed, step))
             for t, decision in enumerate(decisions):
                 tag = "text" if t % 2 else "image"
                 an.record(trace, step, layer_id, t, tag, decision)

@@ -30,7 +30,7 @@ def random_trace(rng, n_steps=3, n_layers=2, n_tokens=12, n_slots=6, n_routed=4,
             for tok in range(n_tokens):
                 raw = rng.uniform(0.05, 1.0, size=n_slots)
                 p = raw / raw.sum()
-                d = moe.select_top_p_deterministic(p, top_p, n_routed=n_routed)
+                d = moe.select_top_p_deterministic(p, top_p)
                 d = make_decision([(e.index, e.gate_prob) for e in d.per_expert],
                                   n_routed=n_routed, shared_ids=shared_ids)
                 modality = ("text", "audio", "image")[tok % 3]
@@ -142,7 +142,7 @@ class TestExpertCountHistogram:
         for tok in range(20):
             raw = rng.uniform(0.1, 1.0, size=n_slots)
             p = raw / raw.sum()
-            d = moe.select_top_p_deterministic(p, 1.0, n_routed=n_slots)
+            d = moe.select_top_p_deterministic(p, 1.0)
             an.record(trace, 0, 0, tok, "text",
                       make_decision([(e.index, e.gate_prob) for e in d.per_expert],
                                     n_routed=n_slots))

@@ -123,6 +123,20 @@ class TestRopeDump:
         path.write_text(json.dumps({"segments": [{"kind": "warp", "n": 1}]}))
         assert cli.main(["rope-dump", "--segments", str(path)]) == 1
 
+    @pytest.mark.parametrize("spec,message", [
+        ({"segments": [{"kind": "audio", "duration_s": float("inf")}]}, "duration_s"),
+        ({"segments": [{"kind": "video", "duration_s": float("nan"), "fps": 1.0,
+                        "rows": 2, "cols": 2}]}, "duration_s"),
+        ({"theta": 1.5, "segments": [{"kind": "text", "n_tokens": 2}]}, "theta"),
+    ], ids=["infinite-audio", "nan-video", "fractional-theta"])
+    def test_invalid_spec_values_exit_1(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["rope-dump", "--segments", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and message in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+
 
 class TestGradcheckCommand:
     def test_default_config_passes(self, capsys):
@@ -215,6 +229,16 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"error: {field} must be finite" in err
+        assert not out.exists()
+
+    def test_non_finite_rope_base_exits_1(self, tiny_config_file, tmp_path, capsys):
+        d = json.loads(tiny_config_file.read_text())
+        d["rope"]["base"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 1
+        assert "error: base must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_changes_the_run(self, tiny_config_file, tmp_path):

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import estimator_reference as est_ref
+from fd_reference import finite_diff_grad
 from dyncapmoe import autodiff as ad
 from dyncapmoe import estimator as est
 
@@ -27,6 +28,19 @@ class TestHybridScale:
             est.hybrid_scale(2, 0)
         with pytest.raises(ValueError):
             est.hybrid_scale(0, -1)
+        with pytest.raises(ValueError):
+            est.hybrid_scale(np.array([0, 1]), np.array([1, 2]))
+
+    def test_arrays_follow_the_scalar_rule_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        pairs = [np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])]
+        for delta, bern in (pairs, rng.integers(0, 2, size=(2, 5, 7)),
+                            rng.integers(0, 2, size=(2, 9)).astype(bool)):
+            scales = est.hybrid_scale(delta, bern)
+            assert scales.shape == delta.shape
+            for idx in np.ndindex(delta.shape):
+                want = est.hybrid_scale(int(delta[idx]), int(bern[idx]))
+                assert scales[idx].tobytes() == np.float64(want).tobytes()
 
     def test_draw_invariants(self):
         d = est_ref.EstimatorDraw(expert_index=3, delta=0, bern=0)
@@ -115,7 +129,7 @@ class TestExactGradientOracle:
                 total = term if total is None else ad.add(total, term)
             return total
 
-        fd = ad.finite_diff_grad(loss, ad.Tensor(zv))
+        fd = finite_diff_grad(loss, ad.Tensor(zv))
         assert ad.max_rel_err(grad, fd) <= 1e-8
 
     def test_logit_shift_invariance(self):

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fd_reference import finite_diff_grad
 from dyncapmoe import analytics as an
 from dyncapmoe import autodiff as ad
 from dyncapmoe import harness as hn
@@ -70,6 +71,13 @@ class TestToyModelConfig:
         with pytest.raises(ValueError, match=field):
             hn.ToyModelConfig.from_json_dict(d)
 
+    @pytest.mark.parametrize("base", [math.nan, math.inf])
+    def test_rejects_non_finite_rope_base(self, base):
+        d = tiny_config().to_json_dict()
+        d["rope"]["base"] = base
+        with pytest.raises(ValueError, match="base"):
+            hn.ToyModelConfig.from_json_dict(d)
+
 
 class TestGenerateBatch:
     def test_same_seed_identical(self):
@@ -130,7 +138,7 @@ class TestCrossEntropy:
             return hn.cross_entropy(z, labels)
 
         x = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        fd = ad.finite_diff_grad(f, x)
+        fd = finite_diff_grad(f, x)
         y = ad.Tensor(x.data, requires_grad=True)
         ad.backward(f(y))
         assert ad.max_rel_err(y.grad, fd) <= 1e-6
@@ -164,13 +172,13 @@ class TestToyTransformer:
             d_model=6, n_routed=3, expert_hidden=4, n_null=0, n_shared=1,
             top_p=1.0, routing_mode="deterministic", seed=4))
         x = ad.Tensor(np.linspace(-0.5, 0.8, 6))
-        y_inf, decision = layer.forward_infer(x)
-        forced = dataclasses.replace(decision, per_expert=tuple(
-            dataclasses.replace(e, bern=1, forward_scale=1.0)
-            for e in decision.per_expert))
+        y_inf, routing, _ = layer.forward_rows(ad.Tensor([x.data]), "infer")
+        shape = routing.rank.shape
+        forced = dataclasses.replace(routing, bern=np.ones(shape, dtype=bool),
+                                     scale=np.ones(shape))
         y_frozen, matches = layer.forward_frozen(x, forced)
         assert matches
-        npt.assert_array_equal(y_frozen.data, y_inf.data)
+        npt.assert_array_equal(y_frozen.data, y_inf.data[0])
 
 
 class TestTrain:

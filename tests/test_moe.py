@@ -5,6 +5,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import moe_reference as ref
+from fd_reference import finite_diff_grad
 from dyncapmoe import autodiff as ad
 from dyncapmoe import moe
 
@@ -290,7 +292,7 @@ def small_layer(**overrides):
 class TestExpertForward:
     def test_null_slot_outputs_exact_zero_constant(self):
         layer = small_layer()
-        out = layer.expert_forward(ad.Tensor([1.0, -2.0, 3.0, 0.5]), 2)
+        out = ref.expert_output(layer, ad.Tensor([1.0, -2.0, 3.0, 0.5]), 2)
         npt.assert_array_equal(out.data, np.zeros(4))
         assert not out.requires_grad
 
@@ -298,21 +300,16 @@ class TestExpertForward:
         layer = small_layer()
         for t in (layer.routed[0].w_gate, layer.routed[0].w_up, layer.routed[0].w_down):
             t.data[:] = 0.0
-        out = layer.expert_forward(ad.Tensor([1.0, 2.0, 3.0, 4.0]), 0)
+        out = moe.gated_ffn(ad.Tensor([1.0, 2.0, 3.0, 4.0]), layer.routed[0])
         npt.assert_array_equal(out.data, np.zeros(4))
 
     def test_matches_numpy_oracle(self):
         layer = small_layer()
         x = np.array([0.3, -0.8, 0.1, 1.2])
-        out = layer.expert_forward(ad.Tensor(x), 1)
+        out = moe.gated_ffn(ad.Tensor(x), layer.routed[1])
         npt.assert_array_equal(out.data, gated_ffn_np(x, layer.routed[1]))
-        shared_out = layer.expert_forward(ad.Tensor(x), 3)
+        shared_out = moe.gated_ffn(ad.Tensor(x), layer.shared[0])
         npt.assert_array_equal(shared_out.data, gated_ffn_np(x, layer.shared[0]))
-
-    def test_bad_index_raises(self):
-        layer = small_layer()
-        with pytest.raises(IndexError):
-            layer.expert_forward(ad.Tensor([0.0] * 4), 4)
 
     def test_gradient_matches_finite_differences(self):
         layer = small_layer()
@@ -320,14 +317,14 @@ class TestExpertForward:
         params = layer.routed[0]
         up = np.array([0.3, -1.1, 0.6, 0.9])
 
-        out = layer.expert_forward(ad.Tensor(xv), 0)
+        out = moe.gated_ffn(ad.Tensor(xv), params)
         ad.backward(ad.sum(ad.mul(out, ad.Tensor(up))))
 
         def f(w):
             rebuilt = dataclasses.replace(params, w_gate=w)
             return ad.sum(ad.mul(moe.gated_ffn(ad.Tensor(xv), rebuilt), ad.Tensor(up)))
 
-        fd = ad.finite_diff_grad(f, ad.Tensor(params.w_gate.data))
+        fd = finite_diff_grad(f, ad.Tensor(params.w_gate.data))
         assert ad.max_rel_err(params.w_gate.grad, fd) <= 1e-6
 
 
@@ -343,7 +340,7 @@ class TestForwardInfer:
         x = ad.Tensor([1.0, 1.0, 1.0, 1.0])
         y, decision = layer.forward_infer(x)
         assert decision.active == (0,) and decision.per_expert[0].gate_prob == 1.0
-        npt.assert_array_equal(y.data, layer.expert_forward(x, 0).data)
+        npt.assert_array_equal(y.data, moe.gated_ffn(x, layer.routed[0]).data)
 
     def test_matches_straight_line_oracle(self):
         layer = small_layer()
@@ -430,12 +427,10 @@ class TestForwardTrain:
         layer_plain = small_layer(**cfg)  # identical parameters via identical seed
         xv = np.array([0.4, -0.6, 0.2, 0.9])
 
-        y, decision = layer_est.forward_train(ad.Tensor(xv), np.random.default_rng(21))
+        y, routing, _ = layer_est.forward_rows(ad.Tensor([xv]), "train", key=(21,))
         ad.backward(ad.sum(y))
 
-        replay = dataclasses.replace(decision, per_expert=tuple(
-            dataclasses.replace(e, bern=None, forward_scale=1.0)
-            for e in decision.per_expert))
+        replay = dataclasses.replace(routing, bern=None, scale=np.ones(routing.scale.shape))
         y_plain, matches = layer_plain.forward_frozen(ad.Tensor(xv), replay)
         assert matches
         ad.backward(ad.sum(y_plain))
@@ -464,12 +459,31 @@ class TestForwardTrain:
     def test_frozen_replay_detects_argmax_flip(self):
         layer = small_layer(n_shared=0)
         xv = np.array([0.4, -0.6, 0.2, 0.9])
-        _, decision = layer.forward_train(ad.Tensor(xv), np.random.default_rng(8))
-        flipped = dataclasses.replace(decision, per_expert=tuple(
-            dataclasses.replace(e, is_argmax=not e.is_argmax)
-            for e in decision.per_expert))
+        _, routing, _ = layer.forward_rows(ad.Tensor([xv]), "train", key=(8,))
+        flipped = dataclasses.replace(routing, is_argmax=~routing.is_argmax)
         _, matches = layer.forward_frozen(ad.Tensor(xv), flipped)
         assert not matches
+
+    def test_frozen_token_equals_the_frozen_row(self):
+        token_layer, rows_layer = (small_layer(routing_mode="sampled", top_p=0.9)
+                                   for _ in range(2))
+        xv = np.array([0.5, -0.3, 0.8, -0.1])
+        _, routing, _ = token_layer.forward_rows(ad.Tensor([xv]), "train", key=(4,))
+        x = ad.Tensor(xv, requires_grad=True)
+        y, matches = token_layer.forward_frozen(x, routing)
+        ad.backward(ad.sum(y))
+        X = ad.Tensor([xv], requires_grad=True)
+        Y, replayed, matches_rows = rows_layer.forward_rows(X, frozen=routing)
+        ad.backward(ad.sum(Y))
+        assert matches and matches_rows and replayed is routing
+        assert y.data.tobytes() == Y.data[0].tobytes()
+        assert x.grad.tobytes() == X.grad[0].tobytes()
+        rows_params = rows_layer.parameters()
+        for name, t in token_layer.parameters().items():
+            assert t.grad.tobytes() == rows_params[name].grad.tobytes(), name
+        _, two_rows, _ = token_layer.forward_rows(ad.Tensor([xv, xv]), "infer")
+        with pytest.raises(ValueError, match="cover 1 tokens"):
+            token_layer.forward_frozen(x, two_rows)
 
 
 # --------------------------------------------------------------------------
@@ -480,44 +494,41 @@ class TestLayerApply:
     def test_single_token_batch_equals_direct_call(self):
         layer = small_layer()
         xv = np.array([0.1, 0.2, 0.3, 0.4])
-        ys, ds = layer.layer_apply([xv], mode="infer")
+        ys, ds, _ = layer.forward_rows(ad.Tensor([xv]), "infer")
         y_direct, d_direct = layer.forward_infer(ad.Tensor(xv))
-        npt.assert_array_equal(ys[0].data, y_direct.data)
+        npt.assert_array_equal(ys.data[0], y_direct.data)
         assert ds[0].active == d_direct.active
 
     def test_infer_outputs_permute_with_the_batch(self):
         layer = small_layer()
         rng = np.random.default_rng(17)
         batch = rng.normal(size=(6, 4))
-        ys, _ = layer.layer_apply(batch, mode="infer")
+        ys, _, _ = layer.forward_rows(ad.Tensor(batch), "infer")
         perm = [3, 0, 5, 1, 4, 2]
-        ys_perm, _ = layer.layer_apply(batch[perm], mode="infer")
+        ys_perm, _, _ = layer.forward_rows(ad.Tensor(batch[perm]), "infer")
         for j, src in enumerate(perm):
-            npt.assert_array_equal(ys_perm[j].data, ys[src].data)
+            npt.assert_array_equal(ys_perm.data[j], ys.data[src])
 
     def test_train_mode_is_reproducible(self):
         layer = small_layer(routing_mode="sampled")
         rng = np.random.default_rng(18)
         batch = rng.normal(size=(5, 4))
-        ys1, ds1 = layer.layer_apply(batch, mode="train", step=7)
-        ys2, ds2 = layer.layer_apply(batch, mode="train", step=7)
-        for a, b in zip(ys1, ys2):
-            npt.assert_array_equal(a.data, b.data)
+        key = (layer.config.seed, 7)
+        ys1, ds1, _ = layer.forward_rows(ad.Tensor(batch), "train", key=key)
+        ys2, ds2, _ = layer.forward_rows(ad.Tensor(batch), "train", key=key)
+        for a, b in zip(ys1.data, ys2.data):
+            npt.assert_array_equal(a, b)
         assert [d.active for d in ds1] == [d.active for d in ds2]
 
     def test_distinct_steps_draw_distinct_streams(self):
         layer = small_layer(routing_mode="sampled", top_p=0.9)
         rng = np.random.default_rng(19)
         batch = rng.normal(size=(8, 4))
-        _, ds1 = layer.layer_apply(batch, mode="train", step=0)
-        _, ds2 = layer.layer_apply(batch, mode="train", step=1)
+        _, ds1, _ = layer.forward_rows(ad.Tensor(batch), "train", key=(layer.config.seed, 0))
+        _, ds2, _ = layer.forward_rows(ad.Tensor(batch), "train", key=(layer.config.seed, 1))
         draws1 = [(d.active, tuple(e.bern for e in d.per_expert)) for d in ds1]
         draws2 = [(d.active, tuple(e.bern for e in d.per_expert)) for d in ds2]
         assert draws1 != draws2
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            small_layer().layer_apply([], mode="infer")
 
     def test_construction_is_deterministic(self):
         a, b = small_layer(), small_layer()

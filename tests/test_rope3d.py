@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fd_reference import finite_diff_grad
 from dyncapmoe import autodiff as ad
 from dyncapmoe import rope3d as rp
 
@@ -75,6 +76,13 @@ class TestAssignAudio:
         with pytest.raises(ValueError):
             rp.assign_audio(0, -2.5)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_duration(self, value):
+        for reject in (rp.AudioSegment, lambda v: rp.assign_audio(0, v),
+                       rp.audio_real_token_count, rp.audio_pad_mask):
+            with pytest.raises(ValueError, match="duration_s"):
+                reject(value)
+
 
 class TestAssignImage:
     def test_single_token_image(self):
@@ -131,6 +139,7 @@ class TestAssignVideo:
         assert rp.frame_count(400.0, 0.5, 8, 64) == 64   # f_s=200 clipped above
         assert rp.frame_count(4.0, 0.5, 8, 64) == 8      # f_s=2 lifted to f_l
         assert rp.frame_count(120.0, 0.5, 8, 64) == 60   # within bounds
+        assert rp.frame_count(1e200, 1e200, 8, 64) == 64  # f_s overflows to inf
 
     def test_clamped_frames_resample_uniformly(self):
         ids = rp.assign_video(0, 12.0, 10.0, 1, 1, f_l=1, f_u=4, theta=1)
@@ -146,6 +155,14 @@ class TestAssignVideo:
             rp.assign_video(0, 0.0, 1.0, 2, 2)
         with pytest.raises(ValueError):
             rp.assign_video(0, 5.0, 1.0, 2, 2, f_l=4, f_u=2)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_duration_and_fps(self, value):
+        for field, times in (("duration_s", (value, 1.0)), ("fps", (5.0, value))):
+            with pytest.raises(ValueError, match=field):
+                rp.VideoSegment(*times, 2, 2)
+            with pytest.raises(ValueError, match=field):
+                rp.assign_video(0, *times, 2, 2)
 
 
 class TestAssignSequence:
@@ -209,6 +226,11 @@ class TestRopeFreqConfig:
             rp.RopeFreqConfig(8, split=(3, 3, 2))
         with pytest.raises(ValueError):
             rp.RopeFreqConfig(8, split=(4, 4, 4))
+
+    @pytest.mark.parametrize("base", [math.nan, math.inf, -math.inf, 0.0, -2.0])
+    def test_base_must_be_finite_and_positive(self, base):
+        with pytest.raises(ValueError, match="base"):
+            rp.RopeFreqConfig(24, base=base)
 
 
 class TestApplyRope3d:
@@ -274,7 +296,7 @@ class TestApplyRope3d:
 
         x = ad.Tensor(rng.normal(size=12), requires_grad=True)
         ad.backward(f(ad.Tensor(x.data, requires_grad=True)))  # warm path sanity
-        fd = ad.finite_diff_grad(f, x)
+        fd = finite_diff_grad(f, x)
         y = ad.Tensor(x.data, requires_grad=True)
         ad.backward(f(y))
         assert ad.max_rel_err(y.grad, fd) <= 1e-6
@@ -314,7 +336,7 @@ class TestApplyRope3d:
             return ad.sum(ad.mul(rp.apply_rope3d_rows(m, pids, cfg), ad.Tensor(u)))
 
         x = ad.Tensor(rng.normal(size=(4, 12)), requires_grad=True)
-        fd = ad.finite_diff_grad(f, x)
+        fd = finite_diff_grad(f, x)
         y = ad.Tensor(x.data, requires_grad=True)
         ad.backward(f(y))
         assert ad.max_rel_err(y.grad, fd) <= 1e-6

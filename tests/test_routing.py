@@ -86,10 +86,10 @@ def test_views_equal_the_per_token_reference(layer, n, mode, spread, key):
     _, want, _ = ref.moe_rows(layer, X, mode, (key, 3))
     assert list(routing) == want
     assert routing[-1] == want[-1]
-    rebuilt = moe.Routing.from_decisions(want, layer.config)
-    assert list(rebuilt) == want
-    _, replayed, matches = layer.forward_rows(X, frozen=rebuilt)
-    assert replayed is rebuilt and matches
+    with pytest.raises(IndexError):
+        routing[n]
+    _, replayed, matches = layer.forward_rows(X, frozen=routing)
+    assert replayed is routing and matches
 
 
 @pytest.mark.parametrize("routing_mode", ["deterministic", "sampled"])
@@ -107,22 +107,6 @@ def test_train_rows_do_not_depend_on_the_batch_behind_them(routing_mode, layer, 
     for name in ("rank", "gate", "is_argmax", "bern", "scale"):
         assert getattr(routing_m, name).tobytes() == getattr(routing, name)[:m].tobytes()
     assert Y_m.data.tobytes() == Y.data[:m].tobytes()
-
-
-def test_from_decisions_rejects_mixed_draws_and_foreign_slots():
-    layer = moe.DynamicCapacityMoE(moe.MoEConfig(d_model=3, n_routed=2, expert_hidden=2,
-                                                 n_null=1, top_p=1.0))
-    _, routing, _ = layer.forward_rows(token_rows(0, 2, 3, 1.0), "train", key=(0,))
-    decisions = list(routing)
-    undrawn = dataclasses.replace(decisions[1], per_expert=tuple(
-        dataclasses.replace(e, bern=None) for e in decisions[1].per_expert))
-    with pytest.raises(ValueError, match="every active slot or for none"):
-        moe.Routing.from_decisions([decisions[0], undrawn], layer.config)
-    narrow = dataclasses.replace(layer.config, n_null=0)
-    with pytest.raises(ValueError, match="rank order"):
-        moe.Routing.from_decisions(decisions, narrow)
-    with pytest.raises(IndexError):
-        routing[2]
 
 
 # ---------------------------------------------------------------------------
