@@ -28,6 +28,7 @@ __all__ = [
     "ShapeError",
     "NonFiniteError",
     "TapeError",
+    "check_int",
     "op_node",
     "zeros",
     "full",
@@ -137,13 +138,24 @@ def op_node(data: np.ndarray, parents: Sequence[Tensor],
 # creation
 # ---------------------------------------------------------------------------
 
+def _is_int(value) -> bool:
+    """Counts and sizes are ints or NumPy integers, never bools or floats."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_int(value, name: str, low: int) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= ``low``."""
+    if not _is_int(value) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _validate_shape(shape) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in shape)
+    dims = tuple(shape)
     if len(dims) == 0:
         raise ShapeError("shape must have at least one dimension")
-    if any(d < 1 for d in dims):
-        raise ShapeError(f"all dimensions must be >= 1, got {dims}")
-    return dims
+    if not all(_is_int(d) and d >= 1 for d in dims):
+        raise ShapeError(f"all dimensions must be integers >= 1, got {dims}")
+    return tuple(int(d) for d in dims)
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -78,25 +79,17 @@ class TrainingDivergedError(RuntimeError):
 # configuration
 # ---------------------------------------------------------------------------
 
-_SEGMENT_KINDS = {
-    "text": (rp.TextSegment, ("n_tokens",)),
-    "audio": (rp.AudioSegment, ("duration_s",)),
-    "image": (rp.ImageSegment, ("rows", "cols", "patch")),
-    "video": (rp.VideoSegment, ("duration_s", "fps", "rows", "cols",
-                                "f_l", "f_u", "patch")),
-}
-
-
 def segments_from_json(items: list[dict]) -> list[rp.Segment]:
     """Parse [{kind: ..., params...}] into segment objects."""
+    classes = {cls.modality: cls for cls in typing.get_args(rp.Segment)}
     segs = []
     for item in items:
         item = dict(item)
         kind = item.pop("kind", None)
-        if kind not in _SEGMENT_KINDS:
+        if kind not in classes:
             raise ValueError(f"unknown segment kind {kind!r}")
-        cls, fields = _SEGMENT_KINDS[kind]
-        unknown = set(item) - set(fields)
+        cls = classes[kind]
+        unknown = set(item) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown fields for {kind} segment: {sorted(unknown)}")
         segs.append(cls(**item))
@@ -130,24 +123,21 @@ class ToyModelConfig:
     theta: int = 1
 
     def __post_init__(self):
-        if self.layers < 1:
-            raise ValueError("need at least one layer")
+        for name, low in (("layers", 1), ("head_dim", 2), ("steps", 0),
+                          ("n_classes", 2), ("theta", 1)):
+            ad.check_int(getattr(self, name), name, low)
         if self.heads != 1:
             raise ValueError("only single-head attention is supported")
-        if self.head_dim < 2 or self.head_dim % 2:
-            raise ValueError("head_dim must be a positive even number")
+        if self.head_dim % 2:
+            raise ValueError(f"head_dim must be even, got {self.head_dim}")
         if self.rope is None:
             object.__setattr__(self, "rope", rp.RopeFreqConfig(self.head_dim))
         if self.rope.head_dim != self.head_dim:
             raise ValueError("rope.head_dim must equal head_dim")
-        if self.n_classes < 2:
-            raise ValueError("need at least two classes")
         for name in ("noise", "learning_rate"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-        if self.steps < 0:
-            raise ValueError("steps must be non-negative")
         if not self.segments:
             raise ValueError("segment list must be non-empty")
         object.__setattr__(self, "segments", tuple(self.segments))

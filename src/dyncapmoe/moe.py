@@ -87,14 +87,12 @@ class MoEConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d_model < 1 or self.n_routed < 1 or self.expert_hidden < 1:
-            raise ValueError("d_model, n_routed and expert_hidden must be positive")
-        if self.n_null < 0 or self.n_shared < 0:
-            raise ValueError("n_null and n_shared must be non-negative")
+        for name, low in (("d_model", 1), ("n_routed", 1), ("expert_hidden", 1),
+                          ("n_null", 0), ("n_shared", 0)):
+            ad.check_int(getattr(self, name), name, low)
         if self.shared_hidden is None:
             object.__setattr__(self, "shared_hidden", max(1, self.expert_hidden // 8))
-        if self.shared_hidden < 1:
-            raise ValueError("shared_hidden must be positive")
+        ad.check_int(self.shared_hidden, "shared_hidden", 1)
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must lie in (0, 1]")
         if self.routing_mode not in _ROUTING_MODES:

@@ -1,16 +1,22 @@
 """Omni-modality 3D rotary position embedding.
 
-Every token carries a position triple ``(t, h, w)``.  Text advances all
-three components together, so a text-only sequence is indistinguishable from
-ordinary 1D RoPE.  Audio advances only along absolute time: a 3-second unit
-of 20 tokens shares one triple, and consecutive units step by ``3 * theta``.
-Vision tokens pin ``t`` to the frame's absolute time while ``h``/``w`` track
-the token's spatial cell; every video frame restarts its spatial offsets at
-the segment origin, so temporal distance is carried by ``t`` alone.
+Every token carries a position triple ``(t, h, w)``.  A segment
+(:class:`TextSegment`, :class:`AudioSegment`, :class:`ImageSegment`,
+:class:`VideoSegment`) is the one description of a modality's positions:
+its fields are checked once, when it is built, and its
+``positions(start, theta)`` emits its IDs from the origin ``start``.
 
-``theta`` converts seconds into position units (default 1, integer, so IDs
-stay integral).  Segments concatenate with the start rule "1 + the maximum
-component value of everything before".
+Text advances all three components together, so a text-only sequence is
+indistinguishable from ordinary 1D RoPE.  Audio advances only along
+absolute time: a 3-second unit of 20 tokens shares one triple, and
+consecutive units step by ``3 * theta``.  Vision tokens pin ``t`` to the
+frame's absolute time while ``h``/``w`` track the token's spatial cell;
+every video frame restarts its spatial offsets at the segment origin, so
+temporal distance is carried by ``t`` alone.
+
+``theta`` converts seconds into position units (a positive integer, so IDs
+stay integral).  :func:`assign_sequence_tagged` concatenates segments with
+the start rule "1 + the maximum component value of everything before".
 
 The rotary application splits ``head_dim`` into three even blocks (defaults
 to near-equal thirds, remainder to the temporal block) and rotates
@@ -36,13 +42,6 @@ __all__ = [
     "ImageSegment",
     "VideoSegment",
     "RopeFreqConfig",
-    "frame_count",
-    "assign_text",
-    "assign_audio",
-    "audio_real_token_count",
-    "audio_pad_mask",
-    "assign_image",
-    "assign_video",
     "assign_sequence",
     "assign_sequence_tagged",
     "apply_rope3d",
@@ -68,41 +67,113 @@ def _check_time(value: float, name: str) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def _check_theta(theta) -> int:
+    if theta <= 0 or int(theta) != theta:
+        raise ValueError("theta must be a positive integer")
+    return int(theta)
+
+
+def _check_origin(start, theta) -> tuple[int, int]:
+    """The one check of ``positions``' arguments; returns both as ints."""
+    ad.check_int(start, "start", 0)
+    return int(start), _check_theta(theta)
+
+
+def _frame(t: int, start: int, rows: int, cols: int, patch: int) -> list[PositionId]:
+    """IDs (t, start+row, start+col) of one frame, all tokens of a patch
+    before the next patch."""
+    ids = []
+    for br in range(0, rows, patch):
+        for bc in range(0, cols, patch):
+            for r in range(br, min(br + patch, rows)):
+                for c in range(bc, min(bc + patch, cols)):
+                    ids.append(PositionId(t, start + r, start + c))
+    return ids
+
+
 @dataclasses.dataclass(frozen=True)
 class TextSegment:
+    """Token j gets (start+j, start+j, start+j) — plain 1D positions."""
+
     n_tokens: int
     modality = "text"
 
     def __post_init__(self):
-        if self.n_tokens < 1:
-            raise ValueError("text segment needs at least one token")
+        ad.check_int(self.n_tokens, "n_tokens", 1)
+
+    def positions(self, start: int, theta: int) -> list[PositionId]:
+        start, _ = _check_origin(start, theta)
+        return [PositionId(start + j, start + j, start + j)
+                for j in range(self.n_tokens)]
 
 
 @dataclasses.dataclass(frozen=True)
 class AudioSegment:
+    """Unit u of 3 s emits (start + 3*u*theta,) * 3 repeated 20 times.
+
+    A trailing partial unit is padded up to the full 20 tokens;
+    :attr:`pad_mask` tells real tokens from padding.
+    """
+
     duration_s: float
     modality = "audio"
 
     def __post_init__(self):
         _check_time(self.duration_s, "duration_s")
 
+    @property
+    def _units(self) -> int:
+        return int(math.ceil(self.duration_s / AUDIO_UNIT_SECONDS))
+
+    @property
+    def real_token_count(self) -> int:
+        """Tokens carrying signal: 20 per 3 s, partial units pro-rated upward."""
+        return int(math.ceil(self.duration_s * AUDIO_TOKENS_PER_UNIT / AUDIO_UNIT_SECONDS))
+
+    @property
+    def pad_mask(self) -> np.ndarray:
+        """Boolean mask over the emitted tokens; True marks real (non-pad) slots."""
+        mask = np.zeros(self._units * AUDIO_TOKENS_PER_UNIT, dtype=bool)
+        mask[:self.real_token_count] = True
+        return mask
+
+    def positions(self, start: int, theta: int) -> list[PositionId]:
+        start, theta = _check_origin(start, theta)
+        ids = []
+        for u in range(self._units):
+            tick = start + 3 * u * theta
+            ids.extend([PositionId(tick, tick, tick)] * AUDIO_TOKENS_PER_UNIT)
+        return ids
+
 
 @dataclasses.dataclass(frozen=True)
 class ImageSegment:
+    """IDs (start, start+row, start+col), emitted patch by patch: IDs
+    depend on spatial location only, never on emission order."""
+
     rows: int
     cols: int
     patch: int = 2
     modality = "image"
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("image grid must be at least 1x1")
-        if self.patch < 1:
-            raise ValueError("patch side must be positive")
+        for name in ("rows", "cols", "patch"):
+            ad.check_int(getattr(self, name), name, 1)
+
+    def positions(self, start: int, theta: int) -> list[PositionId]:
+        start, _ = _check_origin(start, theta)
+        return _frame(start, start, self.rows, self.cols, self.patch)
 
 
 @dataclasses.dataclass(frozen=True)
 class VideoSegment:
+    """Frames sampled uniformly over the clip, each pinned to absolute time.
+
+    Frame j sits at tau_j = j * duration / f_n seconds and gets
+    t = start + round(tau_j * theta); its h/w offsets restart at ``start``
+    every frame, exactly like a still image.
+    """
+
     duration_s: float
     fps: float
     rows: int
@@ -115,152 +186,34 @@ class VideoSegment:
     def __post_init__(self):
         _check_time(self.duration_s, "duration_s")
         _check_time(self.fps, "fps")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("frame grid must be at least 1x1")
-        if self.f_l < 1 or self.f_u < self.f_l:
-            raise ValueError("frame clamp needs 1 <= f_l <= f_u")
-        if self.patch < 1:
-            raise ValueError("patch side must be positive")
+        for name in ("rows", "cols", "patch", "f_l"):
+            ad.check_int(getattr(self, name), name, 1)
+        ad.check_int(self.f_u, "f_u", self.f_l)
+
+    @property
+    def frame_count(self) -> int:
+        """Sampled frames f_s = duration*fps, clamped to [f_l, f_u]."""
+        # clamp first: the product may be inf
+        f_s = max(1, int(round(min(self.duration_s * self.fps, self.f_u))))
+        return max(f_s, self.f_l)
+
+    def positions(self, start: int, theta: int) -> list[PositionId]:
+        start, theta = _check_origin(start, theta)
+        f_n = self.frame_count
+        ids = []
+        for j in range(f_n):
+            tau = j * self.duration_s / f_n
+            t = start + int(round(tau * theta))
+            ids.extend(_frame(t, start, self.rows, self.cols, self.patch))
+        return ids
 
 
 Segment = TextSegment | AudioSegment | ImageSegment | VideoSegment
 
 
-def frame_count(duration_s: float, fps: float, f_l: int, f_u: int) -> int:
-    """Sampled frames f_s = duration*fps, clamped to [f_l, f_u]."""
-    if f_l < 1 or f_u < f_l:
-        raise ValueError("frame clamp needs 1 <= f_l <= f_u")
-    f_s = max(1, int(round(min(duration_s * fps, f_u))))  # clamp first: the product may be inf
-    return max(f_s, f_l)
-
-
 # ---------------------------------------------------------------------------
 # position assignment
 # ---------------------------------------------------------------------------
-
-def _check_start(start: int) -> int:
-    if start < 0:
-        raise ValueError("segment start must be non-negative")
-    return int(start)
-
-
-def _check_theta(theta) -> int:
-    if theta <= 0 or int(theta) != theta:
-        raise ValueError("theta must be a positive integer")
-    return int(theta)
-
-
-def assign_text(start: int, n: int) -> list[PositionId]:
-    """Token j gets (start+j, start+j, start+j) — plain 1D positions."""
-    start = _check_start(start)
-    if n < 1:
-        raise ValueError("text segment needs at least one token")
-    return [PositionId(start + j, start + j, start + j) for j in range(n)]
-
-
-def _audio_units(duration_s: float) -> int:
-    _check_time(duration_s, "duration_s")
-    return int(math.ceil(duration_s / AUDIO_UNIT_SECONDS))
-
-
-def assign_audio(start: int, duration_s: float, theta: int = 1) -> list[PositionId]:
-    """Unit u emits (start + 3*u*theta,) * 3 repeated 20 times.
-
-    A trailing partial unit is padded up to the full 20 tokens; use
-    :func:`audio_pad_mask` to tell real tokens from padding.
-    """
-    start = _check_start(start)
-    theta = _check_theta(theta)
-    ids = []
-    for u in range(_audio_units(duration_s)):
-        tick = start + 3 * u * theta
-        ids.extend([PositionId(tick, tick, tick)] * AUDIO_TOKENS_PER_UNIT)
-    return ids
-
-
-def audio_real_token_count(duration_s: float) -> int:
-    """Tokens carrying signal: 20 per 3 s, partial units pro-rated upward."""
-    _check_time(duration_s, "duration_s")
-    return int(math.ceil(duration_s * AUDIO_TOKENS_PER_UNIT / AUDIO_UNIT_SECONDS))
-
-
-def audio_pad_mask(duration_s: float) -> np.ndarray:
-    """Boolean mask over the emitted tokens; True marks real (non-pad) slots."""
-    total = _audio_units(duration_s) * AUDIO_TOKENS_PER_UNIT
-    mask = np.zeros(total, dtype=bool)
-    mask[:audio_real_token_count(duration_s)] = True
-    return mask
-
-
-def _patchwise_order(rows: int, cols: int, patch: int) -> list[tuple[int, int]]:
-    """(row, col) cells, all tokens of one patch before the next patch."""
-    cells = []
-    for br in range(0, rows, patch):
-        for bc in range(0, cols, patch):
-            for r in range(br, min(br + patch, rows)):
-                for c in range(bc, min(bc + patch, cols)):
-                    cells.append((r, c))
-    return cells
-
-
-def _frame_ids(start: int, t: int, rows: int, cols: int,
-               patch: int) -> tuple[list[int], list[PositionId]]:
-    order, ids = [], []
-    for r, c in _patchwise_order(rows, cols, patch):
-        order.append(r * cols + c)
-        ids.append(PositionId(t, start + r, start + c))
-    return order, ids
-
-
-def assign_image(start: int, rows: int, cols: int,
-                 patch: int = 2) -> tuple[list[int], list[PositionId]]:
-    """IDs (start, start+row, start+col); emission order is patch-wise.
-
-    Returns (order, ids): ``order[i]`` is the raster index of the i-th
-    emitted token, so IDs depend on spatial location only, never on order.
-    """
-    start = _check_start(start)
-    if rows < 1 or cols < 1:
-        raise ValueError("image grid must be at least 1x1")
-    if patch < 1:
-        raise ValueError("patch side must be positive")
-    return _frame_ids(start, start, rows, cols, patch)
-
-
-def assign_video(start: int, duration_s: float, fps: float, rows: int, cols: int,
-                 f_l: int = 8, f_u: int = 64, theta: int = 1,
-                 patch: int = 2) -> list[PositionId]:
-    """Frames sampled uniformly over the clip, each pinned to absolute time.
-
-    Frame j sits at tau_j = j * duration / f_n seconds and gets
-    t = start + round(tau_j * theta); its h/w offsets restart at ``start``
-    every frame, exactly like a still image.
-    """
-    start = _check_start(start)
-    theta = _check_theta(theta)
-    _check_time(duration_s, "duration_s")
-    _check_time(fps, "fps")
-    f_n = frame_count(duration_s, fps, f_l, f_u)
-    ids = []
-    for j in range(f_n):
-        tau = j * duration_s / f_n
-        t = start + int(round(tau * theta))
-        ids.extend(_frame_ids(start, t, rows, cols, patch)[1])
-    return ids
-
-
-def _assign_segment(seg: Segment, start: int, theta: int) -> list[PositionId]:
-    if isinstance(seg, TextSegment):
-        return assign_text(start, seg.n_tokens)
-    if isinstance(seg, AudioSegment):
-        return assign_audio(start, seg.duration_s, theta)
-    if isinstance(seg, ImageSegment):
-        return assign_image(start, seg.rows, seg.cols, seg.patch)[1]
-    if isinstance(seg, VideoSegment):
-        return assign_video(start, seg.duration_s, seg.fps, seg.rows, seg.cols,
-                            seg.f_l, seg.f_u, theta, seg.patch)
-    raise TypeError(f"unknown segment type {type(seg).__name__}")
-
 
 def assign_sequence_tagged(segments: Sequence[Segment],
                            theta: int = 1) -> tuple[list[PositionId], list[str]]:
@@ -272,7 +225,7 @@ def assign_sequence_tagged(segments: Sequence[Segment],
     tags: list[str] = []
     start = 0
     for seg in segments:
-        seg_ids = _assign_segment(seg, start, theta)
+        seg_ids = seg.positions(start, theta)
         ids.extend(seg_ids)
         tags.extend([seg.modality] * len(seg_ids))
         start = 1 + max(max(i) for i in ids)

@@ -22,6 +22,13 @@ def test_create_rejects_bad_shapes():
         ad.zeros([0, 2])
     with pytest.raises(ad.ShapeError):
         ad.full([-1], 3.0)
+    with pytest.raises(ad.ShapeError):
+        ad.zeros((2.5,))
+    with pytest.raises(ad.ShapeError):
+        ad.full([True], 1.0)
+    with pytest.raises(ad.ShapeError):
+        ad.seeded_normal((3.9, 2), seed=0, std=1.0)
+    assert ad.zeros((np.int64(2), 3)).data.shape == (2, 3)
 
 
 def test_seeded_normal_is_bit_reproducible():

@@ -128,7 +128,10 @@ class TestRopeDump:
         ({"segments": [{"kind": "video", "duration_s": float("nan"), "fps": 1.0,
                         "rows": 2, "cols": 2}]}, "duration_s"),
         ({"theta": 1.5, "segments": [{"kind": "text", "n_tokens": 2}]}, "theta"),
-    ], ids=["infinite-audio", "nan-video", "fractional-theta"])
+        ({"segments": [{"kind": "text", "n_tokens": 2.5}]}, "n_tokens"),
+        ({"segments": [{"kind": "image", "rows": 1.5, "cols": 2}]}, "rows"),
+    ], ids=["infinite-audio", "nan-video", "fractional-theta", "fractional-text-count",
+            "fractional-image-rows"])
     def test_invalid_spec_values_exit_1(self, tmp_path, capsys, spec, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))

@@ -71,6 +71,25 @@ class TestToyModelConfig:
         with pytest.raises(ValueError, match=field):
             hn.ToyModelConfig.from_json_dict(d)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    @pytest.mark.parametrize("field", ["layers", "head_dim", "steps", "n_classes", "theta"])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**{field: value})
+        d = tiny_config().to_json_dict()
+        d[field] = value
+        with pytest.raises(ValueError, match=field):
+            hn.ToyModelConfig.from_json_dict(d)
+
+    @pytest.mark.parametrize("value", [8.5, 8.0, True])
+    @pytest.mark.parametrize("field", ["d_model", "n_routed", "expert_hidden",
+                                       "n_null", "n_shared", "shared_hidden"])
+    def test_rejects_non_integer_moe_counts(self, field, value):
+        d = tiny_config().to_json_dict()
+        d["moe"][field] = value
+        with pytest.raises(ValueError, match=field):
+            hn.ToyModelConfig.from_json_dict(d)
+
     @pytest.mark.parametrize("base", [math.nan, math.inf])
     def test_rejects_non_finite_rope_base(self, base):
         d = tiny_config().to_json_dict()

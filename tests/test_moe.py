@@ -104,6 +104,12 @@ class TestMoEConfig:
         {"d_model": 4, "n_routed": 1, "expert_hidden": 4, "top_p": 0.0},
         {"d_model": 4, "n_routed": 1, "expert_hidden": 4, "top_p": 1.2},
         {"d_model": 4, "n_routed": 1, "expert_hidden": 4, "routing_mode": "greedy"},
+        {"d_model": 4.5, "n_routed": 1, "expert_hidden": 4},
+        {"d_model": 4, "n_routed": 2.5, "expert_hidden": 4},
+        {"d_model": 4, "n_routed": 1, "expert_hidden": 8.5},
+        {"d_model": 4, "n_routed": 1, "expert_hidden": 4, "n_null": 1.0},
+        {"d_model": 4, "n_routed": 1, "expert_hidden": 4, "n_shared": True},
+        {"d_model": 4, "n_routed": 1, "expert_hidden": 4, "shared_hidden": 2.5},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):

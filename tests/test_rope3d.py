@@ -26,72 +26,72 @@ def rope_oracle(v, pid, cfg):
 
 class TestAssignText:
     def test_basic_run(self):
-        assert rp.assign_text(0, 3) == [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
-        assert rp.assign_text(5, 1) == [(5, 5, 5)]
+        assert rp.TextSegment(3).positions(0, 1) == [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
+        assert rp.TextSegment(1).positions(5, 1) == [(5, 5, 5)]
 
     def test_concatenation_equals_longer_segment(self):
-        joined = rp.assign_text(0, 4) + rp.assign_text(4, 3)
-        assert joined == rp.assign_text(0, 7)
+        joined = rp.TextSegment(4).positions(0, 1) + rp.TextSegment(3).positions(4, 1)
+        assert joined == rp.TextSegment(7).positions(0, 1)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            rp.assign_text(0, 0)
+            rp.TextSegment(0)
 
 
 class TestAssignAudio:
     def test_three_seconds_is_twenty_identical_triples(self):
-        ids = rp.assign_audio(7, 3.0)
+        ids = rp.AudioSegment(3.0).positions(7, 1)
         assert len(ids) == 20
         assert set(ids) == {(7, 7, 7)}
 
     def test_six_seconds_theta_one(self):
-        ids = rp.assign_audio(2, 6.0, theta=1)
+        ids = rp.AudioSegment(6.0).positions(2, 1)
         assert len(ids) == 40
         assert set(ids[:20]) == {(2, 2, 2)} and set(ids[20:]) == {(5, 5, 5)}
 
     @pytest.mark.parametrize("theta", [1, 2])
     def test_two_minutes_last_unit(self, theta):
         y = 11
-        ids = rp.assign_audio(y, 120.0, theta=theta)
+        ids = rp.AudioSegment(120.0).positions(y, theta)
         assert len(ids) == 40 * 20
         assert ids[-1] == (y + 117 * theta,) * 3
         assert all(isinstance(c, int) for c in ids[-1])
 
     def test_consecutive_units_step_by_three_theta(self):
-        ids = rp.assign_audio(0, 30.0, theta=2)
+        ids = rp.AudioSegment(30.0).positions(0, 2)
         units = ids[::20]
         for a, b in zip(units, units[1:]):
             assert tuple(np.subtract(b, a)) == (6, 6, 6)
 
     def test_partial_unit_padded_with_mask(self):
-        ids = rp.assign_audio(0, 4.0)
-        mask = rp.audio_pad_mask(4.0)
+        seg = rp.AudioSegment(4.0)
+        ids = seg.positions(0, 1)
+        mask = seg.pad_mask
         assert len(ids) == 40 and mask.shape == (40,)
-        assert int(mask.sum()) == rp.audio_real_token_count(4.0) == 27
-        assert rp.audio_real_token_count(3.0) == 20
+        assert int(mask.sum()) == seg.real_token_count == 27
+        assert rp.AudioSegment(3.0).real_token_count == 20
 
     def test_rejects_non_positive_duration(self):
         with pytest.raises(ValueError):
-            rp.assign_audio(0, 0.0)
+            rp.AudioSegment(0.0)
         with pytest.raises(ValueError):
-            rp.assign_audio(0, -2.5)
+            rp.AudioSegment(-2.5)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_duration(self, value):
-        for reject in (rp.AudioSegment, lambda v: rp.assign_audio(0, v),
-                       rp.audio_real_token_count, rp.audio_pad_mask):
-            with pytest.raises(ValueError, match="duration_s"):
-                reject(value)
+        with pytest.raises(ValueError, match="duration_s"):
+            rp.AudioSegment(value)
 
 
 class TestAssignImage:
     def test_single_token_image(self):
-        order, ids = rp.assign_image(4, 1, 1)
+        ids = rp.ImageSegment(1, 1).positions(4, 1)
+        order = [(i.h - 4) * 1 + (i.w - 4) for i in ids]
         assert order == [0] and ids == [(4, 4, 4)]
 
     def test_square_frame_spans_start_to_start_plus_p(self):
         p = 3
-        order, ids = rp.assign_image(6, p + 1, p + 1)
+        ids = rp.ImageSegment(p + 1, p + 1).positions(6, 1)
         hs = [i.h for i in ids]
         ws = [i.w for i in ids]
         assert min(hs) == min(ws) == 6 and max(hs) == max(ws) == 6 + p
@@ -99,7 +99,8 @@ class TestAssignImage:
 
     def test_patchwise_order_recovers_raster_layout(self):
         rows, cols, start = 4, 6, 3
-        order, ids = rp.assign_image(start, rows, cols, patch=2)
+        ids = rp.ImageSegment(rows, cols, patch=2).positions(start, 1)
+        order = [(i.h - start) * cols + (i.w - start) for i in ids]
         assert sorted(order) == list(range(rows * cols))
         raster = [None] * (rows * cols)
         for pos, pid in zip(order, ids):
@@ -110,12 +111,13 @@ class TestAssignImage:
 
     def test_patch_traversal_groups_tokens(self):
         # 2x2 patches on a 2x4 grid: first four tokens are the left block
-        order, _ = rp.assign_image(0, 2, 4, patch=2)
+        ids = rp.ImageSegment(2, 4, patch=2).positions(0, 1)
+        order = [i.h * 4 + i.w for i in ids]
         assert order[:4] == [0, 1, 4, 5]
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
-            rp.assign_image(0, 0, 3)
+            rp.ImageSegment(0, 3)
 
 
 class TestAssignVideo:
@@ -123,7 +125,7 @@ class TestAssignVideo:
     def test_two_minute_clip_worked_layout(self, theta):
         x, p = 9, 2
         side = p + 1
-        ids = rp.assign_video(x, 120.0, 0.5, side, side, f_l=8, f_u=64, theta=theta)
+        ids = rp.VideoSegment(120.0, 0.5, side, side, f_l=8, f_u=64).positions(x, theta)
         per_frame = side * side
         assert len(ids) == 60 * per_frame
         assert ids[0] == (x, x, x)
@@ -132,43 +134,84 @@ class TestAssignVideo:
         assert all(isinstance(c, int) for pid in ids for c in pid)
 
     def test_single_frame_reduces_to_image(self):
-        ids = rp.assign_video(5, 1.0, 1.0, 3, 4, f_l=1, f_u=1)
-        assert ids == rp.assign_image(5, 3, 4)[1]
+        ids = rp.VideoSegment(1.0, 1.0, 3, 4, f_l=1, f_u=1).positions(5, 1)
+        assert ids == rp.ImageSegment(3, 4).positions(5, 1)
 
     def test_frame_count_clamps(self):
-        assert rp.frame_count(400.0, 0.5, 8, 64) == 64   # f_s=200 clipped above
-        assert rp.frame_count(4.0, 0.5, 8, 64) == 8      # f_s=2 lifted to f_l
-        assert rp.frame_count(120.0, 0.5, 8, 64) == 60   # within bounds
-        assert rp.frame_count(1e200, 1e200, 8, 64) == 64  # f_s overflows to inf
+        def frame_count(duration_s, fps, f_l, f_u):
+            return rp.VideoSegment(duration_s, fps, 1, 1, f_l=f_l, f_u=f_u).frame_count
+
+        assert frame_count(400.0, 0.5, 8, 64) == 64   # f_s=200 clipped above
+        assert frame_count(4.0, 0.5, 8, 64) == 8      # f_s=2 lifted to f_l
+        assert frame_count(120.0, 0.5, 8, 64) == 60   # within bounds
+        assert frame_count(1e200, 1e200, 8, 64) == 64  # f_s overflows to inf
 
     def test_clamped_frames_resample_uniformly(self):
-        ids = rp.assign_video(0, 12.0, 10.0, 1, 1, f_l=1, f_u=4, theta=1)
+        ids = rp.VideoSegment(12.0, 10.0, 1, 1, f_l=1, f_u=4).positions(0, 1)
         assert [i.t for i in ids] == [0, 3, 6, 9]
 
     def test_temporal_ids_nondecreasing(self):
-        ids = rp.assign_video(2, 7.3, 1.7, 2, 2, f_l=1, f_u=64)
+        ids = rp.VideoSegment(7.3, 1.7, 2, 2, f_l=1, f_u=64).positions(2, 1)
         ts = [i.t for i in ids]
         assert ts == sorted(ts)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            rp.assign_video(0, 0.0, 1.0, 2, 2)
+            rp.VideoSegment(0.0, 1.0, 2, 2)
         with pytest.raises(ValueError):
-            rp.assign_video(0, 5.0, 1.0, 2, 2, f_l=4, f_u=2)
+            rp.VideoSegment(5.0, 1.0, 2, 2, f_l=4, f_u=2)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_duration_and_fps(self, value):
         for field, times in (("duration_s", (value, 1.0)), ("fps", (5.0, value))):
             with pytest.raises(ValueError, match=field):
                 rp.VideoSegment(*times, 2, 2)
-            with pytest.raises(ValueError, match=field):
-                rp.assign_video(0, *times, 2, 2)
+
+
+SEGMENTS = [rp.TextSegment(3), rp.AudioSegment(4.0), rp.ImageSegment(2, 3),
+            rp.VideoSegment(4.0, 1.0, 2, 2, f_l=1, f_u=8)]
+
+COUNT_FIELDS = [
+    pytest.param("n_tokens", lambda v: rp.TextSegment(v), id="text-n_tokens"),
+    pytest.param("rows", lambda v: rp.ImageSegment(v, 2), id="image-rows"),
+    pytest.param("cols", lambda v: rp.ImageSegment(2, v), id="image-cols"),
+    pytest.param("patch", lambda v: rp.ImageSegment(2, 2, patch=v), id="image-patch"),
+    pytest.param("rows", lambda v: rp.VideoSegment(4.0, 1.0, v, 2), id="video-rows"),
+    pytest.param("cols", lambda v: rp.VideoSegment(4.0, 1.0, 2, v), id="video-cols"),
+    pytest.param("patch", lambda v: rp.VideoSegment(4.0, 1.0, 2, 2, patch=v),
+                 id="video-patch"),
+    pytest.param("f_l", lambda v: rp.VideoSegment(4.0, 1.0, 2, 2, f_l=v), id="video-f_l"),
+    pytest.param("f_u", lambda v: rp.VideoSegment(4.0, 1.0, 2, 2, f_u=v), id="video-f_u"),
+]
+
+
+class TestSegmentChecks:
+    @pytest.mark.parametrize("value", [8.5, 8.0, True, 0])  # f_u=0 is below f_l=8
+    @pytest.mark.parametrize("field,make", COUNT_FIELDS)
+    def test_counts_must_be_integers_in_range(self, field, make, value):
+        with pytest.raises(ValueError, match=field):
+            make(value)
+
+    @pytest.mark.parametrize("field,make", COUNT_FIELDS)
+    def test_numpy_integer_counts_equal_ints(self, field, make):
+        ids = make(np.int64(8)).positions(np.int64(4), np.int64(2))
+        assert ids == make(8).positions(4, 2)
+        assert all(type(c) is int for pid in ids for c in pid)
+
+    @pytest.mark.parametrize("start,theta,field", [
+        (-1, 1, "start"), (1.5, 1, "start"), (True, 1, "start"),
+        (0, 1.5, "theta"), (0, 0, "theta"),
+    ])
+    @pytest.mark.parametrize("segment", SEGMENTS, ids=lambda seg: seg.modality)
+    def test_positions_rejects_bad_start_and_theta(self, segment, start, theta, field):
+        with pytest.raises(ValueError, match=field):
+            segment.positions(start, theta)
 
 
 class TestAssignSequence:
     def test_two_text_segments_run_contiguously(self):
         ids = rp.assign_sequence([rp.TextSegment(3), rp.TextSegment(2)])
-        assert ids == rp.assign_text(0, 5)
+        assert ids == rp.TextSegment(5).positions(0, 1)
 
     def test_audio_after_text_starts_at_next_position(self):
         y = 4
@@ -199,7 +242,7 @@ class TestAssignSequence:
         full = rp.assign_sequence(segs)
         head = rp.assign_sequence(segs[:2])
         start = 1 + max(max(i) for i in head)
-        tail = rp.assign_audio(start, 3.0)
+        tail = rp.AudioSegment(3.0).positions(start, 1)
         assert full == head + tail
 
     def test_all_components_non_negative(self):
