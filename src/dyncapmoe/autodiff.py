@@ -350,18 +350,25 @@ def stack_rows(rows: Iterable[Tensor]) -> Tensor:
     return op_node(np.stack([r.data for r in rows]), rows, backward_fn, "stack_rows")
 
 
-def _row_index(index, n_rows: int, op: str) -> np.ndarray:
+def _row_index(index, size: int, op: str) -> np.ndarray:
     idx = np.asarray(index)
     if idx.ndim != 1 or idx.size == 0 or not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError(f"{op}: index must be a non-empty 1-D integer array")
-    if idx.min() < 0 or idx.max() >= n_rows:
-        raise ShapeError(f"{op}: index out of range for {n_rows} rows")
+    if idx.min() < 0 or idx.max() >= size:
+        raise ShapeError(f"{op}: index out of range for size {size}")
     return idx
 
 
 def gather_rows(a: Tensor, index) -> Tensor:
-    """``a[index]`` along the first axis; an index may repeat."""
-    idx = _row_index(index, a.data.shape[0], "gather_rows")
+    """``a[index]`` along the first axis; an index may repeat.  A pair
+    ``(rows, cols)`` on a matrix takes the cells ``a[rows[i], cols[i]]``."""
+    if isinstance(index, tuple):
+        if a.data.ndim != 2 or len(index) != 2 or np.size(index[0]) != np.size(index[1]):
+            raise ShapeError("gather_rows: a (rows, cols) pair needs a matrix and "
+                             "two indices of one length")
+        idx = tuple(_row_index(i, n, "gather_rows") for i, n in zip(index, a.data.shape))
+    else:
+        idx = _row_index(index, a.data.shape[0], "gather_rows")
 
     def backward_fn(g):
         out = np.zeros_like(a.data)

@@ -124,7 +124,7 @@ class ToyModelConfig:
 
     def __post_init__(self):
         for name, low in (("layers", 1), ("head_dim", 2), ("steps", 0),
-                          ("n_classes", 2), ("theta", 1)):
+                          ("n_classes", 2), ("theta", 1), ("seed", 0)):
             ad.check_int(getattr(self, name), name, low)
         if self.heads != 1:
             raise ValueError("only single-head attention is supported")
@@ -283,16 +283,11 @@ class ToyTransformer:
         base = [cfg.seed, 2029]  # init stream, disjoint from data/runtime draws
         self.attn: list[_AttentionParams] = []
         self.blocks: list[moe.DynamicCapacityMoE] = []
+        shapes = ((d, hd), (d, hd), (d, hd), (hd, d))  # w_q, w_k, w_v, w_o
         for li in range(cfg.layers):
-            self.attn.append(_AttentionParams(
-                w_q=ad.seeded_normal((d, hd), base + [li, 0], std=d ** -0.5,
-                                     requires_grad=True),
-                w_k=ad.seeded_normal((d, hd), base + [li, 1], std=d ** -0.5,
-                                     requires_grad=True),
-                w_v=ad.seeded_normal((d, hd), base + [li, 2], std=d ** -0.5,
-                                     requires_grad=True),
-                w_o=ad.seeded_normal((hd, d), base + [li, 3], std=hd ** -0.5,
-                                     requires_grad=True)))
+            self.attn.append(_AttentionParams(*(
+                ad.seeded_normal(shape, base + [li, i], std=shape[0] ** -0.5,
+                                 requires_grad=True) for i, shape in enumerate(shapes))))
             self.blocks.append(moe.DynamicCapacityMoE(
                 dataclasses.replace(cfg.moe, seed=cfg.moe.seed + 7919 * (li + 1))))
         self.w_cls = ad.seeded_normal((d, cfg.n_classes), base + [cfg.layers, 4],
@@ -308,10 +303,8 @@ class ToyTransformer:
         """
         stages: list[dict[str, ad.Tensor]] = []
         for li, (attn, block) in enumerate(zip(self.attn, self.blocks)):
-            stages.append({f"layer{li}.attn.w_q": attn.w_q,
-                           f"layer{li}.attn.w_k": attn.w_k,
-                           f"layer{li}.attn.w_v": attn.w_v,
-                           f"layer{li}.attn.w_o": attn.w_o})
+            stages.append({f"layer{li}.attn.{f.name}": getattr(attn, f.name)
+                           for f in dataclasses.fields(attn)})
             stages.append({f"layer{li}.moe.{name}": t
                            for name, t in block.parameters().items()})
         stages.append({"cls.w": self.w_cls})

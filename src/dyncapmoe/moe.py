@@ -23,8 +23,10 @@ renormalized after selection.
 
 :meth:`DynamicCapacityMoE.forward_rows` runs the layer on a batch of token
 rows: one router product, one uniform block in training, vectorized
-selection, and one gated FFN per routed expert over the rows of the tokens
-that chose it (dropless grouped dispatch).  It returns the batch's choices
+selection, one gated FFN per routed expert over the rows of the tokens
+that chose it (dropless grouped dispatch), then one routing step that
+applies gates, forward scales and the estimator to every (token, slot)
+pair at once.  It returns the batch's choices
 as one :class:`Routing`, ``[n, n_slots]`` arrays of rank, gate, argmax
 flag, B draw and forward scale; a token's :class:`RoutingDecision` is built
 only when someone indexes the Routing.  Frozen replay takes a Routing
@@ -88,7 +90,7 @@ class MoEConfig:
 
     def __post_init__(self):
         for name, low in (("d_model", 1), ("n_routed", 1), ("expert_hidden", 1),
-                          ("n_null", 0), ("n_shared", 0)):
+                          ("n_null", 0), ("n_shared", 0), ("seed", 0)):
             ad.check_int(getattr(self, name), name, low)
         if self.shared_hidden is None:
             object.__setattr__(self, "shared_hidden", max(1, self.expert_hidden // 8))
@@ -175,7 +177,8 @@ class Routing(Sequence[RoutingDecision]):
     * ``is_argmax``: the slot is the row's logit argmax;
     * ``bern``: the estimator's B draw (bool), or None where nothing was
       drawn (inference);
-    * ``scale``: the forward scale max(delta, (1+2B)/3), 1 at inference.
+    * ``scale``: the forward scale max(delta, (1+2B)/3), derived from
+      ``is_argmax`` and ``bern`` (all ones when ``bern`` is None).
 
     Only active entries carry meaning.  ``n_routed`` and ``n_shared`` fix
     each slot's role and the always-on shared experts.  As a read-only
@@ -187,14 +190,14 @@ class Routing(Sequence[RoutingDecision]):
     gate: np.ndarray
     is_argmax: np.ndarray
     bern: np.ndarray | None
-    scale: np.ndarray
+    scale: np.ndarray = dataclasses.field(init=False)
     n_routed: int
     n_shared: int = 0
 
     def __post_init__(self):
         if np.ndim(self.rank) != 2:
             raise ValueError("rank must be [n, n_slots]")
-        for name in ("rank", "gate", "is_argmax", "bern", "scale"):
+        for name in ("rank", "gate", "is_argmax", "bern"):
             array = getattr(self, name)
             if array is None:
                 continue
@@ -203,6 +206,9 @@ class Routing(Sequence[RoutingDecision]):
                 raise ValueError(f"{name} must have the shape of rank")
             view.flags.writeable = False
             object.__setattr__(self, name, view)
+        object.__setattr__(self, "scale", np.ones(self.rank.shape) if self.bern is None
+                           else est.hybrid_scale(self.is_argmax, self.bern))
+        self.scale.flags.writeable = False
 
     def __len__(self) -> int:
         return self.rank.shape[0]
@@ -269,7 +275,7 @@ def _one_token(rank: np.ndarray, p: np.ndarray) -> RoutingDecision:
     """The inference decision of one token with selection ranks ``rank``;
     the argmax is p's and every slot counts as routed."""
     is_argmax = (np.arange(p.size) == np.argmax(p))[None, :]
-    return Routing(rank, p[None, :], is_argmax, None, np.ones(rank.shape), p.size)[0]
+    return Routing(rank, p[None, :], is_argmax, None, p.size)[0]
 
 
 def select_top_p_deterministic(p: np.ndarray, top_p: float) -> RoutingDecision:
@@ -314,14 +320,11 @@ def gated_ffn(x: ad.Tensor, params: ExpertParams) -> ad.Tensor:
 
 
 def _init_expert(d_model: int, hidden: int, seed_key: list) -> ExpertParams:
-    return ExpertParams(
-        w_gate=ad.seeded_normal((hidden, d_model), seed_key + [0], std=d_model ** -0.5,
-                                requires_grad=True),
-        w_up=ad.seeded_normal((hidden, d_model), seed_key + [1], std=d_model ** -0.5,
-                              requires_grad=True),
-        w_down=ad.seeded_normal((d_model, hidden), seed_key + [2], std=hidden ** -0.5,
-                                requires_grad=True),
-    )
+    """w_gate, w_up and w_down, each Normal(0, fan_in ** -0.5) on its own stream."""
+    shapes = ((hidden, d_model), (hidden, d_model), (d_model, hidden))
+    return ExpertParams(*(ad.seeded_normal(shape, seed_key + [i], std=shape[1] ** -0.5,
+                                           requires_grad=True)
+                          for i, shape in enumerate(shapes)))
 
 
 class DynamicCapacityMoE:
@@ -347,12 +350,10 @@ class DynamicCapacityMoE:
 
     def parameters(self) -> dict[str, ad.Tensor]:
         out = {"router": self.router}
-        for i, e in enumerate(self.routed):
-            out.update({f"routed{i}.w_gate": e.w_gate, f"routed{i}.w_up": e.w_up,
-                        f"routed{i}.w_down": e.w_down})
-        for s, e in enumerate(self.shared):
-            out.update({f"shared{s}.w_gate": e.w_gate, f"shared{s}.w_up": e.w_up,
-                        f"shared{s}.w_down": e.w_down})
+        for bank, experts in (("routed", self.routed), ("shared", self.shared)):
+            for i, e in enumerate(experts):
+                out.update({f"{bank}{i}.{f.name}": getattr(e, f.name)
+                            for f in dataclasses.fields(e)})
         return out
 
     # --------------------------------------------------------------- routing
@@ -385,13 +386,15 @@ class DynamicCapacityMoE:
           depends on ``key`` and t only, is token t's.  Sampled selection
           ranks its first n_slots entries as Gumbel keys, and entry
           n_slots + j sets B ~ Bernoulli(5/8) of slot j.
-        * ``frozen`` (a recorded Routing of n rows) replays those choices
+        * ``frozen`` (a recorded Routing of n rows) replays those choices,
+          with its forward scales as constants when it carries B draws,
           and ignores ``mode`` and ``key``; see :meth:`forward_frozen`.
           ``matches`` is only meaningful here.
 
         Each routed expert runs once on the rows of the tokens that chose
-        it; null slots never reach the tape and shared experts run on every
-        row.  Every row is computed as it would be alone, bit for bit.
+        it, then gates, scales and the estimator apply to all pairs at once;
+        null slots never reach the tape and shared experts run on every row.
+        Every row is computed as it would be alone, bit for bit.
         """
         if mode not in ("infer", "train"):
             raise ValueError("mode must be 'infer' or 'train'")
@@ -427,51 +430,46 @@ class DynamicCapacityMoE:
                                                      routing.rank)
         elif U is None:
             routing = Routing(_prefix_ranks(P, cfg.top_p), P, is_argmax, None,
-                              np.ones(P.shape), cfg.n_routed, cfg.n_shared)
+                              cfg.n_routed, cfg.n_shared)
         else:
             sampled = cfg.routing_mode == "sampled"
             rank = _prefix_ranks(P, cfg.top_p, U[:, :cfg.n_slots] if sampled else None)
             bern = U[:, cfg.n_slots:] < est.BERNOULLI_P
-            routing = Routing(rank, P, is_argmax, bern, est.hybrid_scale(is_argmax, bern),
-                              cfg.n_routed, cfg.n_shared)
-        Y = self._mix(X, probs, routing, train=U is not None, replay=frozen is not None)
+            routing = Routing(rank, P, is_argmax, bern, cfg.n_routed, cfg.n_shared)
+        Y = self._mix(X, probs, routing, train=U is not None)
         for params in self.shared:
-            out = gated_ffn(X, params)
-            Y = out if Y is None else ad.add(Y, out)
-        if Y is None:
-            Y = ad.zeros((n, cfg.d_model))
+            Y = ad.add(Y, gated_ffn(X, params))
         return Y, routing, matches
 
-    def _mix(self, X: ad.Tensor, probs: ad.Tensor, routing: Routing, train: bool,
-             replay: bool) -> ad.Tensor | None:
-        """Sum of the routed contributions per token; None if there are none.
+    def _mix(self, X: ad.Tensor, probs: ad.Tensor, routing: Routing,
+             train: bool) -> ad.Tensor:
+        """Sum of the routed contributions per token, zeros if there are none.
 
-        Contributions are (token, rank) pairs listed rank-major: each expert
-        fills its pairs' rows of a pair buffer, and one scatter then adds the
-        buffer into the output in that order, so every token sums its terms
-        in selection order, exactly as a per-token left fold does.
+        Contributions are (token, rank) pairs listed rank-major.  Each expert
+        only fills its pairs' rows of a pair buffer; then the gates, the
+        gradient rule (the estimator in training, the recorded scales on a
+        replay with B draws) and one scatter into the output apply to every
+        pair at once, so each token sums its terms in selection order.
         """
         cfg = self.config
         rank = routing.rank[:, :cfg.n_routed]
         tok, slot = np.nonzero(rank >= 0)
         if not tok.size:
-            return None
+            return ad.zeros((len(X.data), cfg.d_model))
         order = np.lexsort((tok, rank[tok, slot]))
         tok, slot = tok[order], slot[order]
-        gates = ad.transpose(probs)  # row j: every token's gate for slot j
         buf = ad.zeros((tok.size, cfg.d_model))
         for j, params in enumerate(self.routed):
             pos = np.flatnonzero(slot == j)
-            if not pos.size:
-                continue
-            rows = tok[pos]
-            o = ad.scale_rows(gated_ffn(ad.gather_rows(X, rows), params),
-                              ad.gather_rows(ad.row(gates, j), rows))
-            if train:
-                o = est.apply_estimator(o, routing.is_argmax[rows, j], routing.bern[rows, j])
-            elif replay:
-                o = ad.scale_rows(o, ad.Tensor(routing.scale[rows, j]))
-            buf = ad.scatter_add_rows(buf, pos, o)
+            if pos.size:
+                buf = ad.scatter_add_rows(buf, pos, gated_ffn(ad.gather_rows(X, tok[pos]),
+                                                              params))
+        buf = ad.scale_rows(buf, ad.gather_rows(probs, (tok, slot)))
+        if train:
+            buf = est.apply_estimator(buf, routing.is_argmax[tok, slot],
+                                      routing.bern[tok, slot])
+        elif routing.bern is not None:
+            buf = ad.scale_rows(buf, ad.Tensor(routing.scale[tok, slot]))
         return ad.scatter_add_rows(ad.zeros((len(X.data), cfg.d_model)), tok, buf)
 
     def _forward_token(self, x: ad.Tensor, U: np.ndarray | None, frozen: Routing | None):

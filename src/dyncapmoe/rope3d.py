@@ -249,8 +249,9 @@ class RopeFreqConfig:
     base: float = 10000.0
 
     def __post_init__(self):
-        if self.head_dim < 2 or self.head_dim % 2:
-            raise ValueError("head_dim must be a positive even number")
+        ad.check_int(self.head_dim, "head_dim", 2)
+        if self.head_dim % 2:
+            raise ValueError(f"head_dim must be even, got {self.head_dim}")
         if not (math.isfinite(self.base) and self.base > 0):
             raise ValueError(f"base must be finite and positive, got {self.base}")
         if self.split is None:
@@ -258,11 +259,12 @@ class RopeFreqConfig:
             side = third - (third % 2)
             object.__setattr__(self, "split",
                                (self.head_dim - 2 * side, side, side))
-        d_t, d_h, d_w = self.split
-        if any(d < 0 or d % 2 for d in self.split):
-            raise ValueError("every split block must be even and non-negative")
-        if d_t + d_h + d_w != self.head_dim:
-            raise ValueError("split blocks must sum to head_dim")
+        for d in self.split:
+            ad.check_int(d, "split", 0)
+        if any(d % 2 for d in self.split):
+            raise ValueError("every split block must be even")
+        if len(self.split) != 3 or sum(self.split) != self.head_dim:
+            raise ValueError("split must be three blocks that sum to head_dim")
 
     def pair_angles_rows(self, pids: Sequence[PositionId]) -> np.ndarray:
         """Rotation angle per coordinate pair of every PositionId, one row

@@ -227,6 +227,14 @@ def test_gather_rows_repeated_index_accumulates_grad():
     npt.assert_array_equal(v.data, [7.0, 5.0])
 
 
+def test_gather_rows_cells_take_one_entry_per_pair_and_accumulate_grad():
+    a = ad.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    g = ad.gather_rows(a, (np.array([2, 0, 2, 1]), np.array([1, 0, 1, 0])))
+    npt.assert_array_equal(g.data, [5.0, 0.0, 5.0, 2.0])
+    ad.backward(ad.sum(ad.mul(g, ad.Tensor([1.0, 2.0, 3.0, 4.0]))))
+    npt.assert_array_equal(a.grad, [[2.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
+
+
 def test_scatter_add_rows_folds_repeated_rows_in_index_order():
     rows = np.array([[1e16], [1.0], [-1e16]])
     out = ad.scatter_add_rows(ad.zeros((2, 1)), [0, 0, 0], ad.Tensor(rows))
@@ -250,6 +258,13 @@ def test_matvec_rows_rows_do_not_depend_on_the_batch():
     lambda: ad.gather_rows(ad.zeros((3, 2)), []),
     lambda: ad.gather_rows(ad.zeros((3, 2)), [[0]]),
     lambda: ad.gather_rows(ad.zeros((3, 2)), [0.0]),
+    lambda: ad.gather_rows(ad.zeros((3, 2)), ([0], [2])),
+    lambda: ad.gather_rows(ad.zeros((3, 2)), ([0], [-1])),
+    lambda: ad.gather_rows(ad.zeros((3, 2)), ([0], [0.0])),
+    lambda: ad.gather_rows(ad.zeros((3, 2)), ([3], [0])),
+    lambda: ad.gather_rows(ad.zeros((3, 2)), ([0, 1], [0])),
+    lambda: ad.gather_rows(ad.zeros((3, 2)), ([0],)),
+    lambda: ad.gather_rows(ad.zeros((3,)), ([0], [0])),
     lambda: ad.scatter_add_rows(ad.zeros((3, 2)), [0, 1], ad.zeros((3, 2))),
     lambda: ad.scatter_add_rows(ad.zeros((3, 2)), [0], ad.zeros((1, 3))),
     lambda: ad.scatter_add_rows(ad.zeros((3, 2)), [5], ad.zeros((1, 2))),
@@ -296,6 +311,8 @@ def test_every_op_backward_matches_finite_differences(seed):
         "row": lambda t: ad.sum(ad.mul(ad.row(t, 1), ad.Tensor(yv[1]))),
         "gather_rows": lambda t: ad.sum(ad.mul(ad.gather_rows(t, [2, 0, 2, 2]),
                                                ad.Tensor(gv))),
+        "gather_rows.cells": lambda t: ad.sum(ad.mul(
+            ad.gather_rows(t, ([2, 0, 2, 1], [3, 1, 3, 0])), ad.Tensor(gv[0]))),
         "scatter_add_rows.base": lambda t: ad.sum(ad.mul(
             ad.scatter_add_rows(t, [1, 1, 0], ad.Tensor(yv)), ad.Tensor(gv[:3]))),
         "scatter_add_rows.rows": lambda t: ad.sum(ad.mul(

@@ -244,6 +244,26 @@ class TestTrainCommand:
         assert "error: base must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("path, value, field, got", [
+        (("seed",), 1.5, "seed", "1.5"), (("moe", "seed"), 2.5, "seed", "2.5"),
+        (("moe", "seed"), -1, "seed", "-1"), (("rope", "head_dim"), 6.0, "head_dim", "6.0"),
+        (("rope", "split"), [2, 2.0, 2], "split", "2.0")])
+    def test_non_integer_config_exits_1(self, tiny_config_file, tmp_path, capsys,
+                                        path, value, field, got):
+        d = json.loads(tiny_config_file.read_text())
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(d))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {field} must be an integer >= " in err
+        assert f"got {got}" in err
+        assert not out.exists()
+
     def test_seed_changes_the_run(self, tiny_config_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cli.main(["train", "--config", str(tiny_config_file), "--seed", "1",

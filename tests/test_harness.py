@@ -90,6 +90,34 @@ class TestToyModelConfig:
         with pytest.raises(ValueError, match=field):
             hn.ToyModelConfig.from_json_dict(d)
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, -1])
+    @pytest.mark.parametrize("path", [("seed",), ("moe", "seed")])
+    def test_rejects_non_integer_or_negative_seeds(self, path, value):
+        d = tiny_config().to_json_dict()
+        target = d["moe"] if path[0] == "moe" else d
+        target["seed"] = value
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            hn.ToyModelConfig.from_json_dict(d)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            if path[0] == "moe":
+                dataclasses.replace(tiny_config().moe, seed=value)
+            else:
+                tiny_config(seed=value)
+
+    def test_numpy_integer_seeds_are_accepted(self):
+        cfg = tiny_config(seed=np.int64(3),
+                          moe=dataclasses.replace(tiny_config().moe, seed=np.int32(3)))
+        assert cfg.seed == 3 and cfg.moe.seed == 3
+
+    @pytest.mark.parametrize("key, value", [("head_dim", 6.0), ("head_dim", True),
+                                            ("split", [2.0, 2, 2]), ("split", [2, 2, True]),
+                                            ("split", [8, -2, 0])])
+    def test_rejects_non_integer_rope_dimensions(self, key, value):
+        d = tiny_config().to_json_dict()
+        d["rope"][key] = value
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            hn.ToyModelConfig.from_json_dict(d)
+
     @pytest.mark.parametrize("base", [math.nan, math.inf])
     def test_rejects_non_finite_rope_base(self, base):
         d = tiny_config().to_json_dict()
@@ -193,8 +221,7 @@ class TestToyTransformer:
         x = ad.Tensor(np.linspace(-0.5, 0.8, 6))
         y_inf, routing, _ = layer.forward_rows(ad.Tensor([x.data]), "infer")
         shape = routing.rank.shape
-        forced = dataclasses.replace(routing, bern=np.ones(shape, dtype=bool),
-                                     scale=np.ones(shape))
+        forced = dataclasses.replace(routing, bern=np.ones(shape, dtype=bool))
         y_frozen, matches = layer.forward_frozen(x, forced)
         assert matches
         npt.assert_array_equal(y_frozen.data, y_inf.data[0])

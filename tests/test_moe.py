@@ -436,7 +436,7 @@ class TestForwardTrain:
         y, routing, _ = layer_est.forward_rows(ad.Tensor([xv]), "train", key=(21,))
         ad.backward(ad.sum(y))
 
-        replay = dataclasses.replace(routing, bern=None, scale=np.ones(routing.scale.shape))
+        replay = dataclasses.replace(routing, bern=None)
         y_plain, matches = layer_plain.forward_frozen(ad.Tensor(xv), replay)
         assert matches
         ad.backward(ad.sum(y_plain))

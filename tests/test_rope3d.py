@@ -270,6 +270,21 @@ class TestRopeFreqConfig:
         with pytest.raises(ValueError):
             rp.RopeFreqConfig(8, split=(4, 4, 4))
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"head_dim": 6.0}, "head_dim"), ({"head_dim": True}, "head_dim"),
+        ({"head_dim": np.float64(8)}, "head_dim"), ({"head_dim": 0}, "head_dim"),
+        ({"head_dim": 8, "split": (4.0, 2, 2)}, "split"),
+        ({"head_dim": 8, "split": (8, 0, False)}, "split"),
+        ({"head_dim": 8, "split": (10, -2, 0)}, "split"),
+    ])
+    def test_dimensions_must_be_integers_in_range(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            rp.RopeFreqConfig(**kwargs)
+
+    def test_numpy_integer_dimensions_equal_ints(self):
+        cfg = rp.RopeFreqConfig(np.int64(8), split=(np.int32(4), 2, 2))
+        assert cfg == rp.RopeFreqConfig(8, split=(4, 2, 2))
+
     @pytest.mark.parametrize("base", [math.nan, math.inf, -math.inf, 0.0, -2.0])
     def test_base_must_be_finite_and_positive(self, base):
         with pytest.raises(ValueError, match="base"):

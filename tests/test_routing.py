@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import moe_reference as ref
 from dyncapmoe import analytics as an
 from dyncapmoe import autodiff as ad
+from dyncapmoe import estimator as est
 from dyncapmoe import moe
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -182,3 +183,38 @@ def test_repeated_key_raises_at_append_time():
     assert len(trace) == 5  # rejected blocks left nothing behind
     an.record_rows(trace, 2, 2, ["text"] * 4, routing)
     assert [r.token_index for r in trace.select(2)] == [0, 1, 2, 3]
+
+
+def test_routing_derives_its_forward_scale():
+    layer = moe.DynamicCapacityMoE(moe.MoEConfig(d_model=4, n_routed=3, expert_hidden=3,
+                                                 n_null=1, n_shared=1, seed=6))
+    X = token_rows(4, 6, 4, 1.0)
+    _, routing, _ = layer.forward_rows(X, "train", key=(8,))
+    np.testing.assert_array_equal(routing.scale,
+                                  est.hybrid_scale(routing.is_argmax, routing.bern))
+    assert not routing.scale.flags.writeable
+    assert [e.forward_scale for e in routing[2].per_expert] == [
+        routing.scale[2, e.index] for e in routing[2].per_expert]
+
+    _, inferred, _ = layer.forward_rows(X, "infer")
+    np.testing.assert_array_equal(inferred.scale, np.ones(inferred.rank.shape))
+
+    flipped = dataclasses.replace(routing, bern=~routing.bern)
+    np.testing.assert_array_equal(flipped.scale,
+                                  est.hybrid_scale(routing.is_argmax, ~routing.bern))
+    unit = dataclasses.replace(routing, bern=None)
+    np.testing.assert_array_equal(unit.scale, np.ones(routing.rank.shape))
+
+
+def test_routing_takes_no_scale_and_rejects_non_binary_draws():
+    rank = np.array([[0, -1]])
+    args = (rank, np.array([[0.8, 0.2]]), np.array([[True, False]]))
+    assert "scale" not in {f.name for f in dataclasses.fields(moe.Routing) if f.init}
+    with pytest.raises(TypeError):
+        moe.Routing(*args, None, 2, scale=np.ones(rank.shape))
+    with pytest.raises(ValueError, match="bern"):
+        moe.Routing(*args, np.array([[1, 2]]), 2)
+    routing = moe.Routing(*args, np.array([[False, False]]), 2)
+    with pytest.raises(ValueError, match="bern"):
+        dataclasses.replace(routing, bern=np.array([[0.5, 1.0]]))
+    assert routing.scale.tolist() == [[1.0, 1 / 3]]
