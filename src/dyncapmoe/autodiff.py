@@ -9,9 +9,18 @@ the resulting DAG once, in reverse topological order.
 Two guarantees the rest of the package leans on:
 
 * any op whose inputs are all constants folds into a constant (no parents,
-  no backward hook), so constant subgraphs never appear on the tape;
+  no backward hook), so constant subgraphs never appear on the tape, and a
+  forward over parameters with ``requires_grad`` off builds no tape at all;
 * :func:`stop_gradient` returns a plain constant copy, so gradient flow
   through it is exactly zero by construction.
+
+Checks sit at the boundaries.  A :class:`Tensor` built from data rejects
+NaN and infinity; op results are not scanned, so a non-finite value
+produced inside a graph propagates to its consumers, and the callers that
+own a boundary (the training loss, the gradients before an update) check
+it there.  :func:`gather_rows` and :func:`scatter_add_rows` validate their
+indices; code that builds its indices itself calls their unchecked
+implementations.
 
 All randomness comes from numpy's PCG64 generator, so a fixed seed
 reproduces bit-identical tensors.
@@ -61,7 +70,7 @@ class ShapeError(ValueError):
 
 
 class NonFiniteError(FloatingPointError):
-    """An operation produced (or was handed) NaN or infinity."""
+    """A tensor built from data, or a checked boundary value, holds NaN or infinity."""
 
 
 class TapeError(RuntimeError):
@@ -112,14 +121,13 @@ def op_node(data: np.ndarray, parents: Sequence[Tensor],
     (``None`` for a parent that receives nothing).  If no parent requires
     gradients the result is folded into a constant.
 
+    The result is not checked for NaN or infinity (see the module notes).
+
     This is the extension hook: modules outside the engine (rotary
     rotation, the training loss) define their own ops through it.
     """
-    arr = _as_f64(data)
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"op '{op_kind}' produced NaN or Inf")
     out = Tensor.__new__(Tensor)
-    out.data = arr
+    out.data = _as_f64(data)
     out.grad = None
     out.op_kind = op_kind
     out._backward_done = False
@@ -369,6 +377,11 @@ def gather_rows(a: Tensor, index) -> Tensor:
         idx = tuple(_row_index(i, n, "gather_rows") for i, n in zip(index, a.data.shape))
     else:
         idx = _row_index(index, a.data.shape[0], "gather_rows")
+    return _gather_rows(a, idx)
+
+
+def _gather_rows(a: Tensor, idx) -> Tensor:
+    """:func:`gather_rows` on an index known to be valid."""
 
     def backward_fn(g):
         out = np.zeros_like(a.data)
@@ -388,6 +401,11 @@ def scatter_add_rows(base: Tensor, index, rows: Tensor) -> Tensor:
     if rows.data.shape != (idx.size,) + base.data.shape[1:]:
         raise ShapeError(f"scatter_add_rows: rows of shape {rows.data.shape} do not "
                          f"fit {idx.size} indices into {base.data.shape}")
+    return _scatter_add_rows(base, idx, rows)
+
+
+def _scatter_add_rows(base: Tensor, idx: np.ndarray, rows: Tensor) -> Tensor:
+    """:func:`scatter_add_rows` on an index and rows known to fit ``base``."""
     out = base.data.copy()
     np.add.at(out, idx, rows.data)
 

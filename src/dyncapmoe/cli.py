@@ -63,13 +63,13 @@ def cmd_train(args) -> int:
         cfg = _reseed(cfg, args.seed)
     if args.steps is not None:
         cfg = dataclasses.replace(cfg, steps=args.steps)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         result = hn.train(cfg)
     except hn.TrainingDivergedError as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return 1
+    out = Path(args.out)  # made only for a finished run, so a failed one leaves none
+    out.mkdir(parents=True, exist_ok=True)
     lines = ["step,loss"]
     lines += [f"{step},{repr(loss)}" for step, loss in enumerate(result.losses)]
     (out / "loss.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -247,7 +247,12 @@ def generate_batch(segments, seed: int, d_model: int, n_classes: int,
 # ---------------------------------------------------------------------------
 
 def cross_entropy(logits: ad.Tensor, labels: np.ndarray) -> ad.Tensor:
-    """Mean cross-entropy over rows, stabilized via log-sum-exp."""
+    """Mean cross-entropy over rows, stabilized via log-sum-exp.
+
+    The loss is where a forward's finiteness is checked: a NaN or infinite
+    loss, which is what a non-finite value anywhere upstream leads to,
+    raises :class:`~dyncapmoe.autodiff.NonFiniteError`.
+    """
     z = logits.data
     if z.ndim != 2 or len(labels) != z.shape[0]:
         raise ad.ShapeError("logits must be [n, n_classes] matching labels")
@@ -256,6 +261,8 @@ def cross_entropy(logits: ad.Tensor, labels: np.ndarray) -> ad.Tensor:
     m = z.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
     value = float(np.mean(lse - z[rows, labels]))
+    if not math.isfinite(value):
+        raise ad.NonFiniteError(f"cross_entropy: loss is {value!r}")
 
     def backward_fn(g):
         p = np.exp(z - m)
@@ -383,8 +390,9 @@ def train(cfg: ToyModelConfig, model: ToyTransformer | None = None) -> TrainResu
     """Plain gradient descent on the planted-signal batch.
 
     One fixed batch per run (drawn from the seed); per-step losses and a
-    full routing trace come back.  A non-finite loss aborts with the step
-    in the diagnostic.
+    full routing trace come back.  A non-finite forward, or a non-finite
+    gradient before the update, aborts with the step in the diagnostic and
+    leaves the parameters as the step found them.
     """
     model = model or ToyTransformer(cfg)
     batch = generate_batch(cfg.segments, cfg.seed, cfg.d_model, cfg.n_classes,
@@ -397,13 +405,13 @@ def train(cfg: ToyModelConfig, model: ToyTransformer | None = None) -> TrainResu
             loss, per_layer, _ = model.forward(batch, mode="train")
         except ad.NonFiniteError as exc:
             raise TrainingDivergedError(f"non-finite forward at step {step}") from exc
-        value = float(loss.data)
-        if not math.isfinite(value):
-            raise TrainingDivergedError(f"loss diverged at step {step}: {value!r}")
-        losses.append(value)
+        losses.append(float(loss.data))
         for li, routing in enumerate(per_layer):
             an.record_rows(trace, step, li, batch.modality_tags, routing)
         ad.backward(loss)
+        for name, t in params.items():
+            if t.grad is not None and not np.isfinite(t.grad).all():
+                raise TrainingDivergedError(f"non-finite gradient of {name} at step {step}")
         for t in params.values():
             if t.grad is not None:
                 t.data -= cfg.learning_rate * t.grad
@@ -504,7 +512,9 @@ def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
     stage s is re-evaluated by resuming the forward at stage s from that
     record: stages before s see the same parameters as the replay, so they
     would recompute the recorded bits, and the report is the one a full
-    forward per evaluation gives, to the bit.
+    forward per evaluation gives, to the bit.  Once the analytic gradients
+    are taken, the model's parameters stop requiring gradients, so the
+    evaluations fold into constants and build no tape.
     """
     for name, value in (("eps", eps), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
@@ -520,7 +530,8 @@ def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
     params = model.parameters()
     analytic = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
                 for name, t in params.items()}
-    ad.zero_grads(params.values())
+    for t in params.values():
+        t.requires_grad = False
 
     def frozen_loss(stage: int) -> tuple[float, bool]:
         value, _, ok = model.forward(batch, frozen=frozen,

@@ -458,19 +458,20 @@ class DynamicCapacityMoE:
             return ad.zeros((len(X.data), cfg.d_model))
         order = np.lexsort((tok, rank[tok, slot]))
         tok, slot = tok[order], slot[order]
+        # the indices come from np.nonzero, so the unchecked row ops take them
         buf = ad.zeros((tok.size, cfg.d_model))
         for j, params in enumerate(self.routed):
             pos = np.flatnonzero(slot == j)
             if pos.size:
-                buf = ad.scatter_add_rows(buf, pos, gated_ffn(ad.gather_rows(X, tok[pos]),
-                                                              params))
-        buf = ad.scale_rows(buf, ad.gather_rows(probs, (tok, slot)))
+                buf = ad._scatter_add_rows(buf, pos, gated_ffn(ad._gather_rows(X, tok[pos]),
+                                                               params))
+        buf = ad.scale_rows(buf, ad._gather_rows(probs, (tok, slot)))
         if train:
             buf = est.apply_estimator(buf, routing.is_argmax[tok, slot],
                                       routing.bern[tok, slot])
         elif routing.bern is not None:
             buf = ad.scale_rows(buf, ad.Tensor(routing.scale[tok, slot]))
-        return ad.scatter_add_rows(ad.zeros((len(X.data), cfg.d_model)), tok, buf)
+        return ad._scatter_add_rows(ad.zeros((len(X.data), cfg.d_model)), tok, buf)
 
     def _forward_token(self, x: ad.Tensor, U: np.ndarray | None, frozen: Routing | None):
         if x.data.shape != (self.config.d_model,):

@@ -26,6 +26,7 @@ interleaved coordinate pairs within each block by ``component * base**(-2i/d_blo
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
@@ -288,13 +289,27 @@ def _rotate_pairs(data: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndar
     return out
 
 
-def _rope(x: ad.Tensor, angles: np.ndarray, op_kind: str) -> ad.Tensor:
-    """Rotate interleaved pairs of ``x`` by ``angles`` (one tape node).
+@functools.lru_cache(maxsize=8)
+def _rope_table(pids: tuple[PositionId, ...],
+                cfg: RopeFreqConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cos and sin of ``cfg.pair_angles_rows(pids)``.
+
+    Built once per position sequence and config: every forward over the
+    same positions, and its q and k rotations, share one table.
+    """
+    angles = cfg.pair_angles_rows(pids)
+    cos, sin = np.cos(angles), np.sin(angles)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
+
+
+def _rope(x: ad.Tensor, cos: np.ndarray, sin: np.ndarray, op_kind: str) -> ad.Tensor:
+    """Rotate interleaved pairs of ``x`` by the angles of ``cos`` and ``sin``
+    (one tape node).
 
     Rotations are orthogonal, so the backward pass is the inverse rotation
     of the upstream gradient and the vector norm is preserved.
     """
-    cos, sin = np.cos(angles), np.sin(angles)
 
     def backward_fn(g):
         return (_rotate_pairs(g, cos, -sin),)
@@ -306,14 +321,15 @@ def apply_rope3d(vec: ad.Tensor, pid: PositionId, cfg: RopeFreqConfig) -> ad.Ten
     """Rotate interleaved pairs of ``vec`` by the per-block angle tables."""
     if vec.data.shape != (cfg.head_dim,):
         raise ad.ShapeError(f"expected shape ({cfg.head_dim},), got {vec.data.shape}")
-    return _rope(vec, cfg.pair_angles_rows([pid])[0], "rope3d")
+    cos, sin = _rope_table((pid,), cfg)
+    return _rope(vec, cos[0], sin[0], "rope3d")
 
 
 def apply_rope3d_rows(mat: ad.Tensor, pids: Iterable[PositionId],
                       cfg: RopeFreqConfig) -> ad.Tensor:
     """Row i of ``mat`` rotated by its own PositionId (one tape node)."""
-    pids = list(pids)
+    pids = tuple(pids)
     if mat.data.ndim != 2 or mat.data.shape != (len(pids), cfg.head_dim):
         raise ad.ShapeError(f"expected shape ({len(pids)}, {cfg.head_dim}), "
                             f"got {mat.data.shape}")
-    return _rope(mat, cfg.pair_angles_rows(pids), "rope3d_rows")
+    return _rope(mat, *_rope_table(pids, cfg), "rope3d_rows")

@@ -264,6 +264,25 @@ class TestTrainCommand:
         assert f"got {got}" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_exits_1_and_leaves_no_directory(self, tiny_config_file,
+                                                          tmp_path, capsys):
+        d = json.loads(tiny_config_file.read_text())
+        d.update(learning_rate=1e6, steps=50)
+        config = tmp_path / "diverges.json"
+        config.write_text(json.dumps(d))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 1
+        assert "training aborted: non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_that_cannot_be_created_exits_1(self, tiny_config_file, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli.main(["train", "--config", str(tiny_config_file),
+                         "--out", str(blocker / "run")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_seed_changes_the_run(self, tiny_config_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cli.main(["train", "--config", str(tiny_config_file), "--seed", "1",

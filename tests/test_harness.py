@@ -177,6 +177,13 @@ class TestCrossEntropy:
         loss = hn.cross_entropy(ad.Tensor(np.zeros((3, 4))), np.array([0, 1, 2]))
         npt.assert_allclose(float(loss.data), np.log(4.0), atol=1e-15)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_raises(self):
+        logits = ad.Tensor(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        logits.data[1, 0] = np.inf  # as an unchecked op result could hold
+        with pytest.raises(ad.NonFiniteError, match="cross_entropy"):
+            hn.cross_entropy(logits, np.array([0, 1]))
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         labels = rng.integers(0, 3, size=4)
@@ -265,6 +272,51 @@ class TestTrain:
         cfg = tiny_config(steps=50, learning_rate=1e6)
         with pytest.raises(hn.TrainingDivergedError, match="step"):
             hn.train(cfg)
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_non_finite_gradient_stops_the_step_before_any_update(self, monkeypatch,
+                                                                   steps):
+        cfg = tiny_config(steps=steps, learning_rate=0.05)
+        model = hn.ToyTransformer(cfg)
+        before = {name: t.data.copy() for name, t in model.parameters().items()}
+        real = ad.backward
+
+        def poisoned(loss):
+            real(loss)
+            model.w_cls.grad[0, 0] = math.inf
+
+        monkeypatch.setattr(ad, "backward", poisoned)
+        with pytest.raises(hn.TrainingDivergedError,
+                           match=r"non-finite gradient of cls\.w at step 0$"):
+            hn.train(cfg, model)
+        for name, t in model.parameters().items():
+            assert t.data.tobytes() == before[name].tobytes(), name
+
+
+class TestFiniteBoundaries:
+    """Op results are not scanned; a non-finite value inside a forward
+    surfaces at the loss, and in training before any update."""
+
+    @staticmethod
+    def overflowing_model(cfg):
+        model = hn.ToyTransformer(cfg)
+        model.attn[0].w_v.data[0, 0] *= 1e200  # the layer-0 expert FFN overflows
+        return model
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("make", [hn.smoke_train_config, hn.gradcheck_default_config])
+    def test_overflowing_infer_forward_raises_from_the_loss(self, make):
+        cfg = make(0)
+        batch = hn.generate_batch(cfg.segments, cfg.seed, cfg.d_model, cfg.n_classes,
+                                  cfg.noise, cfg.theta)
+        with pytest.raises(ad.NonFiniteError, match="^cross_entropy: loss is nan$"):
+            self.overflowing_model(cfg).forward(batch, mode="infer")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_training_diverges_at_step_0(self):
+        cfg = dataclasses.replace(hn.smoke_train_config(0), steps=3)
+        with pytest.raises(hn.TrainingDivergedError, match="at step 0$"):
+            hn.train(cfg, self.overflowing_model(cfg))
 
 
 class TestGradCheck:

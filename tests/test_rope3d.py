@@ -6,6 +6,7 @@ import pytest
 
 from fd_reference import finite_diff_grad
 from dyncapmoe import autodiff as ad
+from dyncapmoe import harness as hn
 from dyncapmoe import rope3d as rp
 
 
@@ -426,6 +427,50 @@ class TestApplyRope3d:
 
         npt.assert_array_equal(cfg.pair_angles_rows(pids),
                                np.stack([row_loop(p) for p in pids]))
+
+
+class TestRopeTable:
+    """One read-only cos/sin table per (position sequence, config)."""
+
+    @staticmethod
+    def smoke():
+        cfg = hn.smoke_train_config(0)
+        batch = hn.generate_batch(cfg.segments, cfg.seed, cfg.d_model, cfg.n_classes,
+                                  cfg.noise, cfg.theta)
+        return cfg, hn.ToyTransformer(cfg), batch
+
+    def test_two_forwards_build_one_table(self, monkeypatch):
+        _, model, batch = self.smoke()
+        real, calls = rp.RopeFreqConfig.pair_angles_rows, 0
+
+        def counting(cfg, pids):
+            nonlocal calls
+            calls += 1
+            return real(cfg, pids)
+
+        monkeypatch.setattr(rp.RopeFreqConfig, "pair_angles_rows", counting)
+        rp._rope_table.cache_clear()
+        for _ in range(2):
+            model.forward(batch, mode="infer")
+        assert calls == 1
+
+    def test_cached_table_is_read_only(self):
+        cfg, _, batch = self.smoke()
+        for table in rp._rope_table(batch.position_ids, cfg.rope):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+
+    def test_rotation_equals_one_by_freshly_computed_angles(self):
+        cfg, _, batch = self.smoke()
+        mat = np.random.default_rng(11).normal(size=(cfg.batch, cfg.head_dim))
+        angles = cfg.rope.pair_angles_rows(batch.position_ids)
+        cos, sin = np.cos(angles), np.sin(angles)
+        fresh = np.empty_like(mat)
+        fresh[:, 0::2] = cos * mat[:, 0::2] - sin * mat[:, 1::2]
+        fresh[:, 1::2] = sin * mat[:, 0::2] + cos * mat[:, 1::2]
+        for _ in range(2):  # built, then cached
+            out = rp.apply_rope3d_rows(ad.Tensor(mat), batch.position_ids, cfg.rope)
+            assert out.data.tobytes() == fresh.tobytes()
 
 
 def rope_dot(q, k, m, n, cfg):
