@@ -12,7 +12,11 @@ Two guarantees the rest of the package leans on:
   no backward hook), so constant subgraphs never appear on the tape, and a
   forward over parameters with ``requires_grad`` off builds no tape at all;
 * :func:`stop_gradient` returns a plain constant copy, so gradient flow
-  through it is exactly zero by construction.
+  through it is exactly zero by construction;
+* no code writes into a ``.grad`` array in place: :func:`backward` stores a
+  node's first gradient as its op handed it and accumulates out of place,
+  so one array may be the ``.grad`` of several tensors (both operands of
+  an ``add``, say), and a reader that wants to modify one copies it first.
 
 Checks sit at the boundaries.  A :class:`Tensor` built from data rejects
 NaN and infinity; op results are not scanned, so a non-finite value
@@ -199,10 +203,10 @@ def _check_binary(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # fold a broadcast gradient back onto a size-1 operand
+    # fold a broadcast gradient back onto a size-1 operand, as an array
     if grad.shape == shape:
         return grad
-    return np.sum(grad).reshape(shape)
+    return np.full(shape, np.sum(grad))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -415,6 +419,23 @@ def _scatter_add_rows(base: Tensor, idx: np.ndarray, rows: Tensor) -> Tensor:
     return op_node(out, (base, rows), backward_fn, "scatter_add_rows")
 
 
+def _place_rows(n: int, parts: Sequence[Tensor], positions: Sequence[np.ndarray]) -> Tensor:
+    """An [n, d] matrix whose rows ``positions[i]`` are the rows of
+    ``parts[i]`` [len(positions[i]), d], one tape node for all parts.
+
+    The positions must be disjoint and cover every row; each part's
+    gradient is the upstream rows at its positions.
+    """
+    out = np.zeros((n, parts[0].data.shape[1]))
+    for part, pos in zip(parts, positions):
+        out[pos] = part.data
+
+    def backward_fn(g):
+        return tuple(g[pos] for pos in positions)
+
+    return op_node(out, parts, backward_fn, "place_rows")
+
+
 def scale_rows(a: Tensor, c: Tensor) -> Tensor:
     """Row ``i`` of matrix ``a`` times entry ``i`` of vector ``c``."""
     ad, cd = a.data, c.data
@@ -477,8 +498,10 @@ def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
     Fills ``.grad`` on every tensor reachable through gradient-requiring
-    links, accumulating over fan-out.  Each tape node is visited exactly
-    once.  Re-running on the same loss without resetting raises.
+    links, accumulating over fan-out out of place, so a ``.grad`` may be
+    shared with other tensors (see the module notes).  Each tape node is
+    visited exactly once.  Re-running on the same loss without resetting
+    raises.
     """
     if loss.data.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -514,7 +537,7 @@ def backward(loss: Tensor) -> None:
             if g is None or not parent.requires_grad:
                 continue
             if parent.grad is None:
-                parent.grad = np.array(g, dtype=np.float64)
+                parent.grad = g
             else:
                 parent.grad = parent.grad + g
 

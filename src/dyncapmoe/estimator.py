@@ -62,13 +62,16 @@ def hybrid_scale(delta, bern):
     ``delta`` and ``bern`` are 0/1 ints, giving a float, or 0/1 arrays of
     one shape, giving the scale of every entry.
     """
+    if np.shape(delta) != np.shape(bern):
+        raise ad.ShapeError(f"delta and bern must share a shape, got "
+                            f"{np.shape(delta)} and {np.shape(bern)}")
     delta = _check_binary(delta, "delta")
     bern = _check_binary(bern, "bern")
     scale = np.maximum(delta, (1.0 + 2.0 * bern) / 3.0)
     return float(scale) if scale.ndim == 0 else scale
 
 
-def apply_estimator(o: ad.Tensor, delta, bern) -> ad.Tensor:
+def apply_estimator(o: ad.Tensor, scale) -> ad.Tensor:
     """Scale ``o`` forward while doubling its gradient path.
 
     Returns ``2*o + const(scale*o - 2*o)``: the value equals ``scale * o``
@@ -76,18 +79,16 @@ def apply_estimator(o: ad.Tensor, delta, bern) -> ad.Tensor:
     the ``2*o`` term, so every upstream gradient is exactly twice that of a
     plain ``o`` graph.
 
-    ``delta`` and ``bern`` are 0/1 ints for one output, or 0/1 arrays of
-    length m for the rows of an [m, d] output, one draw per row.
+    ``scale`` is the forward scale of :func:`hybrid_scale`, already derived
+    from checked draws: a float for one output, or an array of length m for
+    the rows of an [m, d] output, one scale per row.
     """
-    per_row = np.ndim(delta) > 0 or np.ndim(bern) > 0
-    if per_row and (o.data.ndim != 2 or np.shape(delta) != (o.data.shape[0],)
-                    or np.shape(bern) != np.shape(delta)):
-        raise ad.ShapeError("per-row delta and bern need one entry per row of o")
-    s = hybrid_scale(delta, bern)
-    if per_row:
-        s = s[:, None]
+    if np.ndim(scale) > 0:
+        if o.data.ndim != 2 or np.shape(scale) != (o.data.shape[0],):
+            raise ad.ShapeError("per-row scales need one entry per row of o")
+        scale = np.asarray(scale)[:, None]
     doubled = ad.scale(o, 2.0)
-    return ad.add(doubled, ad.Tensor(o.data * s - doubled.data))
+    return ad.add(doubled, ad.Tensor(o.data * scale - doubled.data))
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +170,8 @@ def estimator_expectation(obj: ClosedFormObjective, z_values: np.ndarray,
 
     Enumerates every (expert index D, Bernoulli draw B) pair in the
     single-activated-expert regime: for each D the per-draw loss is
-    f(apply_estimator(p_D * e_D, delta_D, B)), and the expectation weights
-    are p_D and {5/8, 3/8}.
+    f(apply_estimator(p_D * e_D, hybrid_scale(delta_D, B))), and the
+    expectation weights are p_D and {5/8, 3/8}.
 
     ``force_delta`` pins the branch indicator instead of deriving it from
     argmax(z): 0 exercises the Heun branch everywhere, 1 the Euler branch.
@@ -184,7 +185,7 @@ def estimator_expectation(obj: ClosedFormObjective, z_values: np.ndarray,
         z = ad.Tensor(z_values, requires_grad=True)
         p = ad.softmax(z)
         o = ad.mul(ad.index(p, d), ad.Tensor(obj.expert_outputs[d]))
-        loss = obj.downstream(apply_estimator(o, delta, bern))
+        loss = obj.downstream(apply_estimator(o, hybrid_scale(delta, bern)))
         ad.backward(loss)
         return z.grad
 

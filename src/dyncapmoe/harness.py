@@ -235,9 +235,8 @@ def generate_batch(segments, seed: int, d_model: int, n_classes: int,
             directions[(tag, c)] = v / np.linalg.norm(v)
     labels = np.random.default_rng([seed, 202]).integers(0, n_classes, size=n)
     noise_rng = np.random.default_rng([seed, 303])
-    tokens = np.stack([directions[(tags[i], int(labels[i]))]
-                       + noise * noise_rng.normal(size=d_model)
-                       for i in range(n)])
+    clean = np.stack([directions[(tags[i], int(labels[i]))] for i in range(n)])
+    tokens = clean + noise * noise_rng.normal(size=(n, d_model))
     return SyntheticBatch(tokens=tokens, modality_tags=tuple(tags),
                           position_ids=tuple(ids), labels=labels)
 

@@ -446,10 +446,12 @@ class DynamicCapacityMoE:
         """Sum of the routed contributions per token, zeros if there are none.
 
         Contributions are (token, rank) pairs listed rank-major.  Each expert
-        only fills its pairs' rows of a pair buffer; then the gates, the
-        gradient rule (the estimator in training, the recorded scales on a
-        replay with B draws) and one scatter into the output apply to every
-        pair at once, so each token sums its terms in selection order.
+        runs on its pairs' tokens, and one op places every expert's rows at
+        its pairs' positions of a pair buffer; then the gates, the gradient
+        rule (the estimator in training, the recorded scales on a replay
+        with B draws) and one scatter into the output apply to every pair
+        at once.  The scatter adds rows in pair order, a left fold, so each
+        token sums its terms in selection order.
         """
         cfg = self.config
         rank = routing.rank[:, :cfg.n_routed]
@@ -459,16 +461,16 @@ class DynamicCapacityMoE:
         order = np.lexsort((tok, rank[tok, slot]))
         tok, slot = tok[order], slot[order]
         # the indices come from np.nonzero, so the unchecked row ops take them
-        buf = ad.zeros((tok.size, cfg.d_model))
+        parts, positions = [], []
         for j, params in enumerate(self.routed):
             pos = np.flatnonzero(slot == j)
             if pos.size:
-                buf = ad._scatter_add_rows(buf, pos, gated_ffn(ad._gather_rows(X, tok[pos]),
-                                                               params))
+                parts.append(gated_ffn(ad._gather_rows(X, tok[pos]), params))
+                positions.append(pos)
+        buf = ad._place_rows(tok.size, parts, positions)
         buf = ad.scale_rows(buf, ad._gather_rows(probs, (tok, slot)))
         if train:
-            buf = est.apply_estimator(buf, routing.is_argmax[tok, slot],
-                                      routing.bern[tok, slot])
+            buf = est.apply_estimator(buf, routing.scale[tok, slot])
         elif routing.bern is not None:
             buf = ad.scale_rows(buf, ad.Tensor(routing.scale[tok, slot]))
         return ad._scatter_add_rows(ad.zeros((len(X.data), cfg.d_model)), tok, buf)
@@ -496,7 +498,8 @@ class DynamicCapacityMoE:
 
         For every activated slot D (null slots included): draw
         B ~ Bernoulli(5/8), set delta = [D == argmax z], and add
-        apply_estimator(p_D * E_D(x)).  Shared experts are added plainly.
+        apply_estimator(p_D * E_D(x), max(delta, (1+2B)/3)).  Shared experts
+        are added plainly.
         Selection follows ``config.routing_mode``.  The token takes one row
         ``rng.random((1, 2 * n_slots))``, used as ``forward_rows`` uses a
         row of its block: Gumbel keys first, then one B uniform per slot.

@@ -7,6 +7,10 @@ batch row by row.  ``DynamicCapacityMoE.forward_rows`` and
 ``ToyTransformer.forward`` are tested against it.  Inference takes the
 deterministic prefix in every routing mode, as the layer does.
 
+``scatter_fill_forward_rows`` is the batched layer with its pair buffer
+filled the plain way, a zeros buffer plus one public ``scatter_add_rows``
+per routed expert; the layer's one-op fill must match it bit for bit.
+
 A training token t reads row t of the layer's uniform block
 ``Generator(Philox(key)).random((n, 2 * n_slots))``.  Sampled selection
 orders the slots by Gumbel key ``log p - log(-log u)`` over the row's first
@@ -17,6 +21,7 @@ the B uniform of slot j.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -24,6 +29,21 @@ from dyncapmoe import autodiff as ad
 from dyncapmoe import estimator as est
 from dyncapmoe import harness as hn
 from dyncapmoe import moe
+from dyncapmoe import rope3d as rp
+
+
+def trainval_config(seed: int) -> hn.ToyModelConfig:
+    """128 tokens in all four modalities, deterministic Top-P routing: the
+    shape of the benchmark's trainval workload."""
+    return hn.ToyModelConfig(
+        moe=moe.MoEConfig(d_model=32, n_routed=4, n_null=1, n_shared=2,
+                          expert_hidden=64, top_p=0.7, routing_mode="deterministic",
+                          seed=seed),
+        segments=(rp.TextSegment(8), rp.ImageSegment(4, 4),
+                  rp.VideoSegment(8.0, 0.5, 4, 4, f_l=1, f_u=4),
+                  rp.AudioSegment(6.0)),
+        layers=2, head_dim=24, learning_rate=0.05, steps=1, seed=seed,
+        n_classes=4, noise=0.05)
 
 
 def walk_decision(p: np.ndarray, order, top_p: float, argmax_slot: int,
@@ -128,7 +148,7 @@ def forward_train(layer, x, u):
             continue
         gate = ad.index(state.probs, entry.index)
         o = ad.mul(gate, expert_output(layer, x, entry.index))
-        terms.append(est.apply_estimator(o, int(entry.is_argmax), bern))
+        terms.append(est.apply_estimator(o, scale))
     for s in range(layer.config.n_shared):
         terms.append(expert_output(layer, x, layer.config.n_slots + s))
     decision = dataclasses.replace(decision, per_expert=tuple(entries),
@@ -153,6 +173,39 @@ def forward_frozen(layer, x, frozen):
     for s in range(layer.config.n_shared):
         terms.append(expert_output(layer, x, layer.config.n_slots + s))
     return _accumulate(layer, terms), matches
+
+
+def scatter_fill_mix(layer, X, probs, routing, train):
+    """``DynamicCapacityMoE._mix`` with the pair buffer built as a zeros
+    buffer plus one public ``scatter_add_rows`` per routed expert."""
+    cfg = layer.config
+    rank = routing.rank[:, :cfg.n_routed]
+    tok, slot = np.nonzero(rank >= 0)
+    if not tok.size:
+        return ad.zeros((len(X.data), cfg.d_model))
+    order = np.lexsort((tok, rank[tok, slot]))
+    tok, slot = tok[order], slot[order]
+    buf = ad.zeros((tok.size, cfg.d_model))
+    for j, params in enumerate(layer.routed):
+        pos = np.flatnonzero(slot == j)
+        if pos.size:
+            buf = ad.scatter_add_rows(buf, pos, moe.gated_ffn(ad.gather_rows(X, tok[pos]),
+                                                              params))
+    buf = ad.scale_rows(buf, ad.gather_rows(probs, (tok, slot)))
+    if train:
+        buf = est.apply_estimator(buf, routing.scale[tok, slot])
+    elif routing.bern is not None:
+        buf = ad.scale_rows(buf, ad.Tensor(routing.scale[tok, slot]))
+    return ad.scatter_add_rows(ad.zeros((len(X.data), cfg.d_model)), tok, buf)
+
+
+def scatter_fill_forward_rows(layer, X, mode="infer", key=None, frozen=None):
+    """``layer.forward_rows`` with :func:`scatter_fill_mix` as its mixture."""
+    layer._mix = functools.partial(scatter_fill_mix, layer)
+    try:
+        return layer.forward_rows(X, mode, key, frozen)
+    finally:
+        del layer._mix
 
 
 def moe_rows(layer, X, mode, key, frozen=None):

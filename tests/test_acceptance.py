@@ -42,7 +42,7 @@ def test_criterion_01_estimator_forward_backward_split():
             ad.backward(ad.sum(ad.mul(proj, o_plain)))
 
             w_est = ad.Tensor(w_data.copy(), requires_grad=True)
-            y = est.apply_estimator(ad.matmul(w_est, x), delta, bern)
+            y = est.apply_estimator(ad.matmul(w_est, x), est.hybrid_scale(delta, bern))
             ad.backward(ad.sum(ad.mul(proj, y)))
 
             forward_err = np.max(np.abs(y.data - expected_scale * o_plain.data))

@@ -6,6 +6,8 @@ import pytest
 
 from fd_reference import finite_diff_grad
 from dyncapmoe import autodiff as ad
+from dyncapmoe import harness as hn
+from dyncapmoe import rope3d as rp
 
 
 def test_zeros_and_full():
@@ -242,6 +244,16 @@ def test_scatter_add_rows_folds_repeated_rows_in_index_order():
     assert out.data[0, 0] == 0.0  # a different order would leave 1.0
 
 
+def test_place_rows_puts_each_part_at_its_positions_and_hands_back_its_rows():
+    parts = [ad.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True),
+             ad.Tensor([[5.0, 6.0]], requires_grad=True)]
+    out = ad._place_rows(3, parts, [np.array([2, 0]), np.array([1])])
+    npt.assert_array_equal(out.data, [[3.0, 4.0], [5.0, 6.0], [1.0, 2.0]])
+    ad.backward(ad.sum(ad.mul(out, ad.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))))
+    npt.assert_array_equal(parts[0].grad, [[5.0, 6.0], [1.0, 2.0]])
+    npt.assert_array_equal(parts[1].grad, [[3.0, 4.0]])
+
+
 def test_matvec_rows_rows_do_not_depend_on_the_batch():
     rng = np.random.default_rng(3)
     w = ad.Tensor(rng.normal(size=(7, 32)))
@@ -325,6 +337,12 @@ def test_every_op_backward_matches_finite_differences(seed):
                                                  ad.Tensor(mv))),
         "matvec_rows.w": lambda t: ad.sum(ad.mul(ad.matvec_rows(t, ad.Tensor(gv)),
                                                  ad.Tensor(gv[:, :3]))),
+        "place_rows.first": lambda t: ad.sum(ad.mul(
+            ad._place_rows(5, [t, ad.Tensor(yv[:2])], [np.array([4, 0, 2]), np.array([1, 3])]),
+            ad.Tensor(np.vstack([gv, yv[:1]])))),
+        "place_rows.last": lambda t: ad.sum(ad.mul(
+            ad._place_rows(5, [ad.Tensor(yv[:2]), t], [np.array([1, 3]), np.array([4, 0, 2])]),
+            ad.Tensor(np.vstack([gv, yv[:1]])))),
     }
     for name, f in cases.items():
         x = ad.Tensor(xv, requires_grad=True)
@@ -360,3 +378,80 @@ def test_determinism_same_seed_same_bytes():
         return loss.data.tobytes(), w.grad.tobytes()
 
     assert run() == run()
+
+
+def _op_nodes(rng):
+    """One result of every op in the package, each parent requiring gradients."""
+    def leaf(*shape):
+        return ad.Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
+
+    rope = rp.RopeFreqConfig(6)
+    pids = [rp.PositionId(0, 1, 2), rp.PositionId(3, 1, 0)]
+    return {
+        "add": ad.add(leaf(3, 2), leaf(3, 2)),
+        "add.scalar": ad.add(leaf(3, 2), leaf(1)),
+        "sub": ad.sub(leaf(3, 2), leaf(3, 2)),
+        "mul.scalar": ad.mul(leaf(), leaf(3)),
+        "scale": ad.scale(leaf(3, 2), 0.5),
+        "matmul": ad.matmul(leaf(3, 2), leaf(2, 4)),
+        "matmul.vector": ad.matmul(leaf(3, 2), leaf(2)),
+        "matvec_rows": ad.matvec_rows(leaf(4, 2), leaf(3, 2)),
+        "transpose": ad.transpose(leaf(3, 2)),
+        "sum": ad.sum(leaf(3, 2)),
+        "index": ad.index(leaf(3), 1),
+        "row": ad.row(leaf(3, 2), 2),
+        "stack_rows": ad.stack_rows([leaf(2), leaf(2)]),
+        "gather_rows": ad.gather_rows(leaf(3, 2), [2, 0, 2]),
+        "gather_rows.cells": ad.gather_rows(leaf(3, 2), ([2, 0], [1, 1])),
+        "scatter_add_rows": ad.scatter_add_rows(leaf(3, 2), [1, 1], leaf(2, 2)),
+        "place_rows": ad._place_rows(3, [leaf(2, 2), leaf(1, 2)],
+                                     [np.array([2, 0]), np.array([1])]),
+        "scale_rows": ad.scale_rows(leaf(3, 2), leaf(3)),
+        "softmax": ad.softmax(leaf(3, 2)),
+        "silu": ad.silu(leaf(3, 2)),
+        "rope3d": rp.apply_rope3d(leaf(6), pids[0], rope),
+        "rope3d_rows": rp.apply_rope3d_rows(leaf(2, 6), pids, rope),
+        "cross_entropy": hn.cross_entropy(leaf(3, 4), np.array([0, 3, 1])),
+    }
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_op_hands_each_parent_a_float64_gradient_of_its_shape(seed):
+    """backward stores a node's first gradient as its op returned it, so
+    each op's own output must already be a float64 array of the parent's
+    shape."""
+    rng = np.random.default_rng(seed)
+    for name, out in _op_nodes(rng).items():
+        assert out.requires_grad, name
+        grads = out._backward_fn(rng.uniform(-1, 1, size=out.data.shape))
+        assert len(grads) == len(out._parents), name
+        for parent, g in zip(out._parents, grads):
+            assert isinstance(g, np.ndarray), name
+            assert g.dtype == np.float64, name
+            assert g.shape == parent.data.shape, name
+
+
+def test_a_shared_gradient_survives_an_update_of_the_other_tensor():
+    """Fan-out may leave one gradient array on several tensors; an SGD step
+    writes only into ``.data``, so the other tensor's gradient stays put."""
+    a = ad.Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    b = ad.Tensor([0.5, 0.25, -1.0], requires_grad=True)
+    ad.backward(ad.sum(ad.add(a, b)))
+    before = b.grad.copy()
+    a.data -= 0.1 * a.grad
+    npt.assert_array_equal(a.data, [1.0 - 0.1, -2.0 - 0.1, 3.0 - 0.1])
+    npt.assert_array_equal(b.grad, before)
+    npt.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
+    npt.assert_array_equal(b.data, [0.5, 0.25, -1.0])
+
+
+@pytest.mark.parametrize("shared_first", [True, False])
+def test_accumulating_into_a_shared_gradient_leaves_the_other_tensor_alone(shared_first):
+    """``a`` first takes the gradient array it shares with ``b`` (or the
+    other branch's) and then accumulates; either way ``b.grad`` stays put."""
+    a = ad.Tensor([1.0, -2.0], requires_grad=True)
+    b = ad.Tensor([0.5, 0.25], requires_grad=True)
+    shared, other = ad.sum(ad.add(a, b)), ad.sum(ad.scale(a, 3.0))
+    ad.backward(ad.add(shared, other) if shared_first else ad.add(other, shared))
+    npt.assert_array_equal(a.grad, [4.0, 4.0])
+    npt.assert_array_equal(b.grad, [1.0, 1.0])

@@ -53,7 +53,7 @@ class TestHybridScale:
 class TestApplyEstimator:
     def test_zero_input_stays_zero(self):
         w = ad.Tensor([0.0, 0.0], requires_grad=True)
-        out = est.apply_estimator(w, 0, 0)
+        out = est.apply_estimator(w, est.hybrid_scale(0, 0))
         npt.assert_array_equal(out.data, [0.0, 0.0])
         ad.backward(ad.sum(out))
         npt.assert_array_equal(w.grad, [2.0, 2.0])  # path doubled even at zero value
@@ -62,7 +62,7 @@ class TestApplyEstimator:
     def test_forward_value_is_scaled(self, delta, bern):
         rng = np.random.default_rng(5)
         o = ad.Tensor(rng.uniform(-2, 2, size=6))
-        out = est.apply_estimator(o, delta, bern)
+        out = est.apply_estimator(o, est.hybrid_scale(delta, bern))
         expect = est.hybrid_scale(delta, bern) * o.data
         npt.assert_allclose(out.data, expect, rtol=0, atol=1e-15)
 
@@ -75,7 +75,8 @@ class TestApplyEstimator:
 
         w = ad.Tensor(wv, requires_grad=True)
         o = ad.matmul(w, ad.Tensor(xv))
-        ad.backward(ad.sum(ad.mul(est.apply_estimator(o, delta, bern), ad.Tensor(up))))
+        ad.backward(ad.sum(ad.mul(est.apply_estimator(o, est.hybrid_scale(delta, bern)),
+                                  ad.Tensor(up))))
         grad_est = w.grad
 
         w2 = ad.Tensor(wv, requires_grad=True)
@@ -88,10 +89,10 @@ class TestApplyEstimator:
         ov = rng.uniform(-2, 2, size=(4, 3))
         delta, bern = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
         o = ad.Tensor(ov, requires_grad=True)
-        out = est.apply_estimator(o, delta, bern)
+        out = est.apply_estimator(o, est.hybrid_scale(delta, bern))
         for i in range(4):
-            npt.assert_array_equal(
-                out.data[i], est.apply_estimator(ad.Tensor(ov[i]), delta[i], bern[i]).data)
+            one = est.apply_estimator(ad.Tensor(ov[i]), est.hybrid_scale(delta[i], bern[i]))
+            npt.assert_array_equal(out.data[i], one.data)
         ad.backward(ad.sum(out))
         npt.assert_array_equal(o.grad, np.full((4, 3), 2.0))
 
@@ -102,8 +103,20 @@ class TestApplyEstimator:
         ([0, 1, 1], [0, 1, -1], ValueError),
     ])
     def test_per_row_draws_are_validated(self, delta, bern, error):
+        # the draws are checked where their scales are derived
         with pytest.raises(error):
-            est.apply_estimator(ad.Tensor(np.ones((3, 2))), np.array(delta), np.array(bern))
+            est.apply_estimator(ad.Tensor(np.ones((3, 2))),
+                                est.hybrid_scale(np.array(delta), np.array(bern)))
+
+    @pytest.mark.parametrize("shape,scale", [
+        ((3, 2), np.ones(2)),
+        ((3, 2), np.ones(4)),
+        ((3, 2), np.ones((3, 1))),
+        ((3,), np.ones(3)),
+    ])
+    def test_per_row_scales_need_one_entry_per_row(self, shape, scale):
+        with pytest.raises(ad.ShapeError):
+            est.apply_estimator(ad.Tensor(np.ones(shape)), scale)
 
 
 class TestExactGradientOracle:

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import moe_reference as ref
 from fd_reference import finite_diff_grad
 from dyncapmoe import analytics as an
 from dyncapmoe import autodiff as ad
@@ -126,7 +127,39 @@ class TestToyModelConfig:
             hn.ToyModelConfig.from_json_dict(d)
 
 
+def per_token_tokens(segments, seed, d_model, n_classes, noise, theta=1):
+    """The batch's tokens built one token at a time: each token is its
+    planted direction plus its own ``d_model`` noise draw."""
+    _, tags = rp.assign_sequence_tagged(list(segments), theta)
+    dir_rng = np.random.default_rng([seed, 101])
+    directions = {}
+    for tag in sorted(set(tags)):
+        for c in range(n_classes):
+            v = dir_rng.normal(size=d_model)
+            directions[(tag, c)] = v / np.linalg.norm(v)
+    labels = np.random.default_rng([seed, 202]).integers(0, n_classes, size=len(tags))
+    noise_rng = np.random.default_rng([seed, 303])
+    return np.stack([directions[(tags[i], int(labels[i]))]
+                     + noise * noise_rng.normal(size=d_model)
+                     for i in range(len(tags))])
+
+
 class TestGenerateBatch:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("make_config", [hn.smoke_train_config,
+                                             hn.gradcheck_default_config,
+                                             ref.trainval_config])
+    @pytest.mark.parametrize("noise", [0.0, 0.05, 0.7])
+    def test_tokens_match_the_per_token_draw_byte_for_byte(self, make_config, seed, noise):
+        cfg = make_config(seed)
+        batch = hn.generate_batch(cfg.segments, seed, cfg.d_model, cfg.n_classes,
+                                  noise, cfg.theta)
+        want = per_token_tokens(cfg.segments, seed, cfg.d_model, cfg.n_classes,
+                                noise, cfg.theta)
+        assert batch.tokens.shape == want.shape
+        assert batch.tokens.dtype == want.dtype
+        assert batch.tokens.tobytes() == want.tobytes()
+
     def test_same_seed_identical(self):
         cfg = hn.smoke_train_config()
         a = hn.generate_batch(cfg.segments, 5, cfg.d_model, cfg.n_classes, cfg.noise)

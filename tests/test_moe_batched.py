@@ -5,9 +5,14 @@ scales, argmax flags, the frozen ``matches`` flag) and forward values must
 agree exactly: each row is computed as it would be alone and sums its terms
 in the same order.  Gradients sum over tokens in another order, so they
 agree within 1e-12.
+
+The layer's one-op pair-buffer fill is also checked against the plain fill
+(one public ``scatter_add_rows`` per expert), bit for bit in outputs and
+gradients alike, on the shipped model shapes.
 """
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -100,6 +105,48 @@ def test_forward_rows_matches_per_token_reference(routing_mode, n_null, n_shared
     assert flags == {True, False}  # some perturbed replays flip a live choice
     if n <= 3:
         assert empty_groups > 0  # the sweep covers experts that no token chose
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("make_config", [hn.smoke_train_config, hn.gradcheck_default_config,
+                                         ref.trainval_config])
+def test_pair_buffer_fill_matches_per_expert_scatters_bit_for_bit(make_config, seed):
+    cfg = make_config(seed)
+    layer = moe.DynamicCapacityMoE(cfg.moe)
+    tokens = hn.generate_batch(cfg.segments, cfg.seed, cfg.d_model, cfg.n_classes,
+                               cfg.noise, cfg.theta).tokens
+    upstream = np.random.default_rng([seed, 41]).normal(size=tokens.shape)
+    key = (seed, 5077)
+
+    def run(forward, mode, frozen=None):
+        X = ad.Tensor(tokens, requires_grad=True)
+        Y, routing, matches = forward(X, mode, key, frozen)
+        ad.backward(ad.sum(ad.mul(Y, ad.Tensor(upstream))))
+        tensors = {"X": X, **layer.parameters()}
+        grads = {name: None if t.grad is None else t.grad.copy()
+                 for name, t in tensors.items()}
+        ad.zero_grads(tensors.values())
+        return Y.data.copy(), routing, matches, grads
+
+    recorded = {}
+    for mode, frozen in (("infer", None), ("train", None), ("train", "train"),
+                         ("train", "infer")):
+        replay = recorded.get(frozen)
+        got = run(layer.forward_rows, mode, replay)
+        want = run(functools.partial(ref.scatter_fill_forward_rows, layer), mode, replay)
+        assert got[0].tobytes() == want[0].tobytes(), (mode, frozen)
+        for name in ("rank", "gate", "is_argmax", "scale"):
+            npt.assert_array_equal(getattr(got[1], name), getattr(want[1], name))
+        assert got[2] == want[2]
+        assert got[3].keys() == want[3].keys()
+        for name, grad in want[3].items():
+            if grad is None:
+                assert got[3][name] is None, name
+            else:
+                assert got[3][name].tobytes() == grad.tobytes(), (mode, frozen, name)
+        if frozen is None:
+            recorded[mode] = got[1]
+    assert recorded["train"].bern is not None and recorded["infer"].bern is None
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -3,14 +3,18 @@
 Python overhead per tape node is most of a step's cost, so the number of
 ``op_node`` calls per training step and per inference forward must not
 rise.  The budgets are the counts of the layer with one routing step per
-MoE layer on ``smoke_train_config(s)``, s = 0-3: 122 nodes per one-step
-``harness.train`` and at most 118 per ``mode="infer"`` forward (a forward
-where an expert goes unchosen builds fewer).
+MoE layer, whose experts' rows land in the pair buffer through one op, on
+``smoke_train_config(s)``, s = 0-3: 116 nodes per one-step
+``harness.train`` and at most 112 per ``mode="infer"`` forward (a forward
+where an expert goes unchosen builds fewer).  A 128-token batch in all four
+modalities (the benchmark's trainval shape) takes 228 nodes for a one-step
+``train`` plus an inference forward: the count follows the model, not the
+batch size.
 
 A default ``grad_check`` differentiates only its frozen replay: its
 finite-difference evaluations run with the parameters' ``requires_grad``
 off and put nothing on the tape.  On ``gradcheck_default_config(s)``,
-s = 0-3, a campaign makes 74,409 ``op_node`` calls and 1,062 of them (the
+s = 0-3, a campaign makes 72,353 ``op_node`` calls and 1,058 of them (the
 live train forward and the replay) require gradients.
 """
 
@@ -18,13 +22,15 @@ import dataclasses
 
 import pytest
 
+import moe_reference as ref
 from dyncapmoe import autodiff as ad
 from dyncapmoe import harness as hn
 
-TRAIN_STEP_NODES = 122
-INFER_FORWARD_NODES = 118
-GRADCHECK_OP_NODES = 74_409
-GRADCHECK_TAPE_NODES = 1_062
+TRAIN_STEP_NODES = 116
+INFER_FORWARD_NODES = 112
+TRAINVAL_OP_NODES = 228
+GRADCHECK_OP_NODES = 72_353
+GRADCHECK_TAPE_NODES = 1_058
 
 
 def count_ops(monkeypatch, call) -> tuple[int, int]:
@@ -68,3 +74,18 @@ def test_gradcheck_tapes_only_what_it_differentiates(monkeypatch, seed):
         monkeypatch, lambda: hn.grad_check(hn.gradcheck_default_config(seed)))
     assert 0 < taped <= GRADCHECK_TAPE_NODES
     assert calls <= GRADCHECK_OP_NODES
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_128_token_step_and_forward_stay_within_the_node_budget(monkeypatch, seed):
+    cfg = ref.trainval_config(seed)
+    model = hn.ToyTransformer(cfg)
+    batch = hn.generate_batch(cfg.segments, cfg.seed, cfg.d_model, cfg.n_classes,
+                              cfg.noise, cfg.theta)
+    assert len(batch.tokens) == 128
+
+    def op():
+        hn.train(cfg, model)
+        model.forward(batch, mode="infer")
+
+    assert 0 < count_nodes(monkeypatch, op) <= TRAINVAL_OP_NODES
