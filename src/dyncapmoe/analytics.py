@@ -93,14 +93,6 @@ class TraceRecord:
         """Number of activated routable slots (shared entries excluded)."""
         return sum(1 for s in self.slots if s.selected_rank >= 0)
 
-    @property
-    def active_expert_ids(self) -> tuple[int, ...]:
-        return tuple(s.expert_id for s in self.slots if s.selected_rank >= 0)
-
-    @property
-    def roles(self) -> tuple[str, ...]:
-        return tuple(s.role for s in self.slots if s.selected_rank >= 0)
-
 
 # ---------------------------------------------------------------------------
 # columnar store
@@ -533,7 +525,18 @@ def _joined(*pieces: np.ndarray) -> str:
     return "".join(np.stack(pieces, axis=1).ravel().tolist())
 
 
+def _check_csv_fields(field: str, values: Iterable[str]) -> None:
+    """Raise a ValueError naming the first value that holds ',', '\\n' or
+    '\\r': CSV fields are written unquoted, so no import could read it back."""
+    for value in values:
+        if any(ch in value for ch in ",\n\r"):
+            raise ValueError(f"CSV cannot hold the {field} {value!r}: it contains ',', "
+                             f"'\\n' or '\\r'; export as JSONL instead")
+
+
 def _csv_text(c: _Columns) -> str:
+    _check_csv_fields("modality", c.modalities)
+    _check_csv_fields("role", c.roles)
     k = np.repeat(c.k(), np.diff(c.offsets))
     return ",".join(CSV_COLUMNS) + "\n" + _joined(
         _format_each(lambda step, layer, token, m: f"{step},{layer},{token},{c.modalities[m]},",
@@ -571,7 +574,9 @@ def export_trace(trace: RoutingTrace, path, fmt: str = "csv") -> None:
 
     Row order is deterministic ((step, layer, token_index), slots in selection
     order) and floats are written with ``repr``, so export -> import -> export
-    reproduces the file byte for byte.
+    reproduces the file byte for byte.  CSV fields are not quoted, so a CSV
+    export raises ``ValueError`` if a modality or role holds ',', '\\n' or
+    '\\r'; JSONL holds any string.
     """
     if fmt == "csv":
         text = _csv_text(trace._store())
@@ -686,7 +691,14 @@ def import_trace(path, fmt: str | None = None) -> RoutingTrace:
 
 
 def export_report(reports: Iterable[ActivationReport], path) -> None:
-    """Report CSV: group,layer,expert_id,role,proportion (one row per expert)."""
+    """Report CSV: group,layer,expert_id,role,proportion (one row per expert).
+
+    Raises ``ValueError`` if a group or role holds ',', '\\n' or '\\r'.
+    """
+    reports = list(reports)
+    _check_csv_fields("group", dict.fromkeys(rep.group for rep in reports))
+    _check_csv_fields("role", dict.fromkeys(
+        role for rep in reports for role in rep.role_of.values()))
     lines = ["group,layer,expert_id,role,proportion"]
     for rep in reports:
         for expert_id, prop in rep.proportions.items():

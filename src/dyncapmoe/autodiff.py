@@ -6,7 +6,7 @@ returns a new tensor holding references to its inputs plus a closure that
 maps the upstream gradient to per-input gradients.  :func:`backward` walks
 the resulting DAG once, in reverse topological order.
 
-Two guarantees the rest of the package leans on:
+Three guarantees the rest of the package leans on:
 
 * any op whose inputs are all constants folds into a constant (no parents,
   no backward hook), so constant subgraphs never appear on the tape, and a
@@ -22,9 +22,10 @@ Checks sit at the boundaries.  A :class:`Tensor` built from data rejects
 NaN and infinity; op results are not scanned, so a non-finite value
 produced inside a graph propagates to its consumers, and the callers that
 own a boundary (the training loss, the gradients before an update) check
-it there.  :func:`gather_rows` and :func:`scatter_add_rows` validate their
-indices; code that builds its indices itself calls their unchecked
-implementations.
+it there.  The row ops the MoE layer dispatches through
+(:func:`_gather_rows`, :func:`_place_rows`, :func:`_scatter_add_rows`) take
+indices their caller built, so they do not check them: each states its
+precondition in its docstring.
 
 All randomness comes from numpy's PCG64 generator, so a fixed seed
 reproduces bit-identical tensors.
@@ -57,8 +58,6 @@ __all__ = [
     "index",
     "row",
     "stack_rows",
-    "gather_rows",
-    "scatter_add_rows",
     "scale_rows",
     "softmax",
     "silu",
@@ -362,30 +361,14 @@ def stack_rows(rows: Iterable[Tensor]) -> Tensor:
     return op_node(np.stack([r.data for r in rows]), rows, backward_fn, "stack_rows")
 
 
-def _row_index(index, size: int, op: str) -> np.ndarray:
-    idx = np.asarray(index)
-    if idx.ndim != 1 or idx.size == 0 or not np.issubdtype(idx.dtype, np.integer):
-        raise ShapeError(f"{op}: index must be a non-empty 1-D integer array")
-    if idx.min() < 0 or idx.max() >= size:
-        raise ShapeError(f"{op}: index out of range for size {size}")
-    return idx
-
-
-def gather_rows(a: Tensor, index) -> Tensor:
-    """``a[index]`` along the first axis; an index may repeat.  A pair
-    ``(rows, cols)`` on a matrix takes the cells ``a[rows[i], cols[i]]``."""
-    if isinstance(index, tuple):
-        if a.data.ndim != 2 or len(index) != 2 or np.size(index[0]) != np.size(index[1]):
-            raise ShapeError("gather_rows: a (rows, cols) pair needs a matrix and "
-                             "two indices of one length")
-        idx = tuple(_row_index(i, n, "gather_rows") for i, n in zip(index, a.data.shape))
-    else:
-        idx = _row_index(index, a.data.shape[0], "gather_rows")
-    return _gather_rows(a, idx)
-
-
 def _gather_rows(a: Tensor, idx) -> Tensor:
-    """:func:`gather_rows` on an index known to be valid."""
+    """``a[idx]`` along the first axis; an index may repeat, and a repeated
+    row's gradients add up.  A pair ``(rows, cols)`` on a matrix takes the
+    cells ``a[rows[i], cols[i]]``.
+
+    Precondition: ``idx`` is a non-empty 1-D integer array of in-range rows,
+    or a pair of such arrays of one length for a matrix ``a``.
+    """
 
     def backward_fn(g):
         out = np.zeros_like(a.data)
@@ -395,21 +378,15 @@ def _gather_rows(a: Tensor, idx) -> Tensor:
     return op_node(a.data[idx], (a,), backward_fn, "gather_rows")
 
 
-def scatter_add_rows(base: Tensor, index, rows: Tensor) -> Tensor:
-    """Copy of ``base`` with ``rows[i]`` added to row ``index[i]``.
+def _scatter_add_rows(base: Tensor, idx: np.ndarray, rows: Tensor) -> Tensor:
+    """Copy of ``base`` with ``rows[i]`` added to row ``idx[i]``.
 
     Rows sharing an index are added in index order, so a target row
     receives its terms as the left fold ``((base + r0) + r1) + ...``.
+
+    Precondition: ``idx`` is a 1-D integer array of in-range rows of
+    ``base``, and ``rows`` is ``[len(idx), *base.shape[1:]]``.
     """
-    idx = _row_index(index, base.data.shape[0], "scatter_add_rows")
-    if rows.data.shape != (idx.size,) + base.data.shape[1:]:
-        raise ShapeError(f"scatter_add_rows: rows of shape {rows.data.shape} do not "
-                         f"fit {idx.size} indices into {base.data.shape}")
-    return _scatter_add_rows(base, idx, rows)
-
-
-def _scatter_add_rows(base: Tensor, idx: np.ndarray, rows: Tensor) -> Tensor:
-    """:func:`scatter_add_rows` on an index and rows known to fit ``base``."""
     out = base.data.copy()
     np.add.at(out, idx, rows.data)
 
@@ -422,9 +399,10 @@ def _scatter_add_rows(base: Tensor, idx: np.ndarray, rows: Tensor) -> Tensor:
 def _place_rows(n: int, parts: Sequence[Tensor], positions: Sequence[np.ndarray]) -> Tensor:
     """An [n, d] matrix whose rows ``positions[i]`` are the rows of
     ``parts[i]`` [len(positions[i]), d], one tape node for all parts.
+    Each part's gradient is the upstream rows at its positions.
 
-    The positions must be disjoint and cover every row; each part's
-    gradient is the upstream rows at its positions.
+    Precondition: the positions are disjoint integer arrays that together
+    cover every row of the result.
     """
     out = np.zeros((n, parts[0].data.shape[1]))
     for part, pos in zip(parts, positions):

@@ -40,7 +40,6 @@ __all__ = [
     "ClosedFormObjective",
     "exact_gradient_oracle",
     "estimator_expectation",
-    "heun_quadrature",
 ]
 
 # Success probability of the Bernoulli mixing draw.  Not configurable: the
@@ -200,13 +199,3 @@ def estimator_expectation(obj: ClosedFormObjective, z_values: np.ndarray,
     for t in terms:
         total += t
     return total
-
-
-# ---------------------------------------------------------------------------
-# quadrature
-# ---------------------------------------------------------------------------
-
-def heun_quadrature(g, a: float) -> float:
-    """a * ((1/4) g(a) + (3/4) g(a/3)): integrates g over [0, a] exactly for deg <= 2."""
-    a = float(a)
-    return a * (0.25 * g(a) + 0.75 * g(a / 3.0))

@@ -112,7 +112,6 @@ class ToyModelConfig:
     moe: moe.MoEConfig
     segments: tuple[rp.Segment, ...]
     layers: int = 2
-    heads: int = 1
     head_dim: int = 24
     rope: rp.RopeFreqConfig | None = None
     learning_rate: float = 0.05
@@ -126,8 +125,6 @@ class ToyModelConfig:
         for name, low in (("layers", 1), ("head_dim", 2), ("steps", 0),
                           ("n_classes", 2), ("theta", 1), ("seed", 0)):
             ad.check_int(getattr(self, name), name, low)
-        if self.heads != 1:
-            raise ValueError("only single-head attention is supported")
         if self.head_dim % 2:
             raise ValueError(f"head_dim must be even, got {self.head_dim}")
         if self.rope is None:
@@ -153,7 +150,7 @@ class ToyModelConfig:
 
     def to_json_dict(self) -> dict:
         return {
-            "layers": self.layers, "heads": self.heads, "head_dim": self.head_dim,
+            "layers": self.layers, "head_dim": self.head_dim,
             "learning_rate": self.learning_rate, "steps": self.steps,
             "seed": self.seed, "n_classes": self.n_classes, "noise": self.noise,
             "theta": self.theta,

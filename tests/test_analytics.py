@@ -44,8 +44,7 @@ class TestRecord:
         an.record(trace, 0, 0, 0, "text", make_decision([(2, 0.9)]))
         assert len(trace) == 1
         rec = trace.records()[0]
-        assert rec.active_expert_ids == (2,) and rec.k == 1
-        assert rec.roles == ("routed",)
+        assert rec.slots == (an.SlotEntry(2, "routed", 0.9, 0),) and rec.k == 1
 
     def test_duplicate_key_rejected(self):
         trace = an.RoutingTrace()

@@ -6,6 +6,7 @@ random traces, and the importers must reject what the format forbids.
 """
 
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -226,3 +227,59 @@ def test_jsonl_key_that_is_no_int64_is_rejected_not_converted(tmp_path, step):
     path = write_jsonl(tmp_path, [jsonl_record(step, 0, 0, 1, [0])])
     with pytest.raises(ValueError, match="expected int64 integers"):
         an.import_trace(path)
+
+
+# ---------------------------------------------------------------------------
+# export checks
+# ---------------------------------------------------------------------------
+
+def test_non_finite_gates_round_trip_csv_jsonl_csv_byte_identical(tmp_path):
+    first = write_csv(tmp_path, ["0,0,0,text,1,routed,nan,0,1",
+                                 "0,0,0,text,9,shared,-inf,-1,1",
+                                 "0,0,1,image,2,routed,inf,0,1",
+                                 "0,0,2,text,3,null,-inf,0,1"])
+    jsonl = tmp_path / "trace.jsonl"
+    an.export_trace(an.import_trace(first), jsonl, fmt="jsonl")
+    text = jsonl.read_text(encoding="utf-8")
+    assert all(word in text for word in ('"gate_prob": NaN', '"gate_prob": Infinity',
+                                         '"gate_prob": -Infinity'))
+    second = tmp_path / "again.csv"
+    an.export_trace(an.import_trace(jsonl), second, fmt="csv")
+    assert second.read_bytes() == first.read_bytes()
+
+
+def _trace_holding(tmp_path, field, value):
+    """A one-record trace imported from JSONL whose modality or role is ``value``."""
+    record = jsonl_record(0, 0, 0, 1, [0])
+    if field == "modality":
+        record["modality"] = value
+    else:
+        record["slots"][0]["role"] = value
+    return an.import_trace(write_jsonl(tmp_path, [record]))
+
+
+@pytest.mark.parametrize("char", [",", "\n", "\r"], ids=["comma", "newline", "return"])
+@pytest.mark.parametrize("field", ["modality", "role"])
+def test_csv_export_rejects_a_field_csv_import_could_not_read(tmp_path, field, char):
+    value = f"a{char}b"
+    trace = _trace_holding(tmp_path, field, value)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match=re.escape(f"{field} {value!r}")):
+        an.export_trace(trace, path, fmt="csv")
+    assert not path.exists()
+    again = tmp_path / "again.jsonl"
+    an.export_trace(trace, again, fmt="jsonl")
+    assert an.import_trace(again).records() == trace.records()
+
+
+@pytest.mark.parametrize("char", [",", "\n", "\r"], ids=["comma", "newline", "return"])
+@pytest.mark.parametrize("field", ["modality", "role"])
+def test_report_export_rejects_a_field_csv_could_not_hold(tmp_path, field, char):
+    value = f"a{char}b"
+    trace = _trace_holding(tmp_path, field, value)
+    report = an.activation_proportions(trace, 0, modality=value if field == "modality" else None)
+    name = "group" if field == "modality" else "role"
+    path = tmp_path / "report.csv"
+    with pytest.raises(ValueError, match=re.escape(f"{name} {value!r}")):
+        an.export_report([report], path)
+    assert not path.exists()

@@ -221,17 +221,17 @@ def test_index_row_stack_grads():
 
 def test_gather_rows_repeated_index_accumulates_grad():
     a = ad.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    g = ad.gather_rows(a, [1, 1, 2])
+    g = ad._gather_rows(a, np.array([1, 1, 2]))
     npt.assert_array_equal(g.data, [[2.0, 3.0], [2.0, 3.0], [4.0, 5.0]])
     ad.backward(ad.sum(g))
     npt.assert_array_equal(a.grad, [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
-    v = ad.gather_rows(ad.Tensor([5.0, 6.0, 7.0]), [2, 0])
+    v = ad._gather_rows(ad.Tensor([5.0, 6.0, 7.0]), np.array([2, 0]))
     npt.assert_array_equal(v.data, [7.0, 5.0])
 
 
 def test_gather_rows_cells_take_one_entry_per_pair_and_accumulate_grad():
     a = ad.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    g = ad.gather_rows(a, (np.array([2, 0, 2, 1]), np.array([1, 0, 1, 0])))
+    g = ad._gather_rows(a, (np.array([2, 0, 2, 1]), np.array([1, 0, 1, 0])))
     npt.assert_array_equal(g.data, [5.0, 0.0, 5.0, 2.0])
     ad.backward(ad.sum(ad.mul(g, ad.Tensor([1.0, 2.0, 3.0, 4.0]))))
     npt.assert_array_equal(a.grad, [[2.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
@@ -239,7 +239,7 @@ def test_gather_rows_cells_take_one_entry_per_pair_and_accumulate_grad():
 
 def test_scatter_add_rows_folds_repeated_rows_in_index_order():
     rows = np.array([[1e16], [1.0], [-1e16]])
-    out = ad.scatter_add_rows(ad.zeros((2, 1)), [0, 0, 0], ad.Tensor(rows))
+    out = ad._scatter_add_rows(ad.zeros((2, 1)), np.array([0, 0, 0]), ad.Tensor(rows))
     npt.assert_array_equal(out.data, [[((0.0 + 1e16) + 1.0) - 1e16], [0.0]])
     assert out.data[0, 0] == 0.0  # a different order would leave 1.0
 
@@ -265,21 +265,6 @@ def test_matvec_rows_rows_do_not_depend_on_the_batch():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: ad.gather_rows(ad.zeros((3, 2)), [3]),
-    lambda: ad.gather_rows(ad.zeros((3, 2)), [-1]),
-    lambda: ad.gather_rows(ad.zeros((3, 2)), []),
-    lambda: ad.gather_rows(ad.zeros((3, 2)), [[0]]),
-    lambda: ad.gather_rows(ad.zeros((3, 2)), [0.0]),
-    lambda: ad.gather_rows(ad.zeros((3, 2)), ([0], [2])),
-    lambda: ad.gather_rows(ad.zeros((3, 2)), ([0], [-1])),
-    lambda: ad.gather_rows(ad.zeros((3, 2)), ([0], [0.0])),
-    lambda: ad.gather_rows(ad.zeros((3, 2)), ([3], [0])),
-    lambda: ad.gather_rows(ad.zeros((3, 2)), ([0, 1], [0])),
-    lambda: ad.gather_rows(ad.zeros((3, 2)), ([0],)),
-    lambda: ad.gather_rows(ad.zeros((3,)), ([0], [0])),
-    lambda: ad.scatter_add_rows(ad.zeros((3, 2)), [0, 1], ad.zeros((3, 2))),
-    lambda: ad.scatter_add_rows(ad.zeros((3, 2)), [0], ad.zeros((1, 3))),
-    lambda: ad.scatter_add_rows(ad.zeros((3, 2)), [5], ad.zeros((1, 2))),
     lambda: ad.scale_rows(ad.zeros((3, 2)), ad.zeros((2,))),
     lambda: ad.scale_rows(ad.zeros((3,)), ad.zeros((3,))),
     lambda: ad.scale_rows(ad.zeros((3, 2)), ad.zeros((3, 1))),
@@ -321,14 +306,14 @@ def test_every_op_backward_matches_finite_differences(seed):
         "silu": lambda t: ad.sum(ad.mul(ad.silu(t), ad.Tensor(yv))),
         "sum": lambda t: ad.scale(ad.sum(t), 2.0),
         "row": lambda t: ad.sum(ad.mul(ad.row(t, 1), ad.Tensor(yv[1]))),
-        "gather_rows": lambda t: ad.sum(ad.mul(ad.gather_rows(t, [2, 0, 2, 2]),
+        "gather_rows": lambda t: ad.sum(ad.mul(ad._gather_rows(t, np.array([2, 0, 2, 2])),
                                                ad.Tensor(gv))),
-        "gather_rows.cells": lambda t: ad.sum(ad.mul(
-            ad.gather_rows(t, ([2, 0, 2, 1], [3, 1, 3, 0])), ad.Tensor(gv[0]))),
-        "scatter_add_rows.base": lambda t: ad.sum(ad.mul(
-            ad.scatter_add_rows(t, [1, 1, 0], ad.Tensor(yv)), ad.Tensor(gv[:3]))),
-        "scatter_add_rows.rows": lambda t: ad.sum(ad.mul(
-            ad.scatter_add_rows(ad.Tensor(gv), [3, 0, 3], t), ad.Tensor(gv))),
+        "gather_rows.cells": lambda t: ad.sum(ad.mul(ad._gather_rows(
+            t, (np.array([2, 0, 2, 1]), np.array([3, 1, 3, 0]))), ad.Tensor(gv[0]))),
+        "scatter_add_rows.base": lambda t: ad.sum(ad.mul(ad._scatter_add_rows(
+            t, np.array([1, 1, 0]), ad.Tensor(yv)), ad.Tensor(gv[:3]))),
+        "scatter_add_rows.rows": lambda t: ad.sum(ad.mul(ad._scatter_add_rows(
+            ad.Tensor(gv), np.array([3, 0, 3]), t), ad.Tensor(gv))),
         "scale_rows.a": lambda t: ad.sum(ad.mul(ad.scale_rows(t, ad.Tensor(cv)),
                                                 ad.Tensor(yv))),
         "scale_rows.c": lambda t: ad.sum(ad.mul(
@@ -401,9 +386,9 @@ def _op_nodes(rng):
         "index": ad.index(leaf(3), 1),
         "row": ad.row(leaf(3, 2), 2),
         "stack_rows": ad.stack_rows([leaf(2), leaf(2)]),
-        "gather_rows": ad.gather_rows(leaf(3, 2), [2, 0, 2]),
-        "gather_rows.cells": ad.gather_rows(leaf(3, 2), ([2, 0], [1, 1])),
-        "scatter_add_rows": ad.scatter_add_rows(leaf(3, 2), [1, 1], leaf(2, 2)),
+        "gather_rows": ad._gather_rows(leaf(3, 2), np.array([2, 0, 2])),
+        "gather_rows.cells": ad._gather_rows(leaf(3, 2), (np.array([2, 0]), np.array([1, 1]))),
+        "scatter_add_rows": ad._scatter_add_rows(leaf(3, 2), np.array([1, 1]), leaf(2, 2)),
         "place_rows": ad._place_rows(3, [leaf(2, 2), leaf(1, 2)],
                                      [np.array([2, 0]), np.array([1])]),
         "scale_rows": ad.scale_rows(leaf(3, 2), leaf(3)),

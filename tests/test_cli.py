@@ -128,10 +128,12 @@ class TestRopeDump:
         ({"segments": [{"kind": "video", "duration_s": float("nan"), "fps": 1.0,
                         "rows": 2, "cols": 2}]}, "duration_s"),
         ({"theta": 1.5, "segments": [{"kind": "text", "n_tokens": 2}]}, "theta"),
+        ({"theta": 2.0, "segments": [{"kind": "text", "n_tokens": 2}]}, "theta"),
+        ({"theta": True, "segments": [{"kind": "text", "n_tokens": 2}]}, "theta"),
         ({"segments": [{"kind": "text", "n_tokens": 2.5}]}, "n_tokens"),
         ({"segments": [{"kind": "image", "rows": 1.5, "cols": 2}]}, "rows"),
-    ], ids=["infinite-audio", "nan-video", "fractional-theta", "fractional-text-count",
-            "fractional-image-rows"])
+    ], ids=["infinite-audio", "nan-video", "fractional-theta", "float-theta", "bool-theta",
+            "fractional-text-count", "fractional-image-rows"])
     def test_invalid_spec_values_exit_1(self, tmp_path, capsys, spec, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -262,6 +264,18 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert f"error: {field} must be an integer >= " in err
         assert f"got {got}" in err
+        assert not out.exists()
+
+    def test_config_with_a_heads_field_exits_1(self, tiny_config_file, tmp_path, capsys):
+        d = json.loads(tiny_config_file.read_text())
+        assert "heads" not in d
+        d["heads"] = 1
+        config = tmp_path / "heads.json"
+        config.write_text(json.dumps(d))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "heads" in err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -208,10 +208,10 @@ class TestCoefficientReferences:
 
     def test_quadrature_exact_through_degree_two(self):
         for a in (0.7, -1.3, 2.0):
-            assert est.heun_quadrature(lambda t: 1.0, a) == pytest.approx(a, abs=1e-12)
-            assert est.heun_quadrature(lambda t: t, a) == pytest.approx(a * a / 2, abs=1e-12)
-            assert est.heun_quadrature(lambda t: t * t, a) == pytest.approx(a ** 3 / 3, abs=1e-12)
+            assert est_ref.heun_quadrature(lambda t: 1.0, a) == pytest.approx(a, abs=1e-12)
+            assert est_ref.heun_quadrature(lambda t: t, a) == pytest.approx(a * a / 2, abs=1e-12)
+            assert est_ref.heun_quadrature(lambda t: t * t, a) == pytest.approx(a ** 3 / 3, abs=1e-12)
 
     def test_quadrature_not_exact_at_degree_three(self):
         a = 1.5
-        assert abs(est.heun_quadrature(lambda t: t ** 3, a) - a ** 4 / 4) > 1e-3
+        assert abs(est_ref.heun_quadrature(lambda t: t ** 3, a) - a ** 4 / 4) > 1e-3

@@ -56,8 +56,6 @@ class TestToyModelConfig:
         with pytest.raises(ValueError):
             tiny_config(head_dim=7)
         with pytest.raises(ValueError):
-            tiny_config(heads=2)
-        with pytest.raises(ValueError):
             tiny_config(segments=())
         with pytest.raises(ValueError):
             tiny_config(rope=rp.RopeFreqConfig(12))  # mismatched head_dim

@@ -94,8 +94,6 @@ class TestMoEConfig:
     def test_n_slots_counts_null(self):
         cfg = moe.MoEConfig(d_model=4, n_routed=3, expert_hidden=8, n_null=2)
         assert cfg.n_slots == 5
-        assert cfg.role_of_slot(2) is moe.ExpertRole.ROUTED
-        assert cfg.role_of_slot(3) is moe.ExpertRole.NULL
 
     @pytest.mark.parametrize("kwargs", [
         {"d_model": 0, "n_routed": 1, "expert_hidden": 4},
@@ -201,9 +199,10 @@ class TestSelectDeterministic:
             p = random_prob_vector(rng, 6, with_ties=False)
             d = moe.select_top_p_deterministic(p, 0.7)
             oracle = sum(p[i] for i in d.active)
-            assert abs(d.gate_mass() - oracle) <= 1e-12
+            mass = sum(e.gate_prob for e in d.per_expert)
+            assert abs(mass - oracle) <= 1e-12
             if d.k < 6:
-                assert d.gate_mass() < 1.0  # never renormalized to 1
+                assert mass < 1.0  # never renormalized to 1
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -239,7 +238,7 @@ class TestSelectSampled:
         p = np.array([0.5, 0.3, 0.2])
         for seed in range(200):
             d = moe.select_top_p_sampled(p, 0.7, np.random.default_rng(seed))
-            mass = d.gate_mass()
+            mass = sum(e.gate_prob for e in d.per_expert)
             assert mass >= 0.7 - 1e-12
             # removing the last draw must leave the mass short of the threshold
             assert mass - d.per_expert[-1].gate_prob < 0.7

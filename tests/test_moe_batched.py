@@ -7,7 +7,7 @@ in the same order.  Gradients sum over tokens in another order, so they
 agree within 1e-12.
 
 The layer's one-op pair-buffer fill is also checked against the plain fill
-(one public ``scatter_add_rows`` per expert), bit for bit in outputs and
+(one ``_scatter_add_rows`` per expert), bit for bit in outputs and
 gradients alike, on the shipped model shapes.
 """
 

@@ -201,7 +201,7 @@ class TestSegmentChecks:
 
     @pytest.mark.parametrize("start,theta,field", [
         (-1, 1, "start"), (1.5, 1, "start"), (True, 1, "start"),
-        (0, 1.5, "theta"), (0, 0, "theta"),
+        (0, 1.5, "theta"), (0, 0, "theta"), (0, 2.0, "theta"), (0, True, "theta"),
     ])
     @pytest.mark.parametrize("segment", SEGMENTS, ids=lambda seg: seg.modality)
     def test_positions_rejects_bad_start_and_theta(self, segment, start, theta, field):
@@ -210,6 +210,11 @@ class TestSegmentChecks:
 
 
 class TestAssignSequence:
+    @pytest.mark.parametrize("theta", [2.0, True, 0, 1.5])
+    def test_theta_must_be_an_integer_of_at_least_one(self, theta):
+        with pytest.raises(ValueError, match="theta must be an integer >= 1"):
+            rp.assign_sequence_tagged([rp.AudioSegment(6.0)], theta)
+
     def test_two_text_segments_run_contiguously(self):
         ids = rp.assign_sequence([rp.TextSegment(3), rp.TextSegment(2)])
         assert ids == rp.TextSegment(5).positions(0, 1)
