@@ -27,6 +27,15 @@ it there.  The row ops the MoE layer dispatches through
 indices their caller built, so they do not check them: each states its
 precondition in its docstring.
 
+Fused ops (the MoE layer's expert FFN, the harness's attention block)
+are defined through :func:`op_node` with a hand-written backward.  A fused
+op lists an input once for each consumer it replaces, and its backward
+returns one term per entry.  :func:`backward` adds a node's terms to a
+parent one at a time, left to right, so the input receives them in the
+order the composed graph added them: a single summed term would round
+differently, while one term per entry keeps every gradient bit-identical
+to the composed graph.
+
 All randomness comes from numpy's PCG64 generator, so a fixed seed
 reproduces bit-identical tensors.
 """
@@ -437,28 +446,45 @@ def softmax(x: Tensor) -> Tensor:
     Outputs are strictly positive and each row sums to 1.  Backward applies
     the softmax Jacobian: ``y * (g - sum(g * y))`` per row.
     """
-    z = x.data
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax_data(x.data)
 
     def backward_fn(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        return (_softmax_vjp(y, g),)
 
     return op_node(y, (x,), backward_fn, "softmax")
 
 
+def _softmax_data(z: np.ndarray) -> np.ndarray:
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Upstream ``g`` through the Jacobian of the softmax ``y``, row by row."""
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return y * (g - dot)
+
+
 def silu(x: Tensor) -> Tensor:
     """Sigmoid-weighted linear unit ``u * sigmoid(u)``, pointwise."""
-    with np.errstate(over="ignore"):  # exp overflow saturates sigmoid to 0 exactly
-        s = 1.0 / (1.0 + np.exp(-x.data))
+    s = _sigmoid(x.data)
     y = x.data * s
 
     def backward_fn(g):
-        return (g * (s * (1.0 + x.data * (1.0 - s))),)
+        return (g * _silu_slope(x.data, s),)
 
     return op_node(y, (x,), backward_fn, "silu")
+
+
+def _sigmoid(u: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # exp overflow saturates sigmoid to 0 exactly
+        return 1.0 / (1.0 + np.exp(-u))
+
+
+def _silu_slope(u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """d silu(u) / du, given ``s = sigmoid(u)``."""
+    return s * (1.0 + u * (1.0 - s))
 
 
 def stop_gradient(x: Tensor) -> Tensor:

@@ -168,11 +168,8 @@ class ToyModelConfig:
         rope_d = d.pop("rope", None)
         rope_cfg = None
         if rope_d is not None:
-            split = rope_d.get("split")
-            rope_cfg = rp.RopeFreqConfig(
-                head_dim=rope_d["head_dim"],
-                split=tuple(split) if split is not None else None,
-                base=rope_d.get("base", 10000.0))
+            rope_cfg = rp.RopeFreqConfig(head_dim=rope_d["head_dim"], split=rope_d.get("split"),
+                                         base=rope_d.get("base", 10000.0))
         segments = tuple(segments_from_json(d.pop("segments")))
         return cls(moe=moe_cfg, segments=segments, rope=rope_cfg, **d)
 
@@ -319,13 +316,45 @@ class ToyTransformer:
                 for name, t in stage.items()}
 
     def _attend(self, X: ad.Tensor, pids, li: int) -> ad.Tensor:
+        """``X + softmax(q k^T / sqrt(head_dim)) v W_o`` for layer ``li``, as
+        one tape node: q and k are ``X W_q`` and ``X W_k`` with row i rotated
+        by the 3D RoPE angles of ``pids[i]``, and v is ``X W_v``.
+
+        The backward is written by hand, each gradient in the formula of
+        the composed graph (``matmul``, ``apply_rope3d_rows``, ``transpose``,
+        ``scale``, ``softmax``, ``add``).  ``X`` is listed as a parent once
+        for each consumer it had there, the residual, then q, k and v, so
+        its terms are added one at a time in that graph's order (see the
+        autodiff module notes).
+        """
         attn = self.attn[li]
-        q = rp.apply_rope3d_rows(ad.matmul(X, attn.w_q), pids, self.cfg.rope)
-        k = rp.apply_rope3d_rows(ad.matmul(X, attn.w_k), pids, self.cfg.rope)
-        v = ad.matmul(X, attn.w_v)
-        scores = ad.scale(ad.matmul(q, ad.transpose(k)), self.cfg.head_dim ** -0.5)
-        mixed = ad.matmul(ad.softmax(scores), v)
-        return ad.add(X, ad.matmul(mixed, attn.w_o))
+        pids = tuple(pids)
+        xd = X.data
+        if xd.ndim != 2 or xd.shape[0] != len(pids):
+            raise ad.ShapeError(f"attention: expected {len(pids)} token rows, "
+                                f"got shape {xd.shape}")
+        cos, sin = rp._rope_table(pids, self.cfg.rope)
+        wq, wk, wv, wo = attn.w_q.data, attn.w_k.data, attn.w_v.data, attn.w_o.data
+        c = self.cfg.head_dim ** -0.5
+        q = rp._rotate_pairs(xd @ wq, cos, sin)
+        kt = rp._rotate_pairs(xd @ wk, cos, sin).T
+        v = xd @ wv
+        p = ad._softmax_data((q @ kt) * c)
+        mixed = p @ v
+
+        def backward_fn(g):
+            g_mixed = g @ wo.T
+            g_p = g_mixed @ v.T
+            g_v = p.T @ g_mixed
+            g_qk = ad._softmax_vjp(p, g_p) * c
+            g_q = rp._rotate_pairs(g_qk @ kt.T, cos, -sin)
+            g_k = rp._rotate_pairs((q.T @ g_qk).T, cos, -sin)
+            return (g, g_q @ wq.T, g_k @ wk.T, g_v @ wv.T,
+                    xd.T @ g_q, xd.T @ g_k, xd.T @ g_v, mixed.T @ g)
+
+        return ad.op_node(xd + mixed @ wo,
+                          (X, X, X, X, attn.w_q, attn.w_k, attn.w_v, attn.w_o),
+                          backward_fn, "attention")
 
     def forward(self, batch: SyntheticBatch, mode: str = "train",
                 frozen: list[moe.Routing] | None = None, *,

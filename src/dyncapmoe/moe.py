@@ -24,14 +24,15 @@ renormalized after selection.
 :meth:`DynamicCapacityMoE.forward_rows` runs the layer on a batch of token
 rows: one router product, one uniform block in training, vectorized
 selection, one gated FFN per routed expert over the rows of the tokens
-that chose it (dropless grouped dispatch), then one routing step that
-applies gates, forward scales and the estimator to every (token, slot)
-pair at once.  It returns the batch's choices
-as one :class:`Routing`, ``[n, n_slots]`` arrays of rank, gate, argmax
-flag, B draw and forward scale; a token's :class:`RoutingDecision` is built
-only when someone indexes the Routing.  Frozen replay takes a Routing
-back, hand-edited with :func:`dataclasses.replace` if need be.  The
-per-token forwards are one-row calls of ``forward_rows``.
+that chose it (dropless grouped dispatch; each FFN call is one tape node,
+see :func:`gated_ffn`), then one routing step that applies gates, forward
+scales and the estimator to every (token, slot) pair at once.  It returns
+the batch's choices as one :class:`Routing`, ``[n, n_slots]`` arrays of
+rank, gate, argmax flag, B draw and forward scale; a token's
+:class:`RoutingDecision` is built only when someone indexes the Routing.
+Frozen replay takes a Routing back, hand-edited with
+:func:`dataclasses.replace` if need be.  The per-token forwards are one-row
+calls of ``forward_rows``.
 """
 
 from __future__ import annotations
@@ -297,12 +298,37 @@ class ExpertParams:
 
 
 def gated_ffn(x: ad.Tensor, params: ExpertParams) -> ad.Tensor:
-    """W_down @ (silu(W_gate @ x) * (W_up @ x)) for a token ``x`` [d_model],
-    or row by row for token rows ``x`` [m, d_model]."""
-    apply = ad.matmul if x.data.ndim == 1 else ad.matvec_rows
-    gate = ad.silu(apply(params.w_gate, x))
-    up = apply(params.w_up, x)
-    return apply(params.w_down, ad.mul(gate, up))
+    """``W_down @ (silu(W_gate @ x_i) * (W_up @ x_i))`` for every row ``x_i``
+    of the token rows ``x`` [m, d_model], as one tape node.
+
+    Every product is a per-row matrix-vector product, as in
+    :func:`~dyncapmoe.autodiff.matvec_rows`, so a row's output does not
+    depend on the other rows.  The backward is written by hand.  ``x`` is
+    listed as a parent twice, once for each product that reads it, gate
+    before up, so :func:`~dyncapmoe.autodiff.backward` adds its two terms
+    one at a time, as the five-op graph ``matvec_rows``, ``silu``,
+    ``matvec_rows``, ``mul``, ``matvec_rows`` does (see the autodiff module
+    notes).
+    """
+    xd, wg, wu, wd = x.data, params.w_gate.data, params.w_up.data, params.w_down.data
+    if xd.ndim != 2 or xd.shape[1] != wg.shape[1]:
+        raise ad.ShapeError(f"gated_ffn: token rows must have shape (m, {wg.shape[1]}), "
+                            f"got {xd.shape}")
+    a = np.matmul(wg, xd[:, :, None])[:, :, 0]
+    s = ad._sigmoid(a)
+    gate = a * s
+    up = np.matmul(wu, xd[:, :, None])[:, :, 0]
+    h = gate * up
+
+    def backward_fn(g):
+        g_h = g @ wd
+        g_a = g_h * up * ad._silu_slope(a, s)
+        g_up = g_h * gate
+        return g_a @ wg, g_up @ wu, g_a.T @ xd, g_up.T @ xd, g.T @ h
+
+    return ad.op_node(np.matmul(wd, h[:, :, None])[:, :, 0],
+                      (x, x, params.w_gate, params.w_up, params.w_down), backward_fn,
+                      "gated_ffn")
 
 
 def _init_expert(d_model: int, hidden: int, seed_key: list) -> ExpertParams:

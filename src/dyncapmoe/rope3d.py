@@ -239,7 +239,12 @@ def assign_sequence(segments: Sequence[Segment], theta: int = 1) -> list[Positio
 
 @dataclasses.dataclass(frozen=True)
 class RopeFreqConfig:
-    """Even split of head_dim into temporal/height/width rotation blocks."""
+    """Even split of head_dim into temporal/height/width rotation blocks.
+
+    ``split`` may be given as any sequence of integers; it is stored as a
+    tuple of ints, so the config is hashable (the cos/sin table cache keys
+    on it) and equal to the same config given a tuple.
+    """
 
     head_dim: int
     split: tuple[int, int, int] | None = None
@@ -251,17 +256,20 @@ class RopeFreqConfig:
             raise ValueError(f"head_dim must be even, got {self.head_dim}")
         if not (math.isfinite(self.base) and self.base > 0):
             raise ValueError(f"base must be finite and positive, got {self.base}")
-        if self.split is None:
+        split = self.split
+        if split is None:
             third = self.head_dim // 3
             side = third - (third % 2)
-            object.__setattr__(self, "split",
-                               (self.head_dim - 2 * side, side, side))
-        for d in self.split:
+            split = (self.head_dim - 2 * side, side, side)
+        if not np.iterable(split):
+            raise ValueError(f"split must be three blocks that sum to head_dim, got {split!r}")
+        for d in split:
             ad.check_int(d, "split", 0)
-        if any(d % 2 for d in self.split):
+        if any(d % 2 for d in split):
             raise ValueError("every split block must be even")
-        if len(self.split) != 3 or sum(self.split) != self.head_dim:
+        if len(split) != 3 or sum(split) != self.head_dim:
             raise ValueError("split must be three blocks that sum to head_dim")
+        object.__setattr__(self, "split", tuple(int(d) for d in split))
 
     def pair_angles_rows(self, pids: Sequence[PositionId]) -> np.ndarray:
         """Rotation angle per coordinate pair of every PositionId, one row

@@ -7,6 +7,12 @@ batch row by row.  ``DynamicCapacityMoE.forward_rows`` and
 ``ToyTransformer.forward`` are tested against it.  Inference takes the
 deterministic prefix in every routing mode, as the layer does.
 
+``composed_gated_ffn`` and ``composed_attend`` are the expert FFN and the
+attention block as graphs of engine ops, five and twelve tape nodes; the
+one-node ops ``moe.gated_ffn`` and ``ToyTransformer._attend`` must match
+them bit for bit, values and gradients.  The composed FFN also takes a
+single token [d_model], the form the per-token oracle runs.
+
 ``scatter_fill_forward_rows`` is the batched layer with its pair buffer
 filled the plain way, a zeros buffer plus one ``_scatter_add_rows`` per
 routed expert; the layer's one-op fill must match it bit for bit.
@@ -96,16 +102,36 @@ def _select(layer, state, u):
                            _argmax_slot(state), cfg.n_routed)
 
 
+def composed_gated_ffn(x, params):
+    """W_down @ (silu(W_gate @ x) * (W_up @ x)) for a token ``x`` [d_model],
+    or row by row for token rows ``x`` [m, d_model], in five engine ops."""
+    apply = ad.matmul if x.data.ndim == 1 else ad.matvec_rows
+    gate = ad.silu(apply(params.w_gate, x))
+    up = apply(params.w_up, x)
+    return apply(params.w_down, ad.mul(gate, up))
+
+
+def composed_attend(model, X, pids, li):
+    """``model._attend(X, pids, li)`` in twelve engine ops."""
+    attn = model.attn[li]
+    q = rp.apply_rope3d_rows(ad.matmul(X, attn.w_q), pids, model.cfg.rope)
+    k = rp.apply_rope3d_rows(ad.matmul(X, attn.w_k), pids, model.cfg.rope)
+    v = ad.matmul(X, attn.w_v)
+    scores = ad.scale(ad.matmul(q, ad.transpose(k)), model.cfg.head_dim ** -0.5)
+    mixed = ad.matmul(ad.softmax(scores), v)
+    return ad.add(X, ad.matmul(mixed, attn.w_o))
+
+
 def expert_output(layer, x, index):
     """Expert ``index`` on one token ``x`` [d_model]: routed slots run their
     gated FFN, null slots are constant zeros, and index n_slots + s is
     shared expert s."""
     cfg = layer.config
     if index < cfg.n_routed:
-        return moe.gated_ffn(x, layer.routed[index])
+        return composed_gated_ffn(x, layer.routed[index])
     if index < cfg.n_slots:
         return ad.zeros((cfg.d_model,))
-    return moe.gated_ffn(x, layer.shared[index - cfg.n_slots])
+    return composed_gated_ffn(x, layer.shared[index - cfg.n_slots])
 
 
 def _shared_entries(layer):

@@ -7,6 +7,7 @@ import pytest
 from fd_reference import finite_diff_grad
 from dyncapmoe import autodiff as ad
 from dyncapmoe import harness as hn
+from dyncapmoe import moe
 from dyncapmoe import rope3d as rp
 
 
@@ -284,6 +285,24 @@ def test_scalar_broadcast_mul_grads():
     npt.assert_allclose(v.grad, [2.0, 2.0, 2.0])
 
 
+_PIDS = (rp.PositionId(0, 1, 2), rp.PositionId(3, 1, 0), rp.PositionId(5, 4, 4))
+
+
+def attend(X, w_q, w_k, w_v, w_o):
+    """``ToyTransformer._attend`` of a one-layer model with these weights,
+    token i at ``_PIDS[i]``."""
+    d_model, head_dim = w_q.data.shape
+    model = hn.ToyTransformer(hn.ToyModelConfig(
+        moe=moe.MoEConfig(d_model=d_model, n_routed=1, expert_hidden=1),
+        segments=(rp.TextSegment(1),), layers=1, head_dim=head_dim))
+    model.attn[0] = hn._AttentionParams(w_q, w_k, w_v, w_o)
+    return model._attend(X, _PIDS[:len(X.data)], 0)
+
+
+def gated_ffn(x, w_gate, w_up, w_down):
+    return moe.gated_ffn(x, moe.ExpertParams(w_gate, w_up, w_down))
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_every_op_backward_matches_finite_differences(seed):
     """Each differentiable op agrees with central differences on random input."""
@@ -294,6 +313,8 @@ def test_every_op_backward_matches_finite_differences(seed):
     mv = rng.uniform(-1, 1, size=(3, 2))
     gv = rng.uniform(-1, 1, size=(4, 4))
     cv = rng.uniform(-1, 1, size=3)
+    av = rng.uniform(-1, 1, size=(4, 4, 6))
+    T = ad.Tensor
 
     cases = {
         "add": lambda t: ad.sum(ad.mul(ad.add(t, ad.Tensor(yv)), ad.Tensor(yv))),
@@ -328,6 +349,29 @@ def test_every_op_backward_matches_finite_differences(seed):
         "place_rows.last": lambda t: ad.sum(ad.mul(
             ad._place_rows(5, [ad.Tensor(yv[:2]), t], [np.array([1, 3]), np.array([4, 0, 2])]),
             ad.Tensor(np.vstack([gv, yv[:1]])))),
+        "gated_ffn.x": lambda t: ad.sum(ad.mul(
+            gated_ffn(t, T(wv.T), T(gv[:2]), T(wv)), ad.Tensor(yv))),
+        "gated_ffn.w_gate": lambda t: ad.sum(ad.mul(
+            gated_ffn(T(gv), t, T(yv), T(gv[:, :3])), ad.Tensor(gv))),
+        "gated_ffn.w_up": lambda t: ad.sum(ad.mul(
+            gated_ffn(T(gv), T(yv), t, T(gv[:, :3])), ad.Tensor(gv))),
+        "gated_ffn.w_down": lambda t: ad.sum(ad.mul(
+            gated_ffn(T(yv[:, :3]), T(gv[:, :3]), T(yv.T), t), ad.Tensor(yv[:, :3]))),
+        "attention.X": lambda t: ad.sum(ad.mul(
+            attend(t, T(av[0]), T(av[1]), T(av[2]), T(av[3].T)), ad.Tensor(yv))),
+        "attention.w_q": lambda t: ad.sum(ad.mul(
+            attend(T(yv[:, :3]), t, T(av[1, :3, :4]), T(av[2, :3, :4]), T(av[3, :4, :3])),
+            ad.Tensor(mv[:, :1] * yv[:, :3]))),
+        "attention.w_k": lambda t: ad.sum(ad.mul(
+            attend(T(yv[:, :3]), T(av[0, :3, :4]), t, T(av[2, :3, :4]), T(av[3, :4, :3])),
+            ad.Tensor(mv[:, :1] * yv[:, :3]))),
+        "attention.w_v": lambda t: ad.sum(ad.mul(
+            attend(T(yv[:, :3]), T(av[0, :3, :4]), T(av[1, :3, :4]), t, T(av[3, :4, :3])),
+            ad.Tensor(mv[:, :1] * yv[:, :3]))),
+        "attention.w_o": lambda t: ad.sum(ad.mul(
+            attend(T(yv[:, :3]), T(av[0, :3, :4]), T(av[1, :3, :4]), T(av[2, :3, :4]),
+                   ad.transpose(t)),
+            ad.Tensor(mv[:, :1] * yv[:, :3]))),
     }
     for name, f in cases.items():
         x = ad.Tensor(xv, requires_grad=True)
@@ -397,6 +441,8 @@ def _op_nodes(rng):
         "rope3d": rp.apply_rope3d(leaf(6), pids[0], rope),
         "rope3d_rows": rp.apply_rope3d_rows(leaf(2, 6), pids, rope),
         "cross_entropy": hn.cross_entropy(leaf(3, 4), np.array([0, 3, 1])),
+        "gated_ffn": gated_ffn(leaf(3, 2), leaf(4, 2), leaf(4, 2), leaf(2, 4)),
+        "attention": attend(leaf(2, 4), leaf(4, 6), leaf(4, 6), leaf(4, 6), leaf(6, 4)),
     }
 
 

@@ -266,6 +266,17 @@ class TestTrainCommand:
         assert f"got {got}" in err
         assert not out.exists()
 
+    def test_a_scalar_rope_split_exits_1_naming_split(self, tiny_config_file, tmp_path,
+                                                      capsys):
+        d = json.loads(tiny_config_file.read_text())
+        d["rope"]["split"] = d["rope"]["head_dim"]
+        config = tmp_path / "split.json"
+        config.write_text(json.dumps(d))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 1
+        assert "error: split must be three blocks" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_with_a_heads_field_exits_1(self, tiny_config_file, tmp_path, capsys):
         d = json.loads(tiny_config_file.read_text())
         assert "heads" not in d

@@ -293,6 +293,16 @@ class TestTrain:
         assert len(series) == 5
         assert all(np.isfinite(v) and 0.0 <= v <= 1.0 for _, v in series)
 
+    def test_a_list_rope_split_trains_like_the_tuple_split(self):
+        """A list split is stored as a tuple, so the cached cos/sin table can
+        key on the config, which equals the tuple-split config."""
+        base = dataclasses.replace(hn.smoke_train_config(1), steps=3)
+        listed = dataclasses.replace(base, rope=rp.RopeFreqConfig(24, split=[8, 8, 8]))
+        tupled = dataclasses.replace(base, rope=rp.RopeFreqConfig(24, split=(8, 8, 8)))
+        assert listed == tupled
+        a, b = hn.train(listed), hn.train(tupled)
+        assert np.array(a.losses).tobytes() == np.array(b.losses).tobytes()
+
     def test_loss_decreases_on_planted_task(self):
         cfg = dataclasses.replace(hn.smoke_train_config(0), steps=120)
         res = hn.train(cfg)

@@ -305,22 +305,29 @@ class TestExpertForward:
         layer = small_layer()
         for t in (layer.routed[0].w_gate, layer.routed[0].w_up, layer.routed[0].w_down):
             t.data[:] = 0.0
-        out = moe.gated_ffn(ad.Tensor([1.0, 2.0, 3.0, 4.0]), layer.routed[0])
-        npt.assert_array_equal(out.data, np.zeros(4))
+        out = moe.gated_ffn(ad.Tensor([[1.0, 2.0, 3.0, 4.0]]), layer.routed[0])
+        npt.assert_array_equal(out.data, np.zeros((1, 4)))
 
     def test_matches_numpy_oracle(self):
         layer = small_layer()
-        x = np.array([0.3, -0.8, 0.1, 1.2])
-        out = moe.gated_ffn(ad.Tensor(x), layer.routed[1])
-        npt.assert_array_equal(out.data, gated_ffn_np(x, layer.routed[1]))
-        shared_out = moe.gated_ffn(ad.Tensor(x), layer.shared[0])
-        npt.assert_array_equal(shared_out.data, gated_ffn_np(x, layer.shared[0]))
+        X = np.array([[0.3, -0.8, 0.1, 1.2], [-1.1, 0.4, 0.9, -0.2], [0.0, 0.5, -0.6, 0.7]])
+        for params in (layer.routed[1], layer.shared[0]):
+            out = moe.gated_ffn(ad.Tensor(X), params)
+            for i, x in enumerate(X):
+                npt.assert_array_equal(out.data[i], gated_ffn_np(x, params))
+
+    def test_takes_token_rows_only(self):
+        layer = small_layer()
+        with pytest.raises(ad.ShapeError):
+            moe.gated_ffn(ad.Tensor([0.3, -0.8, 0.1, 1.2]), layer.routed[0])
+        with pytest.raises(ad.ShapeError):
+            moe.gated_ffn(ad.Tensor(np.zeros((2, 3))), layer.routed[0])
 
     def test_gradient_matches_finite_differences(self):
         layer = small_layer()
-        xv = np.array([0.4, -0.2, 0.7, -0.5])
+        xv = np.array([[0.4, -0.2, 0.7, -0.5], [0.1, 0.8, -0.3, 0.6]])
         params = layer.routed[0]
-        up = np.array([0.3, -1.1, 0.6, 0.9])
+        up = np.array([[0.3, -1.1, 0.6, 0.9], [-0.5, 0.2, 0.4, -0.7]])
 
         out = moe.gated_ffn(ad.Tensor(xv), params)
         ad.backward(ad.sum(ad.mul(out, ad.Tensor(up))))
@@ -345,7 +352,8 @@ class TestForwardInfer:
         x = ad.Tensor([1.0, 1.0, 1.0, 1.0])
         y, decision = layer.forward_infer(x)
         assert decision.active == (0,) and decision.per_expert[0].gate_prob == 1.0
-        npt.assert_array_equal(y.data, moe.gated_ffn(x, layer.routed[0]).data)
+        expert = moe.gated_ffn(ad.Tensor([x.data]), layer.routed[0])
+        npt.assert_array_equal(y.data, expert.data[0])
 
     def test_matches_straight_line_oracle(self):
         layer = small_layer()

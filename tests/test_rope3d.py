@@ -291,6 +291,19 @@ class TestRopeFreqConfig:
         cfg = rp.RopeFreqConfig(np.int64(8), split=(np.int32(4), 2, 2))
         assert cfg == rp.RopeFreqConfig(8, split=(4, 2, 2))
 
+    @pytest.mark.parametrize("split", [[4, 2, 2], np.array([4, 2, 2]), (np.int64(4), 2, 2)])
+    def test_split_is_stored_as_a_tuple_of_ints(self, split):
+        cfg = rp.RopeFreqConfig(8, split=split)
+        assert cfg.split == (4, 2, 2)
+        assert all(type(d) is int for d in cfg.split)
+        assert cfg == rp.RopeFreqConfig(8, split=(4, 2, 2))
+        assert hash(cfg) == hash(rp.RopeFreqConfig(8, split=(4, 2, 2)))
+
+    @pytest.mark.parametrize("split", [8, 8.0, [4, 4]])
+    def test_split_must_be_three_blocks(self, split):
+        with pytest.raises(ValueError, match="split must be three blocks"):
+            rp.RopeFreqConfig(8, split=split)
+
     @pytest.mark.parametrize("base", [math.nan, math.inf, -math.inf, 0.0, -2.0])
     def test_base_must_be_finite_and_positive(self, base):
         with pytest.raises(ValueError, match="base"):

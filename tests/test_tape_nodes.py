@@ -3,18 +3,18 @@
 Python overhead per tape node is most of a step's cost, so the number of
 ``op_node`` calls per training step and per inference forward must not
 rise.  The budgets are the counts of the layer with one routing step per
-MoE layer, whose experts' rows land in the pair buffer through one op, on
-``smoke_train_config(s)``, s = 0-3: 116 nodes per one-step
-``harness.train`` and at most 112 per ``mode="infer"`` forward (a forward
-where an expert goes unchosen builds fewer).  A 128-token batch in all four
-modalities (the benchmark's trainval shape) takes 228 nodes for a one-step
-``train`` plus an inference forward: the count follows the model, not the
-batch size.
+MoE layer, whose experts' rows land in the pair buffer through one op, and
+whose expert FFN calls and attention blocks are one tape node each, on
+``smoke_train_config(s)``, s = 0-3: 46 nodes per one-step ``harness.train``
+and at most 42 per ``mode="infer"`` forward (a forward where an expert goes
+unchosen builds fewer).  A 128-token batch in all four modalities (the
+benchmark's trainval shape) takes 88 nodes for a one-step ``train`` plus an
+inference forward: the count follows the model, not the batch size.
 
 A default ``grad_check`` differentiates only its frozen replay: its
 finite-difference evaluations run with the parameters' ``requires_grad``
 off and put nothing on the tape.  On ``gradcheck_default_config(s)``,
-s = 0-3, a campaign makes 72,353 ``op_node`` calls and 1,058 of them (the
+s = 0-3, a campaign makes 33,777 ``op_node`` calls and 966 of them (the
 live train forward and the replay) require gradients.
 """
 
@@ -26,11 +26,11 @@ import moe_reference as ref
 from dyncapmoe import autodiff as ad
 from dyncapmoe import harness as hn
 
-TRAIN_STEP_NODES = 116
-INFER_FORWARD_NODES = 112
-TRAINVAL_OP_NODES = 228
-GRADCHECK_OP_NODES = 72_353
-GRADCHECK_TAPE_NODES = 1_058
+TRAIN_STEP_NODES = 46
+INFER_FORWARD_NODES = 42
+TRAINVAL_OP_NODES = 88
+GRADCHECK_OP_NODES = 33_777
+GRADCHECK_TAPE_NODES = 966
 
 
 def count_ops(monkeypatch, call) -> tuple[int, int]:
