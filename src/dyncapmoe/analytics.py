@@ -671,22 +671,16 @@ def _read_jsonl(text: str) -> _Columns:
     return columns.checked(np.repeat(_ints(k), counts))
 
 
-def import_trace(path, fmt: str | None = None) -> RoutingTrace:
-    """Inverse of :func:`export_trace`; format inferred from the suffix.
+def import_trace(path) -> RoutingTrace:
+    """Inverse of :func:`export_trace`: a ``.jsonl`` file is read as JSONL,
+    any other as CSV.
 
     Raises :class:`DuplicateRecordError` if a key occurs twice, and
     ``ValueError`` if a record's ``k`` differs from its count of routable
     slots or a record has none.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "jsonl" if path.suffix == ".jsonl" else "csv"
-    if fmt == "csv":
-        read = _read_csv
-    elif fmt == "jsonl":
-        read = _read_jsonl
-    else:
-        raise ValueError("format must be 'csv' or 'jsonl'")
+    read = _read_jsonl if path.suffix == ".jsonl" else _read_csv
     return RoutingTrace._of(read(path.read_text(encoding="utf-8")))
 
 

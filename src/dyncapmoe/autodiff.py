@@ -42,6 +42,7 @@ reproduces bit-identical tensors.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
     "NonFiniteError",
     "TapeError",
     "check_int",
+    "check_real",
     "op_node",
     "zeros",
     "full",
@@ -167,6 +169,24 @@ def check_int(value, name: str, low: int) -> None:
     """Raise a ValueError naming ``name`` unless ``value`` is an integer >= ``low``."""
     if not _is_int(value) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_real(value, name: str, low: float, high: float = math.inf, *,
+               include_low: bool = False) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an int, float
+    or NumPy real (never a bool or a string), finite as a float, in
+    ``(low, high]``, or in ``[low, high]`` with ``include_low``."""
+    try:
+        finite = ((_is_int(value) or isinstance(value, (float, np.floating)))
+                  and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not (finite and (low <= value if include_low else low < value) and value <= high):
+        if high < math.inf:
+            bound = f"in {'[' if include_low else '('}{low:g}, {high:g}]"
+        else:
+            bound = f"{'>=' if include_low else '>'} {low:g}"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 def _validate_shape(shape) -> tuple[int, ...]:

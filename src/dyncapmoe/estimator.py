@@ -133,10 +133,6 @@ class ClosedFormObjective:
         return out
 
 
-def _softmax_values(z_values: np.ndarray) -> np.ndarray:
-    return ad.softmax(ad.Tensor(z_values)).data
-
-
 def exact_gradient_oracle(obj: ClosedFormObjective, z_values: np.ndarray,
                           per_expert: bool = False) -> np.ndarray | list[np.ndarray]:
     """d L / d z by reverse-mode on the full closed form.
@@ -176,7 +172,7 @@ def estimator_expectation(obj: ClosedFormObjective, z_values: np.ndarray,
     argmax(z): 0 exercises the Heun branch everywhere, 1 the Euler branch.
     """
     z_values = np.asarray(z_values, dtype=np.float64)
-    p_values = _softmax_values(z_values)
+    p_values = ad._softmax_data(z_values)
     arg = int(np.argmax(z_values))
 
     def draw_grad(d: int, bern: int) -> np.ndarray:

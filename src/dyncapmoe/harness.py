@@ -125,16 +125,12 @@ class ToyModelConfig:
         for name, low in (("layers", 1), ("head_dim", 2), ("steps", 0),
                           ("n_classes", 2), ("theta", 1), ("seed", 0)):
             ad.check_int(getattr(self, name), name, low)
-        if self.head_dim % 2:
-            raise ValueError(f"head_dim must be even, got {self.head_dim}")
         if self.rope is None:
             object.__setattr__(self, "rope", rp.RopeFreqConfig(self.head_dim))
         if self.rope.head_dim != self.head_dim:
             raise ValueError("rope.head_dim must equal head_dim")
         for name in ("noise", "learning_rate"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+            ad.check_real(getattr(self, name), name, 0.0, include_low=True)
         if not self.segments:
             raise ValueError("segment list must be non-empty")
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -149,29 +145,23 @@ class ToyModelConfig:
         return len(rp.assign_sequence(list(self.segments), self.theta))
 
     def to_json_dict(self) -> dict:
-        return {
-            "layers": self.layers, "head_dim": self.head_dim,
-            "learning_rate": self.learning_rate, "steps": self.steps,
-            "seed": self.seed, "n_classes": self.n_classes, "noise": self.noise,
-            "theta": self.theta,
-            "moe": {f.name: getattr(self.moe, f.name)
-                    for f in dataclasses.fields(self.moe)},
-            "rope": {"head_dim": self.rope.head_dim,
-                     "split": list(self.rope.split), "base": self.rope.base},
-            "segments": segments_to_json(list(self.segments)),
-        }
+        """Every field, in field order; ``moe`` and ``rope`` as their own
+        fields, ``segments`` as :func:`segments_to_json` writes them."""
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        d.update(moe=dataclasses.asdict(self.moe), rope=dataclasses.asdict(self.rope),
+                 segments=segments_to_json(self.segments))
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ToyModelConfig":
+        """Inverse of :meth:`to_json_dict`: each block goes to its own
+        constructor, so an unknown or missing key raises ``TypeError``
+        naming it.  ``rope`` may be absent or null."""
         d = dict(d)
-        moe_cfg = moe.MoEConfig(**d.pop("moe"))
-        rope_d = d.pop("rope", None)
-        rope_cfg = None
-        if rope_d is not None:
-            rope_cfg = rp.RopeFreqConfig(head_dim=rope_d["head_dim"], split=rope_d.get("split"),
-                                         base=rope_d.get("base", 10000.0))
-        segments = tuple(segments_from_json(d.pop("segments")))
-        return cls(moe=moe_cfg, segments=segments, rope=rope_cfg, **d)
+        rope = d.pop("rope", None)
+        return cls(moe=moe.MoEConfig(**d.pop("moe")),
+                   segments=tuple(segments_from_json(d.pop("segments"))),
+                   rope=None if rope is None else rp.RopeFreqConfig(**rope), **d)
 
     @classmethod
     def from_json_file(cls, path) -> "ToyModelConfig":
@@ -541,9 +531,8 @@ def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
     are taken, the model's parameters stop requiring gradients, so the
     evaluations fold into constants and build no tape.
     """
-    for name, value in (("eps", eps), ("tol", tol)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    ad.check_real(eps, "eps", 0.0)
+    ad.check_real(tol, "tol", 0.0)
     model = ToyTransformer(cfg)
     batch = generate_batch(cfg.segments, cfg.seed, cfg.d_model, cfg.n_classes,
                            cfg.noise, cfg.theta)

@@ -96,8 +96,7 @@ class MoEConfig:
         if self.shared_hidden is None:
             object.__setattr__(self, "shared_hidden", max(1, self.expert_hidden // 8))
         ad.check_int(self.shared_hidden, "shared_hidden", 1)
-        if not 0.0 < self.top_p <= 1.0:
-            raise ValueError("top_p must lie in (0, 1]")
+        ad.check_real(self.top_p, "top_p", 0.0, 1.0)
         if self.routing_mode not in _ROUTING_MODES:
             raise ValueError(f"routing_mode must be one of {_ROUTING_MODES}")
 
@@ -225,8 +224,7 @@ def _check_probs(p: np.ndarray, top_p: float) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("probability vector must be 1-D and non-empty")
-    if not 0.0 < top_p <= 1.0:
-        raise ValueError("top_p must lie in (0, 1]")
+    ad.check_real(top_p, "top_p", 0.0, 1.0)
     if abs(float(p.sum()) - 1.0) > 1e-9:
         raise ValueError("probabilities must sum to 1")
     return p

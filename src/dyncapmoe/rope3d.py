@@ -65,11 +65,6 @@ class PositionId(NamedTuple):
 # modality segments
 # ---------------------------------------------------------------------------
 
-def _check_time(value: float, name: str) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
 def _check_origin(start, theta) -> tuple[int, int]:
     """The one check of ``positions``' arguments; returns both as ints."""
     ad.check_int(start, "start", 0)
@@ -117,7 +112,7 @@ class AudioSegment:
     modality = "audio"
 
     def __post_init__(self):
-        _check_time(self.duration_s, "duration_s")
+        ad.check_real(self.duration_s, "duration_s", 0.0)
 
     @property
     def _units(self) -> int:
@@ -182,8 +177,8 @@ class VideoSegment:
     modality = "video"
 
     def __post_init__(self):
-        _check_time(self.duration_s, "duration_s")
-        _check_time(self.fps, "fps")
+        ad.check_real(self.duration_s, "duration_s", 0.0)
+        ad.check_real(self.fps, "fps", 0.0)
         for name in ("rows", "cols", "patch", "f_l"):
             ad.check_int(getattr(self, name), name, 1)
         ad.check_int(self.f_u, "f_u", self.f_l)
@@ -254,8 +249,7 @@ class RopeFreqConfig:
         ad.check_int(self.head_dim, "head_dim", 2)
         if self.head_dim % 2:
             raise ValueError(f"head_dim must be even, got {self.head_dim}")
-        if not (math.isfinite(self.base) and self.base > 0):
-            raise ValueError(f"base must be finite and positive, got {self.base}")
+        ad.check_real(self.base, "base", 0.0)
         split = self.split
         if split is None:
             third = self.head_dim // 3

@@ -132,8 +132,11 @@ class TestRopeDump:
         ({"theta": True, "segments": [{"kind": "text", "n_tokens": 2}]}, "theta"),
         ({"segments": [{"kind": "text", "n_tokens": 2.5}]}, "n_tokens"),
         ({"segments": [{"kind": "image", "rows": 1.5, "cols": 2}]}, "rows"),
+        ({"segments": [{"kind": "audio", "duration_s": 10**400}]}, "duration_s"),
+        ({"segments": [{"kind": "audio", "duration_s": "3"}]}, "duration_s"),
     ], ids=["infinite-audio", "nan-video", "fractional-theta", "float-theta", "bool-theta",
-            "fractional-text-count", "fractional-image-rows"])
+            "fractional-text-count", "fractional-image-rows", "overflowing-audio",
+            "string-audio"])
     def test_invalid_spec_values_exit_1(self, tmp_path, capsys, spec, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -275,6 +278,39 @@ class TestTrainCommand:
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 1
         assert "error: split must be three blocks" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("moe", "top_p"), True, "top_p must be finite and in (0, 1], got True"),
+        (("noise",), "0.1", "noise must be finite and >= 0, got '0.1'"),
+        (("rope", "base"), "1e4", "base must be finite and > 0, got '1e4'")])
+    def test_a_bool_or_string_real_setting_exits_1_naming_it(
+            self, tiny_config_file, tmp_path, capsys, path, value, message):
+        d = json.loads(tiny_config_file.read_text())
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(d))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda rope: rope.update(bse=rope.pop("base")), "'bse'"),
+        (lambda rope: rope.pop("head_dim"), "'head_dim'")])
+    def test_a_rope_block_with_an_unknown_or_missing_key_exits_1_naming_it(
+            self, tiny_config_file, tmp_path, capsys, edit, named):
+        d = json.loads(tiny_config_file.read_text())
+        edit(d["rope"])
+        config = tmp_path / "rope.json"
+        config.write_text(json.dumps(d))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
         assert not out.exists()
 
     def test_config_with_a_heads_field_exits_1(self, tiny_config_file, tmp_path, capsys):
