@@ -36,6 +36,16 @@ order the composed graph added them: a single summed term would round
 differently, while one term per entry keeps every gradient bit-identical
 to the composed graph.
 
+The ops a frozen forward runs (``add``, ``matmul``, ``matvec_rows``,
+``scale_rows``, the three row ops, and the fused ops defined outside the
+engine) also accept leading *probe axes*: an operand of shape
+``[*lead, *core]`` broadcasts over ``lead`` as NumPy does, and each probe
+computes the bits the unbatched call computes.  ``grad_check`` evaluates a
+whole row of finite-difference probes in one forward this way.  The
+backward functions know only the core shapes, so a probe axis never
+reaches the tape: :func:`op_node` raises :class:`ShapeError` when an op
+with probe axes has a parent that requires gradients.
+
 All randomness comes from numpy's PCG64 generator, so a fixed seed
 reproduces bit-identical tensors.
 """
@@ -128,12 +138,15 @@ class Tensor:
 
 
 def op_node(data: np.ndarray, parents: Sequence[Tensor],
-            backward_fn: Callable[[np.ndarray], tuple], op_kind: str) -> Tensor:
+            backward_fn: Callable[[np.ndarray], tuple], op_kind: str,
+            probes: bool = False) -> Tensor:
     """Build the tensor produced by ``op_kind``.
 
     ``backward_fn(upstream)`` must return one gradient array per parent
     (``None`` for a parent that receives nothing).  If no parent requires
-    gradients the result is folded into a constant.
+    gradients the result is folded into a constant.  ``probes`` says the
+    operands carry leading probe axes (see the module notes); such an op
+    with a parent that requires gradients raises :class:`ShapeError`.
 
     The result is not checked for NaN or infinity (see the module notes).
 
@@ -146,6 +159,8 @@ def op_node(data: np.ndarray, parents: Sequence[Tensor],
     out.op_kind = op_kind
     out._backward_done = False
     if any(p.requires_grad for p in parents):
+        if probes:
+            raise ShapeError(f"{op_kind}: operands with probe axes cannot be differentiated")
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -221,13 +236,16 @@ def seeded_normal(shape, seed, std: float, requires_grad: bool = False) -> Tenso
 # elementwise ops
 # ---------------------------------------------------------------------------
 
-def _check_binary(a: Tensor, b: Tensor, op: str) -> None:
-    # equal shapes, or one side is a scalar (size-1) broadcast
-    if a.data.shape == b.data.shape:
-        return
-    if a.data.size == 1 or b.data.size == 1:
-        return
-    raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} do not match")
+def _check_binary(a: Tensor, b: Tensor, op: str) -> bool:
+    """Pass equal shapes, a scalar (size-1) side, or one side with leading
+    probe axes the other lacks; return whether probe axes broadcast."""
+    sa, sb = a.data.shape, b.data.shape
+    if sa == sb or a.data.size == 1 or b.data.size == 1:
+        return False
+    short, long = sorted((sa, sb), key=len)
+    if len(short) < len(long) and long[len(long) - len(short):] == short:
+        return True
+    raise ShapeError(f"{op}: shapes {sa} and {sb} do not match")
 
 
 def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -238,31 +256,31 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_binary(a, b, "add")
+    probes = _check_binary(a, b, "add")
 
     def backward_fn(g):
         return _reduce_to(g, a.data.shape), _reduce_to(g, b.data.shape)
 
-    return op_node(a.data + b.data, (a, b), backward_fn, "add")
+    return op_node(a.data + b.data, (a, b), backward_fn, "add", probes)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_binary(a, b, "sub")
+    probes = _check_binary(a, b, "sub")
 
     def backward_fn(g):
         return _reduce_to(g, a.data.shape), _reduce_to(-g, b.data.shape)
 
-    return op_node(a.data - b.data, (a, b), backward_fn, "sub")
+    return op_node(a.data - b.data, (a, b), backward_fn, "sub", probes)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Pointwise product; one operand may be a scalar (size-1) tensor."""
-    _check_binary(a, b, "mul")
+    probes = _check_binary(a, b, "mul")
 
     def backward_fn(g):
         return _reduce_to(g * b.data, a.data.shape), _reduce_to(g * a.data, b.data.shape)
 
-    return op_node(a.data * b.data, (a, b), backward_fn, "mul")
+    return op_node(a.data * b.data, (a, b), backward_fn, "mul", probes)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -280,10 +298,11 @@ def scale(a: Tensor, c: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for (m,k)@(k,n) and (m,k)@(k,)."""
+    """Matrix product for (m,k)@(k,n) and (m,k)@(k,); in the first form
+    either side may carry leading probe axes."""
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
+    if ad.ndim >= 2 and bd.ndim >= 2:
+        if ad.shape[-1] != bd.shape[-2]:
             raise ShapeError(f"matmul: inner dims {ad.shape} @ {bd.shape}")
 
         def backward_fn(g):
@@ -299,25 +318,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     else:
         raise ShapeError(f"matmul: unsupported ranks {ad.ndim} and {bd.ndim}")
 
-    return op_node(ad @ bd, (a, b), backward_fn, "matmul")
+    return op_node(ad @ bd, (a, b), backward_fn, "matmul", ad.ndim > 2 or bd.ndim > 2)
+
+
+def _matvec(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w @ x[..., i, :]`` for every row i, each its own matrix-vector
+    product, for ``w`` [..., o, k] and ``x`` [..., m, k]."""
+    return np.matmul(w[..., None, :, :], x[..., None])[..., 0]
 
 
 def matvec_rows(w: Tensor, x: Tensor) -> Tensor:
-    """Row ``i`` of the result is ``w @ x[i]``, for ``w`` (o,k) and ``x`` (m,k).
+    """Row ``i`` of the result is ``w @ x[i]``, for ``w`` (o,k) and ``x`` (m,k),
+    either with leading probe axes.
 
     Each row is its own matrix-vector product, so it is bit-identical to
     ``matmul(w, row(x, i))`` whatever the other rows are; a blocked
     ``x @ w.T`` may round a row differently depending on the batch.
     """
     wd, xd = w.data, x.data
-    if wd.ndim != 2 or xd.ndim != 2 or wd.shape[1] != xd.shape[1]:
+    if wd.ndim < 2 or xd.ndim < 2 or wd.shape[-1] != xd.shape[-1]:
         raise ShapeError(f"matvec_rows: shapes {wd.shape} and {xd.shape} do not match")
 
     def backward_fn(g):
         return g.T @ xd, g @ wd
 
-    return op_node(np.matmul(wd, xd[:, :, None])[:, :, 0], (w, x), backward_fn,
-                   "matvec_rows")
+    return op_node(_matvec(wd, xd), (w, x), backward_fn, "matvec_rows",
+                   wd.ndim > 2 or xd.ndim > 2)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -393,7 +419,8 @@ def stack_rows(rows: Iterable[Tensor]) -> Tensor:
 def _gather_rows(a: Tensor, idx) -> Tensor:
     """``a[idx]`` along the first axis; an index may repeat, and a repeated
     row's gradients add up.  A pair ``(rows, cols)`` on a matrix takes the
-    cells ``a[rows[i], cols[i]]``.
+    cells ``a[rows[i], cols[i]]``.  A matrix may carry leading probe axes,
+    and the rows are then taken along the axis after them.
 
     Precondition: ``idx`` is a non-empty 1-D integer array of in-range rows,
     or a pair of such arrays of one length for a matrix ``a``.
@@ -404,56 +431,68 @@ def _gather_rows(a: Tensor, idx) -> Tensor:
         np.add.at(out, idx, g)
         return (out,)
 
-    return op_node(a.data[idx], (a,), backward_fn, "gather_rows")
+    probes = a.data.ndim > 2
+    if isinstance(idx, tuple):
+        data = a.data[(..., *idx)]
+    else:
+        data = a.data[..., idx, :] if probes else a.data[idx]
+    return op_node(data, (a,), backward_fn, "gather_rows", probes)
 
 
 def _scatter_add_rows(base: Tensor, idx: np.ndarray, rows: Tensor) -> Tensor:
-    """Copy of ``base`` with ``rows[i]`` added to row ``idx[i]``.
+    """Copy of matrix ``base`` with ``rows[i]`` added to row ``idx[i]``;
+    either operand may carry leading probe axes.
 
     Rows sharing an index are added in index order, so a target row
     receives its terms as the left fold ``((base + r0) + r1) + ...``.
 
     Precondition: ``idx`` is a 1-D integer array of in-range rows of
-    ``base``, and ``rows`` is ``[len(idx), *base.shape[1:]]``.
+    ``base``, and ``rows`` is ``[len(idx), base.shape[-1]]``.
     """
-    out = base.data.copy()
-    np.add.at(out, idx, rows.data)
+    bd, rd = base.data, rows.data
+    lead = max(bd.shape[:-2], rd.shape[:-2], key=len)
+    out = np.empty(lead + bd.shape[-2:])
+    out[...] = bd
+    np.add.at(out, (..., idx, slice(None)), rd)
 
     def backward_fn(g):
         return g, g[idx]
 
-    return op_node(out, (base, rows), backward_fn, "scatter_add_rows")
+    return op_node(out, (base, rows), backward_fn, "scatter_add_rows", len(lead) > 0)
 
 
 def _place_rows(n: int, parts: Sequence[Tensor], positions: Sequence[np.ndarray]) -> Tensor:
     """An [n, d] matrix whose rows ``positions[i]`` are the rows of
     ``parts[i]`` [len(positions[i]), d], one tape node for all parts.
-    Each part's gradient is the upstream rows at its positions.
+    Each part's gradient is the upstream rows at its positions.  Parts may
+    carry leading probe axes, which the result takes.
 
     Precondition: the positions are disjoint integer arrays that together
     cover every row of the result.
     """
-    out = np.zeros((n, parts[0].data.shape[1]))
+    lead = max((part.data.shape[:-2] for part in parts), key=len)
+    out = np.zeros(lead + (n, parts[0].data.shape[-1]))
     for part, pos in zip(parts, positions):
-        out[pos] = part.data
+        out[..., pos, :] = part.data
 
     def backward_fn(g):
         return tuple(g[pos] for pos in positions)
 
-    return op_node(out, parts, backward_fn, "place_rows")
+    return op_node(out, parts, backward_fn, "place_rows", len(lead) > 0)
 
 
 def scale_rows(a: Tensor, c: Tensor) -> Tensor:
-    """Row ``i`` of matrix ``a`` times entry ``i`` of vector ``c``."""
+    """Row ``i`` of matrix ``a`` times entry ``i`` of vector ``c``; either
+    may carry leading probe axes."""
     ad, cd = a.data, c.data
-    if ad.ndim != 2 or cd.shape != (ad.shape[0],):
+    if ad.ndim < 2 or cd.ndim < 1 or cd.shape[-1] != ad.shape[-2]:
         raise ShapeError(f"scale_rows: shapes {ad.shape} and {cd.shape} do not match")
-    col = cd[:, None]
+    col = cd[..., None]
 
     def backward_fn(g):
         return g * col, (g * ad).sum(axis=1)
 
-    return op_node(ad * col, (a, c), backward_fn, "scale_rows")
+    return op_node(ad * col, (a, c), backward_fn, "scale_rows", ad.ndim > 2 or cd.ndim > 1)
 
 
 # ---------------------------------------------------------------------------

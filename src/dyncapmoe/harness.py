@@ -32,16 +32,16 @@ its residual add, then the classifier head and the loss.  A parameter of
 stage s changes nothing before stage s, so the gradient check records every
 stage's input once, during the frozen replay that yields the analytic
 gradients, and evaluates each perturbed loss by resuming the forward at the
-perturbed parameter's stage.  The skipped prefix would recompute the
-recorded bits from the same parameters, so the report is exactly the one a
-full forward per evaluation gives.
+perturbed parameter's stage, one forward for all the +/-eps probes of a
+parameter row (see :func:`grad_check`).  The skipped prefix would recompute
+the recorded bits from the same parameters, so the report is exactly the
+one a full forward per evaluation gives.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import typing
 from pathlib import Path
 
@@ -80,10 +80,17 @@ class TrainingDivergedError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def segments_from_json(items: list[dict]) -> list[rp.Segment]:
-    """Parse [{kind: ..., params...}] into segment objects."""
+    """Parse [{kind: ..., params...}] into segment objects.
+
+    Anything but a list of objects raises a ValueError naming ``segments``.
+    """
+    if not isinstance(items, (list, tuple)):
+        raise ValueError(f"segments must be a list of objects, got {items!r}")
     classes = {cls.modality: cls for cls in typing.get_args(rp.Segment)}
     segs = []
     for item in items:
+        if not isinstance(item, dict):
+            raise ValueError(f"segments must be a list of objects, got an item {item!r}")
         item = dict(item)
         kind = item.pop("kind", None)
         if kind not in classes:
@@ -232,20 +239,21 @@ def generate_batch(segments, seed: int, d_model: int, n_classes: int,
 def cross_entropy(logits: ad.Tensor, labels: np.ndarray) -> ad.Tensor:
     """Mean cross-entropy over rows, stabilized via log-sum-exp.
 
-    The loss is where a forward's finiteness is checked: a NaN or infinite
-    loss, which is what a non-finite value anywhere upstream leads to,
-    raises :class:`~dyncapmoe.autodiff.NonFiniteError`.
+    Logits with leading probe axes (see the autodiff module notes) give one
+    loss per probe.  The loss is where a forward's finiteness is checked: a
+    NaN or infinite loss, which is what a non-finite value anywhere upstream
+    leads to, raises :class:`~dyncapmoe.autodiff.NonFiniteError`.
     """
     z = logits.data
-    if z.ndim != 2 or len(labels) != z.shape[0]:
+    if z.ndim < 2 or len(labels) != z.shape[-2]:
         raise ad.ShapeError("logits must be [n, n_classes] matching labels")
-    n = z.shape[0]
+    n = z.shape[-2]
     rows = np.arange(n)
-    m = z.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-    value = float(np.mean(lse - z[rows, labels]))
-    if not math.isfinite(value):
-        raise ad.NonFiniteError(f"cross_entropy: loss is {value!r}")
+    m = z.max(axis=-1, keepdims=True)
+    lse = m[..., 0] + np.log(np.exp(z - m).sum(axis=-1))
+    value = np.mean(lse - z[..., rows, labels], axis=-1)
+    if not np.isfinite(value).all():
+        raise ad.NonFiniteError(f"cross_entropy: loss is {value.tolist()!r}")
 
     def backward_fn(g):
         p = np.exp(z - m)
@@ -253,7 +261,7 @@ def cross_entropy(logits: ad.Tensor, labels: np.ndarray) -> ad.Tensor:
         p[rows, labels] -= 1.0
         return (g * p / n,)
 
-    return ad.op_node(np.asarray(value), (logits,), backward_fn, "cross_entropy")
+    return ad.op_node(value, (logits,), backward_fn, "cross_entropy", z.ndim > 2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -315,19 +323,20 @@ class ToyTransformer:
         ``scale``, ``softmax``, ``add``).  ``X`` is listed as a parent once
         for each consumer it had there, the residual, then q, k and v, so
         its terms are added one at a time in that graph's order (see the
-        autodiff module notes).
+        autodiff module notes).  ``X`` and the weights may carry leading
+        probe axes.
         """
         attn = self.attn[li]
         pids = tuple(pids)
         xd = X.data
-        if xd.ndim != 2 or xd.shape[0] != len(pids):
+        if xd.ndim < 2 or xd.shape[-2] != len(pids):
             raise ad.ShapeError(f"attention: expected {len(pids)} token rows, "
                                 f"got shape {xd.shape}")
         cos, sin = rp._rope_table(pids, self.cfg.rope)
         wq, wk, wv, wo = attn.w_q.data, attn.w_k.data, attn.w_v.data, attn.w_o.data
         c = self.cfg.head_dim ** -0.5
         q = rp._rotate_pairs(xd @ wq, cos, sin)
-        kt = rp._rotate_pairs(xd @ wk, cos, sin).T
+        kt = rp._rotate_pairs(xd @ wk, cos, sin).swapaxes(-1, -2)
         v = xd @ wv
         p = ad._softmax_data((q @ kt) * c)
         mixed = p @ v
@@ -344,7 +353,8 @@ class ToyTransformer:
 
         return ad.op_node(xd + mixed @ wo,
                           (X, X, X, X, attn.w_q, attn.w_k, attn.w_v, attn.w_o),
-                          backward_fn, "attention")
+                          backward_fn, "attention",
+                          max(xd.ndim, wq.ndim, wk.ndim, wv.ndim, wo.ndim) > 2)
 
     def forward(self, batch: SyntheticBatch, mode: str = "train",
                 frozen: list[moe.Routing] | None = None, *,
@@ -355,7 +365,9 @@ class ToyTransformer:
         ``mode`` is "train" or "infer" (see ``DynamicCapacityMoE.forward_rows``);
         ``frozen`` replays a recorded :class:`~dyncapmoe.moe.Routing` per layer
         and overrides it.  Returns (loss, routing of each MoE stage run, matches):
-        ``matches`` is only meaningful when replaying frozen routing.
+        ``matches`` is only meaningful when replaying frozen routing.  A
+        replay whose parameters hold probe stacks (see :func:`grad_check`)
+        returns one loss and one ``matches`` flag per probe.
 
         ``stage_inputs`` (internal to :func:`grad_check`) lists the inputs
         of stages 0..s as (X data, matches of the stages before).  Empty,
@@ -385,7 +397,7 @@ class ToyTransformer:
                     X, mode, key=(self.cfg.seed, 5077 + li),
                     frozen=frozen[li] if frozen is not None else None)
                 X = ad.add(X, Y)
-                matches = matches and ok
+                matches = matches & ok
                 per_layer.append(routing)
         logits = ad.matmul(X, self.w_cls)
         return cross_entropy(logits, batch.labels), per_layer, matches
@@ -526,10 +538,21 @@ def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
     stage's input (see :meth:`ToyTransformer.forward`).  A coordinate of
     stage s is re-evaluated by resuming the forward at stage s from that
     record: stages before s see the same parameters as the replay, so they
-    would recompute the recorded bits, and the report is the one a full
-    forward per evaluation gives, to the bit.  Once the analytic gradients
-    are taken, the model's parameters stop requiring gradients, so the
+    would recompute the recorded bits.  Once the analytic gradients are
+    taken, the model's parameters stop requiring gradients, so the
     evaluations fold into constants and build no tape.
+
+    The evaluations run one parameter row at a time.  For a row of C
+    coordinates the parameter's ``.data`` becomes a ``[2C, *shape]`` probe
+    stack, copies of the weight with ``+eps`` (probes 0..C-1) or ``-eps``
+    (probes C..2C-1) added at one coordinate each, and one resumed forward
+    returns all 2C losses and match flags (the probe axes of the autodiff
+    module notes); then the original array goes back.  Each probe computes
+    the bits of its own unbatched forward, so the report is the one a full
+    forward per evaluation gives, to the bit.  A forward holds 2C copies of
+    one weight and 2C probes' activations, so peak memory grows with the
+    widest row (2 x 64 probes on the smoke config) rather than with all of
+    a weight's coordinates at once.
     """
     ad.check_real(eps, "eps", 0.0)
     ad.check_real(tol, "tol", 0.0)
@@ -547,31 +570,32 @@ def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
     for t in params.values():
         t.requires_grad = False
 
-    def frozen_loss(stage: int) -> tuple[float, bool]:
-        value, _, ok = model.forward(batch, frozen=frozen,
-                                     stage_inputs=stage_inputs[:stage + 1])
-        return float(value.data), ok
-
     blocks = []
     for stage, stage_params in enumerate(model.stage_parameters()):
         for name, t in stage_params.items():
-            fd = np.zeros_like(t.data)
-            keep = np.ones(t.data.shape, dtype=bool)
-            skipped = 0
-            for idx in np.ndindex(t.data.shape):
-                orig = t.data[idx]
-                t.data[idx] = orig + eps
-                up, ok_up = frozen_loss(stage)
-                t.data[idx] = orig - eps
-                down, ok_down = frozen_loss(stage)
-                t.data[idx] = orig
-                if not (ok_up and ok_down):
-                    keep[idx] = False
-                    skipped += 1
-                    continue
-                fd[idx] = (up - down) / (2.0 * eps)
+            weights = t.data
+            fd = np.zeros_like(weights)
+            keep = np.ones(weights.shape, dtype=bool)
+            width = weights.shape[-1]
+            cols = np.arange(width)
+            try:
+                for row in np.ndindex(weights.shape[:-1]):
+                    probes = np.repeat(weights[None], 2 * width, axis=0)
+                    probes[(cols, *row, cols)] = weights[row] + eps
+                    probes[(width + cols, *row, cols)] = weights[row] - eps
+                    t.data = probes
+                    value, _, ok = model.forward(batch, frozen=frozen,
+                                                 stage_inputs=stage_inputs[:stage + 1])
+                    # a weight the replay never reads leaves the loss unbatched
+                    loss = np.broadcast_to(value.data, (2 * width,))
+                    ok = np.broadcast_to(ok, (2 * width,))
+                    keep[row] = ok[:width] & ok[width:]
+                    fd[row] = (loss[:width] - loss[width:]) / (2.0 * eps)
+            finally:
+                t.data = weights
             err = ad.max_rel_err(analytic[name][keep], fd[keep]) if keep.any() else 0.0
             blocks.append(BlockReport(name=name, max_rel_err=float(err),
-                                      n_checked=int(keep.sum()), n_skipped=skipped))
+                                      n_checked=int(keep.sum()),
+                                      n_skipped=int(keep.size - keep.sum())))
     return GradCheckReport(blocks=tuple(blocks), tol=tol, eps=eps,
                            unbiasedness_err=_unbiasedness_sweep())

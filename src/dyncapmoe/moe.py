@@ -231,8 +231,8 @@ def _check_probs(p: np.ndarray, top_p: float) -> np.ndarray:
 
 
 def _prefix_ranks(P: np.ndarray, top_p: float, U: np.ndarray | None = None) -> np.ndarray:
-    """Top-P on every row of ``P`` [n, slots]: each slot's rank in the row's
-    selection order, -1 where it stays inactive.
+    """Top-P on every row of ``P`` [..., n, slots]: each slot's rank in the
+    row's selection order, -1 where it stays inactive.
 
     Without ``U`` the order is descending probability, ties stably lower
     index first: deterministic Top-P.  With uniforms ``U`` [n, slots] it is
@@ -242,17 +242,17 @@ def _prefix_ranks(P: np.ndarray, top_p: float, U: np.ndarray | None = None) -> n
     the shortest prefix whose original mass reaches ``top_p``, and a row
     whose full sum falls short through rounding activates every slot.
     """
-    n_slots = P.shape[1]
+    n_slots = P.shape[-1]
     keys = P
     if U is not None:
         with np.errstate(divide="ignore"):
             keys = np.log(P) - np.log(-np.log(U))
-    order = np.argsort(-keys, axis=1, kind="stable")
-    reach = np.cumsum(np.take_along_axis(P, order, axis=1), axis=1) >= top_p
-    k = np.where(reach.any(axis=1), reach.argmax(axis=1) + 1, n_slots)
+    order = np.argsort(-keys, axis=-1, kind="stable")
+    reach = np.cumsum(np.take_along_axis(P, order, axis=-1), axis=-1) >= top_p
+    k = np.where(reach.any(axis=-1), reach.argmax(axis=-1) + 1, n_slots)
     ranks = np.arange(n_slots)
     rank = np.empty(P.shape, dtype=np.int64)
-    np.put_along_axis(rank, order, np.where(ranks < k[:, None], ranks, -1), axis=1)
+    np.put_along_axis(rank, order, np.where(ranks < k[..., None], ranks, -1), axis=-1)
     return rank
 
 
@@ -297,7 +297,9 @@ class ExpertParams:
 
 def gated_ffn(x: ad.Tensor, params: ExpertParams) -> ad.Tensor:
     """``W_down @ (silu(W_gate @ x_i) * (W_up @ x_i))`` for every row ``x_i``
-    of the token rows ``x`` [m, d_model], as one tape node.
+    of the token rows ``x`` [m, d_model], as one tape node.  The rows and
+    the weights may carry leading probe axes (see the autodiff module
+    notes).
 
     Every product is a per-row matrix-vector product, as in
     :func:`~dyncapmoe.autodiff.matvec_rows`, so a row's output does not
@@ -309,13 +311,13 @@ def gated_ffn(x: ad.Tensor, params: ExpertParams) -> ad.Tensor:
     notes).
     """
     xd, wg, wu, wd = x.data, params.w_gate.data, params.w_up.data, params.w_down.data
-    if xd.ndim != 2 or xd.shape[1] != wg.shape[1]:
-        raise ad.ShapeError(f"gated_ffn: token rows must have shape (m, {wg.shape[1]}), "
+    if xd.ndim < 2 or xd.shape[-1] != wg.shape[-1]:
+        raise ad.ShapeError(f"gated_ffn: token rows must have shape (m, {wg.shape[-1]}), "
                             f"got {xd.shape}")
-    a = np.matmul(wg, xd[:, :, None])[:, :, 0]
+    a = ad._matvec(wg, xd)
     s = ad._sigmoid(a)
     gate = a * s
-    up = np.matmul(wu, xd[:, :, None])[:, :, 0]
+    up = ad._matvec(wu, xd)
     h = gate * up
 
     def backward_fn(g):
@@ -324,9 +326,8 @@ def gated_ffn(x: ad.Tensor, params: ExpertParams) -> ad.Tensor:
         g_up = g_h * gate
         return g_a @ wg, g_up @ wu, g_a.T @ xd, g_up.T @ xd, g.T @ h
 
-    return ad.op_node(np.matmul(wd, h[:, :, None])[:, :, 0],
-                      (x, x, params.w_gate, params.w_up, params.w_down), backward_fn,
-                      "gated_ffn")
+    return ad.op_node(ad._matvec(wd, h), (x, x, params.w_gate, params.w_up, params.w_down),
+                      backward_fn, "gated_ffn", max(xd.ndim, wg.ndim, wu.ndim, wd.ndim) > 2)
 
 
 def _init_expert(d_model: int, hidden: int, seed_key: list) -> ExpertParams:
@@ -399,7 +400,9 @@ class DynamicCapacityMoE:
         * ``frozen`` (a recorded Routing of n rows) replays those choices,
           with its forward scales as constants when it carries B draws,
           and ignores ``mode`` and ``key``; see :meth:`forward_frozen`.
-          ``matches`` is only meaningful here.
+          ``matches`` is only meaningful here.  A replay also takes ``X``
+          and the weights with leading probe axes (see the autodiff module
+          notes); ``matches`` is then a bool array, one flag per probe.
 
         Each routed expert runs once on the rows of the tokens that chose
         it, then gates, scales and the estimator apply to all pairs at once;
@@ -408,7 +411,7 @@ class DynamicCapacityMoE:
         """
         if mode not in ("infer", "train"):
             raise ValueError("mode must be 'infer' or 'train'")
-        if X.data.ndim != 2 or X.data.shape[1] != self.config.d_model:
+        if X.data.ndim < 2 or X.data.shape[-1] != self.config.d_model:
             raise ad.ShapeError(f"token rows must have shape (n, {self.config.d_model}), "
                                 f"got {X.data.shape}")
         U = None
@@ -416,28 +419,27 @@ class DynamicCapacityMoE:
             if key is None:
                 raise ValueError("train mode needs an rng key")
             U = np.random.Generator(np.random.Philox(list(key))).random(
-                (X.data.shape[0], 2 * self.config.n_slots))
+                (X.data.shape[-2], 2 * self.config.n_slots))
         return self._forward_rows(X, U, frozen)
 
     def _forward_rows(self, X: ad.Tensor, U: np.ndarray | None, frozen: Routing | None):
         """``forward_rows`` on a uniform block: train when ``U`` [n, 2 * n_slots]
         is given, replay when ``frozen`` is, inference otherwise."""
         cfg = self.config
-        n = X.data.shape[0]
+        n = X.data.shape[-2]
         if frozen is not None and (len(frozen) != n or frozen.rank.shape[1] != cfg.n_slots):
             raise ValueError(f"frozen routing must cover {n} tokens and {cfg.n_slots} slots")
         logits = ad.matvec_rows(self.router, X)
         probs = ad.softmax(logits)
         P = probs.data
-        is_argmax = np.argmax(logits.data, axis=1)[:, None] == np.arange(cfg.n_slots)
+        is_argmax = np.argmax(logits.data, axis=-1)[..., None] == np.arange(cfg.n_slots)
         matches = True
         if frozen is not None:
             routing = frozen
-            active = routing.rank >= 0
-            matches = not (active & (routing.is_argmax != is_argmax)).any()
+            flips = ((routing.rank >= 0) & (routing.is_argmax != is_argmax)).any(axis=(-2, -1))
             if cfg.routing_mode == "deterministic":
-                matches = matches and np.array_equal(_prefix_ranks(P, cfg.top_p),
-                                                     routing.rank)
+                flips |= (_prefix_ranks(P, cfg.top_p) != routing.rank).any(axis=(-2, -1))
+            matches = ~flips if flips.ndim else not flips
         elif U is None:
             routing = Routing(_prefix_ranks(P, cfg.top_p), P, is_argmax, None,
                               cfg.n_routed, cfg.n_shared)
@@ -467,7 +469,7 @@ class DynamicCapacityMoE:
         rank = routing.rank[:, :cfg.n_routed]
         tok, slot = np.nonzero(rank >= 0)
         if not tok.size:
-            return ad.zeros((len(X.data), cfg.d_model))
+            return ad.zeros((X.data.shape[-2], cfg.d_model))
         order = np.lexsort((tok, rank[tok, slot]))
         tok, slot = tok[order], slot[order]
         # the indices come from np.nonzero, so they meet the row ops' preconditions
@@ -483,7 +485,7 @@ class DynamicCapacityMoE:
             buf = est.apply_estimator(buf, routing.scale[tok, slot])
         elif routing.bern is not None:
             buf = ad.scale_rows(buf, ad.Tensor(routing.scale[tok, slot]))
-        return ad._scatter_add_rows(ad.zeros((len(X.data), cfg.d_model)), tok, buf)
+        return ad._scatter_add_rows(ad.zeros((X.data.shape[-2], cfg.d_model)), tok, buf)
 
     def _forward_token(self, x: ad.Tensor, U: np.ndarray | None, frozen: Routing | None):
         if x.data.shape != (self.config.d_model,):

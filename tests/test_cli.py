@@ -134,9 +134,11 @@ class TestRopeDump:
         ({"segments": [{"kind": "image", "rows": 1.5, "cols": 2}]}, "rows"),
         ({"segments": [{"kind": "audio", "duration_s": 10**400}]}, "duration_s"),
         ({"segments": [{"kind": "audio", "duration_s": "3"}]}, "duration_s"),
+        ({"segments": 5}, "segments"),
+        ({"segments": [5]}, "segments"),
     ], ids=["infinite-audio", "nan-video", "fractional-theta", "float-theta", "bool-theta",
             "fractional-text-count", "fractional-image-rows", "overflowing-audio",
-            "string-audio"])
+            "string-audio", "scalar-segments", "scalar-segment-item"])
     def test_invalid_spec_values_exit_1(self, tmp_path, capsys, spec, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -161,6 +163,18 @@ class TestGradcheckCommand:
 
     def test_missing_config_file_exits_1(self, tmp_path):
         assert cli.main(["gradcheck", "--config", str(tmp_path / "no.json")]) == 1
+
+    @pytest.mark.parametrize("segments", [5, [5]], ids=["scalar", "scalar-item"])
+    def test_segments_not_a_list_of_objects_exits_1_naming_segments(
+            self, tiny_config_file, tmp_path, capsys, segments):
+        d = json.loads(tiny_config_file.read_text())
+        d["segments"] = segments
+        config = tmp_path / "segments.json"
+        config.write_text(json.dumps(d))
+        assert cli.main(["gradcheck", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: segments must be a list of objects")
+        assert "Traceback" not in captured.err and not captured.out
 
     def test_json_report_matches_the_printed_report(self, tmp_path, capsys):
         path = tmp_path / "report.json"

@@ -13,9 +13,11 @@ inference forward: the count follows the model, not the batch size.
 
 A default ``grad_check`` differentiates only its frozen replay: its
 finite-difference evaluations run with the parameters' ``requires_grad``
-off and put nothing on the tape.  On ``gradcheck_default_config(s)``,
-s = 0-3, a campaign makes 33,777 ``op_node`` calls and 966 of them (the
-live train forward and the replay) require gradients.
+off and put nothing on the tape.  They run one probe-batched forward per
+parameter row (136 rows), not two per coordinate (702 coordinates).  On
+``gradcheck_default_config(s)``, s = 0-3, a campaign makes 4,081
+``op_node`` calls and 966 of them (the live train forward and the replay)
+require gradients.
 """
 
 import dataclasses
@@ -29,7 +31,7 @@ from dyncapmoe import harness as hn
 TRAIN_STEP_NODES = 46
 INFER_FORWARD_NODES = 42
 TRAINVAL_OP_NODES = 88
-GRADCHECK_OP_NODES = 33_777
+GRADCHECK_OP_NODES = 4_081
 GRADCHECK_TAPE_NODES = 966
 
 
