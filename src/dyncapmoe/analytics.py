@@ -441,14 +441,14 @@ def activation_proportions(trace: RoutingTrace, layer: int,
     ids, roles = c.expert_id[pool], c.role[pool]
     if not ids.size:
         raise ValueError(f"no records for layer {layer}"
-                         + (f" with modality {modality!r}" if modality else ""))
+                         + (f" with modality {modality!r}" if modality is not None else ""))
     experts, first, counts = np.unique(ids, return_index=True, return_counts=True)
     last = ids.size - 1 - np.unique(ids[::-1], return_index=True)[1]
     # Experts in first-seen order; each keeps the role of its last slot.
     order = np.argsort(first)
     experts = experts[order].tolist()
     return ActivationReport(
-        layer=layer, group=modality or "all",
+        layer=layer, group="all" if modality is None else modality,
         counts=dict(zip(experts, counts[order].tolist())),
         role_of=dict(zip(experts, _decode(c.roles, roles[last[order]]))))
 
@@ -650,6 +650,22 @@ def _read_csv(text: str) -> _Columns:
                     modalities=modalities, roles=roles).checked(rows["k"])
 
 
+# The JSON types a JSONL field takes: a bool is not an integer, and a string
+# is not a number.  Fields not named in _JSON_KIND take integers.
+_JSON_TYPES = {"integer": {int}, "number": {int, float}, "string": {str}}
+_JSON_KIND = {"modality": "string", "role": "string", "gate_prob": "number"}
+
+
+def _check_json_type(field: str, values: list) -> None:
+    """Raise a ValueError naming the field if a value has another JSON type
+    than the field takes."""
+    kind = _JSON_KIND.get(field, "integer")
+    types = _JSON_TYPES[kind]
+    if not set(map(type, values)) <= types:
+        bad = next(v for v in values if type(v) not in types)
+        raise ValueError(f"{field} must be a JSON {kind}, got {json.dumps(bad)}")
+
+
 def _read_jsonl(text: str) -> _Columns:
     step, layer, token, modality, counts, k = [], [], [], [], [], []
     expert_id, role, gate_prob, rank = [], [], [], []
@@ -666,6 +682,10 @@ def _read_jsonl(text: str) -> _Columns:
             role.append(s["role"])
             gate_prob.append(s["gate_prob"])
             rank.append(s["selected_rank"])
+    for field, values in (("step", step), ("layer", layer), ("token_index", token),
+                          ("modality", modality), ("k", k), ("expert_id", expert_id),
+                          ("role", role), ("gate_prob", gate_prob), ("selected_rank", rank)):
+        _check_json_type(field, values)
     columns = _Columns.from_fields(step, layer, token, modality, counts, expert_id,
                                    role, gate_prob, rank)
     return columns.checked(np.repeat(_ints(k), counts))
@@ -677,7 +697,9 @@ def import_trace(path) -> RoutingTrace:
 
     Raises :class:`DuplicateRecordError` if a key occurs twice, and
     ``ValueError`` if a record's ``k`` differs from its count of routable
-    slots or a record has none.
+    slots, a record has none, or a JSONL field holds another JSON type than
+    its column takes (integers, strings for ``modality`` and ``role``, a
+    number for ``gate_prob``; a bool is no integer or number).
     """
     path = Path(path)
     read = _read_jsonl if path.suffix == ".jsonl" else _read_csv

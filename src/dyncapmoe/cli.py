@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``gradcheck`` — finite-difference campaign plus the unbiasedness
-  enumeration on a (default or JSON) model config; exit 1 if any block fails.
+* ``gradcheck`` — finite-difference gradient campaign on a (default or JSON)
+  model config; exit 1 if any parameter block fails.
   ``--json PATH`` also writes the report as JSON for byte-for-byte diffs.
 * ``train``     — plain-SGD run on the planted-signal task; writes
   ``loss.csv`` and ``trace.csv`` into ``--out``.
@@ -50,8 +50,7 @@ def cmd_gradcheck(args) -> int:
     for line in report.lines():
         print(line)
     if not report.passed:
-        offenders = ", ".join(report.failed_blocks) or "unbiasedness sweep"
-        print(f"gradcheck FAILED: {offenders}", file=sys.stderr)
+        print(f"gradcheck FAILED: {', '.join(report.failed_blocks)}", file=sys.stderr)
         return 1
     print("gradcheck passed")
     return 0

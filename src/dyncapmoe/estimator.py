@@ -22,7 +22,9 @@ mixture objective
 
     L(z) = sum_i p_i * f(p_i * e_i),    p = softmax(z),
 
-which involves no sampling and no masks.
+which involves no sampling and no masks.  The oracles serve the tests and
+the benchmark's tracer; the layer, the training loop and ``grad_check`` never
+call them, because the certificate does not depend on a model config.
 """
 
 from __future__ import annotations

@@ -69,13 +69,13 @@ def activation_proportions(trace: RoutingTrace, layer: int,
     pool = _slot_pool(recs, include_shared)
     if not pool:
         raise ValueError(f"no records for layer {layer}"
-                         + (f" with modality {modality!r}" if modality else ""))
+                         + (f" with modality {modality!r}" if modality is not None else ""))
     counts: dict[int, int] = {}
     role_of: dict[int, str] = {}
     for s in pool:
         counts[s.expert_id] = counts.get(s.expert_id, 0) + 1
         role_of[s.expert_id] = s.role
-    return ActivationReport(layer=layer, group=modality or "all",
+    return ActivationReport(layer=layer, group="all" if modality is None else modality,
                             counts=counts, role_of=role_of)
 
 

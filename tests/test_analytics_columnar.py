@@ -6,6 +6,7 @@ random traces, and the importers must reject what the format forbids.
 """
 
 import json
+import math
 import re
 
 import pytest
@@ -225,8 +226,50 @@ def test_csv_rows_out_of_key_order_are_sorted(tmp_path):
 @pytest.mark.parametrize("step", [1.5, 2**63, "3"])
 def test_jsonl_key_that_is_no_int64_is_rejected_not_converted(tmp_path, step):
     path = write_jsonl(tmp_path, [jsonl_record(step, 0, 0, 1, [0])])
-    with pytest.raises(ValueError, match="expected int64 integers"):
+    message = ("expected int64 integers" if isinstance(step, int)
+               else "step must be a JSON integer")
+    with pytest.raises(ValueError, match=message):
         an.import_trace(path)
+
+
+@pytest.mark.parametrize("field,value,kind", [
+    ("step", True, "integer"), ("layer", False, "integer"), ("token_index", True, "integer"),
+    ("k", True, "integer"), ("modality", 5, "string"), ("modality", None, "string"),
+    ("expert_id", True, "integer"), ("selected_rank", False, "integer"),
+    ("role", 3, "string"), ("gate_prob", "0.5", "number"), ("gate_prob", True, "number"),
+    ("gate_prob", None, "number")])
+def test_jsonl_field_of_another_json_type_is_rejected_naming_it(tmp_path, field, value,
+                                                                 kind):
+    """Each column takes one JSON type, even where NumPy would convert the
+    value: the bad value sits in the second record, after a good one."""
+    bad = jsonl_record(0, 0, 1, 1, [0])
+    if field in bad:
+        bad[field] = value
+    else:
+        bad["slots"][0][field] = value
+    path = write_jsonl(tmp_path, [jsonl_record(0, 0, 0, 1, [0]), bad])
+    message = f"{field} must be a JSON {kind}, got {json.dumps(value)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        an.import_trace(path)
+
+
+def test_jsonl_gate_prob_takes_integers_and_non_finite_numbers(tmp_path):
+    record = jsonl_record(0, 0, 0, 1, [0, 1])
+    record["slots"][0]["gate_prob"] = 1
+    record["slots"][1]["gate_prob"] = float("nan")
+    record["k"] = 2
+    (rec,) = an.import_trace(write_jsonl(tmp_path, [record])).records()
+    assert rec.slots[0].gate_prob == 1.0 and math.isnan(rec.slots[1].gate_prob)
+
+
+def test_empty_modality_is_its_own_group_not_all(tmp_path):
+    trace = an.import_trace(write_jsonl(tmp_path, [jsonl_record(0, 0, 0, 1, [0], modality=""),
+                                                   jsonl_record(0, 0, 1, 1, [1])]))
+    for module in (an, ref):
+        assert module.activation_proportions(trace, 0, modality="").group == ""
+        assert module.activation_proportions(trace, 0).group == "all"
+        with pytest.raises(ValueError, match="with modality ''"):
+            module.activation_proportions(trace, 1, modality="")
 
 
 # ---------------------------------------------------------------------------

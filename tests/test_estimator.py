@@ -164,6 +164,18 @@ class TestEstimatorExpectation:
             truth = est.exact_gradient_oracle(obj, zv)
             assert np.max(np.abs(expect - truth)) <= 1e-10
 
+    def test_unbiased_on_draws_keyed_by_seed_and_width(self):
+        """2-4 experts, d=8, one generator keyed ``[seed, n_experts]`` per
+        draw, seeds 0-4: the estimator's exact mean is the exact gradient."""
+        for n_experts in (2, 3, 4):
+            for seed in range(5):
+                rng = np.random.default_rng([seed, n_experts])
+                obj = random_objective(rng, n_experts, d=8, degree=1)
+                zv = rng.uniform(-2, 2, size=n_experts)
+                diff = (est.estimator_expectation(obj, zv)
+                        - est.exact_gradient_oracle(obj, zv))
+                assert np.max(np.abs(diff)) <= 1e-10
+
     def test_heun_branch_exact_per_expert_for_cubic(self):
         rng = np.random.default_rng(77)
         obj = random_objective(rng, n_experts=3, d=5, degree=3)

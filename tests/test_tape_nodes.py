@@ -15,8 +15,8 @@ A default ``grad_check`` differentiates only its frozen replay: its
 finite-difference evaluations run with the parameters' ``requires_grad``
 off and put nothing on the tape.  They run one probe-batched forward per
 parameter row (136 rows), not two per coordinate (702 coordinates).  On
-``gradcheck_default_config(s)``, s = 0-3, a campaign makes 4,081
-``op_node`` calls and 966 of them (the live train forward and the replay)
+``gradcheck_default_config(s)``, s = 0-3, a campaign makes 3,181
+``op_node`` calls and 66 of them (the live train forward and the replay)
 require gradients.
 """
 
@@ -31,8 +31,8 @@ from dyncapmoe import harness as hn
 TRAIN_STEP_NODES = 46
 INFER_FORWARD_NODES = 42
 TRAINVAL_OP_NODES = 88
-GRADCHECK_OP_NODES = 4_081
-GRADCHECK_TAPE_NODES = 966
+GRADCHECK_OP_NODES = 3_181
+GRADCHECK_TAPE_NODES = 66
 
 
 def count_ops(monkeypatch, call) -> tuple[int, int]:
