@@ -654,6 +654,13 @@ def _read_csv(text: str) -> _Columns:
 # is not a number.  Fields not named in _JSON_KIND take integers.
 _JSON_TYPES = {"integer": {int}, "number": {int, float}, "string": {str}}
 _JSON_KIND = {"modality": "string", "role": "string", "gate_prob": "number"}
+# The integers a numeric column holds, by JSON kind: an integer field becomes
+# an int64 column, and a number field a float64 one, which an integer beyond
+# the largest float overflows.
+_JSON_RANGE = {"integer": ("int64", int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)),
+               "number": ("float64", -float(np.finfo(np.float64).max),
+                          float(np.finfo(np.float64).max))}
+_SLOT_FIELDS = ("expert_id", "role", "gate_prob", "selected_rank")
 
 
 def _check_json_type(field: str, values: list) -> None:
@@ -666,29 +673,66 @@ def _check_json_type(field: str, values: list) -> None:
         raise ValueError(f"{field} must be a JSON {kind}, got {json.dumps(bad)}")
 
 
+def _check_json_range(field: str, values: list) -> None:
+    """Raise a ValueError naming the field if an integer lies outside the
+    range of the field's column."""
+    kind = _JSON_KIND.get(field, "integer")
+    if kind in _JSON_RANGE:
+        dtype, low, high = _JSON_RANGE[kind]
+        bad = next((v for v in values if type(v) is int and not low <= v <= high), None)
+        if bad is not None:
+            raise ValueError(f"{field} must be a JSON {kind} in the {dtype} range, got {bad}")
+
+
+def _slots_error(slots) -> ValueError:
+    return ValueError(f"slots must be a JSON array of objects, got {json.dumps(slots)}")
+
+
 def _read_jsonl(text: str) -> _Columns:
+    """Parse JSONL records line by line, keeping only their field values;
+    :func:`import_trace` says what is rejected."""
     step, layer, token, modality, counts, k = [], [], [], [], [], []
     expert_id, role, gate_prob, rank = [], [], [], []
-    for line in text.splitlines():
-        d = json.loads(line)
-        step.append(d["step"])
-        layer.append(d["layer"])
-        token.append(d["token_index"])
-        modality.append(d["modality"])
-        k.append(d["k"])
-        counts.append(len(d["slots"]))
-        for s in d["slots"]:
-            expert_id.append(s["expert_id"])
-            role.append(s["role"])
-            gate_prob.append(s["gate_prob"])
-            rank.append(s["selected_rank"])
-    for field, values in (("step", step), ("layer", layer), ("token_index", token),
-                          ("modality", modality), ("k", k), ("expert_id", expert_id),
-                          ("role", role), ("gate_prob", gate_prob), ("selected_rank", rank)):
+    try:
+        for line in text.splitlines():
+            d = json.loads(line)
+            if type(d) is not dict:
+                raise ValueError(f"record must be a JSON object, got {json.dumps(d)}")
+            step.append(d["step"])
+            layer.append(d["layer"])
+            token.append(d["token_index"])
+            modality.append(d["modality"])
+            k.append(d["k"])
+            slots = d["slots"]
+            if type(slots) is not list:
+                raise _slots_error(slots)
+            counts.append(len(slots))
+            for s in slots:
+                expert_id.append(s["expert_id"])
+                role.append(s["role"])
+                gate_prob.append(s["gate_prob"])
+                rank.append(s["selected_rank"])
+    except KeyError as exc:
+        field = exc.args[0]
+        owner = "slots item" if field in _SLOT_FIELDS else "record"
+        raise ValueError(f"a JSONL {owner} lacks the field {field!r}") from None
+    except TypeError:  # a slots item that is no object fails its subscript
+        raise _slots_error(slots) from None
+    fields = (("step", step), ("layer", layer), ("token_index", token),
+              ("modality", modality), ("k", k), ("expert_id", expert_id),
+              ("role", role), ("gate_prob", gate_prob), ("selected_rank", rank))
+    for field, values in fields:
         _check_json_type(field, values)
-    columns = _Columns.from_fields(step, layer, token, modality, counts, expert_id,
-                                   role, gate_prob, rank)
-    return columns.checked(np.repeat(_ints(k), counts))
+    try:
+        columns = _Columns.from_fields(step, layer, token, modality, counts, expert_id,
+                                       role, gate_prob, rank)
+        k = np.repeat(_ints(k), counts)
+    except (ValueError, OverflowError):
+        # Only a read that fails its conversion scans for the field to name.
+        for field, values in fields:
+            _check_json_range(field, values)
+        raise
+    return columns.checked(k)
 
 
 def import_trace(path) -> RoutingTrace:
@@ -697,9 +741,12 @@ def import_trace(path) -> RoutingTrace:
 
     Raises :class:`DuplicateRecordError` if a key occurs twice, and
     ``ValueError`` if a record's ``k`` differs from its count of routable
-    slots, a record has none, or a JSONL field holds another JSON type than
-    its column takes (integers, strings for ``modality`` and ``role``, a
-    number for ``gate_prob``; a bool is no integer or number).
+    slots, a record has none, or a JSONL record lacks a field or holds
+    another JSON type than the field takes (an object per record, an array
+    of objects for ``slots``, strings for ``modality`` and ``role``, a
+    number for ``gate_prob`` and integers for the rest; a bool is no
+    integer or number) or an integer outside its column's range (int64, or
+    float64 for ``gate_prob``).
     """
     path = Path(path)
     read = _read_jsonl if path.suffix == ".jsonl" else _read_csv

@@ -32,10 +32,10 @@ its residual add, then the classifier head and the loss.  A parameter of
 stage s changes nothing before stage s, so the gradient check records every
 stage's input once, during the frozen replay that yields the analytic
 gradients, and evaluates each perturbed loss by resuming the forward at the
-perturbed parameter's stage, one forward for all the +/-eps probes of a
-parameter row (see :func:`grad_check`).  The skipped prefix would recompute
-the recorded bits from the same parameters, so the report is exactly the
-one a full forward per evaluation gives.
+perturbed parameter's stage, one forward for all the +/-eps probes of up
+to 64 coordinates of a parameter (see :func:`grad_check`).  The skipped
+prefix would recompute the recorded bits from the same parameters, so the
+report is exactly the one a full forward per evaluation gives.
 """
 
 from __future__ import annotations
@@ -497,6 +497,12 @@ class GradCheckReport:
         }
 
 
+# Coordinates of one parameter that one resumed forward probes (2 x 64
+# probes): the widest row of ``smoke_train_config``, and more than any
+# parameter of ``gradcheck_default_config`` holds.
+_PROBE_CHUNK = 64
+
+
 def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
                tol: float = 1e-4) -> GradCheckReport:
     """Central differences vs the tape, with every discrete choice frozen.
@@ -516,17 +522,19 @@ def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
     taken, the model's parameters stop requiring gradients, so the
     evaluations fold into constants and build no tape.
 
-    The evaluations run one parameter row at a time.  For a row of C
-    coordinates the parameter's ``.data`` becomes a ``[2C, *shape]`` probe
-    stack, copies of the weight with ``+eps`` (probes 0..C-1) or ``-eps``
-    (probes C..2C-1) added at one coordinate each, and one resumed forward
-    returns all 2C losses and match flags (the probe axes of the autodiff
-    module notes); then the original array goes back.  Each probe computes
-    the bits of its own unbatched forward, so the report is the one a full
-    forward per evaluation gives, to the bit.  A forward holds 2C copies of
-    one weight and 2C probes' activations, so peak memory grows with the
-    widest row (2 x 64 probes on the smoke config) rather than with all of
-    a weight's coordinates at once.
+    The evaluations run in chunks of at most ``_PROBE_CHUNK`` (64)
+    consecutive coordinates of one parameter, in C order.  For a chunk of
+    K coordinates the parameter's ``.data`` becomes a ``[2K, *shape]``
+    probe stack, copies of the weight with ``+eps`` (probes 0..K-1) or
+    ``-eps`` (probes K..2K-1) added at one coordinate each, and one resumed
+    forward returns all 2K losses and match flags (the probe axes of the
+    autodiff module notes); then the original array goes back.  Each probe
+    computes the bits of its own unbatched forward, so the report is the
+    one a full forward per evaluation gives, to the bit.  A forward holds
+    2K copies of one weight and 2K probes' activations, so peak memory
+    grows with the chunk (at most 2 x 64 probes, as many as the widest row
+    of the smoke config) rather than with all of a weight's coordinates at
+    once.
     """
     ad.check_real(eps, "eps", 0.0)
     ad.check_real(tol, "tol", 0.0)
@@ -548,26 +556,27 @@ def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
     for stage, stage_params in enumerate(model.stage_parameters()):
         for name, t in stage_params.items():
             weights = t.data
-            fd = np.zeros_like(weights)
-            keep = np.ones(weights.shape, dtype=bool)
-            width = weights.shape[-1]
-            cols = np.arange(width)
+            fd = np.zeros(weights.size)
+            keep = np.ones(weights.size, dtype=bool)
             try:
-                for row in np.ndindex(weights.shape[:-1]):
-                    probes = np.repeat(weights[None], 2 * width, axis=0)
-                    probes[(cols, *row, cols)] = weights[row] + eps
-                    probes[(width + cols, *row, cols)] = weights[row] - eps
-                    t.data = probes
+                for lo in range(0, weights.size, _PROBE_CHUNK):
+                    k = min(_PROBE_CHUNK, weights.size - lo)
+                    i = np.arange(k)
+                    probes = np.repeat(weights.reshape(1, -1), 2 * k, axis=0)
+                    probes[i, lo + i] += eps
+                    probes[k + i, lo + i] -= eps
+                    t.data = probes.reshape(2 * k, *weights.shape)
                     value, _, ok = model.forward(batch, frozen=frozen,
                                                  stage_inputs=stage_inputs[:stage + 1])
                     # a weight the replay never reads leaves the loss unbatched
-                    loss = np.broadcast_to(value.data, (2 * width,))
-                    ok = np.broadcast_to(ok, (2 * width,))
-                    keep[row] = ok[:width] & ok[width:]
-                    fd[row] = (loss[:width] - loss[width:]) / (2.0 * eps)
+                    loss = np.broadcast_to(value.data, (2 * k,))
+                    ok = np.broadcast_to(ok, (2 * k,))
+                    keep[lo:lo + k] = ok[:k] & ok[k:]
+                    fd[lo:lo + k] = (loss[:k] - loss[k:]) / (2.0 * eps)
             finally:
                 t.data = weights
-            err = ad.max_rel_err(analytic[name][keep], fd[keep]) if keep.any() else 0.0
+            grad = analytic[name].reshape(-1)
+            err = ad.max_rel_err(grad[keep], fd[keep]) if keep.any() else 0.0
             blocks.append(BlockReport(name=name, max_rel_err=float(err),
                                       n_checked=int(keep.sum()),
                                       n_skipped=int(keep.size - keep.sum())))

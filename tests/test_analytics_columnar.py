@@ -223,12 +223,43 @@ def test_csv_rows_out_of_key_order_are_sorted(tmp_path):
     assert keys == [(0, 0, 5), (0, 1, 0), (1, 0, 0)]
 
 
-@pytest.mark.parametrize("step", [1.5, 2**63, "3"])
+@pytest.mark.parametrize("step", [1.5, 2**63, -2**63 - 1, "3"])
 def test_jsonl_key_that_is_no_int64_is_rejected_not_converted(tmp_path, step):
     path = write_jsonl(tmp_path, [jsonl_record(step, 0, 0, 1, [0])])
-    message = ("expected int64 integers" if isinstance(step, int)
-               else "step must be a JSON integer")
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="step must be a JSON integer"):
+        an.import_trace(path)
+
+
+def without(mapping, key):
+    return {name: value for name, value in mapping.items() if name != key}
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda r: without(r, "slots"), "a JSONL record lacks the field 'slots'"),
+    (lambda r: without(r, "step"), "a JSONL record lacks the field 'step'"),
+    (lambda r: dict(r, slots=[without(r["slots"][0], "role")]),
+     "a JSONL slots item lacks the field 'role'"),
+    (lambda r: dict(r, slots=5), "slots must be a JSON array of objects, got 5"),
+    (lambda r: dict(r, slots="ab"), 'slots must be a JSON array of objects, got "ab"'),
+    (lambda r: dict(r, slots=[[1]]), "slots must be a JSON array of objects, got [[1]]"),
+    (lambda r: [1], "record must be a JSON object, got [1]"),
+    (lambda r: dict(r, step=2**63),
+     "step must be a JSON integer in the int64 range, got 9223372036854775808"),
+    (lambda r: dict(r, slots=[dict(r["slots"][0], expert_id=-2**63 - 1)]),
+     "expert_id must be a JSON integer in the int64 range, got -9223372036854775809"),
+    (lambda r: dict(r, k=2**64),
+     "k must be a JSON integer in the int64 range, got 18446744073709551616"),
+    (lambda r: dict(r, slots=[dict(r["slots"][0], gate_prob=10**400)]),
+     "gate_prob must be a JSON number in the float64 range, got 1" + "0" * 400)])
+def test_jsonl_record_of_another_shape_is_rejected_naming_the_field(tmp_path, edit,
+                                                                    message):
+    """A record that lacks a field, whose slots are no array of objects, or
+    that holds an integer its column cannot, is a ValueError naming the
+    field, not a KeyError, TypeError or OverflowError of the reader: the bad
+    record comes after a good one."""
+    path = write_jsonl(tmp_path, [jsonl_record(0, 0, 0, 1, [0]),
+                                  edit(jsonl_record(0, 0, 1, 1, [0]))])
+    with pytest.raises(ValueError, match=re.escape(message)):
         an.import_trace(path)
 
 

@@ -437,6 +437,17 @@ class TestAnalyzeCommand:
         assert captured.err == 'error: gate_prob must be a JSON number, got "0.5"\n'
         assert not captured.out and not out.exists()
 
+    def test_jsonl_record_without_slots_exits_1_naming_the_field(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(json.dumps({"step": 0, "layer": 0, "token_index": 0,
+                                     "modality": "text", "k": 1}) + "\n")
+        out = tmp_path / "report.csv"
+        assert cli.main(["analyze", "--trace", str(trace), "--layer", "0",
+                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: a JSONL record lacks the field 'slots'\n"
+        assert not captured.out and not out.exists()
+
     def test_empty_layer_exits_1(self, trace_file, tmp_path, capsys):
         code = cli.main(["analyze", "--trace", str(trace_file), "--layer", "9",
                          "--out", str(tmp_path / "x.csv")])

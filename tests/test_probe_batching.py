@@ -1,12 +1,13 @@
 """Probe-batched finite differences.
 
-``grad_check`` evaluates every +/-eps probe of one parameter row in a single
-resumed frozen forward: the parameter's ``.data`` holds a ``[2C, *shape]``
-stack of copies, probe c moving coordinate c of the row by +eps and probe
-C + c moving it by -eps.  Each probe's loss and match flag must carry the
+``grad_check`` evaluates the +/-eps probes of up to 64 consecutive (C-order)
+coordinates of one parameter in a single resumed frozen forward: the
+parameter's ``.data`` holds a ``[2K, *shape]`` stack of copies for a chunk
+of K coordinates, probe i moving coordinate ``lo + i`` by +eps and probe
+K + i moving it by -eps.  Each probe's loss and match flag must carry the
 bits of the unbatched resumed forward with that one coordinate moved, the
-parameters must come back untouched, and a probe axis must never reach the
-tape.
+parameters must come back untouched, no forward may hold more than 128
+probes, and a probe axis must never reach the tape.
 """
 
 import dataclasses
@@ -50,21 +51,30 @@ def replay(cfg, requires_grad=False):
     return model, batch, frozen, inputs
 
 
-def row_probes(weights, row, eps):
-    """The probe stack of one row, built one coordinate at a time."""
-    width = weights.shape[-1]
-    probes = np.repeat(weights[None], 2 * width, axis=0)
-    for c in range(width):
-        orig = weights[row + (c,)]
-        probes[(c, *row, c)] = orig + eps
-        probes[(width + c, *row, c)] = orig - eps
+CHUNK = 64
+
+
+def chunks(size):
+    """(lo, K) of each chunk of a parameter with ``size`` coordinates."""
+    return [(lo, min(CHUNK, size - lo)) for lo in range(0, size, CHUNK)]
+
+
+def chunk_probes(weights, lo, k, eps):
+    """The probe stack of one chunk, built one coordinate at a time."""
+    probes = np.repeat(weights[None], 2 * k, axis=0)
+    for i in range(k):
+        idx = np.unravel_index(lo + i, weights.shape)
+        orig = weights[idx]
+        probes[(i, *idx)] = orig + eps
+        probes[(k + i, *idx)] = orig - eps
     return probes
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_each_probe_equals_its_own_resumed_forward(case):
-    cfg, eps = CASES[case]
-    model, batch, frozen, inputs = replay(cfg)
+def check_chunks(model, batch, frozen, inputs, eps, names=None):
+    """Assert that every probe of every chunk of the named parameters (all
+    of them by default) equals its own unbatched resumed forward; return
+    how many probes flipped a live selection and how many chunk forwards
+    came back unbatched."""
     flipped = unread = 0
     for stage, params in enumerate(model.stage_parameters()):
 
@@ -73,28 +83,88 @@ def test_each_probe_equals_its_own_resumed_forward(case):
                                         stage_inputs=inputs[:stage + 1])
             return loss.data, ok
 
-        for t in params.values():
+        for name, t in params.items():
+            if names is not None and name not in names:
+                continue
             weights = t.data
-            width = weights.shape[-1]
-            for row in np.ndindex(weights.shape[:-1]):
-                t.data = row_probes(weights, row, eps)
+            for lo, k in chunks(weights.size):
+                t.data = chunk_probes(weights, lo, k, eps)
                 losses, oks = resumed()
                 unread += losses.ndim == 0
-                losses = np.broadcast_to(losses, (2 * width,))
-                oks = np.broadcast_to(oks, (2 * width,))
-                for c in range(width):
-                    idx = row + (c,)
+                losses = np.broadcast_to(losses, (2 * k,))
+                oks = np.broadcast_to(oks, (2 * k,))
+                for i in range(k):
+                    idx = np.unravel_index(lo + i, weights.shape)
                     orig = weights[idx]
-                    for p, moved in ((c, orig + eps), (width + c, orig - eps)):
+                    for p, moved in ((i, orig + eps), (k + i, orig - eps)):
                         t.data = weights.copy()
                         t.data[idx] = moved
                         loss, ok = resumed()
                         assert type(ok) is bool
                         assert (losses[p].tobytes(), bool(oks[p])) == (loss.tobytes(), ok)
                         flipped += not ok
-                t.data = weights
+            t.data = weights
+    return flipped, unread
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_each_probe_equals_its_own_resumed_forward(case):
+    cfg, eps = CASES[case]
+    model, batch, frozen, inputs = replay(cfg)
+    flipped, unread = check_chunks(model, batch, frozen, inputs, eps)
     assert (flipped > 0) == (case == "deterministic-seed2-eps1e-2")
     assert (unread > 0) == (case in ("deterministic-seed5", "sampled-seed28"))
+
+
+def test_probes_of_several_chunks_equal_their_own_resumed_forwards():
+    model, batch, frozen, inputs = replay(hn.smoke_train_config(0))
+    sizes = {name: t.data.size for name, t in model.parameters().items()}
+    assert [k for lo, k in chunks(sizes["cls.w"])] == [64, 64]
+    assert [k for lo, k in chunks(sizes["layer1.moe.router"])] == [64, 64, 32]
+    assert check_chunks(model, batch, frozen, inputs, 1e-6,
+                        names=("cls.w", "layer1.moe.router")) == (0, 0)
+
+
+def campaign_forwards(monkeypatch, cfg):
+    """The ``ToyTransformer.forward`` calls of ``grad_check(cfg)``, the
+    (name, probes) of each probe stack a forward ran with, and every
+    parameter's shape."""
+    shapes = {name: t.data.shape for name, t in hn.ToyTransformer(cfg).parameters().items()}
+    real, calls, swapped = hn.ToyTransformer.forward, 0, []
+
+    def recording(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        for name, t in self.parameters().items():
+            if t.data.shape != shapes[name]:
+                assert t.data.shape[1:] == shapes[name]
+                swapped.append((name, t.data.shape[0]))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(hn.ToyTransformer, "forward", recording)
+    hn.grad_check(cfg)
+    return calls, swapped, shapes
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_default_campaign_runs_one_forward_per_parameter(monkeypatch, seed):
+    calls, swapped, shapes = campaign_forwards(monkeypatch,
+                                               hn.gradcheck_default_config(seed))
+    assert calls == 31  # the live forward, the replay and 29 chunks
+    assert swapped == [(name, 2 * int(np.prod(shape))) for name, shape in shapes.items()]
+    assert max(probes for _, probes in swapped) <= 128
+
+
+def test_a_campaign_splits_a_wide_parameter_into_chunks(monkeypatch):
+    cfg = hn.gradcheck_default_config(0)
+    cfg = dataclasses.replace(cfg, layers=1,
+                              moe=dataclasses.replace(cfg.moe, expert_hidden=12))
+    calls, swapped, shapes = campaign_forwards(monkeypatch, cfg)
+    want = [(name, 2 * k) for name, shape in shapes.items()
+            for lo, k in chunks(int(np.prod(shape)))]
+    assert want[5:7] == [("layer0.moe.routed0.w_gate", 128), ("layer0.moe.routed0.w_gate", 16)]
+    assert (calls, swapped) == (2 + len(want), want)
+    assert max(probes for _, probes in swapped) <= 128
 
 
 def test_a_campaign_with_an_unchosen_expert_equals_the_full_forward_campaign():

@@ -14,8 +14,9 @@ inference forward: the count follows the model, not the batch size.
 A default ``grad_check`` differentiates only its frozen replay: its
 finite-difference evaluations run with the parameters' ``requires_grad``
 off and put nothing on the tape.  They run one probe-batched forward per
-parameter row (136 rows), not two per coordinate (702 coordinates).  On
-``gradcheck_default_config(s)``, s = 0-3, a campaign makes 3,181
+chunk of up to 64 coordinates of a parameter (29 chunks, one per
+parameter), not two per coordinate (702 coordinates).  On
+``gradcheck_default_config(s)``, s = 0-3, a campaign makes 734
 ``op_node`` calls and 66 of them (the live train forward and the replay)
 require gradients.
 """
@@ -31,7 +32,7 @@ from dyncapmoe import harness as hn
 TRAIN_STEP_NODES = 46
 INFER_FORWARD_NODES = 42
 TRAINVAL_OP_NODES = 88
-GRADCHECK_OP_NODES = 3_181
+GRADCHECK_OP_NODES = 734
 GRADCHECK_TAPE_NODES = 66
 
 
