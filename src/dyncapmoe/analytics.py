@@ -27,11 +27,17 @@ and sorts) over the columns, so its cost is near-linear in the trace size
 rather than a Python scan per record or per step; only ``records`` and
 ``select`` build :class:`TraceRecord` objects, on demand.
 
-Two ways in: :func:`record` appends one token's
-:class:`~dyncapmoe.moe.RoutingDecision`; :func:`record_rows` appends a
-whole layer's :class:`~dyncapmoe.moe.Routing` as one column block, with
-the same records and the same duplicate-key check, and no per-token
-objects.  Training logs through the latter.
+Four ways in: :meth:`RoutingTrace.add` appends a :class:`TraceRecord`;
+:func:`record` appends one token's :class:`~dyncapmoe.moe.RoutingDecision`
+through it; :func:`record_rows` appends a whole layer's
+:class:`~dyncapmoe.moe.Routing` as one column block, with the same records
+and the same duplicate-key check, and no per-token objects (training logs
+through it); :func:`import_trace` reads a CSV or JSONL file.  One rule
+holds for all of them: each field takes one kind of value (an integer, a
+number or a string; a bool is no integer or number, and a string no
+number) that fits its column (int64, or float64 for ``gate_prob``).  Any
+other value is a ``ValueError`` that names the field and the value; none is
+truncated or parsed.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -129,14 +136,41 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.repeat(lo - (ends - lens), lens) + np.arange(ends[-1] if ends.size else 0)
 
 
-def _ints(values: Sequence[int]) -> np.ndarray:
-    """An int64 column; floats, strings and out-of-range ints are refused,
-    not truncated or parsed."""
-    column = np.array(values)
-    if column.size and not (column.dtype.kind == "i" or (
-            column.dtype.kind == "u" and column.max() <= np.iinfo(np.int64).max)):
-        raise ValueError(f"expected int64 integers, got {column.dtype} values")
-    return column.astype(np.int64)
+# The kind of value each trace field takes, and the column that kind makes:
+# an int64 or float64 array, or a string field's distinct strings and each
+# value's code.  A bool is no integer or number, and a string no number.
+_FIELD_KIND = {"step": "integer", "layer": "integer", "token_index": "integer",
+               "modality": "string", "k": "integer", "expert_id": "integer",
+               "role": "string", "gate_prob": "number", "selected_rank": "integer"}
+_KINDS = {"integer": ((int, np.integer), np.int64),
+          "number": ((int, float, np.integer, np.floating), np.float64),
+          "string": ((str,), None)}
+
+
+def _column(field: str, values: Sequence):
+    """The column of a field's values, by the field's kind in _FIELD_KIND.
+
+    Raises a ValueError naming the field and its first value of another
+    kind, or its first integer outside the column's range (int64, or
+    float64 for a number); nothing is truncated or parsed.
+    """
+    kind = _FIELD_KIND[field]
+    types, dtype = _KINDS[kind]
+    wrong = {t for t in set(map(type, values)) if t is bool or not issubclass(t, types)}
+    if wrong:
+        bad = next(v for v in values if type(v) in wrong)
+        raise ValueError(f"{field} must be a JSON {kind}, got {json.dumps(bad, default=repr)}")
+    if dtype is None:
+        return _encode(values)
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        info = np.iinfo(dtype) if kind == "integer" else np.finfo(dtype)
+        low, high = int(info.min), int(info.max)
+        bad = next(v for v in values
+                   if isinstance(v, (int, np.integer)) and not low <= v <= high)
+        raise ValueError(f"{field} must be a JSON {kind} in the {np.dtype(dtype)} range, "
+                         f"got {bad}") from None
 
 
 def _offsets(counts) -> np.ndarray:
@@ -166,19 +200,21 @@ class _Columns:
     def from_fields(cls, step, layer, token_index, modality: Sequence[str],
                     counts: Sequence[int], expert_id, role: Sequence[str],
                     gate_prob, selected_rank) -> "_Columns":
-        """Columns from per-record keys and modality, and per-slot fields."""
-        counts = _ints(counts)
-        modalities, modality = _encode(modality)
-        roles, role = _encode(role)
+        """Columns from per-record keys and modality, and per-slot fields,
+        each converted by :func:`_column`."""
+        counts = np.array(counts, dtype=np.int64)
+        modalities, modality = _column("modality", modality)
+        roles, role = _column("role", role)
 
-        def per_slot(values):
-            return np.repeat(_ints(values), counts)
+        def per_slot(field, values):
+            return np.repeat(_column(field, values), counts)
 
-        return cls(step=per_slot(step), layer=per_slot(layer),
-                   token_index=per_slot(token_index), modality=np.repeat(modality, counts),
-                   expert_id=_ints(expert_id), role=role,
-                   gate_prob=np.array(gate_prob, dtype=np.float64),
-                   selected_rank=_ints(selected_rank),
+        return cls(step=per_slot("step", step), layer=per_slot("layer", layer),
+                   token_index=per_slot("token_index", token_index),
+                   modality=np.repeat(modality, counts),
+                   expert_id=_column("expert_id", expert_id), role=role,
+                   gate_prob=_column("gate_prob", gate_prob),
+                   selected_rank=_column("selected_rank", selected_rank),
                    offsets=_offsets(counts), modalities=modalities, roles=roles)
 
     @classmethod
@@ -236,6 +272,8 @@ class _Columns:
         if len(modality_tags) != n:
             raise ValueError(f"need one modality tag per token, got {len(modality_tags)} "
                              f"for {n}")
+        (step,), (layer,) = _column("step", [step]), _column("layer", [layer])
+        modalities, modality = _column("modality", modality_tags)
         shared = np.broadcast_to(np.arange(n_slots, n_slots + routing.n_shared),
                                  (n, routing.n_shared))
         # sort key of each slot: its rank, shared experts after every rank
@@ -248,7 +286,6 @@ class _Columns:
         gate[routable] = routing.gate[tok[routable], slot[routable]]
         rank = np.full(tok.size, -1, dtype=np.int64)
         rank[routable] = routing.rank[tok[routable], slot[routable]]
-        modalities, modality = _encode(modality_tags)
         return cls(step=np.full(tok.size, step, dtype=np.int64),
                    layer=np.full(tok.size, layer, dtype=np.int64), token_index=tok,
                    modality=modality[tok], expert_id=slot,
@@ -327,6 +364,9 @@ class RoutingTrace:
         return self._keys
 
     def add(self, rec: TraceRecord) -> None:
+        """Append one record.  A repeated key or a record with no routable
+        slot raises here; a field value of another kind than the field
+        takes (module docstring) raises at the next read."""
         keys = self._keys if self._keys is not None else self._known_keys()
         key = (rec.step, rec.layer, rec.token_index)
         if key in keys:
@@ -386,7 +426,8 @@ class RoutingTrace:
 
 def record(trace: RoutingTrace, step: int, layer: int, token_index: int,
            modality_tag: str, decision: moe.RoutingDecision) -> None:
-    """Append one token's routing decision (routable slots, then shared)."""
+    """Append one token's routing decision (routable slots, then shared)
+    through :meth:`RoutingTrace.add`, whose checks it keeps."""
     slots = [SlotEntry(e.index, e.role.value, e.gate_prob, e.rank)
              for e in decision.per_expert]
     slots += [SlotEntry(e.index, e.role.value, e.gate_prob, -1)
@@ -401,6 +442,9 @@ def record_rows(trace: RoutingTrace, step: int, layer: int,
 
     The records equal those of :func:`record` called on every ``routing[t]``
     in turn, but they go in as one column block, with no per-token objects.
+    A repeated key, or a ``step``, ``layer`` or modality tag of another kind
+    than its field takes (module docstring), raises before anything is
+    added.
     """
     trace._add_columns(_Columns.of_routing(step, layer, modality_tags, routing))
 
@@ -606,6 +650,40 @@ def _text_column(raw: np.ndarray, lo: np.ndarray,
     return tuple(raw[lo[i]:hi[i]].tobytes().decode("utf-8") for i in first.tolist()), code
 
 
+_CSV_INT = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
+def _csv_number(field: str, text: str) -> bool:
+    """Whether ``np.loadtxt`` reads the text as the field's column type."""
+    if field != "gate_prob":
+        return _CSV_INT.fullmatch(text) is not None and -2**63 <= int(text) < 2**63
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text.isascii() and "_" not in text
+
+
+def _csv_number_error(raw: np.ndarray, bounds: np.ndarray,
+                      numeric: Sequence[tuple[int, str]]) -> ValueError | None:
+    """A ValueError naming the file line and field of the first numeric
+    field that is no int64 integer (no float64 number for ``gate_prob``),
+    or None if every field is one."""
+    bad = []
+    for j, field in numeric:
+        texts, code = _text_column(raw, bounds[:, j] + 1, bounds[:, j + 1])
+        wrong = np.flatnonzero(~np.array([_csv_number(field, t) for t in texts],
+                                         dtype=bool)[code])
+        if wrong.size:
+            bad.append((int(wrong[0]), j, field, texts[code[wrong[0]]]))
+    if not bad:
+        return None
+    row, _, field, text = min(bad)
+    kind = "a float64 number" if field == "gate_prob" else "an int64 integer"
+    # Line 1 of the file is the header.
+    return ValueError(f"line {row + 2}: {field} must be {kind}, got {text!r}")
+
+
 def _read_csv(text: str) -> _Columns:
     """Parse CSV rows straight into typed columns.
 
@@ -621,7 +699,8 @@ def _read_csv(text: str) -> _Columns:
         body += "\n"
     raw = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
     commas = np.flatnonzero(raw == ord(","))
-    per_line = np.diff(np.searchsorted(commas, np.flatnonzero(raw == ord("\n"))), prepend=0)
+    newlines = np.flatnonzero(raw == ord("\n"))
+    per_line = np.diff(np.searchsorted(commas, newlines), prepend=0)
     bad = np.flatnonzero(per_line != len(CSV_COLUMNS) - 1)
     if bad.size:
         line = body.split("\n")[bad[0]]
@@ -629,11 +708,19 @@ def _read_csv(text: str) -> _Columns:
     commas = commas.reshape(-1, len(CSV_COLUMNS) - 1)
     text_fields = ("modality", "role")
     numeric = [(j, name) for j, name in enumerate(CSV_COLUMNS) if name not in text_fields]
-    # No comment character: a modality may hold '#'.
-    rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
-                      usecols=[j for j, _ in numeric],
-                      dtype=[(name, np.float64 if name == "gate_prob" else np.int64)
-                             for _, name in numeric])
+    try:
+        # No comment character: a modality may hold '#'.
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
+                          usecols=[j for j, _ in numeric],
+                          dtype=[(name, np.float64 if name == "gate_prob" else np.int64)
+                                 for _, name in numeric])
+    except ValueError:
+        # Field j of row i lies between bounds[i, j] and bounds[i, j + 1].
+        bounds = np.column_stack((np.append(-1, newlines[:-1]), commas, newlines))
+        error = _csv_number_error(raw, bounds, numeric)
+        if error is None:
+            raise
+        raise error from None
     step, layer, token = rows["step"], rows["layer"], rows["token_index"]
     new = np.ones(step.size, dtype=bool)
     new[1:] = (step[1:] != step[:-1]) | (layer[1:] != layer[:-1]) | (token[1:] != token[:-1])
@@ -650,38 +737,7 @@ def _read_csv(text: str) -> _Columns:
                     modalities=modalities, roles=roles).checked(rows["k"])
 
 
-# The JSON types a JSONL field takes: a bool is not an integer, and a string
-# is not a number.  Fields not named in _JSON_KIND take integers.
-_JSON_TYPES = {"integer": {int}, "number": {int, float}, "string": {str}}
-_JSON_KIND = {"modality": "string", "role": "string", "gate_prob": "number"}
-# The integers a numeric column holds, by JSON kind: an integer field becomes
-# an int64 column, and a number field a float64 one, which an integer beyond
-# the largest float overflows.
-_JSON_RANGE = {"integer": ("int64", int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)),
-               "number": ("float64", -float(np.finfo(np.float64).max),
-                          float(np.finfo(np.float64).max))}
 _SLOT_FIELDS = ("expert_id", "role", "gate_prob", "selected_rank")
-
-
-def _check_json_type(field: str, values: list) -> None:
-    """Raise a ValueError naming the field if a value has another JSON type
-    than the field takes."""
-    kind = _JSON_KIND.get(field, "integer")
-    types = _JSON_TYPES[kind]
-    if not set(map(type, values)) <= types:
-        bad = next(v for v in values if type(v) not in types)
-        raise ValueError(f"{field} must be a JSON {kind}, got {json.dumps(bad)}")
-
-
-def _check_json_range(field: str, values: list) -> None:
-    """Raise a ValueError naming the field if an integer lies outside the
-    range of the field's column."""
-    kind = _JSON_KIND.get(field, "integer")
-    if kind in _JSON_RANGE:
-        dtype, low, high = _JSON_RANGE[kind]
-        bad = next((v for v in values if type(v) is int and not low <= v <= high), None)
-        if bad is not None:
-            raise ValueError(f"{field} must be a JSON {kind} in the {dtype} range, got {bad}")
 
 
 def _slots_error(slots) -> ValueError:
@@ -693,8 +749,11 @@ def _read_jsonl(text: str) -> _Columns:
     :func:`import_trace` says what is rejected."""
     step, layer, token, modality, counts, k = [], [], [], [], [], []
     expert_id, role, gate_prob, rank = [], [], [], []
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
     try:
-        for line in text.splitlines():
+        for n, line in enumerate(lines, 1):
             d = json.loads(line)
             if type(d) is not dict:
                 raise ValueError(f"record must be a JSON object, got {json.dumps(d)}")
@@ -712,27 +771,19 @@ def _read_jsonl(text: str) -> _Columns:
                 role.append(s["role"])
                 gate_prob.append(s["gate_prob"])
                 rank.append(s["selected_rank"])
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {n}: {exc.msg} at column {exc.colno}") from None
+    except ValueError as exc:
+        raise ValueError(f"line {n}: {exc}") from None
     except KeyError as exc:
         field = exc.args[0]
         owner = "slots item" if field in _SLOT_FIELDS else "record"
-        raise ValueError(f"a JSONL {owner} lacks the field {field!r}") from None
+        raise ValueError(f"line {n}: a JSONL {owner} lacks the field {field!r}") from None
     except TypeError:  # a slots item that is no object fails its subscript
-        raise _slots_error(slots) from None
-    fields = (("step", step), ("layer", layer), ("token_index", token),
-              ("modality", modality), ("k", k), ("expert_id", expert_id),
-              ("role", role), ("gate_prob", gate_prob), ("selected_rank", rank))
-    for field, values in fields:
-        _check_json_type(field, values)
-    try:
-        columns = _Columns.from_fields(step, layer, token, modality, counts, expert_id,
-                                       role, gate_prob, rank)
-        k = np.repeat(_ints(k), counts)
-    except (ValueError, OverflowError):
-        # Only a read that fails its conversion scans for the field to name.
-        for field, values in fields:
-            _check_json_range(field, values)
-        raise
-    return columns.checked(k)
+        raise ValueError(f"line {n}: {_slots_error(slots)}") from None
+    columns = _Columns.from_fields(step, layer, token, modality, counts, expert_id, role,
+                                   gate_prob, rank)
+    return columns.checked(np.repeat(_column("k", k), counts))
 
 
 def import_trace(path) -> RoutingTrace:
@@ -741,12 +792,12 @@ def import_trace(path) -> RoutingTrace:
 
     Raises :class:`DuplicateRecordError` if a key occurs twice, and
     ``ValueError`` if a record's ``k`` differs from its count of routable
-    slots, a record has none, or a JSONL record lacks a field or holds
-    another JSON type than the field takes (an object per record, an array
-    of objects for ``slots``, strings for ``modality`` and ``role``, a
-    number for ``gate_prob`` and integers for the rest; a bool is no
-    integer or number) or an integer outside its column's range (int64, or
-    float64 for ``gate_prob``).
+    slots, a record has none, or a field holds a value that its column
+    cannot (the one rule of the module docstring; ``k`` is an integer).  A
+    CSV number that does not parse is named with its field and its line of
+    the file.  A JSONL line that is no JSON object (a blank line included),
+    lacks a field or whose ``slots`` is no array of objects is named by its
+    line of the file.
     """
     path = Path(path)
     read = _read_jsonl if path.suffix == ".jsonl" else _read_csv

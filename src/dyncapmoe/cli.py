@@ -103,6 +103,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_rope_dump(args) -> int:
     spec = json.loads(Path(args.segments).read_text(encoding="utf-8"))
+    if not isinstance(spec, dict):
+        raise ValueError(f"segment spec must be a JSON object, got {spec!r}")
     if "segments" not in spec:
         raise ValueError("segment spec must contain a 'segments' list")
     segments = hn.segments_from_json(spec["segments"])

@@ -163,6 +163,8 @@ class ToyModelConfig:
         """Inverse of :meth:`to_json_dict`: each block goes to its own
         constructor, so an unknown or missing key raises ``TypeError``
         naming it.  ``rope`` may be absent or null."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a model config must be a JSON object, got {d!r}")
         d = dict(d)
         rope = d.pop("rope", None)
         return cls(moe=moe.MoEConfig(**d.pop("moe")),

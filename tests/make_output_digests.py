@@ -4,13 +4,19 @@ Run from the repository root::
 
     PYTHONPATH=src python tests/make_output_digests.py
 
-Each entry is the digest of one ``gradcheck --json`` file: the CLI default,
-then ``gradcheck_default_config(s)`` for seeds 0-3, both routing modes and
-eps 1e-6 and 1e-2, each passed with ``--config``.  The file also records
-the environment it was made in (Python, NumPy, BLAS), because float bits
-may depend on it.  ``tests/test_output_digests.py`` recomputes the digests
-and compares; a change that moves an output on purpose reruns this script
-and says which digests moved and why.
+Each entry is the digest of one file the CLI writes:
+
+* ``gradcheck --json``: the CLI default, then ``gradcheck_default_config(s)``
+  for seeds 0-3, both routing modes and eps 1e-6 and 1e-2, each passed with
+  ``--config``;
+* ``loss.csv`` and ``trace.csv`` of ``train --seed s --steps 500`` for
+  seeds 1-3, and seed 1's trace after a JSONL export, import and export.
+
+The file also records the environment it was made in (Python, NumPy,
+BLAS), because float bits may depend on it.
+``tests/test_output_digests.py`` recomputes the digests and compares; a
+change that moves an output on purpose reruns this script and says which
+digests moved and why.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from dyncapmoe import analytics as an
 from dyncapmoe import cli
 from dyncapmoe import harness as hn
 
@@ -34,6 +41,8 @@ DIGESTS = Path(__file__).resolve().parent / "output_digests.json"
 SEEDS = range(4)
 MODES = ("sampled", "deterministic")
 EPS = (1e-6, 1e-2)
+TRAIN_SEEDS = (1, 2, 3)
+TRAIN_STEPS = 500
 
 
 def environment() -> dict[str, str]:
@@ -57,7 +66,17 @@ def gradcheck_runs() -> dict[str, tuple[hn.ToyModelConfig | None, float | None]]
     return runs
 
 
-def compute() -> dict[str, str]:
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _run_cli(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+def gradcheck_digests() -> dict[str, str]:
     """Run every ``gradcheck`` of :func:`gradcheck_runs` through
     ``cli.main`` in this process and return the sha256 of each JSON report
     it writes."""
@@ -72,13 +91,39 @@ def compute() -> dict[str, str]:
                 argv += ["--config", str(config)]
             if eps is not None:
                 argv += ["--eps", repr(eps)]
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(argv + ["--json", str(out)])
+            code = _run_cli(argv + ["--json", str(out)])
             if code not in (0, 1) or not out.exists():
                 raise RuntimeError(f"{name}: gradcheck exited {code} without a report")
-            digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+            digests[name] = _sha256(out)
     return digests
+
+
+def train_digests() -> dict[str, str]:
+    """Run ``train --seed s --steps 500`` for each of :data:`TRAIN_SEEDS`
+    and return the sha256 of its ``loss.csv`` and ``trace.csv``, then of
+    the first seed's trace exported as JSONL, imported and exported again."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for seed in TRAIN_SEEDS:
+            out = tmp / f"seed{seed}"
+            code = _run_cli(["train", "--seed", str(seed), "--steps", str(TRAIN_STEPS),
+                             "--out", str(out)])
+            if code != 0:
+                raise RuntimeError(f"train --seed {seed} exited {code}")
+            for file in ("loss.csv", "trace.csv"):
+                digests[f"train-seed{seed}-{file}"] = _sha256(out / file)
+        seed = TRAIN_SEEDS[0]
+        first, second = tmp / "first.jsonl", tmp / "second.jsonl"
+        an.export_trace(an.import_trace(tmp / f"seed{seed}" / "trace.csv"), first, fmt="jsonl")
+        an.export_trace(an.import_trace(first), second, fmt="jsonl")
+        digests[f"train-seed{seed}-trace.jsonl-round-trip"] = _sha256(second)
+    return digests
+
+
+def compute() -> dict[str, str]:
+    """Every digest the file holds, in its order."""
+    return {**gradcheck_digests(), **train_digests()}
 
 
 def main() -> int:

@@ -9,12 +9,15 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import analytics_reference as ref
 from dyncapmoe import analytics as an
+from dyncapmoe import autodiff as ad
+from dyncapmoe import moe
 
 # Strings a fixed-width, NUL-padded or comment-aware parser would mangle,
 # and ones that JSON writes with an escape.
@@ -293,6 +296,56 @@ def test_jsonl_gate_prob_takes_integers_and_non_finite_numbers(tmp_path):
     assert rec.slots[0].gate_prob == 1.0 and math.isnan(rec.slots[1].gate_prob)
 
 
+@pytest.mark.parametrize("lines,message", [
+    (['{"step": 0'], "line 2: Expecting ',' delimiter at column 11"),
+    ([""], "line 2: Expecting value at column 1"),
+    (["", json.dumps(jsonl_record(0, 0, 2, 1, [0]))], "line 2: Expecting value at column 1"),
+    (["5"], "line 2: record must be a JSON object, got 5"),
+    ([json.dumps(without(jsonl_record(0, 0, 1, 1, [0]), "layer"))],
+     "line 2: a JSONL record lacks the field 'layer'"),
+    ([json.dumps(dict(jsonl_record(0, 0, 1, 1, [0]), slots={"a": 1}))],
+     'line 2: slots must be a JSON array of objects, got {"a": 1}'),
+    ([json.dumps(dict(jsonl_record(0, 0, 1, 1, [0]), slots=[None]))],
+     "line 2: slots must be a JSON array of objects, got [null]")],
+    ids=["decode", "blank", "blank-inside", "no-object", "missing-field", "slots-object",
+         "slots-item"])
+def test_jsonl_line_that_cannot_be_read_is_named_by_its_file_line(tmp_path, lines,
+                                                                  message):
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(line + "\n" for line in
+                            [json.dumps(jsonl_record(0, 0, 0, 1, [0])), *lines]))
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        an.import_trace(path)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("step", "9223372036854775808",
+     "line 3: step must be an int64 integer, got '9223372036854775808'"),
+    ("token_index", "1.0", "line 3: token_index must be an int64 integer, got '1.0'"),
+    ("expert_id", "", "line 3: expert_id must be an int64 integer, got ''"),
+    ("gate_prob", "abc", "line 3: gate_prob must be a float64 number, got 'abc'"),
+    ("gate_prob", "1_0.5", "line 3: gate_prob must be a float64 number, got '1_0.5'")])
+def test_csv_number_that_cannot_be_parsed_is_named_with_its_file_line(tmp_path, field,
+                                                                      value, message):
+    row = dict(zip(an.CSV_COLUMNS, "0,0,1,text,1,routed,0.5,0,1".split(",")), **{field: value})
+    path = write_csv(tmp_path, ["0,0,0,text,1,routed,0.5,0,1", ",".join(row.values()),
+                                "0,0,2,text,1,routed,xyz,0,1"])
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        an.import_trace(path)
+
+
+def test_csv_number_error_passes_over_every_form_loadtxt_reads(tmp_path):
+    """Spaces, signs and non-finite or overflowing floats parse, so the
+    error names the field that does not."""
+    rows = ["0,0,0,text,1,routed, nan ,0,1", " +1,0,0,text,1,routed,-Infinity,0,1",
+            "2 ,0,0,text,1,routed,1e999,0,1", "-9223372036854775808,0,0,text,1,routed,+.5,0,1"]
+    assert len(an.import_trace(write_csv(tmp_path, rows))) == 4
+    path = write_csv(tmp_path, rows + ["3,0,0,text,1,routed,0.5,0x1,1"])
+    with pytest.raises(ValueError, match="^line 6: selected_rank must be an int64 "
+                                         "integer, got '0x1'$"):
+        an.import_trace(path)
+
+
 def test_empty_modality_is_its_own_group_not_all(tmp_path):
     trace = an.import_trace(write_jsonl(tmp_path, [jsonl_record(0, 0, 0, 1, [0], modality=""),
                                                    jsonl_record(0, 0, 1, 1, [1])]))
@@ -301,6 +354,102 @@ def test_empty_modality_is_its_own_group_not_all(tmp_path):
         assert module.activation_proportions(trace, 0).group == "all"
         with pytest.raises(ValueError, match="with modality ''"):
             module.activation_proportions(trace, 1, modality="")
+
+
+# ---------------------------------------------------------------------------
+# one rule per field, for every way in
+# ---------------------------------------------------------------------------
+
+def one_token_routing() -> moe.Routing:
+    layer = moe.DynamicCapacityMoE(moe.MoEConfig(d_model=4, n_routed=3, expert_hidden=3,
+                                                 n_null=1, n_shared=1, seed=2))
+    return layer.forward_rows(ad.Tensor(np.ones((1, 4))), "infer")[1]
+
+
+# The fields each way in takes from its caller: record and record_rows take
+# their slots from a routing.
+WAYS_IN = {"add": ("step", "layer", "token_index", "modality", "expert_id", "role",
+                   "gate_prob", "selected_rank"),
+           "record": ("step", "layer", "token_index", "modality"),
+           "record_rows": ("step", "layer", "modality"),
+           "jsonl": ("step", "layer", "token_index", "modality", "k", "expert_id", "role",
+                     "gate_prob", "selected_rank")}
+
+
+def read_one_record_through(way, tmp_path, **fields) -> an.RoutingTrace:
+    """A trace holding one record, put in the given way and then read."""
+    record = jsonl_record(0, 0, 0, 1, [0])
+    record.update((f, v) for f, v in fields.items() if f in record)
+    slot = record["slots"][0]
+    slot.update((f, v) for f, v in fields.items() if f in slot)
+    trace = an.RoutingTrace()
+    if way == "add":
+        trace.add(an.TraceRecord(record["step"], record["layer"], record["token_index"],
+                                 record["modality"], (an.SlotEntry(**slot),)))
+    elif way == "record":
+        an.record(trace, record["step"], record["layer"], record["token_index"],
+                  record["modality"], one_token_routing()[0])
+    elif way == "record_rows":
+        an.record_rows(trace, record["step"], record["layer"], [record["modality"]],
+                       one_token_routing())
+    else:
+        trace = an.import_trace(write_jsonl(tmp_path, [record]))
+    trace.records()
+    return trace
+
+
+BAD_VALUES = [("step", 1.5, "integer"), ("step", True, "integer"), ("step", 0.0, "integer"),
+              ("step", "3", "integer"), ("layer", np.float64(2.0), "integer"),
+              ("token_index", None, "integer"), ("modality", 5, "string"),
+              ("expert_id", False, "integer"),
+              ("role", 3, "string"), ("gate_prob", "0.5", "number"),
+              ("gate_prob", True, "number"), ("selected_rank", 0.0, "integer"),
+              ("k", 1.0, "integer")]
+
+
+@pytest.mark.parametrize("way,field,value,kind", [
+    (way, field, value, kind) for field, value, kind in BAD_VALUES
+    for way, takes in WAYS_IN.items() if field in takes])
+def test_a_value_of_another_kind_is_refused_naming_its_field_every_way_in(
+        tmp_path, way, field, value, kind):
+    """No way in truncates, parses or converts a value its field does not
+    take: each raises the same ValueError."""
+    message = f"{field} must be a JSON {kind}, got {json.dumps(value)}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        read_one_record_through(way, tmp_path, **{field: value})
+
+
+OUT_OF_RANGE = [("step", 2**63, "integer in the int64 range"),
+                ("layer", np.uint64(2**63), "integer in the int64 range"),
+                ("token_index", -2**63 - 1, "integer in the int64 range"),
+                ("gate_prob", 10**400, "number in the float64 range")]
+
+
+@pytest.mark.parametrize("way,field,value,kind", [
+    pytest.param(way, field, value, kind, id=f"{way}-{field}")
+    for field, value, kind in OUT_OF_RANGE for way, takes in WAYS_IN.items()
+    if field in takes and (way != "jsonl" or type(value) is int)])  # JSON has no uint64
+def test_an_integer_beyond_its_column_is_refused_naming_its_field_every_way_in(
+        tmp_path, way, field, value, kind):
+    message = f"{field} must be a JSON {kind}, got {value}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        read_one_record_through(way, tmp_path, **{field: value})
+
+
+@pytest.mark.parametrize("way", ["add", "record", "record_rows", "jsonl"])
+def test_every_way_in_takes_the_kinds_its_fields_take(tmp_path, way):
+    """NumPy integers are integers, integers are numbers, and the int64
+    bounds are in range."""
+    fields = {"step": np.int64(3), "layer": -2**63, "token_index": 2**63 - 1,
+              "modality": "vidéo", "gate_prob": 1, "expert_id": np.uint8(1)}
+    if way == "jsonl":
+        fields.update(step=3, expert_id=1)
+    fields = {f: v for f, v in fields.items() if f in WAYS_IN[way]}
+    (rec,) = read_one_record_through(way, tmp_path, **fields).records()
+    assert (rec.step, rec.layer, rec.token_index, rec.modality) == (
+        fields.get("step", 0), fields["layer"], fields.get("token_index", 0), "vidéo")
+    if way in ("add", "jsonl"):
+        assert rec.slots[0].gate_prob == 1.0 and rec.slots[0].expert_id == 1
 
 
 # ---------------------------------------------------------------------------

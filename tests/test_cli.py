@@ -149,6 +149,30 @@ class TestRopeDump:
         assert "Traceback" not in captured.err and not captured.out
 
 
+    @pytest.mark.parametrize("spec", [5, ["segments"], None],
+                             ids=["number", "list", "null"])
+    def test_spec_that_is_no_object_exits_1_saying_so(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["rope-dump", "--segments", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: segment spec must be a JSON object, got {spec!r}\n"
+        assert not captured.out
+
+
+@pytest.mark.parametrize("command", ["gradcheck", "train"])
+@pytest.mark.parametrize("config", [[1, 2], 5, "moe"], ids=["list", "number", "string"])
+def test_config_that_is_no_object_exits_1_saying_so(tmp_path, capsys, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "train" else [])
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: a model config must be a JSON object, got {config!r}\n"
+    assert not captured.out and not out.exists()
+
+
 class TestGradcheckCommand:
     def test_default_config_passes(self, capsys):
         assert cli.main(["gradcheck"]) == 0
@@ -445,7 +469,30 @@ class TestAnalyzeCommand:
         assert cli.main(["analyze", "--trace", str(trace), "--layer", "0",
                          "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: a JSONL record lacks the field 'slots'\n"
+        assert captured.err == "error: line 1: a JSONL record lacks the field 'slots'\n"
+        assert not captured.out and not out.exists()
+
+    def test_blank_jsonl_line_exits_1_naming_its_line(self, tmp_path, capsys):
+        trace = self.write_jsonl(tmp_path / "trace.jsonl", ["text"])
+        trace.write_text(trace.read_text() + "\n")
+        out = tmp_path / "report.csv"
+        assert cli.main(["analyze", "--trace", str(trace), "--layer", "0",
+                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 2: Expecting value at column 1\n"
+        assert not captured.out and not out.exists()
+
+    def test_unparsable_csv_number_exits_1_naming_the_field_and_line(self, tmp_path,
+                                                                     capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(",".join(an.CSV_COLUMNS) + "\n0,0,0,text,1,routed,0.5,0,1\n"
+                         "9223372036854775808,0,1,text,1,routed,0.5,0,1\n")
+        out = tmp_path / "report.csv"
+        assert cli.main(["analyze", "--trace", str(trace), "--layer", "0",
+                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: line 3: step must be an int64 integer, "
+                                "got '9223372036854775808'\n")
         assert not captured.out and not out.exists()
 
     def test_empty_layer_exits_1(self, trace_file, tmp_path, capsys):

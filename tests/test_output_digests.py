@@ -1,9 +1,10 @@
 """Committed outputs stay byte-identical.
 
 ``tests/output_digests.json`` holds the sha256 of every ``gradcheck --json``
-report that ``tests/make_output_digests.py`` writes, and the environment it
-ran in.  A change that is meant to keep outputs must keep these digests; one
-that moves an output on purpose reruns the script.  Float bits may depend
+report, ``train`` output and JSONL round trip that
+``tests/make_output_digests.py`` writes, and the environment it ran in.  A
+change that is meant to keep outputs must keep these digests; one that
+moves an output on purpose reruns the script.  Float bits may depend
 on the environment, so a different one fails by name rather than passing
 or skipping silently.
 """
@@ -25,9 +26,17 @@ def test_made_in_this_environment():
     assert not diff, f"digests were made in another environment (made, here): {diff}"
 
 
-def test_gradcheck_reports_match_their_digests():
+def assert_unmoved(got: dict) -> None:
     want = committed()["digests"]
-    got = mk.compute()
-    assert list(got) == list(want)
-    moved = [name for name in want if got[name] != want[name]]
+    assert [name for name in want if name in got] == list(got)
+    moved = [name for name in got if got[name] != want[name]]
     assert not moved, f"outputs moved: {moved}"
+
+
+def test_gradcheck_reports_match_their_digests():
+    assert_unmoved(mk.gradcheck_digests())
+
+
+def test_train_outputs_and_jsonl_round_trip_match_their_digests():
+    """Three 500-step runs and a JSONL round trip: about 8 s."""
+    assert_unmoved(mk.train_digests())
