@@ -46,7 +46,7 @@ import dataclasses
 import io
 import json
 import math
-import re
+import warnings
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -338,6 +338,15 @@ class _Columns:
                     _decode(self.modalities, self.modality[lo]), [0] + ends[:-1], ends)]
 
 
+def _record_columns(recs: Sequence[TraceRecord]) -> _Columns:
+    slots = [s for r in recs for s in r.slots]
+    return _Columns.from_fields(
+        [r.step for r in recs], [r.layer for r in recs], [r.token_index for r in recs],
+        [r.modality for r in recs], [len(r.slots) for r in recs],
+        [s.expert_id for s in slots], [s.role for s in slots],
+        [s.gate_prob for s in slots], [s.selected_rank for s in slots])
+
+
 class RoutingTrace:
     """Append-only store keyed by (step, layer, token_index), kept as columns."""
 
@@ -366,7 +375,8 @@ class RoutingTrace:
     def add(self, rec: TraceRecord) -> None:
         """Append one record.  A repeated key or a record with no routable
         slot raises here; a field value of another kind than the field
-        takes (module docstring) raises at the next read."""
+        takes (module docstring) raises at the next read, which drops that
+        record and keeps the others."""
         keys = self._keys if self._keys is not None else self._known_keys()
         key = (rec.step, rec.layer, rec.token_index)
         if key in keys:
@@ -392,21 +402,33 @@ class RoutingTrace:
         self._blocks.append(block)
 
     def _store(self) -> _Columns:
-        """The columns, with records added since the last read folded in."""
+        """The columns, with records added since the last read folded in.
+
+        A pending record that holds a value of another kind than its field
+        takes is dropped, its key freed, and the ValueError naming the value
+        raised; the other pending records are kept for the next read.
+        """
         if self._pending or self._blocks:
             parts = [self._columns, *self._blocks]
-            recs = self._pending
-            if recs:
-                slots = [s for r in recs for s in r.slots]
-                parts.append(_Columns.from_fields(
-                    [r.step for r in recs], [r.layer for r in recs],
-                    [r.token_index for r in recs], [r.modality for r in recs],
-                    [len(r.slots) for r in recs], [s.expert_id for s in slots],
-                    [s.role for s in slots], [s.gate_prob for s in slots],
-                    [s.selected_rank for s in slots]))
+            if self._pending:
+                try:
+                    parts.append(_record_columns(self._pending))
+                except ValueError:
+                    self._pending = [r for r in self._pending if self._fits(r)]
+                    raise
             self._columns = _Columns.join(parts).checked()
             self._pending, self._blocks = [], []
         return self._columns
+
+    def _fits(self, rec: TraceRecord) -> bool:
+        """Whether every field of the record takes its value; if not, the
+        record's key is freed."""
+        try:
+            _record_columns([rec])
+        except ValueError:
+            self._known_keys().discard((rec.step, rec.layer, rec.token_index))
+            return False
+        return True
 
     def records(self) -> list[TraceRecord]:
         """Immutable snapshot, deterministically ordered by key."""
@@ -650,30 +672,36 @@ def _text_column(raw: np.ndarray, lo: np.ndarray,
     return tuple(raw[lo[i]:hi[i]].tobytes().decode("utf-8") for i in first.tolist()), code
 
 
-_CSV_INT = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+def _loadtxt(lines, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` of comma-separated lines, with no comment character (a
+    modality may hold '#').  A float read into an integer column fails, also
+    on the NumPy versions that only warn of it as deprecated."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        warnings.simplefilter("ignore", UserWarning)  # no data: an empty array
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, **kwargs)
 
 
-def _csv_number(field: str, text: str) -> bool:
-    """Whether ``np.loadtxt`` reads the text as the field's column type."""
-    if field != "gate_prob":
-        return _CSV_INT.fullmatch(text) is not None and -2**63 <= int(text) < 2**63
+def _csv_parses(texts: Sequence[str], dtype) -> bool:
+    """Whether :func:`_loadtxt` reads each text as one value of the dtype."""
     try:
-        float(text)
-    except ValueError:
+        return _loadtxt(list(texts), dtype=dtype).size == len(texts)
+    except (ValueError, DeprecationWarning):
         return False
-    return text.isascii() and "_" not in text
 
 
 def _csv_number_error(raw: np.ndarray, bounds: np.ndarray,
                       numeric: Sequence[tuple[int, str]]) -> ValueError | None:
     """A ValueError naming the file line and field of the first numeric
-    field that is no int64 integer (no float64 number for ``gate_prob``),
-    or None if every field is one."""
+    field that :func:`_loadtxt` cannot read as an int64 integer (a float64
+    number for ``gate_prob``), or None if it reads every one."""
     bad = []
     for j, field in numeric:
         texts, code = _text_column(raw, bounds[:, j] + 1, bounds[:, j + 1])
-        wrong = np.flatnonzero(~np.array([_csv_number(field, t) for t in texts],
-                                         dtype=bool)[code])
+        dtype = np.float64 if field == "gate_prob" else np.int64
+        if _csv_parses(texts, dtype):
+            continue
+        wrong = np.flatnonzero(~np.array([_csv_parses([t], dtype) for t in texts])[code])
         if wrong.size:
             bad.append((int(wrong[0]), j, field, texts[code[wrong[0]]]))
     if not bad:
@@ -709,12 +737,10 @@ def _read_csv(text: str) -> _Columns:
     text_fields = ("modality", "role")
     numeric = [(j, name) for j, name in enumerate(CSV_COLUMNS) if name not in text_fields]
     try:
-        # No comment character: a modality may hold '#'.
-        rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
-                          usecols=[j for j, _ in numeric],
-                          dtype=[(name, np.float64 if name == "gate_prob" else np.int64)
-                                 for _, name in numeric])
-    except ValueError:
+        rows = _loadtxt(io.StringIO(body), usecols=[j for j, _ in numeric],
+                        dtype=[(name, np.float64 if name == "gate_prob" else np.int64)
+                               for _, name in numeric])
+    except (ValueError, DeprecationWarning):
         # Field j of row i lies between bounds[i, j] and bounds[i, j + 1].
         bounds = np.column_stack((np.append(-1, newlines[:-1]), commas, newlines))
         error = _csv_number_error(raw, bounds, numeric)

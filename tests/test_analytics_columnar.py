@@ -334,6 +334,19 @@ def test_csv_number_that_cannot_be_parsed_is_named_with_its_file_line(tmp_path, 
         an.import_trace(path)
 
 
+@pytest.mark.parametrize("field,value,kind", [("step", "1.5", "an int64 integer"),
+                                              ("selected_rank", "0.0", "an int64 integer"),
+                                              ("gate_prob", "", "a float64 number")])
+def test_csv_lone_bad_number_is_refused_not_truncated(tmp_path, field, value, kind):
+    """The bad field is the only thing wrong with the file: a float in an
+    integer column fails the parse itself, it is not read as an integer."""
+    row = dict(zip(an.CSV_COLUMNS, "0,0,1,text,1,routed,0.5,0,1".split(",")), **{field: value})
+    path = write_csv(tmp_path, [",".join(row.values())])
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"line 2: {field} must be {kind}, got {value!r}") + "$"):
+        an.import_trace(path)
+
+
 def test_csv_number_error_passes_over_every_form_loadtxt_reads(tmp_path):
     """Spaces, signs and non-finite or overflowing floats parse, so the
     error names the field that does not."""
@@ -450,6 +463,24 @@ def test_every_way_in_takes_the_kinds_its_fields_take(tmp_path, way):
         fields.get("step", 0), fields["layer"], fields.get("token_index", 0), "vidéo")
     if way in ("add", "jsonl"):
         assert rec.slots[0].gate_prob == 1.0 and rec.slots[0].expert_id == 1
+
+
+def test_a_bad_add_drops_only_its_record_and_the_trace_stays_readable():
+    """The read that meets the bad value raises naming it; the next read
+    returns every good record, and the bad record's key is free again."""
+    def rec(token, gate_prob=0.5):
+        return an.TraceRecord(0, 0, token, "text", (an.SlotEntry(0, "routed", gate_prob, 0),))
+
+    trace = an.RoutingTrace()
+    trace.add(rec(0))
+    trace.records()
+    for r in (rec(1), rec(2, gate_prob="0.5"), rec(3)):
+        trace.add(r)
+    with pytest.raises(ValueError, match=re.escape('gate_prob must be a JSON number, got "0.5"')):
+        trace.records()
+    assert trace.records() == [rec(0), rec(1), rec(3)]
+    trace.add(rec(2))
+    assert trace.records() == [rec(0), rec(1), rec(2), rec(3)]
 
 
 # ---------------------------------------------------------------------------
