@@ -339,12 +339,17 @@ class _Columns:
 
 
 def _record_columns(recs: Sequence[TraceRecord]) -> _Columns:
-    slots = [s for r in recs for s in r.slots]
+    try:
+        slots = [s for r in recs for s in r.slots]
+        fields = ([s.expert_id for s in slots], [s.role for s in slots],
+                  [s.gate_prob for s in slots], [s.selected_rank for s in slots])
+    except (TypeError, AttributeError):  # slots that are no SlotEntry sequence
+        raise _slots_error(next(
+            r.slots for r in recs if not isinstance(r.slots, (tuple, list))
+            or not all(isinstance(s, SlotEntry) for s in r.slots))) from None
     return _Columns.from_fields(
         [r.step for r in recs], [r.layer for r in recs], [r.token_index for r in recs],
-        [r.modality for r in recs], [len(r.slots) for r in recs],
-        [s.expert_id for s in slots], [s.role for s in slots],
-        [s.gate_prob for s in slots], [s.selected_rank for s in slots])
+        [r.modality for r in recs], [len(r.slots) for r in recs], *fields)
 
 
 class RoutingTrace:
@@ -373,16 +378,21 @@ class RoutingTrace:
         return self._keys
 
     def add(self, rec: TraceRecord) -> None:
-        """Append one record.  A repeated key or a record with no routable
-        slot raises here; a field value of another kind than the field
-        takes (module docstring) raises at the next read, which drops that
-        record and keeps the others."""
+        """Append one record.  A repeated key, a record with no routable
+        slot, or a key or slot value these checks cannot use raises here; any
+        other field value of another kind than the field takes (module
+        docstring) raises at the next read, which drops that record and
+        keeps the others."""
         keys = self._keys if self._keys is not None else self._known_keys()
         key = (rec.step, rec.layer, rec.token_index)
-        if key in keys:
-            raise DuplicateRecordError(f"record already exists for {key}")
-        if rec.k < 1:
-            raise ValueError("a record needs at least one routable slot")
+        try:
+            if key in keys:
+                raise DuplicateRecordError(f"record already exists for {key}")
+            if rec.k < 1:
+                raise ValueError("a record needs at least one routable slot")
+        except (TypeError, AttributeError):  # a value the checks cannot use
+            _record_columns([rec])  # raises the ValueError naming its field
+            raise
         keys.add(key)
         self._pending.append(rec)
 
@@ -767,7 +777,8 @@ _SLOT_FIELDS = ("expert_id", "role", "gate_prob", "selected_rank")
 
 
 def _slots_error(slots) -> ValueError:
-    return ValueError(f"slots must be a JSON array of objects, got {json.dumps(slots)}")
+    return ValueError(f"slots must be a JSON array of objects, "
+                      f"got {json.dumps(slots, default=repr)}")
 
 
 def _read_jsonl(text: str) -> _Columns:

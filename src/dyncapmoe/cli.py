@@ -23,7 +23,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import analytics as an
+from . import autodiff as ad
 from . import harness as hn
 from . import rope3d as rp
 
@@ -171,8 +174,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse printed the usage text already
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+        # a non-finite value is reported where it is checked, as one error line
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except (ValueError, KeyError, TypeError, OSError, ad.NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

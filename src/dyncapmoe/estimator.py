@@ -8,10 +8,12 @@ flow with a detach construction:
 
 where ``o`` is the probability-weighted expert output, ``delta`` is 1 iff
 the sampled expert is the argmax of the logits, and ``B ~ Bernoulli(5/8)``.
-The forward value of ``o_est`` equals ``scale * o`` while the gradient path
-is exactly ``2 * d(o)``: the argmax branch realizes a first-order (Euler)
-correction, the other branch a third-order (Heun) one, and averaging over
-``B`` reproduces the Heun quadrature weights 1/4 and 3/4 because
+:func:`apply_estimator` implements it as one tape op: its value is the
+product ``scale * o``, bit for bit the one a frozen replay computes, and its
+backward hands ``2g`` to ``o``.  The argmax branch realizes a first-order
+(Euler) correction, the other branch a third-order (Heun) one, and
+averaging over ``B`` reproduces the Heun quadrature weights 1/4 and 3/4
+because
 
     (6 - 4B) * (1 + 2B) / 3 == 2   for B in {0, 1}.
 
@@ -75,10 +77,8 @@ def hybrid_scale(delta, bern):
 def apply_estimator(o: ad.Tensor, scale) -> ad.Tensor:
     """Scale ``o`` forward while doubling its gradient path.
 
-    Returns ``2*o + const(scale*o - 2*o)``: the value equals ``scale * o``
-    (up to one rounding of the detached difference) and backward sees only
-    the ``2*o`` term, so every upstream gradient is exactly twice that of a
-    plain ``o`` graph.
+    The value is ``scale * o`` and backward hands ``2g`` to ``o``, so every
+    upstream gradient is exactly twice that of a plain ``o`` graph.
 
     ``scale`` is the forward scale of :func:`hybrid_scale`, already derived
     from checked draws: a float for one output, or an array of length m for
@@ -88,8 +88,7 @@ def apply_estimator(o: ad.Tensor, scale) -> ad.Tensor:
         if o.data.ndim != 2 or np.shape(scale) != (o.data.shape[0],):
             raise ad.ShapeError("per-row scales need one entry per row of o")
         scale = np.asarray(scale)[:, None]
-    doubled = ad.scale(o, 2.0)
-    return ad.add(doubled, ad.Tensor(o.data * scale - doubled.data))
+    return ad.op_node(o.data * scale, (o,), lambda g: (g * 2.0,), "estimator")
 
 
 # ---------------------------------------------------------------------------

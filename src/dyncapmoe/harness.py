@@ -166,10 +166,13 @@ class ToyModelConfig:
         if not isinstance(d, dict):
             raise ValueError(f"a model config must be a JSON object, got {d!r}")
         d = dict(d)
-        rope = d.pop("rope", None)
-        return cls(moe=moe.MoEConfig(**d.pop("moe")),
-                   segments=tuple(segments_from_json(d.pop("segments"))),
-                   rope=None if rope is None else rp.RopeFreqConfig(**rope), **d)
+        if "moe" in d:
+            d["moe"] = moe.MoEConfig(**d["moe"])
+        if "segments" in d:
+            d["segments"] = segments_from_json(d["segments"])
+        if d.get("rope") is not None:
+            d["rope"] = rp.RopeFreqConfig(**d["rope"])
+        return cls(**d)
 
     @classmethod
     def from_json_file(cls, path) -> "ToyModelConfig":

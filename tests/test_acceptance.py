@@ -26,8 +26,9 @@ import dyncapmoe.rope3d as rp
 # ---------------------------------------------------------------------------
 
 def test_criterion_01_estimator_forward_backward_split():
-    """Forward equals max(delta, (1+2B)/3) * o to 1e-15; gradients are exactly
-    2x the plain graph's to 1e-12; all four (delta, B) branches in under 1 s."""
+    """Forward equals max(delta, (1+2B)/3) * o bit for bit; gradients are
+    exactly 2x the plain graph's to 1e-12; all four (delta, B) branches in
+    under 1 s."""
     t0 = time.monotonic()
     rng = np.random.default_rng(1001)
     x = ad.Tensor(rng.normal(size=6))
@@ -46,10 +47,7 @@ def test_criterion_01_estimator_forward_backward_split():
             y = est.apply_estimator(ad.matmul(w_est, x), est.hybrid_scale(delta, bern))
             ad.backward(ad.sum(ad.mul(proj, y)))
 
-            forward_err = np.max(np.abs(y.data - expected_scale * o_plain.data))
-            assert forward_err <= 1e-15
-            if delta == 1:  # scale 1: the detached correction is exactly zero
-                assert np.array_equal(y.data, o_plain.data)
+            assert y.data.tobytes() == (expected_scale * o_plain.data).tobytes()
 
             grad_err = np.max(np.abs(w_est.grad - 2.0 * w_plain.grad))
             assert grad_err <= 1e-12

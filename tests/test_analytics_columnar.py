@@ -5,6 +5,7 @@ report, series and export of the columnar store must equal it exactly on
 random traces, and the importers must reject what the format forbids.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -381,24 +382,25 @@ def one_token_routing() -> moe.Routing:
 
 # The fields each way in takes from its caller: record and record_rows take
 # their slots from a routing.
-WAYS_IN = {"add": ("step", "layer", "token_index", "modality", "expert_id", "role",
+WAYS_IN = {"add": ("step", "layer", "token_index", "modality", "slots", "expert_id", "role",
                    "gate_prob", "selected_rank"),
            "record": ("step", "layer", "token_index", "modality"),
            "record_rows": ("step", "layer", "modality"),
-           "jsonl": ("step", "layer", "token_index", "modality", "k", "expert_id", "role",
-                     "gate_prob", "selected_rank")}
+           "jsonl": ("step", "layer", "token_index", "modality", "k", "slots", "expert_id",
+                     "role", "gate_prob", "selected_rank")}
 
 
 def read_one_record_through(way, tmp_path, **fields) -> an.RoutingTrace:
     """A trace holding one record, put in the given way and then read."""
     record = jsonl_record(0, 0, 0, 1, [0])
-    record.update((f, v) for f, v in fields.items() if f in record)
     slot = record["slots"][0]
     slot.update((f, v) for f, v in fields.items() if f in slot)
+    record.update((f, v) for f, v in fields.items() if f in record)
     trace = an.RoutingTrace()
     if way == "add":
+        slots = fields.get("slots", (an.SlotEntry(**slot),))
         trace.add(an.TraceRecord(record["step"], record["layer"], record["token_index"],
-                                 record["modality"], (an.SlotEntry(**slot),)))
+                                 record["modality"], slots))
     elif way == "record":
         an.record(trace, record["step"], record["layer"], record["token_index"],
                   record["modality"], one_token_routing()[0])
@@ -417,7 +419,8 @@ BAD_VALUES = [("step", 1.5, "integer"), ("step", True, "integer"), ("step", 0.0,
               ("expert_id", False, "integer"),
               ("role", 3, "string"), ("gate_prob", "0.5", "number"),
               ("gate_prob", True, "number"), ("selected_rank", 0.0, "integer"),
-              ("k", 1.0, "integer")]
+              ("selected_rank", "0", "integer"), ("selected_rank", None, "integer"),
+              ("step", [1], "integer"), ("k", 1.0, "integer")]
 
 
 @pytest.mark.parametrize("way,field,value,kind", [
@@ -463,6 +466,36 @@ def test_every_way_in_takes_the_kinds_its_fields_take(tmp_path, way):
         fields.get("step", 0), fields["layer"], fields.get("token_index", 0), "vidéo")
     if way in ("add", "jsonl"):
         assert rec.slots[0].gate_prob == 1.0 and rec.slots[0].expert_id == 1
+
+
+@pytest.mark.parametrize("slots", [5, "ab", [5]])
+@pytest.mark.parametrize("way", ["add", "jsonl"])
+def test_slots_that_are_no_array_of_slot_objects_are_refused_every_way_in(
+        tmp_path, way, slots):
+    message = f"slots must be a JSON array of objects, got {json.dumps(slots)}"
+    if way == "jsonl":
+        message = "line 1: " + message
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        read_one_record_through(way, tmp_path, slots=slots)
+
+
+@pytest.mark.parametrize("field,value", [("selected_rank", "0"), ("selected_rank", None),
+                                         ("token_index", [0]), ("slots", 5)])
+def test_an_add_its_own_checks_cannot_use_raises_naming_the_field_and_claims_no_key(
+        field, value):
+    """A value the duplicate-key or slot-count check cannot compare, hash or
+    iterate is refused by ``add`` itself, as the fold would refuse it."""
+    good = an.TraceRecord(0, 0, 0, "text", (an.SlotEntry(0, "routed", 0.5, 0),))
+    if field == "selected_rank":
+        bad = dataclasses.replace(good, slots=(an.SlotEntry(0, "routed", 0.5, value),))
+    else:
+        bad = dataclasses.replace(good, **{field: value})
+    trace = an.RoutingTrace()
+    with pytest.raises(ValueError, match=f"^{field} must be a JSON "):
+        trace.add(bad)
+    assert len(trace) == 0
+    trace.add(good)
+    assert trace.records() == [good]
 
 
 def test_a_bad_add_drops_only_its_record_and_the_trace_stays_readable():

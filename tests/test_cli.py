@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,22 @@ def test_config_that_is_no_object_exits_1_saying_so(tmp_path, capsys, command, c
     assert not captured.out and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gradcheck", "train"])
+@pytest.mark.parametrize("block", ["moe", "segments"])
+def test_config_that_lacks_a_block_exits_1_naming_it(tiny_config_file, tmp_path, capsys,
+                                                     command, block):
+    d = json.loads(tiny_config_file.read_text())
+    del d[block]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "run"
+    argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "train" else [])
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(f"error: .*missing 1 required .*argument: '{block}'\n", captured.err)
+    assert not captured.out and not out.exists()
+
+
 class TestGradcheckCommand:
     def test_default_config_passes(self, capsys):
         assert cli.main(["gradcheck"]) == 0
@@ -234,6 +251,12 @@ class TestGradcheckCommand:
     def test_unwritable_json_path_exits_1(self, tmp_path, capsys):
         assert cli.main(["gradcheck", "--json", str(tmp_path / "no" / "r.json")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_an_eps_that_overflows_a_probe_forward_exits_1_with_one_error_line(self, capsys):
+        assert cli.main(["gradcheck", "--eps", "1e300"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cross_entropy: loss is [nan")
+        assert captured.err.count("\n") == 1 and not captured.out
 
     @pytest.mark.parametrize("flag,value", [("--eps", "0"), ("--eps", "-1e-6"),
                                             ("--eps", "nan"), ("--eps", "inf"),

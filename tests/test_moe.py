@@ -400,14 +400,20 @@ class TestForwardInfer:
 
 class TestForwardTrain:
     def test_single_contribution_forward_equals_scaled_output(self):
-        layer = small_layer(n_routed=1, n_null=0, n_shared=0, routing_mode="sampled",
-                            top_p=0.5)
-        xv = np.array([0.9, -0.4, 0.3, 0.1])
-        for seed in range(10):
+        """The one routed term is scale * o bit for bit, in all four
+        (delta, B) branches (the null slot adds nothing)."""
+        layer = small_layer(n_routed=1, n_null=1, n_shared=0, routing_mode="sampled",
+                            top_p=1.0)
+        rng = np.random.default_rng(11)
+        branches = set()
+        for seed in range(40):
+            xv = rng.normal(size=4)
             y, decision = layer.forward_train(ad.Tensor(xv), np.random.default_rng(seed))
-            entry = decision.per_expert[0]
+            entry = next(e for e in decision.per_expert if e.role is moe.ExpertRole.ROUTED)
             o = entry.gate_prob * gated_ffn_np(xv, layer.routed[0])
-            npt.assert_allclose(y.data, entry.forward_scale * o, rtol=0, atol=1e-15)
+            assert y.data.tobytes() == (entry.forward_scale * o).tobytes()
+            branches.add((entry.is_argmax, entry.bern))
+        assert branches == {(False, 0), (False, 1), (True, 0), (True, 1)}
 
     def test_argmax_contribution_passes_through_exactly(self):
         layer = small_layer(n_shared=0, top_p=0.05)  # only the argmax slot activates

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import moe_reference as ref
 from dyncapmoe import autodiff as ad
 from dyncapmoe import harness as hn
 from dyncapmoe import moe
@@ -44,6 +45,13 @@ def workloads():
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(PERFBENCH))  # for its ``import tracer``
         return load("workloads")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 9173])
+def test_the_tests_trainval_config_is_the_benchmarks(workloads, seed):
+    """The 128-token node budget and oracles rely on this copy being the
+    benchmark's trainval shape."""
+    assert ref.trainval_config(seed) == workloads.trainval_config(seed)
 
 
 def test_every_span_site_exists(tracer):

@@ -8,16 +8,24 @@ K + i moving it by -eps.  Each probe's loss and match flag must carry the
 bits of the unbatched resumed forward with that one coordinate moved, the
 parameters must come back untouched, no forward may hold more than 128
 probes, and a probe axis must never reach the tape.
+
+The probes resume the replay of a train forward's routing, which must make
+the train forward's choices and return its loss to the bit.  Both checks
+also run as ``hypothesis`` properties over random small configs.
 """
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dyncapmoe import autodiff as ad
 from dyncapmoe import harness as hn
 from dyncapmoe import moe
+from dyncapmoe import rope3d as rp
 
 from gradcheck_reference import grad_check_blocks
 
@@ -105,6 +113,90 @@ def check_chunks(model, batch, frozen, inputs, eps, names=None):
                         flipped += not ok
             t.data = weights
     return flipped, unread
+
+
+# Random small configs: every knob the layer routes by, and segments of all
+# four modalities in any mix (an audio segment pads to 20 tokens).
+SEGMENTS = st.one_of(
+    st.builds(rp.TextSegment, st.integers(1, 3)),
+    st.builds(rp.ImageSegment, st.integers(1, 2), st.integers(1, 3)),
+    st.builds(rp.AudioSegment, st.floats(0.5, 3.0)),
+    st.builds(rp.VideoSegment, st.floats(1.0, 4.0), st.just(0.5), st.integers(1, 2),
+              st.integers(1, 2), f_l=st.just(1), f_u=st.integers(1, 2)))
+
+
+@st.composite
+def toy_configs(draw):
+    seed = draw(st.integers(0, 2**16))
+    layer = moe.MoEConfig(
+        d_model=draw(st.integers(2, 4)), n_routed=draw(st.integers(1, 4)),
+        n_null=draw(st.integers(0, 2)), n_shared=draw(st.integers(0, 2)),
+        expert_hidden=draw(st.integers(1, 3)), shared_hidden=draw(st.integers(1, 2)),
+        top_p=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        routing_mode=draw(st.sampled_from(["sampled", "deterministic"])), seed=seed)
+    return hn.ToyModelConfig(
+        moe=layer, segments=draw(st.lists(SEGMENTS, min_size=1, max_size=3)),
+        layers=draw(st.integers(1, 3)), head_dim=draw(st.sampled_from([2, 4])),
+        learning_rate=0.0, steps=0, seed=seed, n_classes=draw(st.integers(2, 3)),
+        noise=draw(st.sampled_from([0.0, 0.05])))
+
+
+RANDOM_CONFIGS = settings(max_examples=100, derandomize=True, deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+# Wall-clock budget of each random-config property, all its examples together.
+BUDGET_S = 10.0
+
+
+def within_budget(prop):
+    t0 = time.monotonic()
+    prop()
+    assert time.monotonic() - t0 < BUDGET_S
+
+
+def assert_replay_returns_the_train_loss(cfg):
+    """A replay of a train forward's routing makes the same choices and
+    computes every routed term as training did, so it returns the train
+    loss to the bit."""
+    model = hn.ToyTransformer(cfg)
+    batch = hn.generate_batch(cfg.segments, cfg.seed, cfg.d_model, cfg.n_classes,
+                              cfg.noise, cfg.theta)
+    loss, frozen, _ = model.forward(batch, mode="train")
+    replayed, _, ok = model.forward(batch, frozen=frozen)
+    assert ok is True
+    assert replayed.data.tobytes() == loss.data.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["sampled", "deterministic"])
+@pytest.mark.parametrize("make", [hn.gradcheck_default_config, hn.smoke_train_config])
+def test_replaying_a_train_forward_returns_its_loss_bit_for_bit(make, mode):
+    for seed in range(20):
+        cfg = make(seed)
+        assert_replay_returns_the_train_loss(
+            dataclasses.replace(cfg, moe=dataclasses.replace(cfg.moe, routing_mode=mode)))
+
+
+@given(cfg=toy_configs())
+@RANDOM_CONFIGS
+def replays_return_the_train_loss(cfg):
+    assert_replay_returns_the_train_loss(cfg)
+
+
+def test_replaying_a_train_forward_returns_its_loss_on_random_configs():
+    within_budget(replays_return_the_train_loss)
+
+
+@given(cfg=toy_configs(), eps=st.sampled_from([1e-6, 1e-2]), data=st.data())
+@RANDOM_CONFIGS
+def probes_equal_their_own_resumed_forwards(cfg, eps, data):
+    """Every probe of the chunk stacks of one drawn stage's parameters."""
+    model, batch, frozen, inputs = replay(cfg)
+    stages = model.stage_parameters()
+    names = stages[data.draw(st.integers(0, len(stages) - 1), label="stage")]
+    check_chunks(model, batch, frozen, inputs, eps, names=names)
+
+
+def test_each_probe_equals_its_own_resumed_forward_on_random_configs():
+    within_budget(probes_equal_their_own_resumed_forwards)
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -4,11 +4,11 @@ Python overhead per tape node is most of a step's cost, so the number of
 ``op_node`` calls per training step and per inference forward must not
 rise.  The budgets are the counts of the layer with one routing step per
 MoE layer, whose experts' rows land in the pair buffer through one op, and
-whose expert FFN calls and attention blocks are one tape node each, on
-``smoke_train_config(s)``, s = 0-3: 46 nodes per one-step ``harness.train``
-and at most 42 per ``mode="infer"`` forward (a forward where an expert goes
-unchosen builds fewer).  A 128-token batch in all four modalities (the
-benchmark's trainval shape) takes 88 nodes for a one-step ``train`` plus an
+whose expert FFN calls, attention blocks and estimator are one tape node
+each, on ``smoke_train_config(s)``, s = 0-3: 44 nodes per one-step
+``harness.train`` and at most 42 per ``mode="infer"`` forward (a forward
+where an expert goes unchosen builds fewer).  A 128-token batch in all four modalities (the
+benchmark's trainval shape) takes 86 nodes for a one-step ``train`` plus an
 inference forward: the count follows the model, not the batch size.
 
 A default ``grad_check`` differentiates only its frozen replay: its
@@ -16,8 +16,8 @@ finite-difference evaluations run with the parameters' ``requires_grad``
 off and put nothing on the tape.  They run one probe-batched forward per
 chunk of up to 64 coordinates of a parameter (29 chunks, one per
 parameter), not two per coordinate (702 coordinates).  On
-``gradcheck_default_config(s)``, s = 0-3, a campaign makes 734
-``op_node`` calls and 66 of them (the live train forward and the replay)
+``gradcheck_default_config(s)``, s = 0-3, a campaign makes 732
+``op_node`` calls and 64 of them (the live train forward and the replay)
 require gradients.
 """
 
@@ -29,11 +29,11 @@ import moe_reference as ref
 from dyncapmoe import autodiff as ad
 from dyncapmoe import harness as hn
 
-TRAIN_STEP_NODES = 46
+TRAIN_STEP_NODES = 44
 INFER_FORWARD_NODES = 42
-TRAINVAL_OP_NODES = 88
-GRADCHECK_OP_NODES = 734
-GRADCHECK_TAPE_NODES = 66
+TRAINVAL_OP_NODES = 86
+GRADCHECK_OP_NODES = 732
+GRADCHECK_TAPE_NODES = 64
 
 
 def count_ops(monkeypatch, call) -> tuple[int, int]:
