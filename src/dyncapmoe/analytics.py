@@ -45,7 +45,6 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
-import math
 import warnings
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -568,8 +567,8 @@ def layer_modalities(trace: RoutingTrace, layer: int) -> list[str]:
 # serialization
 # ---------------------------------------------------------------------------
 
-_JSON_HEAD = ('{{"step": {}, "layer": {}, "token_index": {}, "modality": {}, '
-              '"k": {}, "slots": [')
+_JSON_STEP = '{{"step": {}, '
+_JSON_HEAD = '"layer": {}, "token_index": {}, "modality": {}, "k": {}, "slots": ['
 _JSON_SLOT = '{{"expert_id": {}, "role": {}, "gate_prob": '
 _JSON_SLOT_END = ', "selected_rank": {}}}'
 
@@ -622,25 +621,26 @@ def _csv_text(c: _Columns) -> str:
         _format_each(lambda rank, k: f",{rank},{k}\n", c.selected_rank, k))
 
 
-def _json_float(x: float) -> str:
-    return repr(x) if math.isfinite(x) else json.dumps(x)
-
-
 def _jsonl_text(c: _Columns) -> str:
     """The ``json.dumps`` line of every record, assembled from pieces."""
     modalities = [json.dumps(m) for m in c.modalities]
     roles = [json.dumps(r) for r in c.roles]
     s = c.starts
     lead = np.full(c.expert_id.size, ", ", dtype=object)  # between a record's slots
-    lead[s] = _format_each(lambda step, layer, token, m, k: _JSON_HEAD.format(
-        step, layer, token, modalities[m], k), c.step[s], c.layer[s], c.token_index[s],
-        c.modality[s], c.k())
+    # A record's head is its step's piece and the piece of the rest of its key.
+    lead[s] = (_format_each(_JSON_STEP.format, c.step[s])
+               + _format_each(lambda layer, token, m, k: _JSON_HEAD.format(
+                   layer, token, modalities[m], k), c.layer[s], c.token_index[s],
+                   c.modality[s], c.k()))
+    gates = _format_each(repr, c.gate_prob)
+    odd = np.flatnonzero(~np.isfinite(c.gate_prob))  # NaN, Infinity, -Infinity
+    gates[odd] = [json.dumps(x) for x in c.gate_prob[odd].tolist()]
     last = np.zeros(c.expert_id.size, dtype=bool)
     last[c.offsets[1:] - 1] = True
     return _joined(
         lead,
         _format_each(lambda e, r: _JSON_SLOT.format(e, roles[r]), c.expert_id, c.role),
-        _format_each(_json_float, c.gate_prob),
+        gates,
         _format_each(lambda rank, end: _JSON_SLOT_END.format(rank) + ("]}\n" if end else ""),
                      c.selected_rank, last))
 
@@ -663,22 +663,35 @@ def export_trace(trace: RoutingTrace, path, fmt: str = "csv") -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+# The low bytes that pad a word holding r bytes of a span (r = 0..8) with 0xFF.
+_WORD_PAD = np.array([(1 << 8 * (8 - r)) - 1 for r in range(9)], dtype=np.uint64)
+
+
 def _text_column(raw: np.ndarray, lo: np.ndarray,
                  hi: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
     """Distinct strings among the byte spans ``raw[lo[i]:hi[i]]``, and each
-    span's code.
+    span's code; ``raw`` runs on for at least 8 bytes after every span.
 
-    Spans are compared as rows padded with 0xFF, a byte UTF-8 never holds,
-    so every string keeps all its characters, NULs and spaces included.
+    A span is keyed by its bytes read as big-endian 8-byte words, padded
+    with 0xFF, a byte UTF-8 never holds, so every string keeps all its
+    characters, NULs and spaces included.  Big-endian words compare as
+    their bytes do, so the codes follow the byte order of the padded spans
+    (a string sorts after the longer strings it begins).  The first word
+    is deduplicated as an integer; each further word is folded into the
+    code of the words before it.
     """
     lens = hi - lo
-    width = max(1, int(lens.max(initial=0)))
-    pos = np.arange(width)
-    inside = pos < lens[:, None]
-    cells = np.full((lens.size, width), 0xFF, dtype=np.uint8)
-    cells[inside] = raw[(lo[:, None] + pos)[inside]]
-    _, first, code = np.unique(cells.view(f"V{width}").ravel(), return_index=True,
-                               return_inverse=True)
+    windows = np.lib.stride_tricks.sliding_window_view(raw, 8)
+    code = None
+    for j in range(0, max(1, int(lens.max(initial=0))), 8):
+        word = (windows[np.minimum(lo + j, hi)].view(">u8")[:, 0]
+                | _WORD_PAD[np.clip(lens - j, 0, 8)])
+        if code is not None:
+            _, word = np.unique(word, return_inverse=True)
+            word = code * (word.max() + 1) + word
+        _, code = np.unique(word, return_inverse=True)
+    first = np.empty(code.max(initial=-1) + 1, dtype=np.int64)
+    first[code] = np.arange(code.size)  # any span of a code holds its string
     return tuple(raw[lo[i]:hi[i]].tobytes().decode("utf-8") for i in first.tolist()), code
 
 
@@ -735,15 +748,20 @@ def _read_csv(text: str) -> _Columns:
         return _Columns.empty()
     if not body.endswith("\n"):
         body += "\n"
-    raw = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
-    commas = np.flatnonzero(raw == ord(","))
-    newlines = np.flatnonzero(raw == ord("\n"))
-    per_line = np.diff(np.searchsorted(commas, newlines), prepend=0)
-    bad = np.flatnonzero(per_line != len(CSV_COLUMNS) - 1)
-    if bad.size:
-        line = body.split("\n")[bad[0]]
+    # 8 bytes past the last line for the words of _text_column
+    raw = np.frombuffer(body.encode("utf-8") + bytes(8), dtype=np.uint8)
+    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    newline = raw[seps] == ord("\n")
+    width = len(CSV_COLUMNS)
+    # Every line has width - 1 commas iff each width-th separator, and no
+    # other, is a newline.
+    if seps.size % width or not newline[width - 1::width].all() \
+            or newline.sum() != seps.size // width:
+        commas, newlines = seps[~newline], seps[newline]
+        per_line = np.diff(np.searchsorted(commas, newlines), prepend=0)
+        line = body.split("\n")[np.flatnonzero(per_line != width - 1)[0]]
         raise ValueError(f"malformed CSV row: {line!r}")
-    commas = commas.reshape(-1, len(CSV_COLUMNS) - 1)
+    seps = seps.reshape(-1, width)  # a row's commas, then its newline
     text_fields = ("modality", "role")
     numeric = [(j, name) for j, name in enumerate(CSV_COLUMNS) if name not in text_fields]
     try:
@@ -752,7 +770,7 @@ def _read_csv(text: str) -> _Columns:
                                for _, name in numeric])
     except (ValueError, DeprecationWarning):
         # Field j of row i lies between bounds[i, j] and bounds[i, j + 1].
-        bounds = np.column_stack((np.append(-1, newlines[:-1]), commas, newlines))
+        bounds = np.column_stack((np.append(-1, seps[:-1, -1]), seps))
         error = _csv_number_error(raw, bounds, numeric)
         if error is None:
             raise
@@ -763,8 +781,8 @@ def _read_csv(text: str) -> _Columns:
     starts = np.flatnonzero(new)
     counts = np.diff(np.append(starts, step.size))
     m, r = (CSV_COLUMNS.index(name) for name in text_fields)
-    modalities, modality = _text_column(raw, commas[starts, m - 1] + 1, commas[starts, m])
-    roles, role = _text_column(raw, commas[:, r - 1] + 1, commas[:, r])
+    modalities, modality = _text_column(raw, seps[starts, m - 1] + 1, seps[starts, m])
+    roles, role = _text_column(raw, seps[:, r - 1] + 1, seps[:, r])
     # Contiguous copies of the fields, so that the parsed rows are freed.
     return _Columns(step=step.copy(), layer=layer.copy(), token_index=token.copy(),
                     modality=np.repeat(modality, counts), expert_id=rows["expert_id"].copy(),

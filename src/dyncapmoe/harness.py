@@ -246,7 +246,9 @@ def cross_entropy(logits: ad.Tensor, labels: np.ndarray) -> ad.Tensor:
     Logits with leading probe axes (see the autodiff module notes) give one
     loss per probe.  The loss is where a forward's finiteness is checked: a
     NaN or infinite loss, which is what a non-finite value anywhere upstream
-    leads to, raises :class:`~dyncapmoe.autodiff.NonFiniteError`.
+    leads to, raises :class:`~dyncapmoe.autodiff.NonFiniteError`.  Its
+    message gives a single loss, or counts the probe losses that are not
+    finite and gives the first.
     """
     z = logits.data
     if z.ndim < 2 or len(labels) != z.shape[-2]:
@@ -256,8 +258,12 @@ def cross_entropy(logits: ad.Tensor, labels: np.ndarray) -> ad.Tensor:
     m = z.max(axis=-1, keepdims=True)
     lse = m[..., 0] + np.log(np.exp(z - m).sum(axis=-1))
     value = np.mean(lse - z[..., rows, labels], axis=-1)
-    if not np.isfinite(value).all():
+    bad = ~np.isfinite(value)
+    if bad.ndim == 0 and bad:
         raise ad.NonFiniteError(f"cross_entropy: loss is {value.tolist()!r}")
+    if bad.any():
+        raise ad.NonFiniteError(f"cross_entropy: {bad.sum()} of {bad.size} probe losses are "
+                                f"not finite, the first is {value[bad][0].tolist()!r}")
 
     def backward_fn(g):
         p = np.exp(z - m)

@@ -178,3 +178,17 @@ def import_trace(path, fmt: str | None = None) -> RoutingTrace:
     else:
         raise ValueError("format must be 'csv' or 'jsonl'")
     return trace
+
+
+def text_column(raw: bytes, lo: list[int], hi: list[int]) -> tuple[tuple[str, ...], list[int]]:
+    """The distinct strings among the byte spans ``raw[lo[i]:hi[i]]`` and
+    each span's index into them.
+
+    The strings are sorted by their UTF-8 bytes padded with 0xFF, as
+    ``analytics`` compares spans: a string sorts after every longer string
+    it begins.
+    """
+    spans = [raw[a:b].decode("utf-8") for a, b in zip(lo, hi)]
+    vocab = tuple(sorted(set(spans), key=lambda s: s.encode("utf-8") + b"\xff"))
+    index = {s: i for i, s in enumerate(vocab)}
+    return vocab, [index[s] for s in spans]

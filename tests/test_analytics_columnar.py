@@ -31,7 +31,7 @@ gate = st.one_of(st.sampled_from(GATES), st.floats(0.0, 1.0))
 
 
 @st.composite
-def trace_records(draw, max_records=40):
+def trace_records(draw, max_records=40, gate=gate):
     keys = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2), st.integers(0, 8)),
                          min_size=1, max_size=max_records, unique=True))
     records = []
@@ -114,6 +114,52 @@ def test_exports_equal_the_reference_and_round_trip(records, split, tmp_path):
         assert back.records() == ref.import_trace(path).records()
         an.export_trace(back, again, fmt=fmt)
         assert again.read_bytes() == want.read_bytes()
+
+
+# Gates whose text only the exports' fix-ups get right: JSON's NaN and
+# Infinity, and the sign of zero.
+ODD_GATES = (math.nan, math.inf, -math.inf, -0.0, 5e-324)
+
+
+@PROPERTY
+@given(records=trace_records(gate=st.one_of(st.sampled_from(ODD_GATES), gate)),
+       split=st.integers(0, 40))
+def test_exports_of_non_finite_and_signed_zero_gates_equal_the_reference(records, split,
+                                                                         tmp_path):
+    """Bytes only: a NaN gate makes records unequal to themselves."""
+    trace, oracle = build(records, split)
+    for fmt in ("csv", "jsonl"):
+        path, want = tmp_path / f"trace.{fmt}", tmp_path / f"oracle.{fmt}"
+        again = tmp_path / f"again.{fmt}"
+        an.export_trace(trace, path, fmt=fmt)
+        ref.export_trace(oracle, want, fmt=fmt)
+        assert path.read_bytes() == want.read_bytes()
+        an.export_trace(an.import_trace(path), again, fmt=fmt)
+        assert again.read_bytes() == want.read_bytes()
+
+
+# Strings a span key must tell apart: empty, NUL, space, '#', multi-byte
+# UTF-8, and 0-25 characters, many of them sharing their first 7, 8, 9 or 16
+# bytes, so that spans differ on both sides of 8-byte word bounds.
+span_text = st.builds(
+    str.__add__, st.sampled_from(["", "a" * 7, "a" * 8, "a #\x00aaaa", "a" * 9, "é" * 8]),
+    st.text(st.sampled_from(["a", "b", "\x00", " ", "#", "é", "字", "😀"]), max_size=9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool=st.lists(span_text, min_size=1, max_size=6), data=st.data())
+def test_text_column_equals_the_reference(pool, data):
+    picks = data.draw(st.lists(st.sampled_from(pool), max_size=60))
+    spans = [p.encode("utf-8") for p in picks]
+    lo, at = [], 0
+    for span in spans:
+        lo.append(at)
+        at += len(span) + 1
+    hi = [a + len(span) for a, span in zip(lo, spans)]
+    raw = b",".join(spans) + b"\n" + bytes(8)
+    vocab, code = an._text_column(np.frombuffer(raw, dtype=np.uint8),
+                                  np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64))
+    assert (vocab, code.tolist()) == ref.text_column(raw, lo, hi)
 
 
 @settings(max_examples=50, deadline=None,
@@ -209,6 +255,20 @@ def test_record_without_routable_slot_is_rejected(tmp_path):
 def test_csv_row_with_wrong_column_count_is_rejected(tmp_path, row):
     path = write_csv(tmp_path, ["0,0,1,text,1,routed,0.5,0,1", row])
     with pytest.raises(ValueError, match="malformed CSV row"):
+        an.import_trace(path)
+
+
+SHORT_ROW, LONG_ROW = "0,0,0,text,1,routed,0.5,0", "0,0,1,text,1,routed,0.5,0,1,9"
+
+
+@pytest.mark.parametrize("lead", [[], ["0,0,2,text,1,routed,0.5,0,1"]])
+@pytest.mark.parametrize("rows", [[SHORT_ROW, LONG_ROW], [LONG_ROW, SHORT_ROW]])
+def test_csv_rows_whose_separators_balance_out_are_rejected_naming_the_first(
+        tmp_path, lead, rows):
+    """8 and 10 fields make two rows' worth of separators, but no two rows."""
+    path = write_csv(tmp_path, lead + rows)
+    with pytest.raises(ValueError, match="^" + re.escape(f"malformed CSV row: {rows[0]!r}")
+                       + "$"):
         an.import_trace(path)
 
 

@@ -255,7 +255,8 @@ class TestGradcheckCommand:
     def test_an_eps_that_overflows_a_probe_forward_exits_1_with_one_error_line(self, capsys):
         assert cli.main(["gradcheck", "--eps", "1e300"]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: cross_entropy: loss is [nan")
+        assert captured.err.startswith(
+            "error: cross_entropy: 72 of 72 probe losses are not finite, the first is nan")
         assert captured.err.count("\n") == 1 and not captured.out
 
     @pytest.mark.parametrize("flag,value", [("--eps", "0"), ("--eps", "-1e-6"),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -214,6 +215,15 @@ class TestCrossEntropy:
         logits = ad.Tensor(np.array([[0.0, 1.0], [2.0, 0.0]]))
         logits.data[1, 0] = np.inf  # as an unchecked op result could hold
         with pytest.raises(ad.NonFiniteError, match="cross_entropy"):
+            hn.cross_entropy(logits, np.array([0, 1]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_probe_losses_are_counted_not_listed(self):
+        logits = ad.Tensor(np.zeros((5, 2, 2)))  # five probes of two rows
+        logits.data[1, 0, 0] = np.nan
+        logits.data[3, 1, 1] = np.inf
+        with pytest.raises(ad.NonFiniteError, match=re.escape(
+                "cross_entropy: 2 of 5 probe losses are not finite, the first is nan")):
             hn.cross_entropy(logits, np.array([0, 1]))
 
     def test_gradient_matches_finite_differences(self):
