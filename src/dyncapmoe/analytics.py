@@ -216,10 +216,6 @@ class _Columns:
                    selected_rank=_column("selected_rank", selected_rank),
                    offsets=_offsets(counts), modalities=modalities, roles=roles)
 
-    @classmethod
-    def empty(cls) -> "_Columns":
-        return cls.from_fields([], [], [], [], [], [], [], [], [])
-
     def __len__(self) -> int:
         return self.offsets.size - 1
 
@@ -266,31 +262,47 @@ class _Columns:
     def of_routing(cls, step: int, layer: int, modality_tags: Sequence[str],
                    routing: moe.Routing) -> "_Columns":
         """One record per token of a layer's routing: its active slots in
-        rank order, then the shared experts with rank -1."""
+        rank order, then the shared experts with rank -1.
+
+        The active slot of rank r of token t goes to slot row
+        ``offsets[t] + r``, so every token needs k >= 1 active slots ranked
+        0..k-1, each once (``ValueError`` otherwise).
+        """
         n, n_slots = routing.rank.shape
         if len(modality_tags) != n:
             raise ValueError(f"need one modality tag per token, got {len(modality_tags)} "
                              f"for {n}")
         (step,), (layer,) = _column("step", [step]), _column("layer", [layer])
         modalities, modality = _column("modality", modality_tags)
-        shared = np.broadcast_to(np.arange(n_slots, n_slots + routing.n_shared),
-                                 (n, routing.n_shared))
-        # sort key of each slot: its rank, shared experts after every rank
-        key = np.hstack((routing.rank, shared))
-        tok, slot = np.nonzero(key >= 0)
-        order = np.lexsort((key[tok, slot], tok))
-        tok, slot = tok[order], slot[order]
-        routable = slot < n_slots
-        gate = np.ones(tok.size)
-        gate[routable] = routing.gate[tok[routable], slot[routable]]
-        rank = np.full(tok.size, -1, dtype=np.int64)
-        rank[routable] = routing.rank[tok[routable], slot[routable]]
-        return cls(step=np.full(tok.size, step, dtype=np.int64),
-                   layer=np.full(tok.size, layer, dtype=np.int64), token_index=tok,
-                   modality=modality[tok], expert_id=slot,
-                   role=np.searchsorted([routing.n_routed, n_slots], slot, side="right"),
-                   gate_prob=gate, selected_rank=rank,
-                   offsets=_offsets(np.bincount(tok, minlength=n)),
+        tok, slot = np.nonzero(routing.rank >= 0)
+        r = routing.rank[tok, slot]
+        k = np.bincount(tok, minlength=n)
+        if (k < 1).any():
+            raise ValueError("a record needs at least one routable slot")
+        counts = k + routing.n_shared
+        offsets = _offsets(counts)
+        size = int(offsets[-1])
+        at = offsets[tok] + r
+        rank = np.full(size, -1, dtype=np.int64)
+        # ranks below each token's k fill distinct rows iff they are 0..k-1
+        if (r < k[tok]).all():
+            rank[at] = r
+        if np.count_nonzero(rank >= 0) != r.size:
+            raise ValueError("the active slots of a token must have the ranks 0..k-1, "
+                             "each once")
+        expert_id = np.empty(size, dtype=np.int64)
+        expert_id[at] = slot
+        gate = np.ones(size)
+        gate[at] = routing.gate[tok, slot]
+        if routing.n_shared:
+            shared = np.arange(routing.n_shared)
+            expert_id[(offsets[:-1] + k)[:, None] + shared] = n_slots + shared
+        return cls(step=np.full(size, step, dtype=np.int64),
+                   layer=np.full(size, layer, dtype=np.int64),
+                   token_index=np.repeat(np.arange(n), counts),
+                   modality=np.repeat(modality, counts), expert_id=expert_id,
+                   role=np.searchsorted([routing.n_routed, n_slots], expert_id, side="right"),
+                   gate_prob=gate, selected_rank=rank, offsets=offsets,
                    modalities=modalities, roles=_ROLES)
 
     def checked(self, k: np.ndarray | None = None) -> "_Columns":
@@ -337,6 +349,18 @@ class _Columns:
                     _decode(self.modalities, self.modality[lo]), [0] + ends[:-1], ends)]
 
 
+def _read_only_empty() -> _Columns:
+    columns = _Columns.from_fields([], [], [], [], [], [], [], [], [])
+    for field in (*_SLOT_COLUMNS, "offsets"):
+        getattr(columns, field).flags.writeable = False
+    return columns
+
+
+# The columns of a trace with no records, shared by every such trace; its
+# arrays are read-only, so no trace can change them.
+_EMPTY = _read_only_empty()
+
+
 def _record_columns(recs: Sequence[TraceRecord]) -> _Columns:
     try:
         slots = [s for r in recs for s in r.slots]
@@ -355,7 +379,7 @@ class RoutingTrace:
     """Append-only store keyed by (step, layer, token_index), kept as columns."""
 
     def __init__(self):
-        self._columns = _Columns.empty()
+        self._columns = _EMPTY
         self._pending: list[TraceRecord] = []  # added since the last read
         self._blocks: list[_Columns] = []      # column blocks added since the last read
         self._keys: set[tuple[int, int, int]] | None = set()  # None: not built yet
@@ -396,7 +420,8 @@ class RoutingTrace:
         self._pending.append(rec)
 
     def _add_columns(self, block: _Columns) -> None:
-        """Append a block of records; like :meth:`add` for each of them."""
+        """Append a block of records, each with a routable slot; like
+        :meth:`add` for each of them."""
         known = self._known_keys()
         s = block.starts
         keys = list(zip(block.step[s].tolist(), block.layer[s].tolist(),
@@ -405,8 +430,6 @@ class RoutingTrace:
         if len(new) < len(keys) or not known.isdisjoint(new):
             dup = next(key for i, key in enumerate(keys) if key in known or key in keys[:i])
             raise DuplicateRecordError(f"record already exists for {dup}")
-        if (block.k() < 1).any():
-            raise ValueError("a record needs at least one routable slot")
         known.update(new)
         self._blocks.append(block)
 
@@ -473,9 +496,9 @@ def record_rows(trace: RoutingTrace, step: int, layer: int,
 
     The records equal those of :func:`record` called on every ``routing[t]``
     in turn, but they go in as one column block, with no per-token objects.
-    A repeated key, or a ``step``, ``layer`` or modality tag of another kind
-    than its field takes (module docstring), raises before anything is
-    added.
+    A repeated key, a ``step``, ``layer`` or modality tag of another kind
+    than its field takes (module docstring), or a token without active
+    slots ranked 0..k-1, each once, raises before anything is added.
     """
     trace._add_columns(_Columns.of_routing(step, layer, modality_tags, routing))
 
@@ -612,10 +635,15 @@ def _check_csv_fields(field: str, values: Iterable[str]) -> None:
 def _csv_text(c: _Columns) -> str:
     _check_csv_fields("modality", c.modalities)
     _check_csv_fields("role", c.roles)
-    k = np.repeat(c.k(), np.diff(c.offsets))
+    s, counts = c.starts, np.diff(c.offsets)
+    k = np.repeat(c.k(), counts)
+    # A record's head is its step's piece and the piece of the rest of its
+    # key, repeated over its slot rows.
+    heads = (_format_each("{},".format, c.step[s])
+             + _format_each(lambda layer, token, m: f"{layer},{token},{c.modalities[m]},",
+                            c.layer[s], c.token_index[s], c.modality[s]))
     return ",".join(CSV_COLUMNS) + "\n" + _joined(
-        _format_each(lambda step, layer, token, m: f"{step},{layer},{token},{c.modalities[m]},",
-                     c.step, c.layer, c.token_index, c.modality),
+        np.repeat(heads, counts),
         _format_each(lambda e, r: f"{e},{c.roles[r]},", c.expert_id, c.role),
         _format_each(repr, c.gate_prob),
         _format_each(lambda rank, k: f",{rank},{k}\n", c.selected_rank, k))
@@ -745,7 +773,7 @@ def _read_csv(text: str) -> _Columns:
     if head != ",".join(CSV_COLUMNS):
         raise ValueError("missing or malformed CSV header")
     if not body:
-        return _Columns.empty()
+        return _EMPTY
     if not body.endswith("\n"):
         body += "\n"
     # 8 bytes past the last line for the words of _text_column

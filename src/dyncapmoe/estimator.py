@@ -53,8 +53,10 @@ BERNOULLI_P = 5.0 / 8.0
 
 
 def _check_binary(value, name: str) -> np.ndarray:
+    """``value`` as an array, if every entry is 0 or 1; a bool array holds
+    nothing else, so only other dtypes are scanned."""
     value = np.asarray(value)
-    if not ((value == 0) | (value == 1)).all():
+    if value.dtype != np.bool_ and not ((value == 0) | (value == 1)).all():
         raise ValueError(f"{name} must be 0 or 1, got {value}")
     return value
 

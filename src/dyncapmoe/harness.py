@@ -222,15 +222,15 @@ def generate_batch(segments, seed: int, d_model: int, n_classes: int,
     """
     ids, tags = rp.assign_sequence_tagged(list(segments), theta)
     n = len(ids)
-    dir_rng = np.random.default_rng([seed, 101])
-    directions: dict[tuple[str, int], np.ndarray] = {}
-    for tag in sorted(set(tags)):
-        for c in range(n_classes):
-            v = dir_rng.normal(size=d_model)
-            directions[(tag, c)] = v / np.linalg.norm(v)
+    kinds = {tag: i for i, tag in enumerate(sorted(set(tags)))}
+    # Row kind * n_classes + c is the direction of (kind, class c), drawn in
+    # that order from one stream.  Each row's norm is the one dot product
+    # np.linalg.norm takes, so the directions keep its bits.
+    v = np.random.default_rng([seed, 101]).normal(size=(len(kinds) * n_classes, d_model))
+    directions = v / np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0]
     labels = np.random.default_rng([seed, 202]).integers(0, n_classes, size=n)
     noise_rng = np.random.default_rng([seed, 303])
-    clean = np.stack([directions[(tags[i], int(labels[i]))] for i in range(n)])
+    clean = directions[np.array([kinds[tag] for tag in tags]) * n_classes + labels]
     tokens = clean + noise * noise_rng.normal(size=(n, d_model))
     return SyntheticBatch(tokens=tokens, modality_tags=tuple(tags),
                           position_ids=tuple(ids), labels=labels)
@@ -300,6 +300,8 @@ class ToyTransformer:
                 dataclasses.replace(cfg.moe, seed=cfg.moe.seed + 7919 * (li + 1))))
         self.w_cls = ad.seeded_normal((d, cfg.n_classes), base + [cfg.layers, 4],
                                       std=d ** -0.5, requires_grad=True)
+        self._parameters = {name: t for stage in self.stage_parameters()
+                            for name, t in stage.items()}
 
     def stage_parameters(self) -> list[dict[str, ad.Tensor]]:
         """One name -> tensor dict per stage of :meth:`forward`.
@@ -319,9 +321,11 @@ class ToyTransformer:
         return stages
 
     def parameters(self) -> dict[str, ad.Tensor]:
-        """Every parameter by name, stage by stage."""
-        return {name: t for stage in self.stage_parameters()
-                for name, t in stage.items()}
+        """Every parameter by name, stage by stage: a new dict of the
+        tensors the model was built with.  The table is taken once, at
+        construction, so a parameter attribute replaced afterwards is not
+        in it."""
+        return dict(self._parameters)
 
     def _attend(self, X: ad.Tensor, pids, li: int) -> ad.Tensor:
         """``X + softmax(q k^T / sqrt(head_dim)) v W_o`` for layer ``li``, as

@@ -247,13 +247,15 @@ def _prefix_ranks(P: np.ndarray, top_p: float, U: np.ndarray | None = None) -> n
     if U is not None:
         with np.errstate(divide="ignore"):
             keys = np.log(P) - np.log(-np.log(U))
-    order = np.argsort(-keys, axis=-1, kind="stable")
-    reach = np.cumsum(np.take_along_axis(P, order, axis=-1), axis=-1) >= top_p
+    # one row per token (and probe): row i's slots are order[i]
+    order = np.argsort(-keys, axis=-1, kind="stable").reshape(-1, n_slots)
+    rows = np.arange(order.shape[0])[:, None]
+    reach = np.cumsum(P.reshape(-1, n_slots)[rows, order], axis=-1) >= top_p
     k = np.where(reach.any(axis=-1), reach.argmax(axis=-1) + 1, n_slots)
     ranks = np.arange(n_slots)
-    rank = np.empty(P.shape, dtype=np.int64)
-    np.put_along_axis(rank, order, np.where(ranks < k[..., None], ranks, -1), axis=-1)
-    return rank
+    rank = np.empty(order.shape, dtype=np.int64)
+    rank[rows, order] = np.where(ranks < k[:, None], ranks, -1)
+    return rank.reshape(P.shape)
 
 
 def _one_token(rank: np.ndarray, p: np.ndarray) -> RoutingDecision:

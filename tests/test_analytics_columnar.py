@@ -576,6 +576,26 @@ def test_a_bad_add_drops_only_its_record_and_the_trace_stays_readable():
     assert trace.records() == [rec(0), rec(1), rec(2), rec(3)]
 
 
+def test_a_new_trace_is_empty_after_another_trace_was_filled():
+    """Every trace starts from one shared empty column set, whose arrays
+    are read-only, so filling one trace leaves the next one empty."""
+    empty = an.RoutingTrace()._store()
+    for field in ("step", "layer", "token_index", "modality", "expert_id", "role",
+                  "gate_prob", "selected_rank", "offsets"):
+        column = getattr(empty, field)
+        assert not column.flags.writeable, field
+        with pytest.raises(ValueError):
+            column[...] = 0
+    filled = an.RoutingTrace()
+    filled.add(an.TraceRecord(0, 0, 0, "text", (an.SlotEntry(0, "routed", 0.5, 0),)))
+    an.record_rows(filled, 1, 0, ["image"], moe.Routing(
+        np.array([[1, 0]]), np.array([[0.4, 0.6]]), np.array([[False, True]]), None, 2, 1))
+    assert len(filled.records()) == 2
+    fresh = an.RoutingTrace()
+    assert len(fresh) == 0 and fresh.records() == []
+    assert fresh._store().offsets.tolist() == [0]
+
+
 # ---------------------------------------------------------------------------
 # export checks
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ import re
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import batch_reference
 import moe_reference as ref
 from fd_reference import finite_diff_grad
 from dyncapmoe import analytics as an
@@ -144,7 +147,33 @@ def per_token_tokens(segments, seed, d_model, n_classes, noise, theta=1):
                      for i in range(len(tags))])
 
 
+SEGMENTS = st.one_of(
+    st.builds(rp.TextSegment, st.integers(1, 8)),
+    st.builds(rp.AudioSegment, st.floats(0.1, 7.0)),
+    st.builds(rp.ImageSegment, st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
+    st.builds(rp.VideoSegment, st.floats(0.1, 4.0), st.floats(0.1, 4.0),
+              st.integers(1, 3), st.integers(1, 3), f_l=st.integers(1, 2),
+              f_u=st.integers(2, 4)))
+
+
 class TestGenerateBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(segments=st.lists(SEGMENTS, min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1), d_model=st.integers(1, 64),
+           n_classes=st.integers(2, 6),
+           noise=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), theta=st.integers(1, 3))
+    def test_equals_the_per_token_reference_bit_for_bit(self, segments, seed, d_model,
+                                                        n_classes, noise, theta):
+        got = hn.generate_batch(segments, seed, d_model, n_classes, noise, theta)
+        want = batch_reference.generate_batch(segments, seed, d_model, n_classes, noise,
+                                              theta)
+        for name in ("tokens", "labels"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.shape, a.dtype) == (b.shape, b.dtype), name
+            assert a.tobytes() == b.tobytes(), name
+        assert got.modality_tags == want.modality_tags
+        assert got.position_ids == want.position_ids
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("make_config", [hn.smoke_train_config,
                                              hn.gradcheck_default_config,
@@ -261,6 +290,30 @@ class TestToyTransformer:
         per_layer_moe = 1 + 3 * (cfg.moe.n_routed + cfg.moe.n_shared)
         assert len(params) == cfg.layers * (4 + per_layer_moe) + 1
         assert all(t.requires_grad for t in params.values())
+
+    def test_parameters_is_a_new_dict_of_the_same_tensors_in_stage_order(self):
+        model = hn.ToyTransformer(tiny_config())
+        first, second = model.parameters(), model.parameters()
+        assert first is not second and first == second
+        stages = [(name, t) for stage in model.stage_parameters() for name, t in stage.items()]
+        assert [(name, id(t)) for name, t in stages] == \
+            [(name, id(t)) for name, t in first.items()]
+        assert first["cls.w"] is model.w_cls
+        assert first["layer1.attn.w_q"] is model.attn[1].w_q
+        assert first["layer0.moe.router"] is model.blocks[0].router
+
+    def test_editing_the_returned_dict_changes_neither_the_model_nor_training(self):
+        cfg = tiny_config(steps=1, learning_rate=0.05)
+        model, untouched = hn.ToyTransformer(cfg), hn.ToyTransformer(cfg)
+        params = model.parameters()
+        params.pop("cls.w")
+        params["layer0.moe.router"] = ad.Tensor(np.zeros((2, 2)), requires_grad=True)
+        params["extra"] = ad.Tensor(1.0, requires_grad=True)
+        assert list(model.parameters()) == list(untouched.parameters())
+        assert model.parameters()["layer0.moe.router"] is model.blocks[0].router
+        assert hn.train(cfg, model).losses == hn.train(cfg, untouched).losses
+        for (name, a), b in zip(model.parameters().items(), untouched.parameters().values()):
+            assert a.data.tobytes() == b.data.tobytes(), name
 
     def test_frozen_replay_reproduces_infer_when_scales_are_one(self):
         # dense-mixture reduction: no nulls, full support, B forced to 1

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import moe_reference as ref
 from fd_reference import finite_diff_grad
@@ -281,6 +283,50 @@ class TestSelectSampled:
             # four standard errors of a 200k-trial frequency
             se = math.sqrt(prob * (1.0 - prob) / trials)
             assert abs(freq.get(code, 0.0) - prob) <= 4.0 * se, (code, prob)
+
+
+@st.composite
+def prefix_problems(draw):
+    """Probability rows ``P`` [n, slots] or [probes, n, slots], from small
+    integer weights (so ties and zero probabilities are common), with a
+    threshold and, half the time, one uniform per (token, slot)."""
+    n_slots = draw(st.integers(1, 10), label="n_slots")
+    shape = draw(st.sampled_from(((), (1,), (3,))), label="probes") + (
+        draw(st.integers(1, 5), label="n"), n_slots)
+    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=int(np.prod(shape)),
+                                     max_size=int(np.prod(shape)))), dtype=float)
+    weights = weights.reshape(shape)
+    weights[..., 0] += weights.sum(axis=-1) == 0  # a row needs some mass
+    P = weights / weights.sum(axis=-1, keepdims=True)
+    top_p = draw(st.one_of(st.sampled_from((1.0, 0.5, 0.7, 1e-9)),
+                           st.floats(0.0, 1.0, exclude_min=True)), label="top_p")
+    U = None
+    if draw(st.booleans(), label="sampled"):
+        u = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
+        size = shape[-2] * n_slots
+        U = np.array(draw(st.lists(u, min_size=size, max_size=size))).reshape(shape[-2:])
+    return P, top_p, U
+
+
+class TestPrefixRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=prefix_problems())
+    # ten slots of 0.1 sum to 0.9999999999999999, short of top_p = 1
+    @example(problem=(np.full((1, 10), 0.1), 1.0, None))
+    @example(problem=(np.full((2, 1, 10), 0.1), 1.0, np.linspace(0.0, 0.9, 10)[None, :]))
+    def test_every_row_equals_the_per_row_walk(self, problem):
+        P, top_p, U = problem
+        rank = moe._prefix_ranks(P, top_p, U)
+        assert rank.shape == P.shape and rank.dtype == np.int64
+        for index in np.ndindex(P.shape[:-1]):
+            p = P[index]
+            if U is None:
+                want = ref.prefix_decision(p, top_p, 0, p.size)
+            else:
+                want = ref.gumbel_decision(p, U[index[-1]], top_p, 0, p.size)
+            expect = np.full(p.size, -1)
+            expect[list(want.active)] = np.arange(want.k)
+            assert rank[index].tolist() == expect.tolist(), index
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import moe_reference as ref
@@ -131,19 +131,56 @@ def logged_both_ways(layer, steps, n, mode):
     return by_rows, by_token
 
 
+@st.composite
+def hand_built_routings(draw):
+    """A Routing as ``forward_rows`` never makes one: 1-6 tokens, 0-2 shared
+    experts, and each row's active slots in a drawn order, so rows with
+    every slot active and rows that rank a null slot first both occur."""
+    n_slots = draw(st.integers(1, 5), label="n_slots")
+    n_routed = draw(st.integers(1, n_slots), label="n_routed")
+    n = draw(st.integers(1, 6), label="n")
+    rank = np.full((n, n_slots), -1)
+    for t in range(n):
+        order = draw(st.permutations(range(n_slots)), label="order")
+        if draw(st.booleans(), label="null first") and n_routed < n_slots:
+            null = order.index(draw(st.integers(n_routed, n_slots - 1)))
+            order[0], order[null] = order[null], order[0]
+        k = draw(st.one_of(st.just(n_slots), st.integers(1, n_slots)), label="k")
+        rank[t, order[:k]] = np.arange(k)
+    gate = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=rank.size,
+                                  max_size=rank.size))).reshape(rank.shape)
+    is_argmax = np.arange(n_slots) == np.argmax(gate, axis=1)[:, None]
+    bern = None
+    if draw(st.booleans(), label="train"):
+        bern = np.array(draw(st.lists(st.booleans(), min_size=rank.size,
+                                      max_size=rank.size))).reshape(rank.shape)
+    return moe.Routing(rank, gate, is_argmax, bern, n_routed,
+                       draw(st.integers(0, 2), label="n_shared"))
+
+
 @pytest.mark.parametrize("n_null,n_shared,mode", [(0, 0, "infer"), (1, 2, "train"),
                                                   (2, 1, "infer"), (1, 0, "train")])
-def test_record_rows_equals_the_per_token_record_loop(tmp_path, n_null, n_shared, mode):
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hand_built=st.lists(hand_built_routings(), max_size=3))
+def test_record_rows_equals_the_per_token_record_loop(tmp_path, n_null, n_shared, mode,
+                                                      hand_built):
     layer = moe.DynamicCapacityMoE(moe.MoEConfig(
         d_model=4, n_routed=3, expert_hidden=3, n_null=n_null, n_shared=n_shared,
         top_p=0.8, routing_mode="sampled", seed=5))
     # steps out of order, so the block store has to sort on read
     by_rows, by_token = logged_both_ways(layer, (3, 0, 2), 9, mode)
-    assert len(by_rows) == len(by_token) == 3 * 2 * 9
-    records = by_rows.records()
-    assert records == by_token.records()
-    roles = {s.role for r in records for s in r.slots}
+    roles = {s.role for r in by_rows.records() for s in r.slots}
     assert ("null" in roles) == (n_null > 0) and ("shared" in roles) == (n_shared > 0)
+    # then the hand-built routings, at steps before and after the layer's
+    for i, routing in enumerate(hand_built):
+        tags = [MODALITY_CYCLE[t % len(MODALITY_CYCLE)] for t in range(len(routing))]
+        step = 1 if i == 0 else 3 + i
+        an.record_rows(by_rows, step, 1, tags, routing)
+        for t, decision in enumerate(routing):
+            an.record(by_token, step, 1, t, tags[t], decision)
+    assert len(by_rows) == len(by_token) == 3 * 2 * 9 + sum(map(len, hand_built))
+    assert by_rows.records() == by_token.records()
     for fmt in ("csv", "jsonl"):
         an.export_trace(by_rows, tmp_path / f"rows.{fmt}", fmt=fmt)
         an.export_trace(by_token, tmp_path / f"token.{fmt}", fmt=fmt)
@@ -183,6 +220,22 @@ def test_repeated_key_raises_at_append_time():
     assert len(trace) == 5  # rejected blocks left nothing behind
     an.record_rows(trace, 2, 2, ["text"] * 4, routing)
     assert [r.token_index for r in trace.select(2)] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("n_shared", [0, 1])
+@pytest.mark.parametrize("rank,message", [
+    ([[0, 0, -1]], "ranks 0..k-1"), ([[0, 2, -1]], "ranks 0..k-1"),
+    ([[1, -1, -1]], "ranks 0..k-1"), ([[0, 1, 2], [0, 0, 1]], "ranks 0..k-1"),
+    ([[0, 1, -1], [0, 1, 3]], "ranks 0..k-1"), ([[-1, -1, -1]], "at least one routable"),
+    ([[0, -1, -1], [-1, -1, -1]], "at least one routable")])
+def test_record_rows_refuses_a_token_without_active_slots_ranked_0_to_k_minus_1(
+        rank, message, n_shared):
+    rank = np.array(rank)
+    routing = moe.Routing(rank, np.full(rank.shape, 1 / 3), rank == 0, None, 2, n_shared)
+    trace = an.RoutingTrace()
+    with pytest.raises(ValueError, match=message):
+        an.record_rows(trace, 0, 0, ["text"] * len(rank), routing)
+    assert len(trace) == 0
 
 
 def test_routing_derives_its_forward_scale():
