@@ -41,11 +41,11 @@ The ops a frozen forward runs (``add``, ``matmul``, ``matvec_rows``,
 engine) also accept leading *probe axes*: an operand of shape
 ``[*lead, *core]`` broadcasts over ``lead`` as NumPy does, and each probe
 computes the bits the unbatched call computes.  ``grad_check`` evaluates
-the finite-difference probes of up to 64 coordinates of a parameter in one
-forward this way.  The backward functions know only the core shapes, so a
-probe axis never reaches the tape: :func:`op_node` raises
-:class:`ShapeError` when an op with probe axes has a parent that requires
-gradients.
+the finite-difference probes of up to 64 consecutive coordinates of the
+model, which may span parameters and stages, in one forward this way.  The
+backward functions know only the core shapes, so a probe axis never
+reaches the tape: :func:`op_node` raises :class:`ShapeError` when an op
+with probe axes has a parent that requires gradients.
 
 All randomness comes from numpy's PCG64 generator, so a fixed seed
 reproduces bit-identical tensors.

@@ -31,11 +31,12 @@ The forward runs in stages: each layer's attention, each layer's MoE with
 its residual add, then the classifier head and the loss.  A parameter of
 stage s changes nothing before stage s, so the gradient check records every
 stage's input once, during the frozen replay that yields the analytic
-gradients, and evaluates each perturbed loss by resuming the forward at the
-perturbed parameter's stage, one forward for all the +/-eps probes of up
-to 64 coordinates of a parameter (see :func:`grad_check`).  The skipped
-prefix would recompute the recorded bits from the same parameters, so the
-report is exactly the one a full forward per evaluation gives.
+gradients.  It evaluates the +/-eps probes of up to 64 consecutive
+coordinates of the model, which may span parameters and stages, in one
+forward resumed at the stage of the first of them (see :func:`grad_check`).
+The skipped prefix would recompute the recorded bits from the same
+parameters, so the report is exactly the one a full forward per evaluation
+gives.
 """
 
 from __future__ import annotations
@@ -512,9 +513,8 @@ class GradCheckReport:
         }
 
 
-# Coordinates of one parameter that one resumed forward probes (2 x 64
-# probes): the widest row of ``smoke_train_config``, and more than any
-# parameter of ``gradcheck_default_config`` holds.
+# Coordinates that one resumed forward probes (2 x 64 probes): the widest
+# row of ``smoke_train_config``.  A chunk may span parameters and stages.
 _PROBE_CHUNK = 64
 
 
@@ -537,19 +537,23 @@ def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
     taken, the model's parameters stop requiring gradients, so the
     evaluations fold into constants and build no tape.
 
-    The evaluations run in chunks of at most ``_PROBE_CHUNK`` (64)
-    consecutive coordinates of one parameter, in C order.  For a chunk of
-    K coordinates the parameter's ``.data`` becomes a ``[2K, *shape]``
-    probe stack, copies of the weight with ``+eps`` (probes 0..K-1) or
-    ``-eps`` (probes K..2K-1) added at one coordinate each, and one resumed
-    forward returns all 2K losses and match flags (the probe axes of the
-    autodiff module notes); then the original array goes back.  Each probe
-    computes the bits of its own unbatched forward, so the report is the
-    one a full forward per evaluation gives, to the bit.  A forward holds
-    2K copies of one weight and 2K probes' activations, so peak memory
-    grows with the chunk (at most 2 x 64 probes, as many as the widest row
-    of the smoke config) rather than with all of a weight's coordinates at
-    once.
+    The evaluations run on one sequence of every coordinate of the model in
+    report order (stage by stage, parameter by parameter, C order within a
+    parameter), cut into chunks of at most ``_PROBE_CHUNK`` (64)
+    coordinates; a chunk may span parameters and stages.  For a chunk of K
+    coordinates, each parameter it touches has its ``.data`` swapped for a
+    ``[2K, *shape]`` probe stack: probe i moves the chunk's coordinate i by
+    ``+eps`` and probe K + i moves it by ``-eps``, and a parameter's other
+    probes are unperturbed copies.  One forward, resumed at the stage of
+    the chunk's first coordinate, returns all 2K losses and match flags
+    (the probe axes of the autodiff module notes); then every original
+    array goes back.  A stage that runs a probe with the replay's
+    parameters recomputes the recorded bits, and each probe computes the
+    bits of its own unbatched forward, so the report is the one a full
+    forward per evaluation gives, to the bit.  A forward holds 2K copies of
+    the parameters the chunk touches and 2K probes' activations, so peak
+    memory grows with the chunk (at most 2 x 64 probes) rather than with
+    all of a weight's coordinates at once.
     """
     ad.check_real(eps, "eps", 0.0)
     ad.check_real(tol, "tol", 0.0)
@@ -567,32 +571,43 @@ def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
     for t in params.values():
         t.requires_grad = False
 
-    blocks = []
+    # (name, stage, weights, first coordinate) of each parameter, in report order
+    layout, total = [], 0
     for stage, stage_params in enumerate(model.stage_parameters()):
         for name, t in stage_params.items():
-            weights = t.data
-            fd = np.zeros(weights.size)
-            keep = np.ones(weights.size, dtype=bool)
-            try:
-                for lo in range(0, weights.size, _PROBE_CHUNK):
-                    k = min(_PROBE_CHUNK, weights.size - lo)
-                    i = np.arange(k)
-                    probes = np.repeat(weights.reshape(1, -1), 2 * k, axis=0)
-                    probes[i, lo + i] += eps
-                    probes[k + i, lo + i] -= eps
-                    t.data = probes.reshape(2 * k, *weights.shape)
-                    value, _, ok = model.forward(batch, frozen=frozen,
-                                                 stage_inputs=stage_inputs[:stage + 1])
-                    # a weight the replay never reads leaves the loss unbatched
-                    loss = np.broadcast_to(value.data, (2 * k,))
-                    ok = np.broadcast_to(ok, (2 * k,))
-                    keep[lo:lo + k] = ok[:k] & ok[k:]
-                    fd[lo:lo + k] = (loss[:k] - loss[k:]) / (2.0 * eps)
-            finally:
-                t.data = weights
-            grad = analytic[name].reshape(-1)
-            err = ad.max_rel_err(grad[keep], fd[keep]) if keep.any() else 0.0
-            blocks.append(BlockReport(name=name, max_rel_err=float(err),
-                                      n_checked=int(keep.sum()),
-                                      n_skipped=int(keep.size - keep.sum())))
+            layout.append((name, stage, t.data, total))
+            total += t.data.size
+    fd = np.zeros(total)
+    keep = np.ones(total, dtype=bool)
+    for lo in range(0, total, _PROBE_CHUNK):
+        k = min(_PROBE_CHUNK, total - lo)
+        spanned = [(name, stage, weights, first) for name, stage, weights, first in layout
+                   if first < lo + k and lo < first + weights.size]
+        try:
+            for name, _, weights, first in spanned:
+                j = np.arange(max(lo, first), min(lo + k, first + weights.size))
+                probes = np.repeat(weights.reshape(1, -1), 2 * k, axis=0)
+                probes[j - lo, j - first] += eps
+                probes[k + j - lo, j - first] -= eps
+                params[name].data = probes.reshape(2 * k, *weights.shape)
+            value, _, ok = model.forward(batch, frozen=frozen,
+                                         stage_inputs=stage_inputs[:spanned[0][1] + 1])
+        finally:
+            for name, _, weights, _ in spanned:
+                params[name].data = weights
+        # a chunk of weights the replay never reads leaves the loss unbatched
+        loss = np.broadcast_to(value.data, (2 * k,))
+        ok = np.broadcast_to(ok, (2 * k,))
+        keep[lo:lo + k] = ok[:k] & ok[k:]
+        fd[lo:lo + k] = (loss[:k] - loss[k:]) / (2.0 * eps)
+
+    blocks = []
+    for name, _, weights, first in layout:
+        span = slice(first, first + weights.size)
+        kept = keep[span]
+        err = (ad.max_rel_err(analytic[name].reshape(-1)[kept], fd[span][kept])
+               if kept.any() else 0.0)
+        blocks.append(BlockReport(name=name, max_rel_err=float(err),
+                                  n_checked=int(kept.sum()),
+                                  n_skipped=int(kept.size - kept.sum())))
     return GradCheckReport(blocks=tuple(blocks), tol=tol, eps=eps)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -198,6 +199,25 @@ class Routing(Sequence[RoutingDecision]):
 
     def __len__(self) -> int:
         return self.rank.shape[0]
+
+    @functools.cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """``(tok, slot, positions)``: the active (token, routed slot) pairs,
+        rank-major and in token order within a rank, and for each routed
+        expert j the positions of its pairs (``slot == j``).
+
+        The record and its arrays are read-only, so the pairs are computed
+        once, the first time they are read, and every replay of the record
+        reuses them; the arrays returned are read-only too.
+        """
+        rank = self.rank[:, :self.n_routed]
+        tok, slot = np.nonzero(rank >= 0)
+        order = np.lexsort((tok, rank[tok, slot]))
+        tok, slot = tok[order], slot[order]
+        positions = [np.flatnonzero(slot == j) for j in range(self.n_routed)]
+        for array in (tok, slot, *positions):
+            array.flags.writeable = False
+        return tok, slot, positions
 
     def __getitem__(self, t: int) -> RoutingDecision:
         n, n_slots = self.rank.shape
@@ -429,8 +449,10 @@ class DynamicCapacityMoE:
         is given, replay when ``frozen`` is, inference otherwise."""
         cfg = self.config
         n = X.data.shape[-2]
-        if frozen is not None and (len(frozen) != n or frozen.rank.shape[1] != cfg.n_slots):
-            raise ValueError(f"frozen routing must cover {n} tokens and {cfg.n_slots} slots")
+        if frozen is not None and (len(frozen) != n or frozen.rank.shape[1] != cfg.n_slots
+                                   or frozen.n_routed != cfg.n_routed):
+            raise ValueError(f"frozen routing must cover {n} tokens and {cfg.n_slots} "
+                             f"slots, {cfg.n_routed} of them routed")
         logits = ad.matvec_rows(self.router, X)
         probs = ad.softmax(logits)
         P = probs.data
@@ -459,25 +481,22 @@ class DynamicCapacityMoE:
              train: bool) -> ad.Tensor:
         """Sum of the routed contributions per token, zeros if there are none.
 
-        Contributions are (token, rank) pairs listed rank-major.  Each expert
-        runs on its pairs' tokens, and one op places every expert's rows at
-        its pairs' positions of a pair buffer; then the gates, the gradient
-        rule (the estimator in training, the recorded scales on a replay
-        with B draws) and one scatter into the output apply to every pair
-        at once.  The scatter adds rows in pair order, a left fold, so each
+        Contributions are (token, rank) pairs listed rank-major; the routing
+        record lists them once, so every replay of it reuses the list.  Each
+        expert runs on its pairs' tokens, and one op places every expert's
+        rows at its pairs' positions of a pair buffer; then the gates, the
+        gradient rule (the estimator in training, the recorded scales on a
+        replay with B draws) and one scatter into the output apply to every
+        pair at once.  The scatter adds rows in pair order, a left fold, so each
         token sums its terms in selection order.
         """
         cfg = self.config
-        rank = routing.rank[:, :cfg.n_routed]
-        tok, slot = np.nonzero(rank >= 0)
+        tok, slot, expert_positions = routing._pairs
         if not tok.size:
             return ad.zeros((X.data.shape[-2], cfg.d_model))
-        order = np.lexsort((tok, rank[tok, slot]))
-        tok, slot = tok[order], slot[order]
         # the indices come from np.nonzero, so they meet the row ops' preconditions
         parts, positions = [], []
-        for j, params in enumerate(self.routed):
-            pos = np.flatnonzero(slot == j)
+        for params, pos in zip(self.routed, expert_positions):
             if pos.size:
                 parts.append(gated_ffn(ad._gather_rows(X, tok[pos]), params))
                 positions.append(pos)

@@ -256,7 +256,7 @@ class TestGradcheckCommand:
         assert cli.main(["gradcheck", "--eps", "1e300"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(
-            "error: cross_entropy: 72 of 72 probe losses are not finite, the first is nan")
+            "error: cross_entropy: 112 of 128 probe losses are not finite, the first is nan")
         assert captured.err.count("\n") == 1 and not captured.out
 
     @pytest.mark.parametrize("flag,value", [("--eps", "0"), ("--eps", "-1e-6"),

@@ -1,6 +1,6 @@
 """``grad_check`` resumes each finite-difference forward at the stage of the
-perturbed parameter; it must report exactly what the full-forward campaign
-of ``tests/gradcheck_reference.py`` reports."""
+first coordinate it perturbs; it must report exactly what the full-forward
+campaign of ``tests/gradcheck_reference.py`` reports."""
 
 import dataclasses
 

@@ -1,13 +1,16 @@
 """Probe-batched finite differences.
 
-``grad_check`` evaluates the +/-eps probes of up to 64 consecutive (C-order)
-coordinates of one parameter in a single resumed frozen forward: the
-parameter's ``.data`` holds a ``[2K, *shape]`` stack of copies for a chunk
-of K coordinates, probe i moving coordinate ``lo + i`` by +eps and probe
-K + i moving it by -eps.  Each probe's loss and match flag must carry the
-bits of the unbatched resumed forward with that one coordinate moved, the
-parameters must come back untouched, no forward may hold more than 128
-probes, and a probe axis must never reach the tape.
+``grad_check`` lists every coordinate of the model in report order (stage
+by stage, parameter by parameter, C order) and evaluates the +/-eps probes
+of each chunk of up to 64 of them in a single frozen forward, resumed at
+the stage of the chunk's first coordinate; a chunk may span parameters and
+stages.  Each parameter a chunk of K coordinates touches holds a
+``[2K, *shape]`` stack of copies, probe i moving the chunk's coordinate i
+by +eps and probe K + i moving it by -eps.  Each probe's loss and match flag must
+carry the bits of the unbatched forward with that one coordinate moved,
+resumed at that coordinate's own stage; the parameters must come back
+untouched, no forward may hold more than 128 probes, and a probe axis must
+never reach the tape.
 
 The probes resume the replay of a train forward's routing, which must make
 the train forward's choices and return its loss to the bit.  Both checks
@@ -62,57 +65,77 @@ def replay(cfg, requires_grad=False):
 CHUNK = 64
 
 
-def chunks(size):
-    """(lo, K) of each chunk of a parameter with ``size`` coordinates."""
-    return [(lo, min(CHUNK, size - lo)) for lo in range(0, size, CHUNK)]
+def model_chunks(model):
+    """The model's coordinates in report order (stage by stage, parameter by
+    parameter, C order), cut into chunks of 64: each chunk a list of
+    (stage, name, flat index)."""
+    coords = [(stage, name, i) for stage, params in enumerate(model.stage_parameters())
+              for name, t in params.items() for i in range(t.data.size)]
+    return [coords[lo:lo + CHUNK] for lo in range(0, len(coords), CHUNK)]
 
 
-def chunk_probes(weights, lo, k, eps):
-    """The probe stack of one chunk, built one coordinate at a time."""
-    probes = np.repeat(weights[None], 2 * k, axis=0)
-    for i in range(k):
-        idx = np.unravel_index(lo + i, weights.shape)
+def spanned(chunk):
+    """The parameters a chunk touches, in order."""
+    return list(dict.fromkeys(name for _, name, _ in chunk))
+
+
+def chunk_probes(params, chunk, eps):
+    """The probe stack of each parameter a chunk touches, built one
+    coordinate at a time: probe i moves the chunk's coordinate i by +eps,
+    probe K + i moves it by -eps."""
+    k = len(chunk)
+    stacks = {name: np.repeat(params[name].data[None], 2 * k, axis=0)
+              for name in spanned(chunk)}
+    for i, (_, name, flat) in enumerate(chunk):
+        weights = params[name].data
+        idx = np.unravel_index(flat, weights.shape)
         orig = weights[idx]
-        probes[(i, *idx)] = orig + eps
-        probes[(k + i, *idx)] = orig - eps
-    return probes
+        stacks[name][(i, *idx)] = orig + eps
+        stacks[name][(k + i, *idx)] = orig - eps
+    return stacks
 
 
-def check_chunks(model, batch, frozen, inputs, eps, names=None):
-    """Assert that every probe of every chunk of the named parameters (all
-    of them by default) equals its own unbatched resumed forward; return
-    how many probes flipped a live selection and how many chunk forwards
-    came back unbatched."""
-    flipped = unread = 0
-    for stage, params in enumerate(model.stage_parameters()):
+def check_chunks(model, batch, frozen, inputs, eps, chunks):
+    """Assert that every probe of every chunk equals its own unbatched
+    forward: one coordinate moved, resumed at that coordinate's own stage
+    (the chunk's forward resumes at the stage of its first coordinate).
+    Return how many probes flipped a live selection, how many chunk
+    forwards came back unbatched, and how many chunks span two parameters
+    and two stages."""
+    params = model.parameters()
 
-        def resumed():
-            loss, _, ok = model.forward(batch, frozen=frozen,
-                                        stage_inputs=inputs[:stage + 1])
-            return loss.data, ok
+    def resumed(stage):
+        loss, _, ok = model.forward(batch, frozen=frozen, stage_inputs=inputs[:stage + 1])
+        return loss.data, ok
 
-        for name, t in params.items():
-            if names is not None and name not in names:
-                continue
-            weights = t.data
-            for lo, k in chunks(weights.size):
-                t.data = chunk_probes(weights, lo, k, eps)
-                losses, oks = resumed()
-                unread += losses.ndim == 0
-                losses = np.broadcast_to(losses, (2 * k,))
-                oks = np.broadcast_to(oks, (2 * k,))
-                for i in range(k):
-                    idx = np.unravel_index(lo + i, weights.shape)
-                    orig = weights[idx]
-                    for p, moved in ((i, orig + eps), (k + i, orig - eps)):
-                        t.data = weights.copy()
-                        t.data[idx] = moved
-                        loss, ok = resumed()
-                        assert type(ok) is bool
-                        assert (losses[p].tobytes(), bool(oks[p])) == (loss.tobytes(), ok)
-                        flipped += not ok
-            t.data = weights
-    return flipped, unread
+    counts = dict(flipped=0, unread=0, span_params=0, span_stages=0)
+    for chunk in chunks:
+        k = len(chunk)
+        stacks = chunk_probes(params, chunk, eps)
+        weights = {name: params[name].data for name in stacks}
+        for name, stack in stacks.items():
+            params[name].data = stack
+        losses, oks = resumed(chunk[0][0])
+        for name, array in weights.items():
+            params[name].data = array
+        counts["unread"] += losses.ndim == 0
+        counts["span_params"] += len(stacks) > 1
+        counts["span_stages"] += chunk[0][0] != chunk[-1][0]
+        losses = np.broadcast_to(losses, (2 * k,))
+        oks = np.broadcast_to(oks, (2 * k,))
+        for i, (stage, name, flat) in enumerate(chunk):
+            t, orig_array = params[name], weights[name]
+            idx = np.unravel_index(flat, orig_array.shape)
+            orig = orig_array[idx]
+            for p, moved in ((i, orig + eps), (k + i, orig - eps)):
+                t.data = orig_array.copy()
+                t.data[idx] = moved
+                loss, ok = resumed(stage)
+                assert type(ok) is bool
+                assert (losses[p].tobytes(), bool(oks[p])) == (loss.tobytes(), ok)
+                counts["flipped"] += not ok
+            t.data = orig_array
+    return counts
 
 
 # Random small configs: every knob the layer routes by, and segments of all
@@ -188,11 +211,11 @@ def test_replaying_a_train_forward_returns_its_loss_on_random_configs():
 @given(cfg=toy_configs(), eps=st.sampled_from([1e-6, 1e-2]), data=st.data())
 @RANDOM_CONFIGS
 def probes_equal_their_own_resumed_forwards(cfg, eps, data):
-    """Every probe of the chunk stacks of one drawn stage's parameters."""
+    """Every probe of one drawn chunk."""
     model, batch, frozen, inputs = replay(cfg)
-    stages = model.stage_parameters()
-    names = stages[data.draw(st.integers(0, len(stages) - 1), label="stage")]
-    check_chunks(model, batch, frozen, inputs, eps, names=names)
+    chunks = model_chunks(model)
+    chunk = chunks[data.draw(st.integers(0, len(chunks) - 1), label="chunk")]
+    check_chunks(model, batch, frozen, inputs, eps, [chunk])
 
 
 def test_each_probe_equals_its_own_resumed_forward_on_random_configs():
@@ -203,60 +226,110 @@ def test_each_probe_equals_its_own_resumed_forward_on_random_configs():
 def test_each_probe_equals_its_own_resumed_forward(case):
     cfg, eps = CASES[case]
     model, batch, frozen, inputs = replay(cfg)
-    flipped, unread = check_chunks(model, batch, frozen, inputs, eps)
-    assert (flipped > 0) == (case == "deterministic-seed2-eps1e-2")
-    assert (unread > 0) == (case in ("deterministic-seed5", "sampled-seed28"))
+    counts = check_chunks(model, batch, frozen, inputs, eps, model_chunks(model))
+    assert (counts["flipped"] > 0) == (case == "deterministic-seed2-eps1e-2")
+    # seed 28's unchosen expert holds a whole chunk; seed 5's shares its
+    # chunks with weights the forward reads
+    assert (counts["unread"] > 0) == (case == "sampled-seed28")
+    assert counts["span_params"] > 0 and counts["span_stages"] > 0
+
+
+def wide_config(seed=0, mode="sampled"):
+    """One layer whose routed experts hold 72 coordinates per weight."""
+    cfg = config(seed, mode)
+    return dataclasses.replace(cfg, layers=1,
+                               moe=dataclasses.replace(cfg.moe, expert_hidden=12))
+
+
+def test_a_chunk_wholly_inside_an_unread_weight_keeps_the_unbatched_loss():
+    # deterministic seed 5 leaves routed1 unchosen: coordinates 378-593
+    model, batch, frozen, inputs = replay(wide_config(5, "deterministic"))
+    assert not (frozen[0].rank[:, 1] >= 0).any()
+    chunks = model_chunks(model)
+    inside = [c for c in chunks if all(".routed1." in name for _, name, _ in c)]
+    assert [c[0][2] for c in inside] == [6, 70, 62]  # w_gate, w_up, w_down
+    # chunk 5 starts in routed0, which the forward reads, so it stays batched
+    counts = check_chunks(model, batch, frozen, inputs, 1e-6, inside + chunks[5:6])
+    assert counts["unread"] == 3 and counts["span_params"] == 3
 
 
 def test_probes_of_several_chunks_equal_their_own_resumed_forwards():
     model, batch, frozen, inputs = replay(hn.smoke_train_config(0))
-    sizes = {name: t.data.size for name, t in model.parameters().items()}
-    assert [k for lo, k in chunks(sizes["cls.w"])] == [64, 64]
-    assert [k for lo, k in chunks(sizes["layer1.moe.router"])] == [64, 64, 32]
-    assert check_chunks(model, batch, frozen, inputs, 1e-6,
-                        names=("cls.w", "layer1.moe.router")) == (0, 0)
+    chunks = [c for c in model_chunks(model)
+              if {"cls.w", "layer1.moe.router"} & set(spanned(c))]
+    assert [(spanned(c), len(c)) for c in chunks] == [
+        (["layer1.attn.w_o", "layer1.moe.router"], 64),
+        (["layer1.moe.router"], 64),
+        (["layer1.moe.router"], 64),
+        (["cls.w"], 64),
+        (["cls.w"], 64)]
+    counts = check_chunks(model, batch, frozen, inputs, 1e-6, chunks)
+    assert counts == dict(flipped=0, unread=0, span_params=1, span_stages=1)
 
 
 def campaign_forwards(monkeypatch, cfg):
-    """The ``ToyTransformer.forward`` calls of ``grad_check(cfg)``, the
-    (name, probes) of each probe stack a forward ran with, and every
-    parameter's shape."""
+    """For each ``ToyTransformer.forward`` call of ``grad_check(cfg)``: the
+    (name, probes) of each probe stack it ran with, and the stage it
+    started at."""
     shapes = {name: t.data.shape for name, t in hn.ToyTransformer(cfg).parameters().items()}
-    real, calls, swapped = hn.ToyTransformer.forward, 0, []
+    real, forwards = hn.ToyTransformer.forward, []
 
-    def recording(self, *args, **kwargs):
-        nonlocal calls
-        calls += 1
+    def recording(self, *args, stage_inputs=None, **kwargs):
+        swapped = []
         for name, t in self.parameters().items():
             if t.data.shape != shapes[name]:
                 assert t.data.shape[1:] == shapes[name]
                 swapped.append((name, t.data.shape[0]))
-        return real(self, *args, **kwargs)
+        forwards.append((swapped, len(stage_inputs) - 1 if stage_inputs else 0))
+        return real(self, *args, stage_inputs=stage_inputs, **kwargs)
 
     monkeypatch.setattr(hn.ToyTransformer, "forward", recording)
     hn.grad_check(cfg)
-    return calls, swapped, shapes
+    return forwards
+
+
+def chunk_forwards(cfg):
+    """What each chunk forward of ``grad_check(cfg)`` must run with: every
+    parameter its coordinates span as a ``[2K, *shape]`` stack, resumed at
+    the stage of its first coordinate."""
+    return [([(name, 2 * len(chunk)) for name in spanned(chunk)], chunk[0][0])
+            for chunk in model_chunks(hn.ToyTransformer(cfg))]
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_a_default_campaign_runs_one_forward_per_parameter(monkeypatch, seed):
-    calls, swapped, shapes = campaign_forwards(monkeypatch,
-                                               hn.gradcheck_default_config(seed))
-    assert calls == 31  # the live forward, the replay and 29 chunks
-    assert swapped == [(name, 2 * int(np.prod(shape))) for name, shape in shapes.items()]
-    assert max(probes for _, probes in swapped) <= 128
+def test_a_default_campaign_runs_one_forward_per_64_coordinates(monkeypatch, seed):
+    cfg = hn.gradcheck_default_config(seed)
+    forwards = campaign_forwards(monkeypatch, cfg)
+    assert len(forwards) == 13  # the live forward, the replay and 11 chunks
+    assert forwards[:2] == [([], 0), ([], 0)]
+    assert forwards[2:] == chunk_forwards(cfg)
+    assert [probes for swapped, _ in forwards[2:] for _, probes in swapped[:1]] == \
+        [128] * 10 + [124]
+    assert forwards[2] == ([("layer0.attn.w_q", 128), ("layer0.attn.w_k", 128)], 0)
+    # coordinates 128-191: the end of w_o, layer 0's router, routed0.w_gate
+    # and the start of routed0.w_up, resumed at layer 0's attention
+    assert forwards[4] == ([("layer0.attn.w_o", 128), ("layer0.moe.router", 128),
+                            ("layer0.moe.routed0.w_gate", 128),
+                            ("layer0.moe.routed0.w_up", 128)], 0)
+    assert max(probes for swapped, _ in forwards for _, probes in swapped) <= 128
 
 
 def test_a_campaign_splits_a_wide_parameter_into_chunks(monkeypatch):
-    cfg = hn.gradcheck_default_config(0)
-    cfg = dataclasses.replace(cfg, layers=1,
-                              moe=dataclasses.replace(cfg.moe, expert_hidden=12))
-    calls, swapped, shapes = campaign_forwards(monkeypatch, cfg)
-    want = [(name, 2 * k) for name, shape in shapes.items()
-            for lo, k in chunks(int(np.prod(shape)))]
-    assert want[5:7] == [("layer0.moe.routed0.w_gate", 128), ("layer0.moe.routed0.w_gate", 16)]
-    assert (calls, swapped) == (2 + len(want), want)
-    assert max(probes for _, probes in swapped) <= 128
+    cfg = wide_config()
+    forwards = campaign_forwards(monkeypatch, cfg)
+    want = chunk_forwards(cfg)
+    assert [[name for name, _ in swapped] for swapped, _ in want[3:7]] == [
+        ["layer0.moe.routed0.w_gate", "layer0.moe.routed0.w_up"],
+        ["layer0.moe.routed0.w_up", "layer0.moe.routed0.w_down"],
+        ["layer0.moe.routed0.w_down", "layer0.moe.routed1.w_gate"],
+        ["layer0.moe.routed1.w_gate"]]
+    # coordinates 576-639 end the MoE stage and start the head's
+    assert want[9] == ([(f"layer0.moe.{name}", 128) for name in (
+        "routed1.w_down", "shared0.w_gate", "shared0.w_up", "shared0.w_down")]
+        + [("cls.w", 128)], 1)
+    assert want[10] == ([("cls.w", 16)], 2)
+    assert (len(forwards), forwards[2:]) == (2 + 11, want)
+    assert max(probes for swapped, _ in forwards for _, probes in swapped) <= 128
 
 
 def test_a_campaign_with_an_unchosen_expert_equals_the_full_forward_campaign():

@@ -93,6 +93,28 @@ def test_views_equal_the_per_token_reference(layer, n, mode, spread, key):
     assert replayed is routing and matches
 
 
+@PROPERTY
+@given(layer=layers(), n=st.integers(1, 16), spread=st.sampled_from((0.0, 1.0, 10.0)),
+       key=st.integers(0, 2**16))
+def test_a_record_lists_its_pairs_once_for_every_replay(layer, n, spread, key):
+    cfg = layer.config
+    X = token_rows(key, n, cfg.d_model, spread)
+    _, routing, _ = layer.forward_rows(X, "train", key=(key, 3))
+    pairs = tok, slot, positions = routing._pairs
+    rank = routing.rank
+    # rank-major, tokens in order within a rank, routed slots only
+    assert [(rank[t, j], t, j) for t, j in zip(tok.tolist(), slot.tolist())] == sorted(
+        (rank[t, j], t, j) for t, j in zip(*np.nonzero(rank[:, :cfg.n_routed] >= 0)))
+    assert [pos.tolist() for pos in positions] == \
+        [np.flatnonzero(slot == j).tolist() for j in range(cfg.n_routed)]
+    assert not any(a.flags.writeable for a in (tok, slot, *positions))
+    for _ in range(2):
+        layer.forward_rows(X, frozen=routing)
+        assert routing._pairs is pairs
+    with pytest.raises(ValueError, match="routed"):
+        layer.forward_rows(X, frozen=dataclasses.replace(routing, n_routed=cfg.n_routed + 1))
+
+
 @pytest.mark.parametrize("routing_mode", ["deterministic", "sampled"])
 @PROPERTY
 @given(layer=layers(), n=st.integers(1, 24), data=st.data(),

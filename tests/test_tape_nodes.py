@@ -14,11 +14,11 @@ inference forward: the count follows the model, not the batch size.
 A default ``grad_check`` differentiates only its frozen replay: its
 finite-difference evaluations run with the parameters' ``requires_grad``
 off and put nothing on the tape.  They run one probe-batched forward per
-chunk of up to 64 coordinates of a parameter (29 chunks, one per
-parameter), not two per coordinate (702 coordinates).  On
-``gradcheck_default_config(s)``, s = 0-3, a campaign makes 732
-``op_node`` calls and 64 of them (the live train forward and the replay)
-require gradients.
+chunk of up to 64 consecutive coordinates of the model, across parameter
+and stage boundaries (11 chunks), not one per parameter (29) nor two per
+coordinate (702 coordinates).  On ``gradcheck_default_config(s)``,
+s = 0-3, a campaign makes 335 ``op_node`` calls and 64 of them (the live
+train forward and the replay) require gradients.
 """
 
 import dataclasses
@@ -32,7 +32,7 @@ from dyncapmoe import harness as hn
 TRAIN_STEP_NODES = 44
 INFER_FORWARD_NODES = 42
 TRAINVAL_OP_NODES = 86
-GRADCHECK_OP_NODES = 732
+GRADCHECK_OP_NODES = 335
 GRADCHECK_TAPE_NODES = 64
 
 
