@@ -265,31 +265,27 @@ class _Columns:
         rank order, then the shared experts with rank -1.
 
         The active slot of rank r of token t goes to slot row
-        ``offsets[t] + r``, so every token needs k >= 1 active slots ranked
-        0..k-1, each once (``ValueError`` otherwise).
+        ``offsets[t] + r``; the Routing's own check, whose active pairs
+        this reads, guarantees that token t's ranks are 0..k-1, each once.
+        ``modality_tags`` must be a sequence of strings, one per token, and
+        not a single string.
         """
         n, n_slots = routing.rank.shape
+        if isinstance(modality_tags, str):
+            raise ValueError(f"modality_tags must be one tag per token, not the string "
+                             f"{modality_tags!r}")
         if len(modality_tags) != n:
             raise ValueError(f"need one modality tag per token, got {len(modality_tags)} "
                              f"for {n}")
         (step,), (layer,) = _column("step", [step]), _column("layer", [layer])
         modalities, modality = _column("modality", modality_tags)
-        tok, slot = np.nonzero(routing.rank >= 0)
-        r = routing.rank[tok, slot]
-        k = np.bincount(tok, minlength=n)
-        if (k < 1).any():
-            raise ValueError("a record needs at least one routable slot")
+        tok, slot, r, k = routing._active
         counts = k + routing.n_shared
         offsets = _offsets(counts)
         size = int(offsets[-1])
         at = offsets[tok] + r
         rank = np.full(size, -1, dtype=np.int64)
-        # ranks below each token's k fill distinct rows iff they are 0..k-1
-        if (r < k[tok]).all():
-            rank[at] = r
-        if np.count_nonzero(rank >= 0) != r.size:
-            raise ValueError("the active slots of a token must have the ranks 0..k-1, "
-                             "each once")
+        rank[at] = r
         expert_id = np.empty(size, dtype=np.int64)
         expert_id[at] = slot
         gate = np.ones(size)
@@ -420,17 +416,17 @@ class RoutingTrace:
         self._pending.append(rec)
 
     def _add_columns(self, block: _Columns) -> None:
-        """Append a block of records, each with a routable slot; like
-        :meth:`add` for each of them."""
+        """Append a block of records with distinct keys, each with a
+        routable slot (one layer's tokens 0..n-1); like :meth:`add` for
+        each of them."""
         known = self._known_keys()
         s = block.starts
         keys = list(zip(block.step[s].tolist(), block.layer[s].tolist(),
                         block.token_index[s].tolist()))
-        new = set(keys)
-        if len(new) < len(keys) or not known.isdisjoint(new):
-            dup = next(key for i, key in enumerate(keys) if key in known or key in keys[:i])
+        if not known.isdisjoint(keys):
+            dup = next(key for key in keys if key in known)
             raise DuplicateRecordError(f"record already exists for {dup}")
-        known.update(new)
+        known.update(keys)
         self._blocks.append(block)
 
     def _store(self) -> _Columns:
@@ -497,8 +493,10 @@ def record_rows(trace: RoutingTrace, step: int, layer: int,
     The records equal those of :func:`record` called on every ``routing[t]``
     in turn, but they go in as one column block, with no per-token objects.
     A repeated key, a ``step``, ``layer`` or modality tag of another kind
-    than its field takes (module docstring), or a token without active
-    slots ranked 0..k-1, each once, raises before anything is added.
+    than its field takes (module docstring), or ``modality_tags`` given as
+    one string, raises before anything is added.  The routing's ranks need
+    no check here: a :class:`~dyncapmoe.moe.Routing` refuses a token
+    without active slots ranked 0..k-1, each once, when it is built.
     """
     trace._add_columns(_Columns.of_routing(step, layer, modality_tags, routing))
 

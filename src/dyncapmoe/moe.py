@@ -31,7 +31,8 @@ the batch's choices as one :class:`Routing`, ``[n, n_slots]`` arrays of
 rank, gate, argmax flag, B draw and forward scale; a token's
 :class:`RoutingDecision` is built only when someone indexes the Routing.
 Frozen replay takes a Routing back, hand-edited with
-:func:`dataclasses.replace` if need be.  The per-token forwards are one-row
+:func:`dataclasses.replace` if need be; a Routing checks its own rule when
+built, so every reader trusts it.  The per-token forwards are one-row
 calls of ``forward_rows``.
 """
 
@@ -171,6 +172,13 @@ class Routing(Sequence[RoutingDecision]):
     each slot's role and the always-on shared experts.  As a read-only
     sequence, ``routing[t]`` is token t's :class:`RoutingDecision`, built
     when asked for.
+
+    The rule, checked when built (so also by :func:`dataclasses.replace`),
+    with a ``ValueError`` naming what breaks it: ``rank`` is an integer
+    array with no entry below -1, every row has k >= 1 active slots ranked
+    0..k-1, each once, ``n_routed`` is in [1, n_slots] and ``n_shared``
+    >= 0.  The check's token-major active pairs stay, read-only, as
+    ``_active = (tok, slot, rank, k)`` for the dispatch and the trace.
     """
 
     rank: np.ndarray
@@ -193,6 +201,32 @@ class Routing(Sequence[RoutingDecision]):
                 raise ValueError(f"{name} must have the shape of rank")
             view.flags.writeable = False
             object.__setattr__(self, name, view)
+        n, n_slots = self.rank.shape
+        ad.check_int(self.n_routed, "n_routed", 1)
+        if self.n_routed > n_slots:
+            raise ValueError(f"n_routed must be at most the {n_slots} slots, "
+                             f"got {self.n_routed}")
+        ad.check_int(self.n_shared, "n_shared", 0)
+        if self.rank.dtype.kind not in "iu":
+            raise ValueError(f"rank must be an integer array, got {self.rank.dtype}")
+        if self.rank.min(initial=0) < -1:
+            raise ValueError("rank must be -1 for an inactive slot or a selection rank >= 0")
+        active = self.rank >= 0
+        tok, slot = np.nonzero(active)
+        r = self.rank[active]
+        k = np.bincount(tok, minlength=n)
+        if np.count_nonzero(k) < n:
+            raise ValueError("a record needs at least one routable slot")
+        # with every rank below its row's k, ranks 0..k-1 each once means no repeat
+        seen = np.zeros(self.rank.shape, dtype=bool)
+        if np.count_nonzero(r < k[tok]) == r.size:
+            seen[tok, r] = True
+        if np.count_nonzero(seen) != r.size:
+            raise ValueError("the active slots of a token must have the ranks 0..k-1, "
+                             "each once")
+        for array in (tok, slot, r, k):
+            array.flags.writeable = False
+        object.__setattr__(self, "_active", (tok, slot, r, k))
         object.__setattr__(self, "scale", np.ones(self.rank.shape) if self.bern is None
                            else est.hybrid_scale(self.is_argmax, self.bern))
         self.scale.flags.writeable = False
@@ -210,10 +244,11 @@ class Routing(Sequence[RoutingDecision]):
         once, the first time they are read, and every replay of the record
         reuses them; the arrays returned are read-only too.
         """
-        rank = self.rank[:, :self.n_routed]
-        tok, slot = np.nonzero(rank >= 0)
-        order = np.lexsort((tok, rank[tok, slot]))
-        tok, slot = tok[order], slot[order]
+        tok, slot, rank, _ = self._active
+        routed = slot < self.n_routed
+        # the pairs are token-major, so a stable sort by rank keeps token order
+        order = np.argsort(rank[routed], kind="stable")
+        tok, slot = tok[routed][order], slot[routed][order]
         positions = [np.flatnonzero(slot == j) for j in range(self.n_routed)]
         for array in (tok, slot, *positions):
             array.flags.writeable = False
@@ -450,9 +485,11 @@ class DynamicCapacityMoE:
         cfg = self.config
         n = X.data.shape[-2]
         if frozen is not None and (len(frozen) != n or frozen.rank.shape[1] != cfg.n_slots
-                                   or frozen.n_routed != cfg.n_routed):
+                                   or frozen.n_routed != cfg.n_routed
+                                   or frozen.n_shared != cfg.n_shared):
             raise ValueError(f"frozen routing must cover {n} tokens and {cfg.n_slots} "
-                             f"slots, {cfg.n_routed} of them routed")
+                             f"slots, {cfg.n_routed} of them routed, with "
+                             f"{cfg.n_shared} shared experts")
         logits = ad.matvec_rows(self.router, X)
         probs = ad.softmax(logits)
         P = probs.data

@@ -284,6 +284,25 @@ class TestSelectSampled:
             se = math.sqrt(prob * (1.0 - prob) / trials)
             assert abs(freq.get(code, 0.0) - prob) <= 4.0 * se, (code, prob)
 
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.integers(0, 4), min_size=1, max_size=5).filter(any),
+           top_p=st.sampled_from((1e-6, 0.3, 0.5, 0.7, 0.9, 1.0)))
+    def test_enumerated_prefixes_are_minimal_and_their_probabilities_sum_to_one(
+            self, weights, top_p):
+        # integer weights make ties and zero probabilities common
+        p = (np.array(weights, dtype=float) / sum(weights)).tolist()
+        exact = ordered_prefixes_exact(p, top_p)
+        assert math.isclose(math.fsum(exact.values()), 1.0, rel_tol=0.0, abs_tol=1e-12)
+        positive = {i for i, q in enumerate(p) if q > 0.0}
+        for drawn, prob in exact.items():
+            assert prob > 0.0 and drawn and len(set(drawn)) == len(drawn)
+            assert set(drawn) <= positive
+            mass = 0.0
+            for i in drawn:  # left to right, as the draw adds it up
+                before, mass = mass, mass + p[i]
+            assert mass >= top_p or set(drawn) == positive, drawn
+            assert before < top_p, drawn
+
 
 @st.composite
 def prefix_problems(draw):

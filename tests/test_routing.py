@@ -10,6 +10,11 @@ batch must route and mix as they do in an m-row batch, bit for bit.
 
 ``analytics.record_rows`` must log a Routing exactly as the per-token
 ``analytics.record`` loop does: same records, byte-identical CSV and JSONL.
+
+A Routing checks its own rule when built (integer ranks, none below -1,
+k >= 1 active slots per row ranked 0..k-1, each once, and its role
+counts), so a malformed record, built or edited with
+``dataclasses.replace``, is refused before any replay or log reads it.
 """
 
 import dataclasses
@@ -244,20 +249,104 @@ def test_repeated_key_raises_at_append_time():
     assert [r.token_index for r in trace.select(2)] == [0, 1, 2, 3]
 
 
+def test_record_rows_refuses_a_bare_string_as_modality_tags():
+    layer = moe.DynamicCapacityMoE(moe.MoEConfig(d_model=4, n_routed=3, expert_hidden=3,
+                                                 n_null=1, n_shared=1, seed=1))
+    _, routing, _ = layer.forward_rows(token_rows(1, 4, 4, 1.0), "infer")
+    trace = an.RoutingTrace()
+    with pytest.raises(ValueError, match="modality_tags"):
+        an.record_rows(trace, 0, 0, "text", routing)
+    assert len(trace) == 0
+
+
+# ---------------------------------------------------------------------------
+# the record's own rule
+# ---------------------------------------------------------------------------
+
 @pytest.mark.parametrize("n_shared", [0, 1])
 @pytest.mark.parametrize("rank,message", [
     ([[0, 0, -1]], "ranks 0..k-1"), ([[0, 2, -1]], "ranks 0..k-1"),
     ([[1, -1, -1]], "ranks 0..k-1"), ([[0, 1, 2], [0, 0, 1]], "ranks 0..k-1"),
     ([[0, 1, -1], [0, 1, 3]], "ranks 0..k-1"), ([[-1, -1, -1]], "at least one routable"),
     ([[0, -1, -1], [-1, -1, -1]], "at least one routable")])
-def test_record_rows_refuses_a_token_without_active_slots_ranked_0_to_k_minus_1(
+def test_a_routing_refuses_a_token_without_active_slots_ranked_0_to_k_minus_1(
         rank, message, n_shared):
     rank = np.array(rank)
-    routing = moe.Routing(rank, np.full(rank.shape, 1 / 3), rank == 0, None, 2, n_shared)
-    trace = an.RoutingTrace()
+    args = (np.full(rank.shape, 1 / 3), rank == 0, None, 2, n_shared)
     with pytest.raises(ValueError, match=message):
-        an.record_rows(trace, 0, 0, ["text"] * len(rank), routing)
-    assert len(trace) == 0
+        moe.Routing(rank, *args)
+    routing = moe.Routing(np.tile([0, -1, -1], (len(rank), 1)), *args)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(routing, rank=rank)
+
+
+@pytest.mark.parametrize("change,message", [
+    (dict(rank=np.array([[0.0, 1.0, -1.0]])), "rank must be an integer array"),
+    (dict(rank=np.array([[0, 1, -2]])), "rank must be -1 for an inactive slot"),
+    (dict(rank=np.array([[0, -2, 1]])), "rank must be -1 for an inactive slot"),
+    (dict(n_routed=0), "n_routed must be an integer >= 1"),
+    (dict(n_routed=4), "n_routed must be at most the 3 slots"),
+    (dict(n_routed=2.5), "n_routed must be an integer"),
+    (dict(n_routed=True), "n_routed must be an integer"),
+    (dict(n_shared=-1), "n_shared must be an integer >= 0"),
+    (dict(n_shared=True), "n_shared must be an integer")])
+def test_a_routing_refuses_ranks_and_role_counts_outside_the_rule(change, message):
+    rank = np.array([[0, 1, -1]])
+    fields = dict(rank=rank, gate=np.full(rank.shape, 1 / 3), is_argmax=rank == 0,
+                  bern=None, n_routed=2, n_shared=1)
+    routing = moe.Routing(**fields)
+    with pytest.raises(ValueError, match=message):
+        moe.Routing(**{**fields, **change})
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(routing, **change)
+
+
+def corruptions(rank):
+    """Each way to break the rule in one row, as ``(name, broken row,
+    message)``: the row's ranks are 0..k-1 on its active slots."""
+    k = int((rank >= 0).sum())
+    out = []
+    if k >= 2 or k < rank.size:  # a second slot can take rank 0
+        dup = rank.copy()
+        dup[rank == k - 1 if k >= 2 else np.flatnonzero(rank < 0)[0]] = 0
+        out.append(("duplicate a rank", dup, "ranks 0..k-1"))
+    out.append(("drop rank 0", np.where(rank == 0, -1, rank),
+                "ranks 0..k-1" if k >= 2 else "at least one routable"))
+    out.append(("open a gap", np.where(rank == k - 1, k, rank), "ranks 0..k-1"))
+    out.append(("deactivate the row", np.full_like(rank, -1), "at least one routable"))
+    out.append(("set a -2", np.where(rank == k - 1, -2, rank), "-1 for an inactive slot"))
+    return out
+
+
+@PROPERTY
+@given(routing=hand_built_routings(), data=st.data())
+def test_a_corrupted_row_is_refused_before_any_replay(routing, data):
+    n, n_slots = routing.rank.shape
+    layer = moe.DynamicCapacityMoE(moe.MoEConfig(
+        d_model=3, n_routed=routing.n_routed, expert_hidden=2,
+        n_null=n_slots - routing.n_routed, n_shared=routing.n_shared, seed=4))
+    X = token_rows(n, n, 3, 1.0)
+    _, replayed, _ = layer.forward_rows(X, frozen=routing)
+    assert replayed is routing
+    t = data.draw(st.integers(0, n - 1), label="row")
+    _, row, message = data.draw(st.sampled_from(corruptions(routing.rank[t])),
+                                label="corruption")
+    rank = routing.rank.copy()
+    rank[t] = row
+    # the edit raises, so the replay call is never reached
+    with pytest.raises(ValueError, match=message):
+        layer.forward_rows(X, frozen=dataclasses.replace(routing, rank=rank))
+
+
+def test_a_replay_refuses_a_record_made_for_other_shared_experts():
+    layer = moe.DynamicCapacityMoE(moe.MoEConfig(d_model=4, n_routed=3, expert_hidden=3,
+                                                 n_null=1, n_shared=2, seed=3))
+    X = token_rows(2, 5, 4, 1.0)
+    _, routing, _ = layer.forward_rows(X, "train", key=(2,))
+    for n_shared in (0, 1, 3):
+        with pytest.raises(ValueError, match="2 shared experts"):
+            layer.forward_rows(X, frozen=dataclasses.replace(routing, n_shared=n_shared))
+    assert layer.forward_rows(X, frozen=routing)[1] is routing
 
 
 def test_routing_derives_its_forward_scale():
