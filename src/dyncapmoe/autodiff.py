@@ -23,9 +23,11 @@ NaN and infinity; op results are not scanned, so a non-finite value
 produced inside a graph propagates to its consumers, and the callers that
 own a boundary (the training loss, the gradients before an update) check
 it there.  The row ops the MoE layer dispatches through
-(:func:`_gather_rows`, :func:`_place_rows`, :func:`_scatter_add_rows`) take
+(:func:`_gather_rows`, :func:`_place_rows`, :func:`_fold_rows`) take
 indices their caller built, so they do not check them: each states its
-precondition in its docstring.
+precondition in its docstring.  None of them takes a repeated index, so
+none needs ``np.add.at``: a gathered row or cell is read once, a placed
+row is written once, and the fold adds a token's rows rank by rank.
 
 Fused ops (the MoE layer's expert FFN, the harness's attention block)
 are defined through :func:`op_node` with a hand-written backward.  A fused
@@ -418,18 +420,19 @@ def stack_rows(rows: Iterable[Tensor]) -> Tensor:
 
 
 def _gather_rows(a: Tensor, idx) -> Tensor:
-    """``a[idx]`` along the first axis; an index may repeat, and a repeated
-    row's gradients add up.  A pair ``(rows, cols)`` on a matrix takes the
-    cells ``a[rows[i], cols[i]]``.  A matrix may carry leading probe axes,
-    and the rows are then taken along the axis after them.
+    """``a[idx]`` along the first axis.  A pair ``(rows, cols)`` on a matrix
+    takes the cells ``a[rows[i], cols[i]]``.  A matrix may carry leading
+    probe axes, and the rows are then taken along the axis after them.
 
-    Precondition: ``idx`` is a non-empty 1-D integer array of in-range rows,
-    or a pair of such arrays of one length for a matrix ``a``.
+    Precondition: ``idx`` is a non-empty 1-D integer array of distinct
+    in-range rows, or a pair of such arrays of one length for a matrix
+    ``a`` naming distinct cells.  Each row then receives one gradient
+    term, ``0.0 + g``, and no two terms need adding up.
     """
 
     def backward_fn(g):
         out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
+        out[idx] += g
         return (out,)
 
     probes = a.data.ndim > 2
@@ -440,26 +443,33 @@ def _gather_rows(a: Tensor, idx) -> Tensor:
     return op_node(data, (a,), backward_fn, "gather_rows", probes)
 
 
-def _scatter_add_rows(base: Tensor, idx: np.ndarray, rows: Tensor) -> Tensor:
-    """Copy of matrix ``base`` with ``rows[i]`` added to row ``idx[i]``;
-    either operand may carry leading probe axes.
+def _fold_rows(n: int, tok: np.ndarray, rank: np.ndarray, rows: Tensor) -> Tensor:
+    """An [n, d] matrix whose row t sums the rows ``rows[i]`` with
+    ``tok[i] == t`` in ascending ``rank[i]``, as the left fold
+    ``((0.0 + r0) + r1) + ...``.  ``rows`` may carry leading probe axes,
+    which the result takes.
 
-    Rows sharing an index are added in index order, so a target row
-    receives its terms as the left fold ``((base + r0) + r1) + ...``.
+    One assignment puts row i at ``slab[rank[i], tok[i]]`` of a zeros slab
+    [R, n, d], R = max rank + 1, and R dense adds fold the slab's ranks
+    into a zeros result.  That is exact: the chain starts at +0.0, so it
+    never holds -0.0, and the +0.0 a token gets for a rank it lacks
+    changes no bit.
 
-    Precondition: ``idx`` is a 1-D integer array of in-range rows of
-    ``base``, and ``rows`` is ``[len(idx), base.shape[-1]]``.
+    Precondition: ``tok`` and ``rank`` are non-empty 1-D integer arrays of
+    one length, ``tok`` in [0, n) and ``rank`` >= 0, with no (rank, tok)
+    pair twice; ``rows`` is ``[len(tok), d]``.
     """
-    bd, rd = base.data, rows.data
-    lead = max(bd.shape[:-2], rd.shape[:-2], key=len)
-    out = np.empty(lead + bd.shape[-2:])
-    out[...] = bd
-    np.add.at(out, (..., idx, slice(None)), rd)
+    rd = rows.data
+    slab = np.zeros(rd.shape[:-2] + (int(rank.max()) + 1, n, rd.shape[-1]))
+    slab[..., rank, tok, :] = rd
+    out = np.zeros(slab.shape[:-3] + slab.shape[-2:])
+    for r in range(slab.shape[-3]):
+        out += slab[..., r, :, :]
 
     def backward_fn(g):
-        return g, g[idx]
+        return (g[tok],)
 
-    return op_node(out, (base, rows), backward_fn, "scatter_add_rows", len(lead) > 0)
+    return op_node(out, (rows,), backward_fn, "fold_rows", rd.ndim > 2)
 
 
 def _place_rows(n: int, parts: Sequence[Tensor], positions: Sequence[np.ndarray]) -> Tensor:

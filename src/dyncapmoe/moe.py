@@ -235,10 +235,11 @@ class Routing(Sequence[RoutingDecision]):
         return self.rank.shape[0]
 
     @functools.cached_property
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """``(tok, slot, positions)``: the active (token, routed slot) pairs,
-        rank-major and in token order within a rank, and for each routed
-        expert j the positions of its pairs (``slot == j``).
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+        """``(tok, slot, rank, positions)``: the active (token, routed slot)
+        pairs, rank-major and in token order within a rank, each pair's
+        rank, and for each routed expert j the positions of its pairs
+        (``slot == j``).
 
         The record and its arrays are read-only, so the pairs are computed
         once, the first time they are read, and every replay of the record
@@ -248,11 +249,11 @@ class Routing(Sequence[RoutingDecision]):
         routed = slot < self.n_routed
         # the pairs are token-major, so a stable sort by rank keeps token order
         order = np.argsort(rank[routed], kind="stable")
-        tok, slot = tok[routed][order], slot[routed][order]
+        tok, slot, rank = tok[routed][order], slot[routed][order], rank[routed][order]
         positions = [np.flatnonzero(slot == j) for j in range(self.n_routed)]
-        for array in (tok, slot, *positions):
+        for array in (tok, slot, rank, *positions):
             array.flags.writeable = False
-        return tok, slot, positions
+        return tok, slot, rank, positions
 
     def __getitem__(self, t: int) -> RoutingDecision:
         n, n_slots = self.rank.shape
@@ -523,15 +524,16 @@ class DynamicCapacityMoE:
         expert runs on its pairs' tokens, and one op places every expert's
         rows at its pairs' positions of a pair buffer; then the gates, the
         gradient rule (the estimator in training, the recorded scales on a
-        replay with B draws) and one scatter into the output apply to every
-        pair at once.  The scatter adds rows in pair order, a left fold, so each
-        token sums its terms in selection order.
+        replay with B draws) and one rank fold into the output apply to every
+        pair at once.  The fold adds each token's terms one rank at a time,
+        starting from zeros, so each token sums its terms in selection order.
         """
         cfg = self.config
-        tok, slot, expert_positions = routing._pairs
+        tok, slot, rank, expert_positions = routing._pairs
         if not tok.size:
             return ad.zeros((X.data.shape[-2], cfg.d_model))
-        # the indices come from np.nonzero, so they meet the row ops' preconditions
+        # a Routing's pairs are distinct (token, slot) cells with distinct
+        # (rank, token), so they meet the row ops' preconditions
         parts, positions = [], []
         for params, pos in zip(self.routed, expert_positions):
             if pos.size:
@@ -543,7 +545,7 @@ class DynamicCapacityMoE:
             buf = est.apply_estimator(buf, routing.scale[tok, slot])
         elif routing.bern is not None:
             buf = ad.scale_rows(buf, ad.Tensor(routing.scale[tok, slot]))
-        return ad._scatter_add_rows(ad.zeros((X.data.shape[-2], cfg.d_model)), tok, buf)
+        return ad._fold_rows(X.data.shape[-2], tok, rank, buf)
 
     def _forward_token(self, x: ad.Tensor, U: np.ndarray | None, frozen: Routing | None):
         if x.data.shape != (self.config.d_model,):

@@ -210,7 +210,12 @@ Segment = TextSegment | AudioSegment | ImageSegment | VideoSegment
 
 def assign_sequence_tagged(segments: Sequence[Segment],
                            theta: int = 1) -> tuple[list[PositionId], list[str]]:
-    """Concatenate segments; each starts at 1 + max component seen so far."""
+    """Concatenate segments; each starts at 1 + max component seen so far.
+
+    The start is carried from segment to segment: every component is >= 0,
+    so 1 + the max over everything before is the larger of the last start
+    and 1 + the max over the last segment.
+    """
     if not segments:
         raise ValueError("segment list must be non-empty")
     ids: list[PositionId] = []
@@ -220,7 +225,7 @@ def assign_sequence_tagged(segments: Sequence[Segment],
         seg_ids = seg.positions(start, theta)
         ids.extend(seg_ids)
         tags.extend([seg.modality] * len(seg_ids))
-        start = 1 + max(max(i) for i in ids)
+        start = max(start, 1 + max(map(max, seg_ids)))
     return ids, tags
 
 

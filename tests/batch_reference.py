@@ -5,6 +5,11 @@ class) pair at a time, each normalized by ``np.linalg.norm``, and stacked
 the clean tokens one token at a time.  ``harness.generate_batch`` draws the
 directions as one block, takes every row's norm in one ``np.matmul`` and
 gathers the clean tokens by code; it must return this batch bit for bit.
+
+``assign_sequence_tagged`` is the rule "each segment starts at 1 + the
+max component of every ID before it" as first written, rescanning all
+earlier IDs per segment; ``rope3d.assign_sequence_tagged`` carries the
+start instead and must return the same IDs and tags.
 """
 
 from __future__ import annotations
@@ -13,6 +18,18 @@ import numpy as np
 
 from dyncapmoe import harness as hn
 from dyncapmoe import rope3d as rp
+
+
+def assign_sequence_tagged(segments, theta: int = 1):
+    """Concatenate segments; each starts at 1 + max component seen so far."""
+    ids, tags = [], []
+    start = 0
+    for seg in segments:
+        seg_ids = seg.positions(start, theta)
+        ids.extend(seg_ids)
+        tags.extend([seg.modality] * len(seg_ids))
+        start = 1 + max(max(i) for i in ids)
+    return ids, tags
 
 
 def generate_batch(segments, seed: int, d_model: int, n_classes: int,

@@ -13,9 +13,11 @@ one-node ops ``moe.gated_ffn`` and ``ToyTransformer._attend`` must match
 them bit for bit, values and gradients.  The composed FFN also takes a
 single token [d_model], the form the per-token oracle runs.
 
-``scatter_fill_forward_rows`` is the batched layer with its pair buffer
-filled the plain way, a zeros buffer plus one ``_scatter_add_rows`` per
-routed expert; the layer's one-op fill must match it bit for bit.
+``scatter_fill_forward_rows`` is the batched layer built from the generic
+row ops of ``autodiff_reference``: its pair buffer is a zeros buffer plus
+one ``scatter_add_rows`` per routed expert, and one ``scatter_add_rows``
+adds the pairs into the output in pair order.  The layer's one-op fill and
+its rank fold must match it bit for bit.
 
 A training token t reads row t of the layer's uniform block
 ``Generator(Philox(key)).random((n, 2 * n_slots))``.  Sampled selection
@@ -31,6 +33,7 @@ import functools
 
 import numpy as np
 
+import autodiff_reference as adr
 from dyncapmoe import autodiff as ad
 from dyncapmoe import estimator as est
 from dyncapmoe import harness as hn
@@ -207,8 +210,10 @@ def forward_frozen(layer, x, frozen):
 
 
 def scatter_fill_mix(layer, X, probs, routing, train):
-    """``DynamicCapacityMoE._mix`` with the pair buffer built as a zeros
-    buffer plus one ``_scatter_add_rows`` per routed expert."""
+    """``DynamicCapacityMoE._mix`` with the generic row ops: the pair
+    buffer is a zeros buffer plus one ``scatter_add_rows`` per routed
+    expert, and the pairs reach the output through one more, in pair
+    order."""
     cfg = layer.config
     rank = routing.rank[:, :cfg.n_routed]
     tok, slot = np.nonzero(rank >= 0)
@@ -220,14 +225,14 @@ def scatter_fill_mix(layer, X, probs, routing, train):
     for j, params in enumerate(layer.routed):
         pos = np.flatnonzero(slot == j)
         if pos.size:
-            buf = ad._scatter_add_rows(buf, pos, moe.gated_ffn(ad._gather_rows(X, tok[pos]),
+            buf = adr.scatter_add_rows(buf, pos, moe.gated_ffn(adr.gather_rows(X, tok[pos]),
                                                                params))
-    buf = ad.scale_rows(buf, ad._gather_rows(probs, (tok, slot)))
+    buf = ad.scale_rows(buf, adr.gather_rows(probs, (tok, slot)))
     if train:
         buf = est.apply_estimator(buf, routing.scale[tok, slot])
     elif routing.bern is not None:
         buf = ad.scale_rows(buf, ad.Tensor(routing.scale[tok, slot]))
-    return ad._scatter_add_rows(ad.zeros((len(X.data), cfg.d_model)), tok, buf)
+    return adr.scatter_add_rows(ad.zeros((len(X.data), cfg.d_model)), tok, buf)
 
 
 def scatter_fill_forward_rows(layer, X, mode="infer", key=None, frozen=None):

@@ -220,29 +220,32 @@ def test_index_row_stack_grads():
     npt.assert_array_equal(r1.grad, [1.0, 1.0])
 
 
-def test_gather_rows_repeated_index_accumulates_grad():
+def test_gather_rows_hands_each_distinct_row_or_cell_its_gradient():
     a = ad.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    g = ad._gather_rows(a, np.array([1, 1, 2]))
-    npt.assert_array_equal(g.data, [[2.0, 3.0], [2.0, 3.0], [4.0, 5.0]])
-    ad.backward(ad.sum(g))
-    npt.assert_array_equal(a.grad, [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
+    g = ad._gather_rows(a, np.array([2, 0]))
+    npt.assert_array_equal(g.data, [[4.0, 5.0], [0.0, 1.0]])
+    ad.backward(ad.sum(ad.mul(g, ad.Tensor([[1.0, -0.0], [3.0, 4.0]]))))
+    npt.assert_array_equal(a.grad, [[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
+    assert not np.signbit(a.grad).any()  # 0.0 + g, so no row keeps a -0.0
     v = ad._gather_rows(ad.Tensor([5.0, 6.0, 7.0]), np.array([2, 0]))
     npt.assert_array_equal(v.data, [7.0, 5.0])
+    b = ad.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    cells = ad._gather_rows(b, (np.array([2, 0, 1]), np.array([1, 0, 0])))
+    npt.assert_array_equal(cells.data, [5.0, 0.0, 2.0])
+    ad.backward(ad.sum(ad.mul(cells, ad.Tensor([1.0, 2.0, 4.0]))))
+    npt.assert_array_equal(b.grad, [[2.0, 0.0], [4.0, 0.0], [0.0, 1.0]])
 
 
-def test_gather_rows_cells_take_one_entry_per_pair_and_accumulate_grad():
-    a = ad.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    g = ad._gather_rows(a, (np.array([2, 0, 2, 1]), np.array([1, 0, 1, 0])))
-    npt.assert_array_equal(g.data, [5.0, 0.0, 5.0, 2.0])
-    ad.backward(ad.sum(ad.mul(g, ad.Tensor([1.0, 2.0, 3.0, 4.0]))))
-    npt.assert_array_equal(a.grad, [[2.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
-
-
-def test_scatter_add_rows_folds_repeated_rows_in_index_order():
-    rows = np.array([[1e16], [1.0], [-1e16]])
-    out = ad._scatter_add_rows(ad.zeros((2, 1)), np.array([0, 0, 0]), ad.Tensor(rows))
-    npt.assert_array_equal(out.data, [[((0.0 + 1e16) + 1.0) - 1e16], [0.0]])
-    assert out.data[0, 0] == 0.0  # a different order would leave 1.0
+def test_fold_rows_adds_a_tokens_rows_in_rank_order_from_zeros():
+    rows = np.array([[1.0], [-1e16], [1e16], [-0.0]])
+    out = ad._fold_rows(3, np.array([0, 0, 0, 2]), np.array([1, 2, 0, 0]),
+                        ad.Tensor(rows, requires_grad=True))
+    npt.assert_array_equal(out.data, [[((0.0 + 1e16) + 1.0) - 1e16], [0.0], [0.0]])
+    assert out.data[0, 0] == 0.0  # the pair order would leave -1e16 + 1e16 + 1.0 = 1.0
+    assert not np.signbit(out.data).any()  # the chain starts at +0.0
+    g = np.array([[1.0], [2.0], [3.0]])
+    (grad,) = out._backward_fn(g)
+    npt.assert_array_equal(grad, [[1.0], [1.0], [1.0], [3.0]])
 
 
 def test_place_rows_puts_each_part_at_its_positions_and_hands_back_its_rows():
@@ -327,14 +330,12 @@ def test_every_op_backward_matches_finite_differences(seed):
         "silu": lambda t: ad.sum(ad.mul(ad.silu(t), ad.Tensor(yv))),
         "sum": lambda t: ad.scale(ad.sum(t), 2.0),
         "row": lambda t: ad.sum(ad.mul(ad.row(t, 1), ad.Tensor(yv[1]))),
-        "gather_rows": lambda t: ad.sum(ad.mul(ad._gather_rows(t, np.array([2, 0, 2, 2])),
-                                               ad.Tensor(gv))),
+        "gather_rows": lambda t: ad.sum(ad.mul(ad._gather_rows(t, np.array([2, 0])),
+                                               ad.Tensor(gv[:2]))),
         "gather_rows.cells": lambda t: ad.sum(ad.mul(ad._gather_rows(
-            t, (np.array([2, 0, 2, 1]), np.array([3, 1, 3, 0]))), ad.Tensor(gv[0]))),
-        "scatter_add_rows.base": lambda t: ad.sum(ad.mul(ad._scatter_add_rows(
-            t, np.array([1, 1, 0]), ad.Tensor(yv)), ad.Tensor(gv[:3]))),
-        "scatter_add_rows.rows": lambda t: ad.sum(ad.mul(ad._scatter_add_rows(
-            ad.Tensor(gv), np.array([3, 0, 3]), t), ad.Tensor(gv))),
+            t, (np.array([2, 0, 1, 2]), np.array([3, 1, 0, 1]))), ad.Tensor(gv[0]))),
+        "fold_rows": lambda t: ad.sum(ad.mul(ad._fold_rows(
+            4, np.array([3, 0, 3]), np.array([1, 0, 0]), t), ad.Tensor(gv))),
         "scale_rows.a": lambda t: ad.sum(ad.mul(ad.scale_rows(t, ad.Tensor(cv)),
                                                 ad.Tensor(yv))),
         "scale_rows.c": lambda t: ad.sum(ad.mul(
@@ -430,9 +431,9 @@ def _op_nodes(rng):
         "index": ad.index(leaf(3), 1),
         "row": ad.row(leaf(3, 2), 2),
         "stack_rows": ad.stack_rows([leaf(2), leaf(2)]),
-        "gather_rows": ad._gather_rows(leaf(3, 2), np.array([2, 0, 2])),
+        "gather_rows": ad._gather_rows(leaf(3, 2), np.array([2, 0])),
         "gather_rows.cells": ad._gather_rows(leaf(3, 2), (np.array([2, 0]), np.array([1, 1]))),
-        "scatter_add_rows": ad._scatter_add_rows(leaf(3, 2), np.array([1, 1]), leaf(2, 2)),
+        "fold_rows": ad._fold_rows(3, np.array([1, 1, 0]), np.array([0, 1, 0]), leaf(3, 2)),
         "place_rows": ad._place_rows(3, [leaf(2, 2), leaf(1, 2)],
                                      [np.array([2, 0]), np.array([1])]),
         "scale_rows": ad.scale_rows(leaf(3, 2), leaf(3)),

@@ -406,7 +406,8 @@ def probe_ops():
     def a(*shape):
         return rng.normal(size=shape)
 
-    idx, cells = np.array([2, 0, 2]), (np.array([2, 0, 1]), np.array([1, 0, 1]))
+    idx, cells = np.array([2, 0]), (np.array([2, 0, 1]), np.array([1, 0, 1]))
+    tok, rank = np.array([1, 0, 1]), np.array([0, 0, 1])
     ffn = lambda x, wg, wu, wd: moe.gated_ffn(x, moe.ExpertParams(wg, wu, wd))  # noqa: E731
     return {
         "add": (ad.add, [a(3, 2), a(3, 2)]),
@@ -417,7 +418,7 @@ def probe_ops():
         "scale_rows": (ad.scale_rows, [a(3, 2), a(3)]),
         "gather_rows": (lambda t: ad._gather_rows(t, idx), [a(3, 2)]),
         "gather_rows.cells": (lambda t: ad._gather_rows(t, cells), [a(3, 2)]),
-        "scatter_add_rows": (lambda b, r: ad._scatter_add_rows(b, idx, r), [a(3, 2), a(3, 2)]),
+        "fold_rows": (lambda r: ad._fold_rows(3, tok, rank, r), [a(3, 2)]),
         "place_rows": (lambda p, q: ad._place_rows(3, [p, q], [np.array([2, 0]),
                                                                np.array([1])]),
                        [a(2, 2), a(1, 2)]),

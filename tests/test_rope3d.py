@@ -3,7 +3,10 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import batch_reference
 from fd_reference import finite_diff_grad
 from dyncapmoe import autodiff as ad
 from dyncapmoe import harness as hn
@@ -260,6 +263,19 @@ class TestAssignSequence:
     def test_rejects_empty_list(self):
         with pytest.raises(ValueError):
             rp.assign_sequence([])
+
+    @settings(max_examples=200, deadline=None)
+    @given(segments=st.lists(st.one_of(
+        st.builds(rp.TextSegment, st.integers(1, 6)),
+        st.builds(rp.AudioSegment, st.sampled_from((0.5, 3.0, 4.5, 9.0))),
+        st.builds(rp.ImageSegment, st.integers(1, 3), st.integers(1, 3), st.integers(1, 2)),
+        st.builds(rp.VideoSegment, st.sampled_from((1.0, 2.5, 6.0)), st.sampled_from((0.5, 2.0)),
+                  st.integers(1, 2), st.integers(1, 2), f_l=st.integers(1, 3),
+                  f_u=st.just(4))), min_size=1, max_size=6),
+        theta=st.integers(1, 3))
+    def test_running_start_gives_the_ids_and_tags_of_the_rescan(self, segments, theta):
+        assert rp.assign_sequence_tagged(segments, theta) == \
+            batch_reference.assign_sequence_tagged(segments, theta)
 
 
 class TestRopeFreqConfig:

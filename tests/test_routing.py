@@ -105,14 +105,15 @@ def test_a_record_lists_its_pairs_once_for_every_replay(layer, n, spread, key):
     cfg = layer.config
     X = token_rows(key, n, cfg.d_model, spread)
     _, routing, _ = layer.forward_rows(X, "train", key=(key, 3))
-    pairs = tok, slot, positions = routing._pairs
+    pairs = tok, slot, pair_rank, positions = routing._pairs
     rank = routing.rank
     # rank-major, tokens in order within a rank, routed slots only
     assert [(rank[t, j], t, j) for t, j in zip(tok.tolist(), slot.tolist())] == sorted(
         (rank[t, j], t, j) for t, j in zip(*np.nonzero(rank[:, :cfg.n_routed] >= 0)))
+    assert pair_rank.tolist() == rank[tok, slot].tolist()
     assert [pos.tolist() for pos in positions] == \
         [np.flatnonzero(slot == j).tolist() for j in range(cfg.n_routed)]
-    assert not any(a.flags.writeable for a in (tok, slot, *positions))
+    assert not any(a.flags.writeable for a in (tok, slot, pair_rank, *positions))
     for _ in range(2):
         layer.forward_rows(X, frozen=routing)
         assert routing._pairs is pairs

@@ -19,9 +19,15 @@ and stage boundaries (11 chunks), not one per parameter (29) nor two per
 coordinate (702 coordinates).  On ``gradcheck_default_config(s)``,
 s = 0-3, a campaign makes 335 ``op_node`` calls and 64 of them (the live
 train forward and the replay) require gradients.
+
+The row ops take distinct indices, so none of these calls runs
+``ufunc.at``: ``np.add.at`` takes a slow unbuffered loop per index, and a
+token's terms are added rank by rank instead.
 """
 
+import cProfile
 import dataclasses
+import pstats
 
 import pytest
 
@@ -92,3 +98,18 @@ def test_128_token_step_and_forward_stay_within_the_node_budget(monkeypatch, see
         model.forward(batch, mode="infer")
 
     assert 0 < count_nodes(monkeypatch, op) <= TRAINVAL_OP_NODES
+
+
+def test_no_step_forward_or_campaign_calls_ufunc_at():
+    smoke = dataclasses.replace(hn.smoke_train_config(0), steps=1)
+    trainval = ref.trainval_config(0)
+    model = hn.ToyTransformer(trainval)
+    batch = hn.generate_batch(trainval.segments, trainval.seed, trainval.d_model,
+                              trainval.n_classes, trainval.noise, trainval.theta)
+    profile = cProfile.Profile()
+    profile.runcall(hn.train, smoke)
+    profile.runcall(model.forward, batch, mode="infer")
+    profile.runcall(hn.grad_check, hn.gradcheck_default_config(0))
+    called = {name for _, _, name in pstats.Stats(profile).stats}
+    assert {"_gather_rows", "_fold_rows"} <= called  # the profile reached the row ops
+    assert "<method 'at' of 'numpy.ufunc' objects>" not in called
