@@ -4,7 +4,13 @@ The engine is deliberately small: a :class:`Tensor` wraps a numpy array and
 doubles as a node on the gradient tape.  Every differentiable operation
 returns a new tensor holding references to its inputs plus a closure that
 maps the upstream gradient to per-input gradients.  :func:`backward` walks
-the resulting DAG once, in reverse topological order.
+the resulting DAG once, in reverse topological order, and consumes it as
+it goes: once a node's backward has run, the node drops its closure (and
+with it the arrays the closure saved), its parents and its gradient.  So
+the leaves are the only tensors that end a sweep holding a ``.grad``
+(besides the loss), and a graph is differentiated once: a later sweep
+that reaches a consumed node raises :class:`TapeError` rather than read a
+stale gradient.
 
 Three guarantees the rest of the package leans on:
 
@@ -101,7 +107,8 @@ class NonFiniteError(FloatingPointError):
 
 
 class TapeError(RuntimeError):
-    """Backward was misused: non-scalar loss, re-entry, or no tape."""
+    """Backward was misused: non-scalar loss, re-entry, a graph an earlier
+    backward consumed, or no tape."""
 
 
 def _as_f64(data) -> np.ndarray:
@@ -112,8 +119,8 @@ class Tensor:
     """A dense float64 array that is also a node on the gradient tape.
 
     ``op_kind`` names the producing operation ("leaf" for user-created
-    tensors); ``grad`` is filled by :func:`backward` and holds an array of
-    the same shape as ``data``.
+    tensors); on a leaf, ``grad`` is filled by :func:`backward` and holds
+    an array of the same shape as ``data``.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "op_kind",
@@ -569,13 +576,17 @@ def stop_gradient(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss.
+    """Reverse-mode sweep from a scalar loss that consumes its graph.
 
-    Fills ``.grad`` on every tensor reachable through gradient-requiring
+    Fills ``.grad`` on every leaf reachable through gradient-requiring
     links, accumulating over fan-out out of place, so a ``.grad`` may be
-    shared with other tensors (see the module notes).  Each tape node is
-    visited exactly once.  Re-running on the same loss without resetting
-    raises.
+    shared with other tensors (see the module notes).  The loss gets a
+    ``.grad`` of ones.  Each op node's backward runs exactly once, and
+    right after it the node drops its backward function, its parents and
+    its ``.grad`` (the loss keeps its own), so the arrays its closure saved
+    are freed as the sweep goes and only the leaves hold gradients at the
+    end.  A later backward whose graph reaches a consumed node, the loss
+    included, raises: the node no longer links to its inputs.
     """
     if loss.data.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -583,12 +594,12 @@ def backward(loss: Tensor) -> None:
         raise TapeError("backward already ran for this loss; zero grads and rebuild the tape")
     if not loss.requires_grad:
         raise TapeError("loss is not connected to any tensor that requires gradients")
-    loss._backward_done = True
 
-    # iterative postorder: parents land before their consumers
+    # iterative postorder over the op nodes: parents land before their
+    # consumers; a leaf is not walked, it only receives its gradient
     topo: list[Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Tensor, bool]] = [] if loss._backward_fn is None else [(loss, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -599,21 +610,29 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+            if p._backward_done:
+                raise TapeError(f"{node.op_kind} reads a {p.op_kind} node whose backward "
+                                "already ran; zero grads and rebuild the tape")
+            if p._backward_fn is not None and id(p) not in seen:
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward_fn is None or node.grad is None:
-            continue
-        grads = node._backward_fn(node.grad)
-        for parent, g in zip(node._parents, grads):
-            if g is None or not parent.requires_grad:
-                continue
-            if parent.grad is None:
-                parent.grad = g
-            else:
-                parent.grad = parent.grad + g
+    while topo:
+        node = topo.pop()
+        if node.grad is not None:
+            grads = node._backward_fn(node.grad)
+            for parent, g in zip(node._parents, grads):
+                if g is None or not parent.requires_grad:
+                    continue
+                if parent.grad is None:
+                    parent.grad = g
+                else:
+                    parent.grad = parent.grad + g
+            if node is not loss:
+                node.grad = None
+        node._backward_fn = None
+        node._parents = ()
+        node._backward_done = True
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

@@ -1,9 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import autodiff_reference as adr
+import moe_reference as ref
 from fd_reference import finite_diff_grad
 from dyncapmoe import autodiff as ad
 from dyncapmoe import harness as hn
@@ -176,6 +181,43 @@ def test_backward_rejects_non_scalar_and_reentry():
 def test_backward_disconnected_tape():
     with pytest.raises(ad.TapeError):
         ad.backward(ad.Tensor(1.0))
+
+
+def test_backward_through_a_consumed_node_raises_instead_of_double_counting():
+    """``y`` keeps no ``.grad`` after the first sweep, so the second cannot
+    add its stale gradient into ``x``: it raises.  The sweep that kept its
+    tape returned ``6x`` here, where ``4x`` is right."""
+    x = ad.Tensor([1.0, -2.0, 0.5], requires_grad=True)
+    y = ad.mul(x, x)
+    ad.backward(ad.sum(y))
+    ad.zero_grads([x])
+    with pytest.raises(ad.TapeError):
+        ad.backward(ad.sum(ad.scale(y, 2.0)))
+    assert x.grad is None  # the check runs before any gradient moves
+
+    x = ad.Tensor([1.0, -2.0, 0.5], requires_grad=True)
+    y = ad.mul(x, x)
+    adr.backward(ad.sum(y))
+    ad.zero_grads([x])
+    adr.backward(ad.sum(ad.scale(y, 2.0)))
+    npt.assert_array_equal(x.grad, 6.0 * x.data)
+
+
+def test_backward_consumes_interior_nodes_and_leaves_keep_their_gradients():
+    x = ad.Tensor([1.0, -2.0], requires_grad=True)
+    w = ad.Tensor([0.5, 3.0], requires_grad=True)
+    c = ad.Tensor([2.0, 2.0])
+    y = ad.mul(x, w)
+    z = ad.add(y, ad.mul(y, c))
+    loss = ad.sum(z)
+    ad.backward(loss)
+    for node in (y, z):
+        assert node._backward_fn is None and node._parents == () and node.grad is None
+        assert node._backward_done
+    npt.assert_array_equal(loss.grad, 1.0)
+    npt.assert_array_equal(x.grad, 3.0 * w.data)
+    npt.assert_array_equal(w.grad, 3.0 * x.data)
+    assert c.grad is None and not x._backward_done and not w._backward_done
 
 
 def test_chained_matmul_softmax_vs_finite_differences():
@@ -487,3 +529,95 @@ def test_accumulating_into_a_shared_gradient_leaves_the_other_tensor_alone(share
     ad.backward(ad.add(shared, other) if shared_first else ad.add(other, shared))
     npt.assert_array_equal(a.grad, [4.0, 4.0])
     npt.assert_array_equal(b.grad, [1.0, 1.0])
+
+
+# Random small DAGs: each step applies one op to tensors already built, so
+# interior nodes are shared, and every tensor no step read ends in the loss.
+# An op takes two (3, 4) tensors ``a`` and ``b``, a small int ``j`` and the
+# weight leaves ``w``, and returns a (3, 4) tensor.
+_DAG_OPS = {
+    "add": lambda a, b, j, w: ad.add(a, b),
+    "sub": lambda a, b, j, w: ad.sub(a, b),
+    "mul": lambda a, b, j, w: ad.mul(a, b),
+    "mul.self": lambda a, b, j, w: ad.mul(a, a),
+    "add.scalar": lambda a, b, j, w: ad.add(a, ad.sum(b)),
+    "scale": lambda a, b, j, w: ad.scale(a, -0.75),
+    "matmul": lambda a, b, j, w: ad.matmul(a, w["square"]),
+    "matvec_rows": lambda a, b, j, w: ad.matvec_rows(w["square"], a),
+    "transpose": lambda a, b, j, w: ad.transpose(ad.transpose(a)),
+    "scale_rows": lambda a, b, j, w: ad.scale_rows(a, ad.row(ad.transpose(b), j % 4)),
+    "stack_rows": lambda a, b, j, w: ad.stack_rows([ad.row(a, 0), ad.row(b, 1), ad.row(a, 2)]),
+    "softmax": lambda a, b, j, w: ad.softmax(a),
+    "silu": lambda a, b, j, w: ad.silu(a),
+    "gather_rows": lambda a, b, j, w: ad._gather_rows(a, np.array([2, 0, 1])),
+    "fold_rows": lambda a, b, j, w: ad._fold_rows(3, np.array([0, 2, 0]),
+                                                  np.array([0, 0, 1]), a),
+    "place_rows": lambda a, b, j, w: ad._place_rows(
+        3, [ad._gather_rows(a, np.array([2, 0])), ad._gather_rows(b, np.array([1]))],
+        [np.array([0, 2]), np.array([1])]),
+    "gated_ffn": lambda a, b, j, w: gated_ffn(a, *w["ffn"]),
+    "attention": lambda a, b, j, w: attend(a, *w["attention"]),
+}
+
+
+def _build_dag(seed, steps):
+    """The leaves and the loss of the DAG that ``steps`` describe, with
+    values drawn from ``seed``: two (3, 4) leaves and a (3, 4) constant to
+    start from, and weight leaves the matrix and fused ops share."""
+    rng = np.random.default_rng(seed)
+
+    def leaf(*shape, requires_grad=True):
+        return ad.Tensor(rng.uniform(-1, 1, size=shape), requires_grad=requires_grad)
+
+    pool = [leaf(3, 4), leaf(3, 4), leaf(3, 4, requires_grad=False)]
+    w = {"square": leaf(4, 4),
+         "ffn": (leaf(5, 4), leaf(5, 4, requires_grad=False), leaf(4, 5)),
+         "attention": (leaf(4, 6), leaf(4, 6), leaf(4, 6), leaf(6, 4))}
+    leaves = [*pool, w["square"], *w["ffn"], *w["attention"]]
+    read: set[int] = set()
+    for op, i, j in steps:
+        a, b = pool[i % len(pool)], pool[j % len(pool)]
+        read.update((id(a), id(b)))
+        pool.append(_DAG_OPS[op](a, b, j, w))
+    sinks = [t for t in pool if id(t) not in read and t.requires_grad]
+    loss = ad.sum(ad.mul(pool[0], pool[2]))
+    for t in sinks:
+        loss = ad.add(loss, ad.sum(ad.mul(t, ad.Tensor(rng.uniform(-1, 1, size=t.shape)))))
+    return leaves, loss
+
+
+def _grad_bytes(leaves):
+    return [None if t.grad is None else t.grad.tobytes() for t in leaves]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       steps=st.lists(st.tuples(st.sampled_from(sorted(_DAG_OPS)), st.integers(0, 63),
+                                st.integers(0, 63)), min_size=1, max_size=8))
+def test_consuming_backward_matches_the_tape_keeping_one_bit_for_bit(seed, steps):
+    """A sweep consumes its graph, so each side builds its own copy."""
+    leaves, loss = _build_dag(seed, steps)
+    adr.backward(loss)
+    expect = _grad_bytes(leaves)
+    leaves, loss = _build_dag(seed, steps)
+    ad.backward(loss)
+    assert _grad_bytes(leaves) == expect
+    assert loss.grad.tobytes() == np.ones_like(loss.data).tobytes()
+
+
+@pytest.mark.parametrize("make_cfg", [
+    lambda s: dataclasses.replace(hn.smoke_train_config(s), steps=1), ref.trainval_config],
+    ids=["smoke", "trainval"])
+@pytest.mark.parametrize("seed", range(2))
+def test_model_step_gradients_match_the_tape_keeping_backward(make_cfg, seed):
+    cfg = make_cfg(seed)
+    batch = hn.generate_batch(cfg.segments, cfg.seed, cfg.d_model, cfg.n_classes,
+                              cfg.noise, cfg.theta)
+    grads = []
+    for sweep in (adr.backward, ad.backward):
+        model = hn.ToyTransformer(cfg)
+        loss, _, _ = model.forward(batch, mode="train")
+        sweep(loss)
+        grads.append(_grad_bytes(model.parameters().values()))
+    assert grads[0] == grads[1]
+    assert any(g is not None for g in grads[1])
