@@ -265,8 +265,9 @@ class _Columns:
         rank order, then the shared experts with rank -1.
 
         The active slot of rank r of token t goes to slot row
-        ``offsets[t] + r``; the Routing's own check, whose active pairs
-        this reads, guarantees that token t's ranks are 0..k-1, each once.
+        ``offsets[t] + r``, whatever the order of the Routing's active
+        pairs, which this reads; the Routing's own check guarantees that
+        token t's ranks are 0..k-1, each once.
         ``modality_tags`` must be a sequence of strings, one per token, and
         not a single string.
         """
@@ -279,7 +280,7 @@ class _Columns:
                              f"for {n}")
         (step,), (layer,) = _column("step", [step]), _column("layer", [layer])
         modalities, modality = _column("modality", modality_tags)
-        tok, slot, r, k = routing._active
+        tok, slot, r, k, _ = routing._active
         counts = k + routing.n_shared
         offsets = _offsets(counts)
         size = int(offsets[-1])

@@ -28,12 +28,12 @@ Checks sit at the boundaries.  A :class:`Tensor` built from data rejects
 NaN and infinity; op results are not scanned, so a non-finite value
 produced inside a graph propagates to its consumers, and the callers that
 own a boundary (the training loss, the gradients before an update) check
-it there.  The row ops the MoE layer dispatches through
-(:func:`_gather_rows`, :func:`_place_rows`, :func:`_fold_rows`) take
-indices their caller built, so they do not check them: each states its
-precondition in its docstring.  None of them takes a repeated index, so
-none needs ``np.add.at``: a gathered row or cell is read once, a placed
-row is written once, and the fold adds a token's rows rank by rank.
+it there.  The MoE layer dispatches through three row ops:
+:func:`_gather_rows` and :func:`_fold_rows` take indices their caller
+built, so they do not check them, and each states its precondition in its
+docstring; :func:`_concat_rows` takes no index.  Neither index op takes a
+repeated index, so neither needs ``np.add.at``: a gathered row or cell is
+read once, and the fold adds a token's rows rank by rank.
 
 Fused ops (the MoE layer's expert FFN, the harness's attention block)
 are defined through :func:`op_node` with a hand-written backward.  A fused
@@ -427,14 +427,14 @@ def stack_rows(rows: Iterable[Tensor]) -> Tensor:
 
 
 def _gather_rows(a: Tensor, idx) -> Tensor:
-    """``a[idx]`` along the first axis.  A pair ``(rows, cols)`` on a matrix
-    takes the cells ``a[rows[i], cols[i]]``.  A matrix may carry leading
-    probe axes, and the rows are then taken along the axis after them.
+    """The rows ``a[idx]`` of a matrix, or with a pair ``(rows, cols)`` the
+    cells ``a[rows[i], cols[i]]``.  The matrix may carry leading probe
+    axes, and the rows are then taken along the axis after them.
 
     Precondition: ``idx`` is a non-empty 1-D integer array of distinct
-    in-range rows, or a pair of such arrays of one length for a matrix
-    ``a`` naming distinct cells.  Each row then receives one gradient
-    term, ``0.0 + g``, and no two terms need adding up.
+    in-range rows, or a pair of such arrays of one length naming distinct
+    cells.  Each row then receives one gradient term, ``0.0 + g``, and no
+    two terms need adding up.
     """
 
     def backward_fn(g):
@@ -442,12 +442,8 @@ def _gather_rows(a: Tensor, idx) -> Tensor:
         out[idx] += g
         return (out,)
 
-    probes = a.data.ndim > 2
-    if isinstance(idx, tuple):
-        data = a.data[(..., *idx)]
-    else:
-        data = a.data[..., idx, :] if probes else a.data[idx]
-    return op_node(data, (a,), backward_fn, "gather_rows", probes)
+    data = a.data[(..., *idx)] if isinstance(idx, tuple) else a.data[..., idx, :]
+    return op_node(data, (a,), backward_fn, "gather_rows", a.data.ndim > 2)
 
 
 def _fold_rows(n: int, tok: np.ndarray, rank: np.ndarray, rows: Tensor) -> Tensor:
@@ -479,24 +475,23 @@ def _fold_rows(n: int, tok: np.ndarray, rank: np.ndarray, rows: Tensor) -> Tenso
     return op_node(out, (rows,), backward_fn, "fold_rows", rd.ndim > 2)
 
 
-def _place_rows(n: int, parts: Sequence[Tensor], positions: Sequence[np.ndarray]) -> Tensor:
-    """An [n, d] matrix whose rows ``positions[i]`` are the rows of
-    ``parts[i]`` [len(positions[i]), d], one tape node for all parts.
-    Each part's gradient is the upstream rows at its positions.  Parts may
-    carry leading probe axes, which the result takes.
-
-    Precondition: the positions are disjoint integer arrays that together
-    cover every row of the result.
-    """
+def _concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """The rows of every part [m_i, d], one part after the other, as one
+    tape node; each part's gradient is its block of the upstream rows.
+    Parts may carry leading probe axes, which the result takes."""
     lead = max((part.data.shape[:-2] for part in parts), key=len)
-    out = np.zeros(lead + (n, parts[0].data.shape[-1]))
-    for part, pos in zip(parts, positions):
-        out[..., pos, :] = part.data
+    blocks, m = [], 0
+    for part in parts:
+        blocks.append(slice(m, m + part.data.shape[-2]))
+        m = blocks[-1].stop
+    out = np.empty(lead + (m, parts[0].data.shape[-1]))
+    for part, rows in zip(parts, blocks):
+        out[..., rows, :] = part.data
 
     def backward_fn(g):
-        return tuple(g[pos] for pos in positions)
+        return tuple(g[rows] for rows in blocks)
 
-    return op_node(out, parts, backward_fn, "place_rows", len(lead) > 0)
+    return op_node(out, parts, backward_fn, "concat_rows", len(lead) > 0)
 
 
 def scale_rows(a: Tensor, c: Tensor) -> Tensor:

@@ -93,7 +93,7 @@ def segments_from_json(items: list[dict]) -> list[rp.Segment]:
             raise ValueError(f"segments must be a list of objects, got an item {item!r}")
         item = dict(item)
         kind = item.pop("kind", None)
-        if kind not in classes:
+        if not isinstance(kind, str) or kind not in classes:
             raise ValueError(f"unknown segment kind {kind!r}")
         cls = classes[kind]
         unknown = set(item) - {f.name for f in dataclasses.fields(cls)}
@@ -267,8 +267,7 @@ def cross_entropy(logits: ad.Tensor, labels: np.ndarray) -> ad.Tensor:
                                 f"not finite, the first is {value[bad][0].tolist()!r}")
 
     def backward_fn(g):
-        p = np.exp(z - m)
-        p /= p.sum(axis=1, keepdims=True)
+        p = ad._softmax_data(z)
         p[rows, labels] -= 1.0
         return (g * p / n,)
 

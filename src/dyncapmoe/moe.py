@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 from typing import Sequence
 
 import numpy as np
@@ -177,8 +176,12 @@ class Routing(Sequence[RoutingDecision]):
     with a ``ValueError`` naming what breaks it: ``rank`` is an integer
     array with no entry below -1, every row has k >= 1 active slots ranked
     0..k-1, each once, ``n_routed`` is in [1, n_slots] and ``n_shared``
-    >= 0.  The check's token-major active pairs stay, read-only, as
-    ``_active = (tok, slot, rank, k)`` for the dispatch and the trace.
+    >= 0.  The record lists its active (token, slot) pairs once, for the
+    check, the dispatch and the trace: read-only, as ``_active = (tok,
+    slot, rank, k, bounds)``, sorted by slot, then rank, then token, with
+    slot j's pairs at ``bounds[j]:bounds[j + 1]``.  Null slots come after
+    the routed ones, so the routed pairs are the prefix
+    ``[:bounds[n_routed]]``.
     """
 
     rank: np.ndarray
@@ -224,36 +227,18 @@ class Routing(Sequence[RoutingDecision]):
         if np.count_nonzero(seen) != r.size:
             raise ValueError("the active slots of a token must have the ranks 0..k-1, "
                              "each once")
-        for array in (tok, slot, r, k):
+        order = np.lexsort((tok, r, slot))
+        tok, slot, r = tok[order], slot[order], r[order]
+        bounds = np.searchsorted(slot, np.arange(n_slots + 1))
+        for array in (tok, slot, r, k, bounds):
             array.flags.writeable = False
-        object.__setattr__(self, "_active", (tok, slot, r, k))
+        object.__setattr__(self, "_active", (tok, slot, r, k, bounds))
         object.__setattr__(self, "scale", np.ones(self.rank.shape) if self.bern is None
                            else est.hybrid_scale(self.is_argmax, self.bern))
         self.scale.flags.writeable = False
 
     def __len__(self) -> int:
         return self.rank.shape[0]
-
-    @functools.cached_property
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-        """``(tok, slot, rank, positions)``: the active (token, routed slot)
-        pairs, rank-major and in token order within a rank, each pair's
-        rank, and for each routed expert j the positions of its pairs
-        (``slot == j``).
-
-        The record and its arrays are read-only, so the pairs are computed
-        once, the first time they are read, and every replay of the record
-        reuses them; the arrays returned are read-only too.
-        """
-        tok, slot, rank, _ = self._active
-        routed = slot < self.n_routed
-        # the pairs are token-major, so a stable sort by rank keeps token order
-        order = np.argsort(rank[routed], kind="stable")
-        tok, slot, rank = tok[routed][order], slot[routed][order], rank[routed][order]
-        positions = [np.flatnonzero(slot == j) for j in range(self.n_routed)]
-        for array in (tok, slot, rank, *positions):
-            array.flags.writeable = False
-        return tok, slot, rank, positions
 
     def __getitem__(self, t: int) -> RoutingDecision:
         n, n_slots = self.rank.shape
@@ -469,9 +454,10 @@ class DynamicCapacityMoE:
         """
         if mode not in ("infer", "train"):
             raise ValueError("mode must be 'infer' or 'train'")
-        if X.data.ndim < 2 or X.data.shape[-1] != self.config.d_model:
-            raise ad.ShapeError(f"token rows must have shape (n, {self.config.d_model}), "
-                                f"got {X.data.shape}")
+        shape = X.data.shape
+        if len(shape) < 2 or shape[-1] != self.config.d_model or shape[-2] < 1:
+            raise ad.ShapeError(f"token rows must have shape (n, {self.config.d_model}) "
+                                f"with n >= 1, got {shape}")
         U = None
         if frozen is None and mode == "train":
             if key is None:
@@ -519,27 +505,28 @@ class DynamicCapacityMoE:
              train: bool) -> ad.Tensor:
         """Sum of the routed contributions per token, zeros if there are none.
 
-        Contributions are (token, rank) pairs listed rank-major; the routing
-        record lists them once, so every replay of it reuses the list.  Each
-        expert runs on its pairs' tokens, and one op places every expert's
-        rows at its pairs' positions of a pair buffer; then the gates, the
-        gradient rule (the estimator in training, the recorded scales on a
-        replay with B draws) and one rank fold into the output apply to every
-        pair at once.  The fold adds each token's terms one rank at a time,
-        starting from zeros, so each token sums its terms in selection order.
+        Contributions are the routing record's routed (token, slot) pairs,
+        expert-major and in (rank, token) order within an expert; the record
+        lists them once, so every replay of it reuses the list.  Each expert
+        runs on the tokens of its block of pairs, and one op concatenates
+        the experts' rows into a pair buffer; then the gates, the gradient
+        rule (the estimator in training, the recorded scales on a replay
+        with B draws) and one rank fold into the output apply to every pair
+        at once.  The fold adds each token's terms one rank at a time,
+        starting from zeros, so each token sums its terms in selection order
+        whatever the order of the pairs.
         """
         cfg = self.config
-        tok, slot, rank, expert_positions = routing._pairs
-        if not tok.size:
+        tok, slot, rank, _, bounds = routing._active
+        m = bounds[cfg.n_routed]
+        if not m:
             return ad.zeros((X.data.shape[-2], cfg.d_model))
+        tok, slot, rank = tok[:m], slot[:m], rank[:m]
         # a Routing's pairs are distinct (token, slot) cells with distinct
         # (rank, token), so they meet the row ops' preconditions
-        parts, positions = [], []
-        for params, pos in zip(self.routed, expert_positions):
-            if pos.size:
-                parts.append(gated_ffn(ad._gather_rows(X, tok[pos]), params))
-                positions.append(pos)
-        buf = ad._place_rows(tok.size, parts, positions)
+        buf = ad._concat_rows([gated_ffn(ad._gather_rows(X, tok[lo:hi]), params)
+                               for params, lo, hi in zip(self.routed, bounds, bounds[1:])
+                               if lo < hi])
         buf = ad.scale_rows(buf, ad._gather_rows(probs, (tok, slot)))
         if train:
             buf = est.apply_estimator(buf, routing.scale[tok, slot])

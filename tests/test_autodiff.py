@@ -269,8 +269,6 @@ def test_gather_rows_hands_each_distinct_row_or_cell_its_gradient():
     ad.backward(ad.sum(ad.mul(g, ad.Tensor([[1.0, -0.0], [3.0, 4.0]]))))
     npt.assert_array_equal(a.grad, [[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
     assert not np.signbit(a.grad).any()  # 0.0 + g, so no row keeps a -0.0
-    v = ad._gather_rows(ad.Tensor([5.0, 6.0, 7.0]), np.array([2, 0]))
-    npt.assert_array_equal(v.data, [7.0, 5.0])
     b = ad.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
     cells = ad._gather_rows(b, (np.array([2, 0, 1]), np.array([1, 0, 0])))
     npt.assert_array_equal(cells.data, [5.0, 0.0, 2.0])
@@ -290,14 +288,17 @@ def test_fold_rows_adds_a_tokens_rows_in_rank_order_from_zeros():
     npt.assert_array_equal(grad, [[1.0], [1.0], [1.0], [3.0]])
 
 
-def test_place_rows_puts_each_part_at_its_positions_and_hands_back_its_rows():
+def test_concat_rows_puts_the_parts_one_after_the_other_and_hands_back_their_rows():
     parts = [ad.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True),
              ad.Tensor([[5.0, 6.0]], requires_grad=True)]
-    out = ad._place_rows(3, parts, [np.array([2, 0]), np.array([1])])
-    npt.assert_array_equal(out.data, [[3.0, 4.0], [5.0, 6.0], [1.0, 2.0]])
+    out = ad._concat_rows(parts)
+    npt.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     ad.backward(ad.sum(ad.mul(out, ad.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))))
-    npt.assert_array_equal(parts[0].grad, [[5.0, 6.0], [1.0, 2.0]])
-    npt.assert_array_equal(parts[1].grad, [[3.0, 4.0]])
+    npt.assert_array_equal(parts[0].grad, [[1.0, 2.0], [3.0, 4.0]])
+    npt.assert_array_equal(parts[1].grad, [[5.0, 6.0]])
+    probed = ad._concat_rows([ad.Tensor(np.stack([parts[0].data, -parts[0].data])),
+                              ad.Tensor(parts[1].data)])
+    npt.assert_array_equal(probed.data, [out.data, [[-1.0, -2.0], [-3.0, -4.0], [5.0, 6.0]]])
 
 
 def test_matvec_rows_rows_do_not_depend_on_the_batch():
@@ -386,12 +387,10 @@ def test_every_op_backward_matches_finite_differences(seed):
                                                  ad.Tensor(mv))),
         "matvec_rows.w": lambda t: ad.sum(ad.mul(ad.matvec_rows(t, ad.Tensor(gv)),
                                                  ad.Tensor(gv[:, :3]))),
-        "place_rows.first": lambda t: ad.sum(ad.mul(
-            ad._place_rows(5, [t, ad.Tensor(yv[:2])], [np.array([4, 0, 2]), np.array([1, 3])]),
-            ad.Tensor(np.vstack([gv, yv[:1]])))),
-        "place_rows.last": lambda t: ad.sum(ad.mul(
-            ad._place_rows(5, [ad.Tensor(yv[:2]), t], [np.array([1, 3]), np.array([4, 0, 2])]),
-            ad.Tensor(np.vstack([gv, yv[:1]])))),
+        "concat_rows.first": lambda t: ad.sum(ad.mul(
+            ad._concat_rows([t, ad.Tensor(yv[:2])]), ad.Tensor(np.vstack([gv, yv[:1]])))),
+        "concat_rows.last": lambda t: ad.sum(ad.mul(
+            ad._concat_rows([ad.Tensor(yv[:2]), t]), ad.Tensor(np.vstack([gv, yv[:1]])))),
         "gated_ffn.x": lambda t: ad.sum(ad.mul(
             gated_ffn(t, T(wv.T), T(gv[:2]), T(wv)), ad.Tensor(yv))),
         "gated_ffn.w_gate": lambda t: ad.sum(ad.mul(
@@ -476,8 +475,7 @@ def _op_nodes(rng):
         "gather_rows": ad._gather_rows(leaf(3, 2), np.array([2, 0])),
         "gather_rows.cells": ad._gather_rows(leaf(3, 2), (np.array([2, 0]), np.array([1, 1]))),
         "fold_rows": ad._fold_rows(3, np.array([1, 1, 0]), np.array([0, 1, 0]), leaf(3, 2)),
-        "place_rows": ad._place_rows(3, [leaf(2, 2), leaf(1, 2)],
-                                     [np.array([2, 0]), np.array([1])]),
+        "concat_rows": ad._concat_rows([leaf(2, 2), leaf(1, 2)]),
         "scale_rows": ad.scale_rows(leaf(3, 2), leaf(3)),
         "softmax": ad.softmax(leaf(3, 2)),
         "silu": ad.silu(leaf(3, 2)),
@@ -552,9 +550,8 @@ _DAG_OPS = {
     "gather_rows": lambda a, b, j, w: ad._gather_rows(a, np.array([2, 0, 1])),
     "fold_rows": lambda a, b, j, w: ad._fold_rows(3, np.array([0, 2, 0]),
                                                   np.array([0, 0, 1]), a),
-    "place_rows": lambda a, b, j, w: ad._place_rows(
-        3, [ad._gather_rows(a, np.array([2, 0])), ad._gather_rows(b, np.array([1]))],
-        [np.array([0, 2]), np.array([1])]),
+    "concat_rows": lambda a, b, j, w: ad._concat_rows(
+        [ad._gather_rows(a, np.array([2, 0])), ad._gather_rows(b, np.array([1]))]),
     "gated_ffn": lambda a, b, j, w: gated_ffn(a, *w["ffn"]),
     "attention": lambda a, b, j, w: attend(a, *w["attention"]),
 }

@@ -174,6 +174,28 @@ def test_config_that_is_no_object_exits_1_saying_so(tmp_path, capsys, command, c
     assert not captured.out and not out.exists()
 
 
+@pytest.mark.parametrize("kind", [["text"], {"kind": "text"}, 1],
+                         ids=["list", "object", "number"])
+@pytest.mark.parametrize("command", ["rope-dump", "train"])
+def test_a_segment_kind_that_is_no_string_exits_1_naming_it(tiny_config_file, tmp_path,
+                                                            capsys, command, kind):
+    segments = [{"kind": kind, "n_tokens": 2}]
+    if command == "rope-dump":
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"segments": segments}))
+        argv = ["rope-dump", "--segments", str(path)]
+    else:
+        d = json.loads(tiny_config_file.read_text())
+        d["segments"] = segments
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(d))
+        argv = ["train", "--config", str(path), "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unknown segment kind {kind!r}\n"
+    assert not captured.out and not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["gradcheck", "train"])
 @pytest.mark.parametrize("block", ["moe", "segments"])
 def test_config_that_lacks_a_block_exits_1_naming_it(tiny_config_file, tmp_path, capsys,

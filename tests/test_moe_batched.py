@@ -214,3 +214,16 @@ def test_train_mode_needs_a_key_and_rows_need_the_model_width():
         layer.forward_rows(ad.Tensor(np.ones((2, 4))), "infer")
     with pytest.raises(ValueError):
         layer.forward_rows(ad.Tensor(np.ones((2, 5))), frozen=[])
+
+
+@pytest.mark.parametrize("mode", ["infer", "train", "frozen"])
+def test_zero_token_rows_are_refused_by_the_row_shape_check(mode):
+    layer = make_layer(0, "sampled", 1, 1)
+    n_slots = layer.config.n_slots
+    frozen = None if mode != "frozen" else moe.Routing(
+        np.zeros((0, n_slots), dtype=np.int64), np.zeros((0, n_slots)),
+        np.zeros((0, n_slots), dtype=bool), None, layer.config.n_routed, 1)
+    with pytest.raises(ad.ShapeError, match=r"token rows must have shape \(n, 5\) with n >= 1, "
+                                            r"got \(0, 5\)"):
+        layer.forward_rows(ad.Tensor(np.ones((0, 5))), "infer" if mode == "frozen" else mode,
+                           key=(0, 1), frozen=frozen)

@@ -419,9 +419,7 @@ def probe_ops():
         "gather_rows": (lambda t: ad._gather_rows(t, idx), [a(3, 2)]),
         "gather_rows.cells": (lambda t: ad._gather_rows(t, cells), [a(3, 2)]),
         "fold_rows": (lambda r: ad._fold_rows(3, tok, rank, r), [a(3, 2)]),
-        "place_rows": (lambda p, q: ad._place_rows(3, [p, q], [np.array([2, 0]),
-                                                               np.array([1])]),
-                       [a(2, 2), a(1, 2)]),
+        "concat_rows": (lambda p, q: ad._concat_rows([p, q]), [a(2, 2), a(1, 2)]),
         "gated_ffn": (ffn, [a(3, 2), a(4, 2), a(4, 2), a(2, 4)]),
     }
 

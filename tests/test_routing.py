@@ -105,18 +105,21 @@ def test_a_record_lists_its_pairs_once_for_every_replay(layer, n, spread, key):
     cfg = layer.config
     X = token_rows(key, n, cfg.d_model, spread)
     _, routing, _ = layer.forward_rows(X, "train", key=(key, 3))
-    pairs = tok, slot, pair_rank, positions = routing._pairs
+    pairs = tok, slot, pair_rank, k, bounds = routing._active
     rank = routing.rank
-    # rank-major, tokens in order within a rank, routed slots only
-    assert [(rank[t, j], t, j) for t, j in zip(tok.tolist(), slot.tolist())] == sorted(
-        (rank[t, j], t, j) for t, j in zip(*np.nonzero(rank[:, :cfg.n_routed] >= 0)))
+    # expert-major over every active slot, nulls last, in (rank, token)
+    # order within a slot
+    assert [(j, rank[t, j], t) for t, j in zip(tok.tolist(), slot.tolist())] == sorted(
+        (j, rank[t, j], t) for t, j in zip(*np.nonzero(rank >= 0)))
     assert pair_rank.tolist() == rank[tok, slot].tolist()
-    assert [pos.tolist() for pos in positions] == \
-        [np.flatnonzero(slot == j).tolist() for j in range(cfg.n_routed)]
-    assert not any(a.flags.writeable for a in (tok, slot, pair_rank, *positions))
+    assert k.tolist() == (rank >= 0).sum(axis=1).tolist()
+    assert len(bounds) == cfg.n_slots + 1 and bounds[0] == 0 and bounds[-1] == tok.size
+    for j in range(cfg.n_slots):
+        assert (slot[bounds[j]:bounds[j + 1]] == j).all()
+    assert not any(a.flags.writeable for a in pairs)
     for _ in range(2):
         layer.forward_rows(X, frozen=routing)
-        assert routing._pairs is pairs
+        assert routing._active is pairs
     with pytest.raises(ValueError, match="routed"):
         layer.forward_rows(X, frozen=dataclasses.replace(routing, n_routed=cfg.n_routed + 1))
 

@@ -4,9 +4,11 @@ The generic ops take repeated indices and add with ``np.add.at`` in index
 order; their own tests and finite-difference checks live here.  The
 engine's ``_fold_rows`` and distinct-index ``_gather_rows`` backward must
 return their bits, compared with ``tobytes`` so the sign of zero counts,
-on the pairs a ``moe.Routing`` lists: rank-major, with the ranks of null
-slots skipped, rows holding signed zeros, subnormals and values near the
-float64 limit, with and without a probe axis.
+on the routed pairs a ``moe.Routing`` lists: expert-major, with the ranks
+of null slots skipped, rows holding signed zeros, subnormals and values
+near the float64 limit, with and without a probe axis.  The reference
+fold adds in index order, so it takes the same pairs rank-major; the
+engine's fold must not depend on the order of its pairs at all.
 """
 
 import numpy as np
@@ -86,15 +88,18 @@ def edge_rows(rng, shape):
 
 def routing_pairs(rng, n, n_slots, n_routed):
     """A Routing of ``n`` tokens whose slots from ``n_routed`` on are null,
-    and its routed pairs: each token activates k random slots, so the ranks
-    of its null slots are missing from its routed pairs."""
+    its routed pairs ``(tok, slot, rank)`` and the bounds of each routed
+    expert's block of them: each token activates k random slots, so the
+    ranks of its null slots are missing from its routed pairs."""
     rank = np.full((n, n_slots), -1)
     for t in range(n):
         order = rng.permutation(n_slots)[:rng.integers(1, n_slots + 1)]
         rank[t, order] = np.arange(order.size)
     routing = moe.Routing(rank, np.ones((n, n_slots)), np.zeros((n, n_slots), bool), None,
                           n_routed)
-    return routing._pairs
+    tok, slot, rank, _, bounds = routing._active
+    m = bounds[n_routed]
+    return tok[:m], slot[:m], rank[:m], bounds[:n_routed + 1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -104,25 +109,45 @@ def test_fold_and_gather_backward_carry_the_reference_bits(n, n_slots, data, d, 
                                                            seed):
     n_routed = data.draw(st.integers(1, n_slots))
     rng = np.random.default_rng(seed)
-    tok, slot, rank, positions = routing_pairs(rng, n, n_slots, n_routed)
+    tok, slot, rank, bounds = routing_pairs(rng, n, n_slots, n_routed)
     if not tok.size:  # every token chose null slots only
         return
     lead = () if probes is None else (probes,)
-    rows = ad.Tensor(edge_rows(rng, lead + (tok.size, d)))
+    rows = edge_rows(rng, lead + (tok.size, d))
+    rank_major = np.lexsort((tok, rank))
     with np.errstate(over="ignore"):
-        folded = ad._fold_rows(n, tok, rank, rows).data
-        want = adr.scatter_add_rows(ad.zeros((n, d)), tok, rows).data
+        folded = ad._fold_rows(n, tok, rank, ad.Tensor(rows)).data
+        want = adr.scatter_add_rows(ad.zeros((n, d)), tok[rank_major],
+                                    ad.Tensor(rows[..., rank_major, :])).data
     assert folded.shape == want.shape == lead + (n, d)
     assert folded.tobytes() == want.tobytes()
 
     probs = ad.Tensor(edge_rows(rng, (n, n_slots)), requires_grad=True)
     X = ad.Tensor(edge_rows(rng, (n, d)), requires_grad=True)
-    pos = positions[int(slot[0])]
+    block = tok[bounds[slot[0]]:bounds[slot[0] + 1]]
     for a, idx, g in ((probs, (tok, slot), edge_rows(rng, tok.shape)),
-                      (X, tok[pos], edge_rows(rng, (pos.size, d)))):
+                      (X, block, edge_rows(rng, (block.size, d)))):
         got, ref = ad._gather_rows(a, idx), adr.gather_rows(a, idx)
         assert got.data.tobytes() == ref.data.tobytes()
         assert got._backward_fn(g)[0].tobytes() == ref._backward_fn(g)[0].tobytes()
         stack = ad.Tensor(np.stack([a.data, -a.data]))
         assert ad._gather_rows(stack, idx).data.tobytes() == \
             adr.gather_rows(stack, idx).data.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 16), m=st.integers(1, 24), n_ranks=st.integers(1, 4),
+       d=st.integers(1, 3), probes=st.sampled_from((None, 1, 3)), seed=st.integers(0, 2**32))
+def test_fold_rows_does_not_depend_on_the_order_of_its_pairs(n, m, n_ranks, d, probes,
+                                                             seed):
+    """Any permutation of the (tok, rank, row) triples folds to the same bytes."""
+    rng = np.random.default_rng(seed)
+    cells = rng.permutation(n * n_ranks)[:m]  # distinct (rank, tok) cells
+    rank, tok = np.divmod(cells, n)
+    lead = () if probes is None else (probes,)
+    rows = edge_rows(rng, lead + (tok.size, d))
+    perm = rng.permutation(tok.size)
+    with np.errstate(over="ignore"):
+        folded = ad._fold_rows(n, tok, rank, ad.Tensor(rows)).data
+        permuted = ad._fold_rows(n, tok[perm], rank[perm], ad.Tensor(rows[..., perm, :])).data
+    assert folded.tobytes() == permuted.tobytes()
