@@ -17,14 +17,15 @@ they would flatten every proportion — but can be included with a flag.
 Traces round-trip losslessly through CSV (fixed column set, floats via
 ``repr``) and JSONL (one record per line).
 
-The trace is stored as columns: flat per-slot NumPy arrays (step, layer,
-token_index, modality code, expert_id, role code, gate_prob,
-selected_rank) plus per-record offsets, sorted by (step, layer,
-token_index) with each record's slots in selection order.  ``add`` is an
-O(1) append; the first read after new records folds them in and sorts
-once.  Every report, export and import is a few NumPy passes (group-bys
-and sorts) over the columns, so its cost is near-linear in the trace size
-rather than a Python scan per record or per step; only ``records`` and
+The trace is stored as columns: NumPy arrays with one entry per record
+(step, layer, token_index, modality code), arrays with one entry per slot
+(expert_id, role code, gate_prob, selected_rank), and per-record offsets
+into the slot arrays.  Records are sorted by (step, layer, token_index),
+each record's slots in selection order.  ``add`` is an O(1) append; the
+first read after new records folds them in and sorts once.  Every
+report, export and import is a few NumPy passes (group-bys and sorts)
+over the columns, so its cost is near-linear in the trace size rather
+than a Python scan per record or per step; only ``records`` and
 ``select`` build :class:`TraceRecord` objects, on demand.
 
 Four ways in: :meth:`RoutingTrace.add` appends a :class:`TraceRecord`;
@@ -37,7 +38,8 @@ holds for all of them: each field takes one kind of value (an integer, a
 number or a string; a bool is no integer or number, and a string no
 number) that fits its column (int64, or float64 for ``gate_prob``).  Any
 other value is a ``ValueError`` that names the field and the value; none is
-truncated or parsed.
+truncated or parsed.  The layer, step, expert_id and modality arguments of
+the reports and of :meth:`RoutingTrace.select` keep the same rule.
 """
 
 from __future__ import annotations
@@ -104,8 +106,8 @@ class TraceRecord:
 # columnar store
 # ---------------------------------------------------------------------------
 
-_SLOT_COLUMNS = ("step", "layer", "token_index", "modality", "expert_id", "role",
-                 "gate_prob", "selected_rank")
+_RECORD_COLUMNS = ("step", "layer", "token_index", "modality")
+_SLOT_COLUMNS = ("expert_id", "role", "gate_prob", "selected_rank")
 # Role codes of a Routing block: routed below n_routed, null below n_slots.
 _ROLES = tuple(role.value for role in (moe.ExpertRole.ROUTED, moe.ExpertRole.NULL,
                                        moe.ExpertRole.SHARED))
@@ -178,7 +180,8 @@ def _offsets(counts) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class _Columns:
-    """Flat per-slot arrays; record r owns slots ``offsets[r]:offsets[r + 1]``.
+    """One entry per record in the _RECORD_COLUMNS, one per slot in the
+    _SLOT_COLUMNS; record r owns slots ``offsets[r]:offsets[r + 1]``.
 
     Modality and role are codes into ``modalities`` and ``roles``.
     """
@@ -199,18 +202,12 @@ class _Columns:
     def from_fields(cls, step, layer, token_index, modality: Sequence[str],
                     counts: Sequence[int], expert_id, role: Sequence[str],
                     gate_prob, selected_rank) -> "_Columns":
-        """Columns from per-record keys and modality, and per-slot fields,
-        each converted by :func:`_column`."""
-        counts = np.array(counts, dtype=np.int64)
+        """Columns from per-record fields and slot counts, and per-slot
+        fields, each converted by :func:`_column`."""
         modalities, modality = _column("modality", modality)
         roles, role = _column("role", role)
-
-        def per_slot(field, values):
-            return np.repeat(_column(field, values), counts)
-
-        return cls(step=per_slot("step", step), layer=per_slot("layer", layer),
-                   token_index=per_slot("token_index", token_index),
-                   modality=np.repeat(modality, counts),
+        return cls(step=_column("step", step), layer=_column("layer", layer),
+                   token_index=_column("token_index", token_index), modality=modality,
                    expert_id=_column("expert_id", expert_id), role=role,
                    gate_prob=_column("gate_prob", gate_prob),
                    selected_rank=_column("selected_rank", selected_rank),
@@ -219,26 +216,38 @@ class _Columns:
     def __len__(self) -> int:
         return self.offsets.size - 1
 
-    @property
-    def starts(self) -> np.ndarray:
-        return self.offsets[:-1]
-
     def k(self) -> np.ndarray:
         """Routable slots per record."""
         routable = np.concatenate(([0], np.cumsum(self.selected_rank >= 0)))
-        return routable[self.offsets[1:]] - routable[self.starts]
+        return np.diff(routable[self.offsets])
 
     def key(self, r: int) -> tuple[int, int, int]:
-        s = self.offsets[r]
-        return (int(self.step[s]), int(self.layer[s]), int(self.token_index[s]))
+        return (int(self.step[r]), int(self.layer[r]), int(self.token_index[r]))
 
-    def code(self, modality: str) -> int:
-        """Code of a modality string; -1 (matching nothing) if never seen."""
-        return self.modalities.index(modality) if modality in self.modalities else -1
+    def where(self, layer: int, step: int | None = None,
+              modality: str | None = None) -> np.ndarray:
+        """Mask of the records at the layer, and at the step and of the
+        modality if given.  Each argument must be of the kind its field
+        takes (module docstring), or a ValueError names it."""
+        _column("layer", [layer])
+        keep = self.layer == layer
+        if step is not None:
+            _column("step", [step])
+            keep &= self.step == step
+        if modality is not None:
+            _column("modality", [modality])
+            keep &= self.modality == (self.modalities.index(modality)
+                                      if modality in self.modalities else -1)
+        return keep
 
-    def take(self, slots: np.ndarray, offsets: np.ndarray) -> "_Columns":
-        return dataclasses.replace(
-            self, offsets=offsets, **{f: getattr(self, f)[slots] for f in _SLOT_COLUMNS})
+    def take(self, records: np.ndarray) -> "_Columns":
+        """The records at the indices ``records``, in that order, each with
+        its slots; the one map from records to their slot ranges."""
+        lo, hi = self.offsets[records], self.offsets[records + 1]
+        slots = _ranges(lo, hi)
+        return dataclasses.replace(self, offsets=_offsets(hi - lo),
+                                   **{f: getattr(self, f)[records] for f in _RECORD_COLUMNS},
+                                   **{f: getattr(self, f)[slots] for f in _SLOT_COLUMNS})
 
     @classmethod
     def join(cls, parts: Sequence["_Columns"]) -> "_Columns":
@@ -256,7 +265,8 @@ class _Columns:
                        c.offsets[1:] + end - c.offsets[-1] for c, end in zip(parts, ends)]),
                    modalities=modalities, roles=roles,
                    **{f: np.concatenate([getattr(c, f) for c in parts])
-                      for f in _SLOT_COLUMNS if f not in ("modality", "role")})
+                      for f in (*_RECORD_COLUMNS, *_SLOT_COLUMNS)
+                      if f not in ("modality", "role")})
 
     @classmethod
     def of_routing(cls, step: int, layer: int, modality_tags: Sequence[str],
@@ -294,10 +304,9 @@ class _Columns:
         if routing.n_shared:
             shared = np.arange(routing.n_shared)
             expert_id[(offsets[:-1] + k)[:, None] + shared] = n_slots + shared
-        return cls(step=np.full(size, step, dtype=np.int64),
-                   layer=np.full(size, layer, dtype=np.int64),
-                   token_index=np.repeat(np.arange(n), counts),
-                   modality=np.repeat(modality, counts), expert_id=expert_id,
+        return cls(step=np.full(n, step, dtype=np.int64),
+                   layer=np.full(n, layer, dtype=np.int64),
+                   token_index=np.arange(n), modality=modality, expert_id=expert_id,
                    role=np.searchsorted([routing.n_routed, n_slots], expert_id, side="right"),
                    gate_prob=gate, selected_rank=rank, offsets=offsets,
                    modalities=modalities, roles=_ROLES)
@@ -318,7 +327,7 @@ class _Columns:
                                  f"has {int(got[r])} routable slots")
         if (got < 1).any():
             raise ValueError("a record needs at least one routable slot")
-        keys = [a[self.starts] for a in (self.step, self.layer, self.token_index)]
+        keys = (self.step, self.layer, self.token_index)
         order = np.lexsort(keys[::-1])
         step, layer, token = (a[order] for a in keys)
         same = (step[1:] == step[:-1]) & (layer[1:] == layer[:-1]) & (token[1:] == token[:-1])
@@ -327,28 +336,23 @@ class _Columns:
                 f"record already exists for {self.key(order[np.argmax(same)])}")
         if (order == np.arange(order.size)).all():
             return self
-        lo, hi = self.offsets[order], self.offsets[order + 1]
-        return self.take(_ranges(lo, hi), _offsets(hi - lo))
+        return self.take(order)
 
     def records(self, which: np.ndarray) -> list[TraceRecord]:
         """TraceRecord objects for the record indices ``which``, in order."""
-        lo, hi = self.offsets[which], self.offsets[which + 1]
-        slots_at = _ranges(lo, hi)
-        slots = list(map(SlotEntry, self.expert_id[slots_at].tolist(),
-                         _decode(self.roles, self.role[slots_at]),
-                         self.gate_prob[slots_at].tolist(),
-                         self.selected_rank[slots_at].tolist()))
-        ends = np.cumsum(hi - lo).tolist()
+        c = self.take(which)
+        slots = list(map(SlotEntry, c.expert_id.tolist(), _decode(c.roles, c.role),
+                         c.gate_prob.tolist(), c.selected_rank.tolist()))
+        ends = c.offsets.tolist()
         return [TraceRecord(step, layer, token, modality, tuple(slots[a:b]))
                 for step, layer, token, modality, a, b in zip(
-                    self.step[lo].tolist(), self.layer[lo].tolist(),
-                    self.token_index[lo].tolist(),
-                    _decode(self.modalities, self.modality[lo]), [0] + ends[:-1], ends)]
+                    c.step.tolist(), c.layer.tolist(), c.token_index.tolist(),
+                    _decode(c.modalities, c.modality), ends[:-1], ends[1:])]
 
 
 def _read_only_empty() -> _Columns:
     columns = _Columns.from_fields([], [], [], [], [], [], [], [], [])
-    for field in (*_SLOT_COLUMNS, "offsets"):
+    for field in (*_RECORD_COLUMNS, *_SLOT_COLUMNS, "offsets"):
         getattr(columns, field).flags.writeable = False
     return columns
 
@@ -393,8 +397,7 @@ class RoutingTrace:
     def _known_keys(self) -> set[tuple[int, int, int]]:
         if self._keys is None:
             c = self._columns
-            self._keys = set(zip(c.step[c.starts].tolist(), c.layer[c.starts].tolist(),
-                                 c.token_index[c.starts].tolist()))
+            self._keys = set(zip(c.step.tolist(), c.layer.tolist(), c.token_index.tolist()))
         return self._keys
 
     def add(self, rec: TraceRecord) -> None:
@@ -421,9 +424,7 @@ class RoutingTrace:
         routable slot (one layer's tokens 0..n-1); like :meth:`add` for
         each of them."""
         known = self._known_keys()
-        s = block.starts
-        keys = list(zip(block.step[s].tolist(), block.layer[s].tolist(),
-                        block.token_index[s].tolist()))
+        keys = list(zip(block.step.tolist(), block.layer.tolist(), block.token_index.tolist()))
         if not known.isdisjoint(keys):
             dup = next(key for key in keys if key in known)
             raise DuplicateRecordError(f"record already exists for {dup}")
@@ -467,12 +468,7 @@ class RoutingTrace:
     def select(self, layer: int, step: int | None = None,
                modality: str | None = None) -> list[TraceRecord]:
         c = self._store()
-        keep = c.layer[c.starts] == layer
-        if step is not None:
-            keep &= c.step[c.starts] == step
-        if modality is not None:
-            keep &= c.modality[c.starts] == c.code(modality)
-        return c.records(np.flatnonzero(keep))
+        return c.records(np.flatnonzero(c.where(layer, step, modality)))
 
 
 def record(trace: RoutingTrace, step: int, layer: int, token_index: int,
@@ -525,20 +521,22 @@ class ActivationReport:
         return {e: c / n for e, c in sorted(self.counts.items())}
 
 
+def _no_records(layer: int, modality: str | None) -> ValueError:
+    return ValueError(f"no records for layer {layer}"
+                      + (f" with modality {modality!r}" if modality is not None else ""))
+
+
 def activation_proportions(trace: RoutingTrace, layer: int,
                            modality: str | None = None,
                            include_shared: bool = False) -> ActivationReport:
     """proportion(e) = slots naming e / total assignment slots at the layer."""
     c = trace._store()
-    pool = c.layer == layer
-    if modality is not None:
-        pool &= c.modality == c.code(modality)
+    pool = np.repeat(c.where(layer, modality=modality), np.diff(c.offsets))
     if not include_shared:
         pool &= c.selected_rank >= 0
     ids, roles = c.expert_id[pool], c.role[pool]
     if not ids.size:
-        raise ValueError(f"no records for layer {layer}"
-                         + (f" with modality {modality!r}" if modality is not None else ""))
+        raise _no_records(layer, modality)
     experts, first, counts = np.unique(ids, return_index=True, return_counts=True)
     last = ids.size - 1 - np.unique(ids[::-1], return_index=True)[1]
     # Experts in first-seen order; each keeps the role of its last slot.
@@ -554,12 +552,9 @@ def expert_count_histogram(trace: RoutingTrace, layer: int,
                            modality: str | None = None) -> dict[int, float]:
     """Fraction of tokens that activated k routable slots, keyed by k."""
     c = trace._store()
-    keep = c.layer[c.starts] == layer
-    if modality is not None:
-        keep &= c.modality[c.starts] == c.code(modality)
-    ks = c.k()[keep]
+    ks = c.k()[c.where(layer, modality=modality)]
     if not ks.size:
-        raise ValueError(f"no records for layer {layer}")
+        raise _no_records(layer, modality)
     values, counts = np.unique(ks, return_counts=True)
     n = int(ks.size)
     return {k: n_k / n for k, n_k in zip(values.tolist(), counts.tolist())}
@@ -569,11 +564,15 @@ def dynamics_over_steps(trace: RoutingTrace, layer: int,
                         expert_id: int) -> list[tuple[int, float]]:
     """(step, slot-proportion of expert_id) for every recorded step, ordered."""
     c = trace._store()
-    at = c.layer == layer
+    at = c.where(layer)
+    _column("expert_id", [expert_id])
     steps, step_of = np.unique(c.step[at], return_inverse=True)
-    routable = c.selected_rank[at] >= 0
+    counts = np.diff(c.offsets)
+    step_of = np.repeat(step_of, counts[at])  # for each slot of the layer
+    slot_at = np.repeat(at, counts)
+    routable = c.selected_rank[slot_at] >= 0
     totals = np.bincount(step_of[routable], minlength=steps.size)
-    hits = np.bincount(step_of[routable & (c.expert_id[at] == expert_id)],
+    hits = np.bincount(step_of[routable & (c.expert_id[slot_at] == expert_id)],
                        minlength=steps.size)
     return [(step, h / t if t else 0.0)
             for step, h, t in zip(steps.tolist(), hits.tolist(), totals.tolist())]
@@ -582,7 +581,7 @@ def dynamics_over_steps(trace: RoutingTrace, layer: int,
 def layer_modalities(trace: RoutingTrace, layer: int) -> list[str]:
     """The distinct modalities recorded at the layer, sorted."""
     c = trace._store()
-    return sorted(_decode(c.modalities, np.unique(c.modality[c.layer == layer])))
+    return sorted(_decode(c.modalities, np.unique(c.modality[c.where(layer)])))
 
 
 # ---------------------------------------------------------------------------
@@ -634,13 +633,13 @@ def _check_csv_fields(field: str, values: Iterable[str]) -> None:
 def _csv_text(c: _Columns) -> str:
     _check_csv_fields("modality", c.modalities)
     _check_csv_fields("role", c.roles)
-    s, counts = c.starts, np.diff(c.offsets)
+    counts = np.diff(c.offsets)
     k = np.repeat(c.k(), counts)
     # A record's head is its step's piece and the piece of the rest of its
     # key, repeated over its slot rows.
-    heads = (_format_each("{},".format, c.step[s])
+    heads = (_format_each("{},".format, c.step)
              + _format_each(lambda layer, token, m: f"{layer},{token},{c.modalities[m]},",
-                            c.layer[s], c.token_index[s], c.modality[s]))
+                            c.layer, c.token_index, c.modality))
     return ",".join(CSV_COLUMNS) + "\n" + _joined(
         np.repeat(heads, counts),
         _format_each(lambda e, r: f"{e},{c.roles[r]},", c.expert_id, c.role),
@@ -652,13 +651,12 @@ def _jsonl_text(c: _Columns) -> str:
     """The ``json.dumps`` line of every record, assembled from pieces."""
     modalities = [json.dumps(m) for m in c.modalities]
     roles = [json.dumps(r) for r in c.roles]
-    s = c.starts
     lead = np.full(c.expert_id.size, ", ", dtype=object)  # between a record's slots
     # A record's head is its step's piece and the piece of the rest of its key.
-    lead[s] = (_format_each(_JSON_STEP.format, c.step[s])
-               + _format_each(lambda layer, token, m, k: _JSON_HEAD.format(
-                   layer, token, modalities[m], k), c.layer[s], c.token_index[s],
-                   c.modality[s], c.k()))
+    lead[c.offsets[:-1]] = (_format_each(_JSON_STEP.format, c.step)
+                            + _format_each(lambda layer, token, m, k: _JSON_HEAD.format(
+                                layer, token, modalities[m], k), c.layer, c.token_index,
+                                c.modality, c.k()))
     gates = _format_each(repr, c.gate_prob)
     odd = np.flatnonzero(~np.isfinite(c.gate_prob))  # NaN, Infinity, -Infinity
     gates[odd] = [json.dumps(x) for x in c.gate_prob[odd].tolist()]
@@ -765,8 +763,8 @@ def _csv_number_error(raw: np.ndarray, bounds: np.ndarray,
 def _read_csv(text: str) -> _Columns:
     """Parse CSV rows straight into typed columns.
 
-    A record is a run of rows with one key; its modality is the first
-    row's.  A key that comes back after another key is a duplicate.
+    A record is a run of rows with one key and one modality.  A key that
+    comes back after another key is a duplicate.
     """
     head, _, body = text.partition("\n")
     if head != ",".join(CSV_COLUMNS):
@@ -808,17 +806,20 @@ def _read_csv(text: str) -> _Columns:
     starts = np.flatnonzero(new)
     counts = np.diff(np.append(starts, step.size))
     m, r = (CSV_COLUMNS.index(name) for name in text_fields)
-    modalities, modality = _text_column(raw, seps[starts, m - 1] + 1, seps[starts, m])
+    modalities, modality = _text_column(raw, seps[:, m - 1] + 1, seps[:, m])
     roles, role = _text_column(raw, seps[:, r - 1] + 1, seps[:, r])
+    own = np.repeat(modality[starts], counts)  # each row's record's modality
+    differs = np.flatnonzero(modality != own)
+    if differs.size:
+        i = int(differs[0])  # line i + 2 of the file, after the header
+        raise ValueError(f"line {i + 2}: modality {modalities[modality[i]]!r} differs "
+                         f"from its record's {modalities[own[i]]!r}")
     # Contiguous copies of the fields, so that the parsed rows are freed.
-    return _Columns(step=step.copy(), layer=layer.copy(), token_index=token.copy(),
-                    modality=np.repeat(modality, counts), expert_id=rows["expert_id"].copy(),
+    return _Columns(step=step[starts], layer=layer[starts], token_index=token[starts],
+                    modality=modality[starts], expert_id=rows["expert_id"].copy(),
                     role=role, gate_prob=rows["gate_prob"].copy(),
                     selected_rank=rows["selected_rank"].copy(), offsets=_offsets(counts),
                     modalities=modalities, roles=roles).checked(rows["k"])
-
-
-_SLOT_FIELDS = ("expert_id", "role", "gate_prob", "selected_rank")
 
 
 def _slots_error(slots) -> ValueError:
@@ -859,7 +860,7 @@ def _read_jsonl(text: str) -> _Columns:
         raise ValueError(f"line {n}: {exc}") from None
     except KeyError as exc:
         field = exc.args[0]
-        owner = "slots item" if field in _SLOT_FIELDS else "record"
+        owner = "slots item" if field in _SLOT_COLUMNS else "record"
         raise ValueError(f"line {n}: a JSONL {owner} lacks the field {field!r}") from None
     except TypeError:  # a slots item that is no object fails its subscript
         raise ValueError(f"line {n}: {_slots_error(slots)}") from None

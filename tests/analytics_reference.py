@@ -84,7 +84,8 @@ def expert_count_histogram(trace: RoutingTrace, layer: int,
     """Fraction of tokens that activated k routable slots, keyed by k."""
     recs = trace.select(layer, modality=modality)
     if not recs:
-        raise ValueError(f"no records for layer {layer}")
+        raise ValueError(f"no records for layer {layer}"
+                         + (f" with modality {modality!r}" if modality is not None else ""))
     counts: dict[int, int] = {}
     for r in recs:
         counts[r.k] = counts.get(r.k, 0) + 1

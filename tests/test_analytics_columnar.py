@@ -227,6 +227,19 @@ def test_csv_contiguous_rows_of_one_key_are_one_record(tmp_path):
     assert rec.k == 2 and [s.expert_id for s in rec.slots] == [1, 2, 9]
 
 
+@pytest.mark.parametrize("rows,line,got,own", [
+    (["0,0,0,text,1,routed,0.5,0,1", "0,0,0,image,9,shared,1.0,-1,1"], 3, "image", "text"),
+    (["0,0,0,text,1,routed,0.5,0,1", "0,0,1,image,2,routed,0.5,0,1",
+      "0,0,1,image,9,shared,1.0,-1,1", "0,0,1,,3,routed,0.5,1,2"], 5, "", "image")])
+def test_csv_row_whose_modality_differs_from_its_records_is_refused_naming_its_line(
+        tmp_path, rows, line, got, own):
+    """Every row of a record holds its modality; a file that says two is
+    refused rather than read as the first row's."""
+    message = f"line {line}: modality {got!r} differs from its record's {own!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        an.import_trace(write_csv(tmp_path, rows))
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_csv_k_column_must_match_routable_slots(tmp_path, k):
     path = write_csv(tmp_path, [f"0,0,0,text,1,routed,0.5,0,{k}",
@@ -574,6 +587,112 @@ def test_a_bad_add_drops_only_its_record_and_the_trace_stays_readable():
     assert trace.records() == [rec(0), rec(1), rec(3)]
     trace.add(rec(2))
     assert trace.records() == [rec(0), rec(1), rec(2), rec(3)]
+
+
+def layer_trace() -> an.RoutingTrace:
+    """Two records at layer 0, one text and one image, and one at layer 1."""
+    trace = an.RoutingTrace()
+    for step, layer, token, modality in ((0, 0, 0, "text"), (0, 0, 1, "image"),
+                                         (1, 1, 0, "text")):
+        trace.add(an.TraceRecord(step, layer, token, modality,
+                                 (an.SlotEntry(token, "routed", 0.5, 0),)))
+    return trace
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda t: an.expert_count_histogram(t, True),
+                 "layer must be a JSON integer, got true", id="histogram-layer"),
+    pytest.param(lambda t: an.activation_proportions(t, True),
+                 "layer must be a JSON integer, got true", id="proportions-layer"),
+    pytest.param(lambda t: an.dynamics_over_steps(t, True, 0),
+                 "layer must be a JSON integer, got true", id="dynamics-layer"),
+    pytest.param(lambda t: an.layer_modalities(t, 1.0),
+                 "layer must be a JSON integer, got 1.0", id="modalities-layer"),
+    pytest.param(lambda t: t.select("1"), 'layer must be a JSON integer, got "1"',
+                 id="select-layer"),
+    pytest.param(lambda t: t.select(2**63),
+                 f"layer must be a JSON integer in the int64 range, got {2**63}",
+                 id="select-layer-range"),
+    pytest.param(lambda t: t.select(0, step=True), "step must be a JSON integer, got true",
+                 id="select-step"),
+    pytest.param(lambda t: t.select(0, modality=0), "modality must be a JSON string, got 0",
+                 id="select-modality"),
+    pytest.param(lambda t: an.activation_proportions(t, 0, modality=["text"]),
+                 'modality must be a JSON string, got ["text"]', id="proportions-modality"),
+    pytest.param(lambda t: an.expert_count_histogram(t, 0, modality=1),
+                 "modality must be a JSON string, got 1", id="histogram-modality"),
+    pytest.param(lambda t: an.dynamics_over_steps(t, 0, False),
+                 "expert_id must be a JSON integer, got false", id="dynamics-expert_id")])
+def test_a_report_argument_of_another_kind_than_its_field_is_refused_naming_it(call, message):
+    """A report filters by the field rule every way in keeps: True is no
+    layer 1 and "1" no layer at all."""
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call(layer_trace())
+
+
+def test_no_records_errors_of_both_reports_name_the_modality():
+    trace = layer_trace()
+    for report in (an.expert_count_histogram, an.activation_proportions):
+        with pytest.raises(ValueError, match="^no records for layer 1 with modality 'image'$"):
+            report(trace, 1, modality="image")
+        with pytest.raises(ValueError, match="^no records for layer 2$"):
+            report(trace, 2)
+
+
+# ---------------------------------------------------------------------------
+# column layout
+# ---------------------------------------------------------------------------
+
+RECORD_FIELDS = ("step", "layer", "token_index", "modality")
+SLOT_FIELDS = ("expert_id", "role", "gate_prob", "selected_rank")
+
+
+def several_token_routing() -> moe.Routing:
+    """Four tokens routed by a layer with a shared expert: two slots or more each."""
+    layer = moe.DynamicCapacityMoE(moe.MoEConfig(d_model=4, n_routed=3, expert_hidden=3,
+                                                 n_null=1, n_shared=1, seed=2))
+    rows = np.random.default_rng(0).normal(size=(4, 4))
+    return layer.forward_rows(ad.Tensor(rows), "infer")[1]
+
+
+def filled_through(way, tmp_path) -> an.RoutingTrace:
+    """A trace of records with several slots each, put in the given way."""
+    trace = an.RoutingTrace()
+    if way in ("add", "csv", "jsonl"):
+        for token, modality in enumerate(("text", "image", "text")):
+            trace.add(an.TraceRecord(0, 0, token, modality, (
+                an.SlotEntry(1, "routed", 0.5, 0), an.SlotEntry(2, "null", 0.25, 1),
+                an.SlotEntry(9, "shared", 1.0, -1))))
+    if way in ("csv", "jsonl"):
+        path = tmp_path / f"trace.{way}"
+        an.export_trace(trace, path, fmt=way)
+        return an.import_trace(path)
+    if way == "record_rows":
+        an.record_rows(trace, 0, 0, ["text", "image", "text", "audio"], several_token_routing())
+    if way == "join":
+        # Records read, then a later block and earlier records: the next
+        # read joins three parts and re-sorts them.
+        an.record_rows(trace, 5, 0, ["text"] * 4, several_token_routing())
+        trace.records()
+        an.record_rows(trace, 3, 1, ["image"] * 4, several_token_routing())
+        for step in (4, 0):
+            trace.add(an.TraceRecord(step, 0, 0, "audio", (
+                an.SlotEntry(0, "routed", 0.5, 0), an.SlotEntry(9, "shared", 1.0, -1))))
+    return trace
+
+
+@pytest.mark.parametrize("way", ["add", "record_rows", "csv", "jsonl", "join"])
+def test_a_record_field_is_stored_once_per_record_and_a_slot_field_once_per_slot(
+        tmp_path, way):
+    trace = filled_through(way, tmp_path)
+    c = trace._store()
+    assert c.offsets[-1] > len(c) > 0  # records of several slots
+    for field in RECORD_FIELDS:
+        assert getattr(c, field).shape == (len(c),), field
+    for field in SLOT_FIELDS:
+        assert getattr(c, field).shape == (c.offsets[-1],), field
+    keys = [(r.step, r.layer, r.token_index) for r in trace.records()]
+    assert keys == sorted(keys) and list(zip(c.step, c.layer, c.token_index)) == keys
 
 
 def test_a_new_trace_is_empty_after_another_trace_was_filled():
