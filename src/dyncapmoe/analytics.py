@@ -383,12 +383,12 @@ class RoutingTrace:
         self._columns = _EMPTY
         self._pending: list[TraceRecord] = []  # added since the last read
         self._blocks: list[_Columns] = []      # column blocks added since the last read
-        self._keys: set[tuple[int, int, int]] | None = set()  # None: not built yet
+        self._keys: set[tuple[int, int, int]] | None = None  # built at the first append
 
     @classmethod
     def _of(cls, columns: _Columns) -> "RoutingTrace":
         trace = cls()
-        trace._columns, trace._keys = columns, None
+        trace._columns = columns
         return trace
 
     def __len__(self) -> int:
@@ -406,7 +406,7 @@ class RoutingTrace:
         other field value of another kind than the field takes (module
         docstring) raises at the next read, which drops that record and
         keeps the others."""
-        keys = self._keys if self._keys is not None else self._known_keys()
+        keys = self._known_keys()
         key = (rec.step, rec.layer, rec.token_index)
         try:
             if key in keys:
@@ -504,7 +504,7 @@ def record_rows(trace: RoutingTrace, step: int, layer: int,
 
 @dataclasses.dataclass(frozen=True)
 class ActivationReport:
-    """Per-expert share of assignment slots at one layer."""
+    """Per-expert slot counts at one layer; ``proportions`` divides by their sum."""
 
     layer: int
     group: str  # "all" or the modality filter that produced it
@@ -512,12 +512,8 @@ class ActivationReport:
     role_of: dict[int, str]
 
     @property
-    def total_slots(self) -> int:
-        return sum(self.counts.values())
-
-    @property
     def proportions(self) -> dict[int, float]:
-        n = self.total_slots
+        n = sum(self.counts.values())
         return {e: c / n for e, c in sorted(self.counts.items())}
 
 

@@ -8,13 +8,13 @@ and the model classifies tokens.  With zero noise the labels are linearly
 recoverable, so cross-entropy on the planted task is reducible and the
 smoke-training criterion is meaningful.
 
-Training uses sampled Top-P routing.  Each layer li draws one uniform block
-from the Philox stream keyed ``(seed, 5077 + li)``; token t reads row t of
-it — keyed by layer and token, not by step — so a zero-learning-rate run
-repeats the identical forward every step (flat loss curve).  Selections
-still evolve across steps because the same underlying uniforms are applied
-to the current, shifting routing probabilities.  Inference (``mode="infer"``) takes the
-deterministic Top-P prefix in every routing mode and draws nothing.
+Training routes by ``config.moe.routing_mode`` (the smoke and gradcheck
+configs sample).  Each layer li draws one uniform block from the Philox
+stream keyed ``(seed, 5077 + li)``; token t reads row t of it, keyed by
+layer and token, not by step, so a zero-learning-rate run repeats the
+identical forward every step (flat loss curve).  Selections still evolve
+as the same uniforms meet the current, shifting routing probabilities.
+Inference (``mode="infer"``) takes the Top-P prefix and draws nothing.
 
 Each layer forward returns its routing as one :class:`~dyncapmoe.moe.Routing`
 (struct-of-arrays), and ``train`` logs it into the run's trace with one
@@ -456,7 +456,7 @@ def train(cfg: ToyModelConfig, model: ToyTransformer | None = None) -> TrainResu
         for t in params.values():
             if t.grad is not None:
                 t.data -= cfg.learning_rate * t.grad
-        ad.zero_grads(params.values())
+                t.grad = None
     return TrainResult(losses=tuple(losses), trace=trace)
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
@@ -73,15 +74,11 @@ def _check_origin(start, theta) -> tuple[int, int]:
 
 
 def _frame(t: int, start: int, rows: int, cols: int, patch: int) -> list[PositionId]:
-    """IDs (t, start+row, start+col) of one frame, all tokens of a patch
-    before the next patch."""
-    ids = []
-    for br in range(0, rows, patch):
-        for bc in range(0, cols, patch):
-            for r in range(br, min(br + patch, rows)):
-                for c in range(bc, min(bc + patch, cols)):
-                    ids.append(PositionId(t, start + r, start + c))
-    return ids
+    """IDs (t, start+row, start+col) of one frame: row-major cells, stably
+    sorted by their patch ``(row // patch, col // patch)``."""
+    cells = sorted(itertools.product(range(rows), range(cols)),
+                   key=lambda rc: (rc[0] // patch, rc[1] // patch))
+    return [PositionId(t, start + r, start + c) for r, c in cells]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,8 +160,8 @@ class VideoSegment:
     """Frames sampled uniformly over the clip, each pinned to absolute time.
 
     Frame j sits at tau_j = j * duration / f_n seconds and gets
-    t = start + round(tau_j * theta); its h/w offsets restart at ``start``
-    every frame, exactly like a still image.
+    t = start + round(tau_j * theta), a ValueError if that overflows; its
+    h/w offsets restart at ``start`` every frame, exactly like a still image.
     """
 
     duration_s: float
@@ -196,7 +193,11 @@ class VideoSegment:
         ids = []
         for j in range(f_n):
             tau = j * self.duration_s / f_n
-            t = start + int(round(tau * theta))
+            try:
+                t = start + int(round(tau * theta))
+            except OverflowError:  # tau * theta beyond the float range
+                raise ValueError(f"video frame {j} of {f_n} has no finite time: duration_s "
+                                 f"{self.duration_s!r} and theta {theta} overflow") from None
             ids.extend(_frame(t, start, self.rows, self.cols, self.patch))
         return ids
 

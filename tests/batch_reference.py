@@ -10,6 +10,10 @@ gathers the clean tokens by code; it must return this batch bit for bit.
 max component of every ID before it" as first written, rescanning all
 earlier IDs per segment; ``rope3d.assign_sequence_tagged`` carries the
 start instead and must return the same IDs and tags.
+
+``frame`` walks one frame's patches and then each patch's cells in four
+nested loops; ``rope3d._frame`` sorts the cells by their patch instead and
+must return the same IDs in the same order.
 """
 
 from __future__ import annotations
@@ -30,6 +34,18 @@ def assign_sequence_tagged(segments, theta: int = 1):
         tags.extend([seg.modality] * len(seg_ids))
         start = 1 + max(max(i) for i in ids)
     return ids, tags
+
+
+def frame(t: int, start: int, rows: int, cols: int, patch: int) -> list[rp.PositionId]:
+    """IDs (t, start+row, start+col) of one frame, all tokens of a patch
+    before the next patch."""
+    ids = []
+    for br in range(0, rows, patch):
+        for bc in range(0, cols, patch):
+            for r in range(br, min(br + patch, rows)):
+                for c in range(bc, min(bc + patch, cols)):
+                    ids.append(rp.PositionId(t, start + r, start + c))
+    return ids
 
 
 def generate_batch(segments, seed: int, d_model: int, n_classes: int,

@@ -213,6 +213,14 @@ class TestSerialization:
         path = tmp_path / "empty.csv"
         an.export_trace(an.RoutingTrace(), path)
         assert path.read_text() == ",".join(an.CSV_COLUMNS) + "\n"
+        back = an.import_trace(path)
+        assert len(back) == 0 and back.records() == []
+
+    def test_export_refuses_an_unknown_format(self, tmp_path):
+        path = tmp_path / "trace.xml"
+        with pytest.raises(ValueError, match="format must be 'csv' or 'jsonl'"):
+            an.export_trace(an.RoutingTrace(), path, fmt="xml")
+        assert not path.exists()
 
     def test_gate_probs_survive_exactly(self, tmp_path):
         trace = an.RoutingTrace()

@@ -63,8 +63,12 @@ def test_matmul_identity_and_hand_case():
 
 
 def test_matmul_shape_mismatch():
-    with pytest.raises(ad.ShapeError):
-        ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
+    for a_shape, b_shape, message in (
+            ((2, 3), (2, 3), "inner dims"), ((2, 3), (2,), "inner dims"),
+            ((3,), (3, 2), "unsupported ranks 1 and 2"),
+            ((2, 2, 3), (3,), "unsupported ranks 3 and 1")):
+        with pytest.raises(ad.ShapeError, match=message):
+            ad.matmul(ad.Tensor(np.ones(a_shape)), ad.Tensor(np.ones(b_shape)))
 
 
 def test_elementwise_identities():

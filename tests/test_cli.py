@@ -138,9 +138,10 @@ class TestRopeDump:
         ({"segments": [{"kind": "audio", "duration_s": "3"}]}, "duration_s"),
         ({"segments": 5}, "segments"),
         ({"segments": [5]}, "segments"),
+        ({"theta": 1}, "segment spec must contain a 'segments' list"),
     ], ids=["infinite-audio", "nan-video", "fractional-theta", "float-theta", "bool-theta",
             "fractional-text-count", "fractional-image-rows", "overflowing-audio",
-            "string-audio", "scalar-segments", "scalar-segment-item"])
+            "string-audio", "scalar-segments", "scalar-segment-item", "no-segments"])
     def test_invalid_spec_values_exit_1(self, tmp_path, capsys, spec, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -193,6 +194,27 @@ def test_a_segment_kind_that_is_no_string_exits_1_naming_it(tiny_config_file, tm
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: unknown segment kind {kind!r}\n"
+    assert not captured.out and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["rope-dump", "train", "gradcheck"])
+def test_a_video_frame_time_that_overflows_exits_1_naming_duration_and_theta(
+        tiny_config_file, tmp_path, capsys, command):
+    segments = [{"kind": "video", "duration_s": 1e308, "fps": 1.0, "rows": 1, "cols": 1,
+                 "f_l": 1, "f_u": 4}]
+    if command == "rope-dump":
+        spec = {"segments": segments}
+    else:
+        spec = {**json.loads(tiny_config_file.read_text()), "segments": segments}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = {"rope-dump": ["rope-dump", "--segments", str(path)],
+            "train": ["train", "--config", str(path), "--out", str(tmp_path / "run")],
+            "gradcheck": ["gradcheck", "--config", str(path)]}[command]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: video frame 2 of 4 has no finite time: "
+                            "duration_s 1e+308 and theta 1 overflow\n")
     assert not captured.out and not (tmp_path / "run").exists()
 
 
@@ -293,12 +315,19 @@ class TestGradcheckCommand:
 
 
 class TestTrainCommand:
-    def test_zero_steps_writes_header_only_loss_file(self, tmp_path):
+    def test_zero_steps_writes_header_only_loss_file(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = cli.main(["train", "--steps", "0", "--out", str(out)])
         assert code == 0
         assert (out / "loss.csv").read_text() == "step,loss\n"
-        assert (out / "trace.csv").read_text().startswith("step,layer,token_index")
+        assert (out / "trace.csv").read_text() == ",".join(an.CSV_COLUMNS) + "\n"
+        capsys.readouterr()
+        report = tmp_path / "report.csv"
+        assert cli.main(["analyze", "--trace", str(out / "trace.csv"), "--layer", "0",
+                         "--out", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: no records for layer 0\n"
+        assert not captured.out and not report.exists()
 
     def test_short_run_writes_curve_and_trace(self, tiny_config_file, tmp_path):
         out = tmp_path / "run"
@@ -542,7 +571,11 @@ class TestAnalyzeCommand:
         assert not captured.out and not out.exists()
 
     def test_empty_layer_exits_1(self, trace_file, tmp_path, capsys):
-        code = cli.main(["analyze", "--trace", str(trace_file), "--layer", "9",
-                         "--out", str(tmp_path / "x.csv")])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
+        capsys.readouterr()
+        for group_by in ("expert", "modality", "count"):
+            code = cli.main(["analyze", "--trace", str(trace_file), "--layer", "9",
+                             "--group-by", group_by, "--out", str(tmp_path / "x.csv")])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.err == "error: no records for layer 9\n"
+            assert not captured.out and not (tmp_path / "x.csv").exists()

@@ -284,6 +284,15 @@ class TestToyTransformer:
         assert [[d.active for d in layer] for layer in d1] == \
                [[d.active for d in layer] for layer in d2]
 
+    def test_a_batch_with_a_position_id_too_few_is_refused(self):
+        cfg = tiny_config()
+        batch = hn.generate_batch(cfg.segments, cfg.seed, cfg.d_model,
+                                  cfg.n_classes, cfg.noise)
+        short = dataclasses.replace(batch, position_ids=batch.position_ids[:-1])
+        with pytest.raises(ad.ShapeError, match=re.escape(
+                "attention: expected 2 token rows, got shape (3, 6)")):
+            hn.ToyTransformer(cfg).forward(short)
+
     def test_parameter_blocks_cover_model(self):
         cfg = tiny_config()
         params = hn.ToyTransformer(cfg).parameters()

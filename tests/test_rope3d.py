@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -123,6 +124,14 @@ class TestAssignImage:
         with pytest.raises(ValueError):
             rp.ImageSegment(0, 3)
 
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 16), cols=st.integers(1, 16), patch=st.integers(1, 16),
+           t=st.integers(0, 10**6), start=st.integers(0, 10**6))
+    def test_frame_equals_the_four_loop_patch_order(self, rows, cols, patch, t, start):
+        ids = rp._frame(t, start, rows, cols, patch)
+        assert ids == batch_reference.frame(t, start, rows, cols, patch)
+        assert all(type(pid) is rp.PositionId for pid in ids)
+
 
 class TestAssignVideo:
     @pytest.mark.parametrize("theta", [1, 2])
@@ -164,6 +173,16 @@ class TestAssignVideo:
             rp.VideoSegment(0.0, 1.0, 2, 2)
         with pytest.raises(ValueError):
             rp.VideoSegment(5.0, 1.0, 2, 2, f_l=4, f_u=2)
+
+    @pytest.mark.parametrize("duration_s,theta,frame,frames", [
+        (1e308, 1, 2, 4), (1e300, 10**9, 1, 4), (1.0, 10**400, 0, 1)])
+    def test_a_frame_time_that_overflows_is_refused_naming_duration_and_theta(
+            self, duration_s, theta, frame, frames):
+        segment = rp.VideoSegment(duration_s, 1.0, 1, 1, f_l=1, f_u=4)
+        with pytest.raises(ValueError, match=re.escape(
+                f"video frame {frame} of {frames} has no finite time: "
+                f"duration_s {duration_s!r} and theta {theta} overflow")):
+            segment.positions(0, theta)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_duration_and_fps(self, value):

@@ -285,6 +285,8 @@ def test_a_routing_refuses_a_token_without_active_slots_ranked_0_to_k_minus_1(
 
 
 @pytest.mark.parametrize("change,message", [
+    (dict(rank=np.array([0, 1, -1])), r"rank must be \[n, n_slots\]"),
+    (dict(gate=np.full((1, 2), 0.5)), "gate must have the shape of rank"),
     (dict(rank=np.array([[0.0, 1.0, -1.0]])), "rank must be an integer array"),
     (dict(rank=np.array([[0, 1, -2]])), "rank must be -1 for an inactive slot"),
     (dict(rank=np.array([[0, -2, 1]])), "rank must be -1 for an inactive slot"),
