@@ -35,6 +35,18 @@ docstring; :func:`_concat_rows` takes no index.  Neither index op takes a
 repeated index, so neither needs ``np.add.at``: a gathered row or cell is
 read once, and the fold adds a token's rows rank by rank.
 
+Per-row products run in fixed blocks.  :func:`matvec_rows` (and the MoE
+layer's expert FFN, through the same helpers) pads the rows with zeros to
+a multiple of ``_ROW_BLOCK`` rows and takes one ``np.matmul`` of the
+blocks [..., m / B, B, k] with ``w`` transposed: one GEMM of the same
+fixed shape per block, the same kernel whatever the batch.  So a row has
+the bits it has alone, in a zero-padded block of its own, wherever it
+sits in its block and whatever the other rows are; the per-token oracles
+rely on that.  One GEMM over all the rows may round a row differently
+depending on the batch, and a matrix-vector product differently again.
+The identity rests on the BLAS the blocks run on: a BLAS that breaks it
+fails the property test in ``tests/test_autodiff.py``.
+
 Fused ops (the MoE layer's expert FFN, the harness's attention block)
 are defined through :func:`op_node` with a hand-written backward.  A fused
 op lists an input once for each consumer it replaces, and its backward
@@ -331,19 +343,55 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return op_node(ad @ bd, (a, b), backward_fn, "matmul", ad.ndim > 2 or bd.ndim > 2)
 
 
+# Rows per block of the per-row products (see the module notes).  A call
+# pays for up to _ROW_BLOCK - 1 zero rows; 8 was no faster on 128-token
+# batches and slower on the 3- and 10-token ones.
+_ROW_BLOCK = 4
+
+
+def _row_blocks(x: np.ndarray) -> np.ndarray:
+    """The rows ``x`` [..., m, k], zero-padded to a multiple of
+    ``_ROW_BLOCK`` rows, as blocks [..., ceil(m / _ROW_BLOCK), _ROW_BLOCK, k]."""
+    m, k = x.shape[-2:]
+    pad = -m % _ROW_BLOCK
+    if pad:
+        padded = np.zeros(x.shape[:-2] + (m + pad, k))
+        padded[..., :m, :] = x
+        x = padded
+    return x.reshape(x.shape[:-2] + (-1, _ROW_BLOCK, k))
+
+
+def _block_matvec(w: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """``w @ row`` for every row of the blocks ``xb`` [..., b, _ROW_BLOCK, k],
+    one fixed-shape GEMM per block, for ``w`` [..., o, k]; the result is
+    blocks [..., b, _ROW_BLOCK, o]."""
+    wt = w.mT
+    return np.matmul(xb, wt if wt.ndim == 2 else wt[..., None, :, :])
+
+
+def _block_rows(yb: np.ndarray, m: int) -> np.ndarray:
+    """The first ``m`` rows of the blocks ``yb`` [..., b, _ROW_BLOCK, o], as
+    rows [..., m, o]."""
+    return yb.reshape(yb.shape[:-3] + (-1, yb.shape[-1]))[..., :m, :]
+
+
 def _matvec(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``w @ x[..., i, :]`` for every row i, each its own matrix-vector
-    product, for ``w`` [..., o, k] and ``x`` [..., m, k]."""
-    return np.matmul(w[..., None, :, :], x[..., None])[..., 0]
+    """``w @ x[..., i, :]`` for every row i, for ``w`` [..., o, k] and ``x``
+    [..., m, k], one GEMM per block of ``_ROW_BLOCK`` rows (see the module
+    notes): a row gets the bits it gets alone in a zero-padded block."""
+    return _block_rows(_block_matvec(w, _row_blocks(x)), x.shape[-2])
 
 
 def matvec_rows(w: Tensor, x: Tensor) -> Tensor:
     """Row ``i`` of the result is ``w @ x[i]``, for ``w`` (o,k) and ``x`` (m,k),
     either with leading probe axes.
 
-    Each row is its own matrix-vector product, so it is bit-identical to
-    ``matmul(w, row(x, i))`` whatever the other rows are; a blocked
-    ``x @ w.T`` may round a row differently depending on the batch.
+    The rows run in fixed blocks of ``_ROW_BLOCK``, zero-padded, one GEMM
+    per block (see the module notes), so row ``i`` is bit-identical to
+    ``matvec_rows(w, x[i:i+1])`` whatever the other rows are and wherever
+    it sits in its block.  A single ``x @ w.T`` over all the rows may round
+    a row differently depending on the batch, and so may the matrix-vector
+    product ``matmul(w, row(x, i))``.
     """
     wd, xd = w.data, x.data
     if wd.ndim < 2 or xd.ndim < 2 or wd.shape[-1] != xd.shape[-1]:

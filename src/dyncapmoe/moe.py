@@ -344,32 +344,39 @@ def gated_ffn(x: ad.Tensor, params: ExpertParams) -> ad.Tensor:
     the weights may carry leading probe axes (see the autodiff module
     notes).
 
-    Every product is a per-row matrix-vector product, as in
-    :func:`~dyncapmoe.autodiff.matvec_rows`, so a row's output does not
-    depend on the other rows.  The backward is written by hand.  ``x`` is
-    listed as a parent twice, once for each product that reads it, gate
-    before up, so :func:`~dyncapmoe.autodiff.backward` adds its two terms
-    one at a time, as the five-op graph ``matvec_rows``, ``silu``,
-    ``matvec_rows``, ``mul``, ``matvec_rows`` does (see the autodiff module
-    notes).
+    The rows are cut once into the zero-padded blocks of
+    :func:`~dyncapmoe.autodiff.matvec_rows`, and every product is one GEMM
+    per block, so a row's output has the bits it has alone, whatever the
+    other rows are.  The backward is written by hand.  ``x`` is listed as a
+    parent twice, once for each product that reads it, gate before up, so
+    :func:`~dyncapmoe.autodiff.backward` adds its two terms one at a time,
+    as the five-op graph ``matvec_rows``, ``silu``, ``matvec_rows``,
+    ``mul``, ``matvec_rows`` does (see the autodiff module notes).
     """
     xd, wg, wu, wd = x.data, params.w_gate.data, params.w_up.data, params.w_down.data
     if xd.ndim < 2 or xd.shape[-1] != wg.shape[-1]:
         raise ad.ShapeError(f"gated_ffn: token rows must have shape (m, {wg.shape[-1]}), "
                             f"got {xd.shape}")
-    a = ad._matvec(wg, xd)
-    s = ad._sigmoid(a)
-    gate = a * s
-    up = ad._matvec(wu, xd)
-    h = gate * up
+    m = xd.shape[-2]
+    # the products run on blocks of rows; a padded row stays zero through
+    # the hidden blocks, which are then the blocks matvec_rows would cut
+    # from the hidden rows
+    xb = ad._row_blocks(xd)
+    ab = ad._block_matvec(wg, xb)
+    sb = ad._sigmoid(ab)
+    gateb = ab * sb
+    upb = ad._block_matvec(wu, xb)
+    hb = gateb * upb
+    out = ad._block_rows(ad._block_matvec(wd, hb), m)
 
     def backward_fn(g):
+        a, s, gate, up, h = (ad._block_rows(v, m) for v in (ab, sb, gateb, upb, hb))
         g_h = g @ wd
         g_a = g_h * up * ad._silu_slope(a, s)
         g_up = g_h * gate
         return g_a @ wg, g_up @ wu, g_a.T @ xd, g_up.T @ xd, g.T @ h
 
-    return ad.op_node(ad._matvec(wd, h), (x, x, params.w_gate, params.w_up, params.w_down),
+    return ad.op_node(out, (x, x, params.w_gate, params.w_up, params.w_down),
                       backward_fn, "gated_ffn", max(xd.ndim, wg.ndim, wu.ndim, wd.ndim) > 2)
 
 
@@ -416,7 +423,9 @@ class DynamicCapacityMoE:
         if x.data.shape != (self.config.d_model,):
             raise ad.ShapeError(f"token must have shape ({self.config.d_model},), "
                                 f"got {x.data.shape}")
-        logits = ad.matmul(self.router, x)
+        # a one-row batch, so the logits have the bits of this token's row
+        # in forward_rows, wherever it sits in its block
+        logits = ad.row(ad.matvec_rows(self.router, ad.stack_rows([x])), 0)
         return RouterState(logits=logits, probs=ad.softmax(logits))
 
     # -------------------------------------------------------------- forwards

@@ -11,7 +11,9 @@ deterministic prefix in every routing mode, as the layer does.
 attention block as graphs of engine ops, five and twelve tape nodes; the
 one-node ops ``moe.gated_ffn`` and ``ToyTransformer._attend`` must match
 them bit for bit, values and gradients.  The composed FFN also takes a
-single token [d_model], the form the per-token oracle runs.
+single token [d_model], the form the per-token oracle runs; like
+``route``, it computes each of the token's products as a one-row
+``matvec_rows``.
 
 ``scatter_fill_forward_rows`` is the batched layer built from the generic
 row ops of ``autodiff_reference``: its pair buffer is a zeros buffer plus
@@ -105,10 +107,17 @@ def _select(layer, state, u):
                            _argmax_slot(state), cfg.n_routed)
 
 
+def _token_matvec(w, x):
+    """``w @ x`` for a token ``x``, computed as a one-row ``matvec_rows``."""
+    return ad.row(ad.matvec_rows(w, ad.stack_rows([x])), 0)
+
+
 def composed_gated_ffn(x, params):
     """W_down @ (silu(W_gate @ x) * (W_up @ x)) for a token ``x`` [d_model],
-    or row by row for token rows ``x`` [m, d_model], in five engine ops."""
-    apply = ad.matmul if x.data.ndim == 1 else ad.matvec_rows
+    or row by row for token rows ``x`` [m, d_model], in five engine ops.
+    A token's products are ``matvec_rows`` on a one-row batch, so it has
+    the bits of its row in a batch."""
+    apply = ad.matvec_rows if x.data.ndim > 1 else _token_matvec
     gate = ad.silu(apply(params.w_gate, x))
     up = apply(params.w_up, x)
     return apply(params.w_down, ad.mul(gate, up))

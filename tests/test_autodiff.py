@@ -4,7 +4,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import autodiff_reference as adr
@@ -311,8 +311,42 @@ def test_matvec_rows_rows_do_not_depend_on_the_batch():
     x = rng.normal(size=(40, 32))
     batched = ad.matvec_rows(w, ad.Tensor(x)).data
     for i in range(len(x)):
-        npt.assert_array_equal(batched[i], ad.matmul(w, ad.Tensor(x[i])).data)
+        npt.assert_array_equal(batched[i], ad.matvec_rows(w, ad.Tensor(x[i:i + 1])).data[0])
     npt.assert_array_equal(ad.matvec_rows(w, ad.Tensor(x[::-1])).data, batched[::-1])
+
+
+B = ad._ROW_BLOCK
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       m=st.one_of(st.integers(1, 3 * B + 1), st.integers(3 * B + 2, 129)),
+       pick=st.integers(0, 128), o=st.integers(1, 64), k=st.integers(1, 64),
+       probes=st.sampled_from(("none", "w", "x", "both")))
+@example(seed=0, m=3 * B + 1, pick=3 * B, o=1, k=1, probes="none")
+@example(seed=1, m=2 * B, pick=B - 1, o=B - 1, k=B + 1, probes="w")
+@example(seed=2, m=B + 1, pick=B, o=64, k=B - 1, probes="x")
+@example(seed=3, m=1, pick=0, o=7, k=32, probes="both")
+@example(seed=0, m=128, pick=5, o=64, k=32, probes="none")
+def test_a_row_of_a_batch_has_the_bits_it_has_alone(seed, m, pick, o, k, probes):
+    """Row ``pick % m`` of a batch, at any position in its block of B rows,
+    has the bits of that row computed alone, for any o x k weight up to
+    64 x 64 and with two probes on ``w``, on ``x``, on both or on neither;
+    each probe is checked against a call without probe axes.  Batches of 1
+    to 3B+1 rows cover every block position and a partial last block; the
+    larger batches, up to 129 rows, are where one GEMM over all the rows
+    rounds a row differently from the row alone."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=((2,) if probes in ("w", "both") else ()) + (o, k))
+    x = rng.normal(size=((2,) if probes in ("x", "both") else ()) + (m, k))
+    i = pick % m
+    batched = ad.matvec_rows(ad.Tensor(w), ad.Tensor(x)).data
+    for p in range(2 if probes != "none" else 1):
+        wp = w[p] if w.ndim > 2 else w
+        xp = x[p] if x.ndim > 2 else x
+        got = batched[p, i] if batched.ndim > 2 else batched[i]
+        alone = ad.matvec_rows(ad.Tensor(wp), ad.Tensor(xp[i:i + 1])).data[0]
+        assert got.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("call", [

@@ -64,8 +64,17 @@ def silu_np(u):
     return u * s
 
 
+def matvec_np(w, x):
+    """``w @ x`` as the layer computes a token's row: row 0 of one GEMM over
+    a block of ``_ROW_BLOCK`` rows whose other rows are zeros."""
+    block = np.zeros((ad._ROW_BLOCK, len(x)))
+    block[0] = x
+    return (block @ w.T)[0]
+
+
 def gated_ffn_np(x, params):
-    return params.w_down.data @ (silu_np(params.w_gate.data @ x) * (params.w_up.data @ x))
+    return matvec_np(params.w_down.data, silu_np(matvec_np(params.w_gate.data, x))
+                     * matvec_np(params.w_up.data, x))
 
 
 def softmax_np(z):
@@ -142,6 +151,31 @@ class TestRoute:
         for _ in range(100):
             state = layer.route(ad.Tensor(rng.normal(size=6)))
             assert abs(state.probs.data.sum() - 1.0) <= 1e-12
+
+    def test_logits_are_the_tokens_row_of_forward_rows_bit_for_bit(self, monkeypatch):
+        """A token's logits and probabilities alone are its row of a batch,
+        byte for byte, wherever the token sits in its block of rows."""
+        cfg = moe.MoEConfig(d_model=6, n_routed=5, expert_hidden=4, n_null=2, seed=3)
+        layer = moe.DynamicCapacityMoE(cfg)
+        B = ad._ROW_BLOCK
+        X = np.random.default_rng(4).normal(size=(2 * B + 3, cfg.d_model))
+        batch_logits = []
+        matvec_rows = ad.matvec_rows
+
+        def spy(w, x):
+            out = matvec_rows(w, x)
+            if w is layer.router:
+                batch_logits.append(out.data)
+            return out
+
+        monkeypatch.setattr(ad, "matvec_rows", spy)
+        _, routing, _ = layer.forward_rows(ad.Tensor(X))
+        monkeypatch.undo()
+        (logits,) = batch_logits
+        for t in (0, 1, B - 1, B, B + 1, 2 * B, 2 * B + 2):
+            state = layer.route(ad.Tensor(X[t]))
+            assert state.logits.data.tobytes() == logits[t].tobytes()
+            assert state.probs.data.tobytes() == routing.gate[t].tobytes()
 
     def test_dim_mismatch_raises(self):
         layer = moe.DynamicCapacityMoE(moe.MoEConfig(d_model=3, n_routed=2, expert_hidden=4))
@@ -426,7 +460,7 @@ class TestForwardInfer:
         for _ in range(20):
             xv = rng.normal(size=4)
             y, decision = layer.forward_infer(ad.Tensor(xv))
-            p = softmax_np(layer.router.data @ xv)
+            p = softmax_np(matvec_np(layer.router.data, xv))
             acc = np.zeros(4)
             for entry in decision.per_expert:
                 if entry.role is moe.ExpertRole.NULL:
@@ -440,7 +474,7 @@ class TestForwardInfer:
         xv = np.array([0.6, -0.3, 0.2, 0.8])
         y, decision = layer.forward_infer(ad.Tensor(xv))
         assert any(e.role is moe.ExpertRole.NULL for e in decision.per_expert)
-        p = softmax_np(layer.router.data @ xv)
+        p = softmax_np(matvec_np(layer.router.data, xv))
         acc = np.zeros(4)
         for entry in decision.per_expert:
             if entry.role is moe.ExpertRole.NULL:
@@ -494,7 +528,7 @@ class TestForwardTrain:
         xv = np.array([0.5, 0.1, -0.7, 0.3])
         for seed in range(10):
             y, decision = layer.forward_train(ad.Tensor(xv), np.random.default_rng(seed))
-            p = softmax_np(layer.router.data @ xv)
+            p = softmax_np(matvec_np(layer.router.data, xv))
             acc = np.zeros(4)
             for entry in decision.per_expert:
                 assert entry.bern in (0, 1)
