@@ -15,7 +15,10 @@ From a trace the module reproduces the standard MoE diagnostics:
 Shared experts are excluded from reports by default — being always-on,
 they would flatten every proportion — but can be included with a flag.
 Traces round-trip losslessly through CSV (fixed column set, floats via
-``repr``) and JSONL (one record per line).
+``repr``) and JSONL (one record per line).  Import and export hold one
+block of whole records (about 256 Ki characters of the file) plus the
+result columns, never the whole file, so their memory grows with the
+trace's columns and not with its text.
 
 The trace is stored as columns: NumPy arrays with one entry per record
 (step, layer, token_index, modality code), arrays with one entry per slot
@@ -148,6 +151,12 @@ _KINDS = {"integer": ((int, np.integer), np.int64),
           "string": ((str,), None)}
 
 
+def _misfits(field: str, values: Sequence) -> set[type]:
+    """The types among the values that the field does not take."""
+    types = _KINDS[_FIELD_KIND[field]][0]
+    return {t for t in set(map(type, values)) if t is bool or not issubclass(t, types)}
+
+
 def _column(field: str, values: Sequence):
     """The column of a field's values, by the field's kind in _FIELD_KIND.
 
@@ -156,8 +165,8 @@ def _column(field: str, values: Sequence):
     float64 for a number); nothing is truncated or parsed.
     """
     kind = _FIELD_KIND[field]
-    types, dtype = _KINDS[kind]
-    wrong = {t for t in set(map(type, values)) if t is bool or not issubclass(t, types)}
+    dtype = _KINDS[kind][1]
+    wrong = _misfits(field, values)
     if wrong:
         bad = next(v for v in values if type(v) in wrong)
         raise ValueError(f"{field} must be a JSON {kind}, got {json.dumps(bad, default=repr)}")
@@ -172,6 +181,12 @@ def _column(field: str, values: Sequence):
                    if isinstance(v, (int, np.integer)) and not low <= v <= high)
         raise ValueError(f"{field} must be a JSON {kind} in the {np.dtype(dtype)} range, "
                          f"got {bad}") from None
+
+
+# The order in which _Columns.from_fields converts the fields: of two
+# fields that hold a value their columns cannot, the first here is named.
+_FIELD_ORDER = ("modality", "role", "step", "layer", "token_index", "expert_id",
+                "gate_prob", "selected_rank")
 
 
 def _offsets(counts) -> np.ndarray:
@@ -199,27 +214,21 @@ class _Columns:
     roles: tuple[str, ...]
 
     @classmethod
-    def from_fields(cls, step, layer, token_index, modality: Sequence[str],
-                    counts: Sequence[int], expert_id, role: Sequence[str],
-                    gate_prob, selected_rank) -> "_Columns":
-        """Columns from per-record fields and slot counts, and per-slot
-        fields, each converted by :func:`_column`."""
-        modalities, modality = _column("modality", modality)
-        roles, role = _column("role", role)
-        return cls(step=_column("step", step), layer=_column("layer", layer),
-                   token_index=_column("token_index", token_index), modality=modality,
-                   expert_id=_column("expert_id", expert_id), role=role,
-                   gate_prob=_column("gate_prob", gate_prob),
-                   selected_rank=_column("selected_rank", selected_rank),
-                   offsets=_offsets(counts), modalities=modalities, roles=roles)
+    def from_fields(cls, counts: Sequence[int], **fields: Sequence) -> "_Columns":
+        """Columns from slot counts per record and the values of each field
+        of _FIELD_ORDER, one per record or per slot, each converted by
+        :func:`_column` in that order."""
+        columns = {field: _column(field, fields[field]) for field in _FIELD_ORDER}
+        (modalities, columns["modality"]), (roles, columns["role"]) = (
+            columns["modality"], columns["role"])
+        return cls(**columns, offsets=_offsets(counts), modalities=modalities, roles=roles)
 
     def __len__(self) -> int:
         return self.offsets.size - 1
 
     def k(self) -> np.ndarray:
         """Routable slots per record."""
-        routable = np.concatenate(([0], np.cumsum(self.selected_rank >= 0)))
-        return np.diff(routable[self.offsets])
+        return np.diff(np.searchsorted(np.flatnonzero(self.selected_rank >= 0), self.offsets))
 
     def key(self, r: int) -> tuple[int, int, int]:
         return (int(self.step[r]), int(self.layer[r]), int(self.token_index[r]))
@@ -250,23 +259,34 @@ class _Columns:
                                    **{f: getattr(self, f)[slots] for f in _SLOT_COLUMNS})
 
     @classmethod
-    def join(cls, parts: Sequence["_Columns"]) -> "_Columns":
-        """The records of every part, in order; vocabularies are merged."""
-        modalities, roles = (), ()
-        modality, role = [], []
+    def join(cls, parts: list["_Columns"]) -> "_Columns":
+        """The records of every part, in order; vocabularies are merged.
+
+        Empties ``parts`` and joins one field at a time, so that the arrays
+        of parts nothing else holds are freed field by field: the join then
+        needs the memory of its result and of one field, not of two results.
+        """
+        modalities, roles, maps = (), (), {"modality": [], "role": []}
         for c in parts:
             modalities, modality_map = _union(modalities, c.modalities)
             roles, role_map = _union(roles, c.roles)
-            modality.append(modality_map[c.modality])
-            role.append(role_map[c.role])
-        ends = np.cumsum([c.offsets[-1] for c in parts])
-        return cls(modality=np.concatenate(modality), role=np.concatenate(role),
-                   offsets=np.concatenate([parts[0].offsets[:1]] + [
-                       c.offsets[1:] + end - c.offsets[-1] for c, end in zip(parts, ends)]),
-                   modalities=modalities, roles=roles,
-                   **{f: np.concatenate([getattr(c, f) for c in parts])
-                      for f in (*_RECORD_COLUMNS, *_SLOT_COLUMNS)
-                      if f not in ("modality", "role")})
+            maps["modality"].append(modality_map)
+            maps["role"].append(role_map)
+        # Each part's slots start after the slots of the parts before it.
+        shifts = np.cumsum([0] + [c.offsets[-1] for c in parts[:-1]])
+        fields = {f: [getattr(c, f) for c in parts]
+                  for f in (*_RECORD_COLUMNS, *_SLOT_COLUMNS, "offsets")}
+        parts.clear()
+
+        def joined(field: str) -> np.ndarray:
+            arrays = fields.pop(field)
+            if field in maps:
+                arrays = [codes[a] for codes, a in zip(maps[field], arrays)]
+            elif field == "offsets":
+                arrays = [[0]] + [a[1:] + shift for a, shift in zip(arrays, shifts)]
+            return np.concatenate(arrays)
+
+        return cls(**{f: joined(f) for f in list(fields)}, modalities=modalities, roles=roles)
 
     @classmethod
     def of_routing(cls, step: int, layer: int, modality_tags: Sequence[str],
@@ -311,21 +331,22 @@ class _Columns:
                    gate_prob=gate, selected_rank=rank, offsets=offsets,
                    modalities=modalities, roles=_ROLES)
 
-    def checked(self, k: np.ndarray | None = None) -> "_Columns":
-        """Validated and sorted by key.
-
-        ``k``, if given, is a claimed routable-slot count per slot (a file's
-        ``k`` column) and must match the record's count.  Every record needs
-        one routable slot, and keys must be unique.
-        """
+    def k_error(self, k: np.ndarray) -> ValueError | None:
+        """The error naming the first slot whose claimed routable-slot count
+        ``k`` (a file's ``k`` column, one entry per slot) differs from its
+        record's count, or None if every one matches."""
         got = self.k()
-        if k is not None:
-            bad = np.flatnonzero(k != np.repeat(got, np.diff(self.offsets)))
-            if bad.size:
-                r = int(np.searchsorted(self.offsets, bad[0], side="right")) - 1
-                raise ValueError(f"k is {int(k[bad[0]])} but record {self.key(r)} "
-                                 f"has {int(got[r])} routable slots")
-        if (got < 1).any():
+        bad = np.flatnonzero(k != np.repeat(got, np.diff(self.offsets)))
+        if not bad.size:
+            return None
+        r = int(np.searchsorted(self.offsets, bad[0], side="right")) - 1
+        return ValueError(f"k is {int(k[bad[0]])} but record {self.key(r)} "
+                          f"has {int(got[r])} routable slots")
+
+    def checked(self) -> "_Columns":
+        """Validated and sorted by key: every record needs one routable
+        slot, and keys must be unique."""
+        if (self.k() < 1).any():
             raise ValueError("a record needs at least one routable slot")
         keys = (self.step, self.layer, self.token_index)
         order = np.lexsort(keys[::-1])
@@ -351,7 +372,7 @@ class _Columns:
 
 
 def _read_only_empty() -> _Columns:
-    columns = _Columns.from_fields([], [], [], [], [], [], [], [], [])
+    columns = _Columns.from_fields([], **{field: [] for field in _FIELD_ORDER})
     for field in (*_RECORD_COLUMNS, *_SLOT_COLUMNS, "offsets"):
         getattr(columns, field).flags.writeable = False
     return columns
@@ -365,15 +386,17 @@ _EMPTY = _read_only_empty()
 def _record_columns(recs: Sequence[TraceRecord]) -> _Columns:
     try:
         slots = [s for r in recs for s in r.slots]
-        fields = ([s.expert_id for s in slots], [s.role for s in slots],
-                  [s.gate_prob for s in slots], [s.selected_rank for s in slots])
+        fields = dict(expert_id=[s.expert_id for s in slots], role=[s.role for s in slots],
+                      gate_prob=[s.gate_prob for s in slots],
+                      selected_rank=[s.selected_rank for s in slots])
     except (TypeError, AttributeError):  # slots that are no SlotEntry sequence
         raise _slots_error(next(
             r.slots for r in recs if not isinstance(r.slots, (tuple, list))
             or not all(isinstance(s, SlotEntry) for s in r.slots))) from None
     return _Columns.from_fields(
-        [r.step for r in recs], [r.layer for r in recs], [r.token_index for r in recs],
-        [r.modality for r in recs], [len(r.slots) for r in recs], *fields)
+        [len(r.slots) for r in recs], step=[r.step for r in recs],
+        layer=[r.layer for r in recs], token_index=[r.token_index for r in recs],
+        modality=[r.modality for r in recs], **fields)
 
 
 class RoutingTrace:
@@ -584,6 +607,12 @@ def layer_modalities(trace: RoutingTrace, layer: int) -> list[str]:
 # serialization
 # ---------------------------------------------------------------------------
 
+# About how many characters of a trace file an import parses, and an export
+# writes, at a time: a block of whole records, so that neither holds the
+# whole file.
+_BLOCK_CHARS = 1 << 18
+
+
 _JSON_STEP = '{{"step": {}, '
 _JSON_HEAD = '"layer": {}, "token_index": {}, "modality": {}, "k": {}, "slots": ['
 _JSON_SLOT = '{{"expert_id": {}, "role": {}, "gate_prob": '
@@ -627,8 +656,7 @@ def _check_csv_fields(field: str, values: Iterable[str]) -> None:
 
 
 def _csv_text(c: _Columns) -> str:
-    _check_csv_fields("modality", c.modalities)
-    _check_csv_fields("role", c.roles)
+    """The CSV rows of every record, without the header."""
     counts = np.diff(c.offsets)
     k = np.repeat(c.k(), counts)
     # A record's head is its step's piece and the piece of the rest of its
@@ -636,7 +664,7 @@ def _csv_text(c: _Columns) -> str:
     heads = (_format_each("{},".format, c.step)
              + _format_each(lambda layer, token, m: f"{layer},{token},{c.modalities[m]},",
                             c.layer, c.token_index, c.modality))
-    return ",".join(CSV_COLUMNS) + "\n" + _joined(
+    return _joined(
         np.repeat(heads, counts),
         _format_each(lambda e, r: f"{e},{c.roles[r]},", c.expert_id, c.role),
         _format_each(repr, c.gate_prob),
@@ -673,15 +701,26 @@ def export_trace(trace: RoutingTrace, path, fmt: str = "csv") -> None:
     order) and floats are written with ``repr``, so export -> import -> export
     reproduces the file byte for byte.  CSV fields are not quoted, so a CSV
     export raises ``ValueError`` if a modality or role holds ',', '\\n' or
-    '\\r'; JSONL holds any string.
+    '\\r', before the file is opened; JSONL holds any string.  The text is
+    made and written one block of whole records at a time.
     """
-    if fmt == "csv":
-        text = _csv_text(trace._store())
-    elif fmt == "jsonl":
-        text = _jsonl_text(trace._store())
-    else:
+    if fmt not in ("csv", "jsonl"):
         raise ValueError("format must be 'csv' or 'jsonl'")
-    Path(path).write_text(text, encoding="utf-8")
+    c = trace._store()
+    if fmt == "csv":
+        _check_csv_fields("modality", c.modalities)
+        _check_csv_fields("role", c.roles)
+        head, text_of = ",".join(CSV_COLUMNS) + "\n", _csv_text
+    else:
+        head, text_of = "", _jsonl_text
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(head)
+        start, chars = 0, 0
+        while start < len(c):
+            # as many records as the ones written so far took for _BLOCK_CHARS
+            size = max(1, start * _BLOCK_CHARS // chars) if chars else 1
+            chars += file.write(text_of(c.take(np.arange(start, min(start + size, len(c))))))
+            start += size
 
 
 # The low bytes that pad a word holding r bytes of a span (r = 0..8) with 0xFF.
@@ -735,10 +774,11 @@ def _csv_parses(texts: Sequence[str], dtype) -> bool:
 
 
 def _csv_number_error(raw: np.ndarray, bounds: np.ndarray,
-                      numeric: Sequence[tuple[int, str]]) -> ValueError | None:
+                      numeric: Sequence[tuple[int, str]], line: int) -> ValueError | None:
     """A ValueError naming the file line and field of the first numeric
     field that :func:`_loadtxt` cannot read as an int64 integer (a float64
-    number for ``gate_prob``), or None if it reads every one."""
+    number for ``gate_prob``), or None if it reads every one; row 0 is at
+    file line ``line``."""
     bad = []
     for j, field in numeric:
         texts, code = _text_column(raw, bounds[:, j] + 1, bounds[:, j + 1])
@@ -752,23 +792,56 @@ def _csv_number_error(raw: np.ndarray, bounds: np.ndarray,
         return None
     row, _, field, text = min(bad)
     kind = "a float64 number" if field == "gate_prob" else "an int64 integer"
-    # Line 1 of the file is the header.
-    return ValueError(f"line {row + 2}: {field} must be {kind}, got {text!r}")
+    return ValueError(f"line {row + line}: {field} must be {kind}, got {text!r}")
 
 
-def _read_csv(text: str) -> _Columns:
-    """Parse CSV rows straight into typed columns.
+class _Reading:
+    """The records an import has read so far, and the fault it will name.
+
+    A fault has a rank, a tuple.  Of a file's faults the import names the
+    one of the lowest rank, and of equal ranks the first in the file, just
+    as if it parsed the file in one piece.  Records are kept only while no
+    fault is found, but the file is read to its end: a later fault may rank
+    lower, and bytes that do not decode fail the import wherever they are.
+    """
+
+    def __init__(self):
+        self.parts: list[_Columns] = []
+        self.fault: tuple[tuple, Exception] | None = None
+
+    def needs(self, rank: tuple) -> bool:
+        """Whether a fault of the rank, found now, would be the one named."""
+        return self.fault is None or rank < self.fault[0]
+
+    def refuse(self, rank: tuple, error: Exception) -> None:
+        if self.needs(rank):
+            self.fault = (rank, error)
+
+    def keep(self, part: _Columns) -> None:
+        if self.fault is None:
+            self.parts.append(part)
+
+    def columns(self) -> _Columns:
+        """The records read, checked and sorted by key, or the fault raised."""
+        if self.fault is not None:
+            raise self.fault[1]
+        return _Columns.join(self.parts).checked() if self.parts else _EMPTY
+
+
+def _csv_block(body: str, line: int, last: bool, reading: _Reading) -> str:
+    """Parse the CSV rows ``body``, each ended by a newline, the first at
+    file line ``line``, into typed columns and hand them to ``reading``.
 
     A record is a run of rows with one key and one modality.  A key that
-    comes back after another key is a duplicate.
+    comes back after another key is a duplicate.  Unless the block ends the
+    file, its last record may go on in the next block: its rows are held
+    back and returned, to be parsed with the next block.  Of the faults, a
+    malformed row ranks first, then a number that does not parse, then a
+    modality that differs from its record's, then a ``k`` that differs
+    from the record's count of routable slots.
     """
-    head, _, body = text.partition("\n")
-    if head != ",".join(CSV_COLUMNS):
-        raise ValueError("missing or malformed CSV header")
-    if not body:
-        return _EMPTY
-    if not body.endswith("\n"):
-        body += "\n"
+    if not reading.needs((0,)):
+        return ""
     # 8 bytes past the last line for the words of _text_column
     raw = np.frombuffer(body.encode("utf-8") + bytes(8), dtype=np.uint8)
     seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
@@ -780,8 +853,9 @@ def _read_csv(text: str) -> _Columns:
             or newline.sum() != seps.size // width:
         commas, newlines = seps[~newline], seps[newline]
         per_line = np.diff(np.searchsorted(commas, newlines), prepend=0)
-        line = body.split("\n")[np.flatnonzero(per_line != width - 1)[0]]
-        raise ValueError(f"malformed CSV row: {line!r}")
+        row = body.split("\n")[np.flatnonzero(per_line != width - 1)[0]]
+        reading.refuse((0,), ValueError(f"malformed CSV row: {row!r}"))
+        return ""
     seps = seps.reshape(-1, width)  # a row's commas, then its newline
     text_fields = ("modality", "role")
     numeric = [(j, name) for j, name in enumerate(CSV_COLUMNS) if name not in text_fields]
@@ -789,33 +863,56 @@ def _read_csv(text: str) -> _Columns:
         rows = _loadtxt(io.StringIO(body), usecols=[j for j, _ in numeric],
                         dtype=[(name, np.float64 if name == "gate_prob" else np.int64)
                                for _, name in numeric])
-    except (ValueError, DeprecationWarning):
+    except (ValueError, DeprecationWarning) as exc:
         # Field j of row i lies between bounds[i, j] and bounds[i, j + 1].
         bounds = np.column_stack((np.append(-1, seps[:-1, -1]), seps))
-        error = _csv_number_error(raw, bounds, numeric)
-        if error is None:
-            raise
-        raise error from None
+        reading.refuse((1,), _csv_number_error(raw, bounds, numeric, line) or exc)
+        return ""
     step, layer, token = rows["step"], rows["layer"], rows["token_index"]
     new = np.ones(step.size, dtype=bool)
     new[1:] = (step[1:] != step[:-1]) | (layer[1:] != layer[:-1]) | (token[1:] != token[:-1])
     starts = np.flatnonzero(new)
-    counts = np.diff(np.append(starts, step.size))
+    n = step.size if last else int(starts[-1])  # the rows read now
+    held = raw[seps[n - 1, -1] + 1 if n else 0:-8].tobytes().decode("utf-8")
+    starts = starts[starts < n]
+    counts = np.diff(np.append(starts, n))
     m, r = (CSV_COLUMNS.index(name) for name in text_fields)
-    modalities, modality = _text_column(raw, seps[:, m - 1] + 1, seps[:, m])
-    roles, role = _text_column(raw, seps[:, r - 1] + 1, seps[:, r])
+    modalities, modality = _text_column(raw, seps[:n, m - 1] + 1, seps[:n, m])
     own = np.repeat(modality[starts], counts)  # each row's record's modality
     differs = np.flatnonzero(modality != own)
     if differs.size:
-        i = int(differs[0])  # line i + 2 of the file, after the header
-        raise ValueError(f"line {i + 2}: modality {modalities[modality[i]]!r} differs "
-                         f"from its record's {modalities[own[i]]!r}")
+        i = int(differs[0])
+        reading.refuse((2,), ValueError(f"line {line + i}: modality "
+                                        f"{modalities[modality[i]]!r} differs from its "
+                                        f"record's {modalities[own[i]]!r}"))
+    roles, role = _text_column(raw, seps[:n, r - 1] + 1, seps[:n, r])
     # Contiguous copies of the fields, so that the parsed rows are freed.
-    return _Columns(step=step[starts], layer=layer[starts], token_index=token[starts],
-                    modality=modality[starts], expert_id=rows["expert_id"].copy(),
-                    role=role, gate_prob=rows["gate_prob"].copy(),
-                    selected_rank=rows["selected_rank"].copy(), offsets=_offsets(counts),
-                    modalities=modalities, roles=roles).checked(rows["k"])
+    columns = _Columns(step=step[starts], layer=layer[starts], token_index=token[starts],
+                       modality=modality[starts], expert_id=rows["expert_id"][:n].copy(),
+                       role=role, gate_prob=rows["gate_prob"][:n].copy(),
+                       selected_rank=rows["selected_rank"][:n].copy(),
+                       offsets=_offsets(counts), modalities=modalities, roles=roles)
+    error = columns.k_error(rows["k"][:n])
+    if error is not None:
+        reading.refuse((3,), error)
+    reading.keep(columns)
+    return held
+
+
+def _read_csv(file) -> _Columns:
+    """The columns of a CSV trace, parsed one block of rows at a time."""
+    if file.readline().removesuffix("\n") != ",".join(CSV_COLUMNS):
+        raise ValueError("missing or malformed CSV header")
+    reading, held, line = _Reading(), "", 2  # line 1 of the file is the header
+    while True:
+        more = file.read(_BLOCK_CHARS) + file.readline()
+        body = held + more
+        if not body:
+            return reading.columns()
+        if not body.endswith("\n"):  # the file's last line
+            body += "\n"
+        held = _csv_block(body, line, not more, reading)
+        line += body.count("\n") - held.count("\n")
 
 
 def _slots_error(slots) -> ValueError:
@@ -823,17 +920,17 @@ def _slots_error(slots) -> ValueError:
                       f"got {json.dumps(slots, default=repr)}")
 
 
-def _read_jsonl(text: str) -> _Columns:
-    """Parse JSONL records line by line, keeping only their field values;
-    :func:`import_trace` says what is rejected."""
-    step, layer, token, modality, counts, k = [], [], [], [], [], []
-    expert_id, role, gate_prob, rank = [], [], [], []
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
+def _jsonl_fields(lines: list[str], line: int) -> tuple[list, dict[str, list], list]:
+    """Each record's count of slots, the values of each field of
+    _FIELD_ORDER, and each record's ``k``, of JSONL records the first of
+    which is at file line ``line``; :func:`import_trace` says what is
+    rejected."""
+    counts, fields, k = [], {field: [] for field in _FIELD_ORDER}, []
+    step, layer, token, modality = (fields[f] for f in _RECORD_COLUMNS)
+    expert_id, role, gate_prob, rank = (fields[f] for f in _SLOT_COLUMNS)
     try:
-        for n, line in enumerate(lines, 1):
-            d = json.loads(line)
+        for n, text in enumerate(lines, line):
+            d = json.loads(text)
             if type(d) is not dict:
                 raise ValueError(f"record must be a JSON object, got {json.dumps(d)}")
             step.append(d["step"])
@@ -860,9 +957,56 @@ def _read_jsonl(text: str) -> _Columns:
         raise ValueError(f"line {n}: a JSONL {owner} lacks the field {field!r}") from None
     except TypeError:  # a slots item that is no object fails its subscript
         raise ValueError(f"line {n}: {_slots_error(slots)}") from None
-    columns = _Columns.from_fields(step, layer, token, modality, counts, expert_id, role,
-                                   gate_prob, rank)
-    return columns.checked(np.repeat(_column("k", k), counts))
+    return counts, fields, k
+
+
+def _conversion_fault(fields: dict[str, Sequence]) -> tuple[int, bool]:
+    """The place in ``fields`` of the first field that holds a value its
+    column cannot, and whether all such values are integers beyond it:
+    :func:`_column` names a value of another kind before those."""
+    for i, (field, values) in enumerate(fields.items()):
+        try:
+            _column(field, values)
+        except ValueError:
+            return i, not _misfits(field, values)
+    raise AssertionError("every field converts")
+
+
+def _jsonl_block(lines: list[str], line: int, reading: _Reading) -> None:
+    """Parse JSONL records, the first at file line ``line``, into typed
+    columns and hand them to ``reading``.  Of the faults, a line that
+    cannot be read ranks first, then a field value that its column cannot
+    hold (the first field in _FIELD_ORDER, then ``k``), then a ``k`` that
+    differs from the record's count of routable slots."""
+    if not reading.needs((0,)):
+        return
+    try:
+        counts, fields, k = _jsonl_fields(lines, line)
+    except ValueError as exc:
+        reading.refuse((0,), exc)
+        return
+    try:
+        columns = _Columns.from_fields(counts, **fields)
+        claimed = np.repeat(_column("k", k), counts)
+    except ValueError as exc:
+        reading.refuse((1, *_conversion_fault({**fields, "k": k})), exc)
+        return
+    error = columns.k_error(claimed)
+    if error is not None:
+        reading.refuse((2,), error)
+    reading.keep(columns)
+
+
+def _read_jsonl(file) -> _Columns:
+    """The columns of a JSONL trace, parsed one block of lines at a time."""
+    reading, line = _Reading(), 1
+    while text := file.read(_BLOCK_CHARS) + file.readline():
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()
+        _jsonl_block(lines, line, reading)
+        line += len(lines)
+    return reading.columns()
 
 
 def import_trace(path) -> RoutingTrace:
@@ -876,11 +1020,14 @@ def import_trace(path) -> RoutingTrace:
     CSV number that does not parse is named with its field and its line of
     the file.  A JSONL line that is no JSON object (a blank line included),
     lacks a field or whose ``slots`` is no array of objects is named by its
-    line of the file.
+    line of the file.  The file is read with universal newlines, one block
+    of whole records at a time; a file with several faults is refused for
+    the same one whatever the blocks.
     """
     path = Path(path)
     read = _read_jsonl if path.suffix == ".jsonl" else _read_csv
-    return RoutingTrace._of(read(path.read_text(encoding="utf-8")))
+    with open(path, encoding="utf-8") as file:
+        return RoutingTrace._of(read(file))
 
 
 def export_report(reports: Iterable[ActivationReport], path) -> None:

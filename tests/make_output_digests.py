@@ -12,8 +12,9 @@ Each entry is the digest of one file the CLI writes:
 * ``loss.csv`` and ``trace.csv`` of ``train --seed s --steps 500`` for
   seeds 1-3, and seed 1's trace after a JSONL export, import and export.
 
-The file also records the environment it was made in (Python, NumPy,
-BLAS), because float bits may depend on it.
+The file also records the environment it was made in (Python, NumPy, the
+BLAS build and the OpenBLAS core that ``DYNAMIC_ARCH`` picked for this CPU),
+because float bits may depend on it.
 ``tests/test_output_digests.py`` recomputes the digests and compares; a
 change that moves an output on purpose reruns this script and says which
 digests moved and why.
@@ -22,6 +23,7 @@ digests moved and why.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import io
@@ -45,11 +47,27 @@ TRAIN_SEEDS = (1, 2, 3)
 TRAIN_STEPS = 500
 
 
-def environment() -> dict[str, str]:
-    """The versions the digests depend on."""
+def blas_core() -> str | None:
+    """The core (kernel set) that NumPy's bundled OpenBLAS picked for this
+    CPU at load time, such as ``SkylakeX`` or ``Haswell``, or None where
+    NumPy bundles no OpenBLAS that names it."""
+    package = Path(np.__file__).resolve().parent
+    for lib in sorted([*package.parent.glob("numpy.libs/*openblas*"),
+                       *package.glob(".dylibs/*openblas*")]):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def environment() -> dict[str, str | None]:
+    """The versions and the BLAS core the digests depend on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}"}
+            "blas": f"{blas.get('name')} {blas.get('version')}", "blas_core": blas_core()}
 
 
 def gradcheck_runs() -> dict[str, tuple[hn.ToyModelConfig | None, float | None]]:
