@@ -18,7 +18,10 @@ Traces round-trip losslessly through CSV (fixed column set, floats via
 ``repr``) and JSONL (one record per line).  Import and export hold one
 block of whole records (about 256 Ki characters of the file) plus the
 result columns, never the whole file, so their memory grows with the
-trace's columns and not with its text.
+trace's columns and not with its text.  Both formats are imported by one
+block loop that reads to the end of the file and names the fault of the
+lowest rank, whatever the blocks; a byte that is not UTF-8 is named by its
+offset in the file.
 
 The trace is stored as columns: NumPy arrays with one entry per record
 (step, layer, token_index, modality code), arrays with one entry per slot
@@ -795,42 +798,14 @@ def _csv_number_error(raw: np.ndarray, bounds: np.ndarray,
     return ValueError(f"line {row + line}: {field} must be {kind}, got {text!r}")
 
 
-class _Reading:
-    """The records an import has read so far, and the fault it will name.
-
-    A fault has a rank, a tuple.  Of a file's faults the import names the
-    one of the lowest rank, and of equal ranks the first in the file, just
-    as if it parsed the file in one piece.  Records are kept only while no
-    fault is found, but the file is read to its end: a later fault may rank
-    lower, and bytes that do not decode fail the import wherever they are.
-    """
-
-    def __init__(self):
-        self.parts: list[_Columns] = []
-        self.fault: tuple[tuple, Exception] | None = None
-
-    def needs(self, rank: tuple) -> bool:
-        """Whether a fault of the rank, found now, would be the one named."""
-        return self.fault is None or rank < self.fault[0]
-
-    def refuse(self, rank: tuple, error: Exception) -> None:
-        if self.needs(rank):
-            self.fault = (rank, error)
-
-    def keep(self, part: _Columns) -> None:
-        if self.fault is None:
-            self.parts.append(part)
-
-    def columns(self) -> _Columns:
-        """The records read, checked and sorted by key, or the fault raised."""
-        if self.fault is not None:
-            raise self.fault[1]
-        return _Columns.join(self.parts).checked() if self.parts else _EMPTY
+# A parsed block: its columns (None if a fault stops the parse), its faults
+# as (rank, error) pairs, and the text held back for the next block.
+_Parsed = tuple[_Columns | None, list[tuple[tuple, Exception]], str]
 
 
-def _csv_block(body: str, line: int, last: bool, reading: _Reading) -> str:
+def _csv_block(body: str, line: int, last: bool) -> _Parsed:
     """Parse the CSV rows ``body``, each ended by a newline, the first at
-    file line ``line``, into typed columns and hand them to ``reading``.
+    file line ``line``, into typed columns.
 
     A record is a run of rows with one key and one modality.  A key that
     comes back after another key is a duplicate.  Unless the block ends the
@@ -840,8 +815,6 @@ def _csv_block(body: str, line: int, last: bool, reading: _Reading) -> str:
     modality that differs from its record's, then a ``k`` that differs
     from the record's count of routable slots.
     """
-    if not reading.needs((0,)):
-        return ""
     # 8 bytes past the last line for the words of _text_column
     raw = np.frombuffer(body.encode("utf-8") + bytes(8), dtype=np.uint8)
     seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
@@ -854,8 +827,7 @@ def _csv_block(body: str, line: int, last: bool, reading: _Reading) -> str:
         commas, newlines = seps[~newline], seps[newline]
         per_line = np.diff(np.searchsorted(commas, newlines), prepend=0)
         row = body.split("\n")[np.flatnonzero(per_line != width - 1)[0]]
-        reading.refuse((0,), ValueError(f"malformed CSV row: {row!r}"))
-        return ""
+        return None, [((0,), ValueError(f"malformed CSV row: {row!r}"))], ""
     seps = seps.reshape(-1, width)  # a row's commas, then its newline
     text_fields = ("modality", "role")
     numeric = [(j, name) for j, name in enumerate(CSV_COLUMNS) if name not in text_fields]
@@ -866,8 +838,7 @@ def _csv_block(body: str, line: int, last: bool, reading: _Reading) -> str:
     except (ValueError, DeprecationWarning) as exc:
         # Field j of row i lies between bounds[i, j] and bounds[i, j + 1].
         bounds = np.column_stack((np.append(-1, seps[:-1, -1]), seps))
-        reading.refuse((1,), _csv_number_error(raw, bounds, numeric, line) or exc)
-        return ""
+        return None, [((1,), _csv_number_error(raw, bounds, numeric, line) or exc)], ""
     step, layer, token = rows["step"], rows["layer"], rows["token_index"]
     new = np.ones(step.size, dtype=bool)
     new[1:] = (step[1:] != step[:-1]) | (layer[1:] != layer[:-1]) | (token[1:] != token[:-1])
@@ -879,12 +850,13 @@ def _csv_block(body: str, line: int, last: bool, reading: _Reading) -> str:
     m, r = (CSV_COLUMNS.index(name) for name in text_fields)
     modalities, modality = _text_column(raw, seps[:n, m - 1] + 1, seps[:n, m])
     own = np.repeat(modality[starts], counts)  # each row's record's modality
+    faults = []
     differs = np.flatnonzero(modality != own)
     if differs.size:
         i = int(differs[0])
-        reading.refuse((2,), ValueError(f"line {line + i}: modality "
+        faults.append(((2,), ValueError(f"line {line + i}: modality "
                                         f"{modalities[modality[i]]!r} differs from its "
-                                        f"record's {modalities[own[i]]!r}"))
+                                        f"record's {modalities[own[i]]!r}")))
     roles, role = _text_column(raw, seps[:n, r - 1] + 1, seps[:n, r])
     # Contiguous copies of the fields, so that the parsed rows are freed.
     columns = _Columns(step=step[starts], layer=layer[starts], token_index=token[starts],
@@ -894,25 +866,8 @@ def _csv_block(body: str, line: int, last: bool, reading: _Reading) -> str:
                        offsets=_offsets(counts), modalities=modalities, roles=roles)
     error = columns.k_error(rows["k"][:n])
     if error is not None:
-        reading.refuse((3,), error)
-    reading.keep(columns)
-    return held
-
-
-def _read_csv(file) -> _Columns:
-    """The columns of a CSV trace, parsed one block of rows at a time."""
-    if file.readline().removesuffix("\n") != ",".join(CSV_COLUMNS):
-        raise ValueError("missing or malformed CSV header")
-    reading, held, line = _Reading(), "", 2  # line 1 of the file is the header
-    while True:
-        more = file.read(_BLOCK_CHARS) + file.readline()
-        body = held + more
-        if not body:
-            return reading.columns()
-        if not body.endswith("\n"):  # the file's last line
-            body += "\n"
-        held = _csv_block(body, line, not more, reading)
-        line += body.count("\n") - held.count("\n")
+        faults.append(((3,), error))
+    return columns, faults, held
 
 
 def _slots_error(slots) -> ValueError:
@@ -972,41 +927,69 @@ def _conversion_fault(fields: dict[str, Sequence]) -> tuple[int, bool]:
     raise AssertionError("every field converts")
 
 
-def _jsonl_block(lines: list[str], line: int, reading: _Reading) -> None:
-    """Parse JSONL records, the first at file line ``line``, into typed
-    columns and hand them to ``reading``.  Of the faults, a line that
-    cannot be read ranks first, then a field value that its column cannot
-    hold (the first field in _FIELD_ORDER, then ``k``), then a ``k`` that
-    differs from the record's count of routable slots."""
-    if not reading.needs((0,)):
-        return
+def _jsonl_block(body: str, line: int, last: bool) -> _Parsed:
+    """Parse the JSONL records ``body``, each ended by a newline, the first
+    at file line ``line``, into typed columns; none is held back.  Of the
+    faults, a line that cannot be read ranks first, then a field value
+    that its column cannot hold (the first field in _FIELD_ORDER, then
+    ``k``), then a ``k`` that differs from the record's count of routable
+    slots."""
     try:
-        counts, fields, k = _jsonl_fields(lines, line)
+        counts, fields, k = _jsonl_fields(body.split("\n")[:-1], line)
     except ValueError as exc:
-        reading.refuse((0,), exc)
-        return
+        return None, [((0,), exc)], ""
     try:
         columns = _Columns.from_fields(counts, **fields)
         claimed = np.repeat(_column("k", k), counts)
     except ValueError as exc:
-        reading.refuse((1, *_conversion_fault({**fields, "k": k})), exc)
-        return
+        return None, [((1, *_conversion_fault({**fields, "k": k})), exc)], ""
     error = columns.k_error(claimed)
-    if error is not None:
-        reading.refuse((2,), error)
-    reading.keep(columns)
+    return columns, [] if error is None else [((2,), error)], ""
 
 
-def _read_jsonl(file) -> _Columns:
-    """The columns of a JSONL trace, parsed one block of lines at a time."""
-    reading, line = _Reading(), 1
-    while text := file.read(_BLOCK_CHARS) + file.readline():
-        lines = text.split("\n")
-        if not lines[-1]:
-            lines.pop()
-        _jsonl_block(lines, line, reading)
-        line += len(lines)
-    return reading.columns()
+def _read(file, parse: Callable[[str, int, bool], _Parsed], first_line: int) -> _Columns:
+    """The columns of the rest of ``file``, parsed by ``parse`` one block of
+    whole lines at a time, the first at file line ``first_line``.
+
+    Of a file's faults the import names the one of the lowest rank, and of
+    equal ranks the first in the file, just as if it parsed the file in one
+    piece.  Records are kept only while no fault is found, but the file is
+    read to its end: a later fault may rank lower, and bytes that do not
+    decode fail the import wherever they are.
+    """
+    parts, fault, held, line = [], None, "", first_line
+    while True:
+        more = file.read(_BLOCK_CHARS) + file.readline()
+        body = held + more
+        if not body:
+            break
+        if not body.endswith("\n"):  # the file's last line
+            body += "\n"
+        columns, faults, held = parse(body, line, not more)
+        for rank, error in faults:
+            if fault is None or rank < fault[0]:
+                fault = rank, error
+        if fault is None:
+            parts.append(columns)
+        line += body.count("\n") - held.count("\n")
+    if fault is not None:
+        raise fault[1]
+    return _Columns.join(parts).checked() if parts else _EMPTY
+
+
+def _undecodable(path: Path) -> ValueError:
+    """A ValueError naming, by its offset in the file, the file's first byte
+    that is not UTF-8.  No UTF-8 sequence holds a ``b"\\n"``, so the file
+    is decoded one line at a time, as it decodes whole."""
+    with open(path, "rb") as file:
+        at = 0
+        for line in file:
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ValueError(f"byte {at + exc.start} is not UTF-8 ({exc.reason})")
+            at += len(line)
+    raise AssertionError("every line decodes")
 
 
 def import_trace(path) -> RoutingTrace:
@@ -1022,12 +1005,19 @@ def import_trace(path) -> RoutingTrace:
     lacks a field or whose ``slots`` is no array of objects is named by its
     line of the file.  The file is read with universal newlines, one block
     of whole records at a time; a file with several faults is refused for
-    the same one whatever the blocks.
+    the same one whatever the blocks.  A byte that is not UTF-8 fails the
+    import wherever it is, named by its offset from the file's first byte.
     """
     path = Path(path)
-    read = _read_jsonl if path.suffix == ".jsonl" else _read_csv
-    with open(path, encoding="utf-8") as file:
-        return RoutingTrace._of(read(file))
+    try:
+        with open(path, encoding="utf-8") as file:
+            if path.suffix == ".jsonl":
+                return RoutingTrace._of(_read(file, _jsonl_block, 1))
+            if file.readline().removesuffix("\n") != ",".join(CSV_COLUMNS):
+                raise ValueError("missing or malformed CSV header")
+            return RoutingTrace._of(_read(file, _csv_block, 2))
+    except UnicodeDecodeError:
+        raise _undecodable(path) from None
 
 
 def export_report(reports: Iterable[ActivationReport], path) -> None:

@@ -4,7 +4,10 @@ Every token carries a position triple ``(t, h, w)``.  A segment
 (:class:`TextSegment`, :class:`AudioSegment`, :class:`ImageSegment`,
 :class:`VideoSegment`) is the one description of a modality's positions:
 its fields are checked once, when it is built, and its
-``positions(start, theta)`` emits its IDs from the origin ``start``.
+``positions(start, theta)`` emits its IDs from the origin ``start``.  A
+segment's ``n_positions`` is the count of IDs it emits, worked out without
+making any; a segment of more than :data:`MAX_POSITIONS` is refused when
+built.
 
 Text advances all three components together, so a text-only sequence is
 indistinguishable from ordinary 1D RoPE.  Audio advances only along
@@ -40,6 +43,7 @@ from . import autodiff as ad
 __all__ = [
     "AUDIO_TOKENS_PER_UNIT",
     "AUDIO_UNIT_SECONDS",
+    "MAX_POSITIONS",
     "PositionId",
     "TextSegment",
     "AudioSegment",
@@ -54,6 +58,7 @@ __all__ = [
 
 AUDIO_TOKENS_PER_UNIT = 20   # one minimum temporal unit of audio
 AUDIO_UNIT_SECONDS = 3.0     # spans three seconds of signal
+MAX_POSITIONS = 1 << 20      # the most position IDs one segment may emit
 
 
 class PositionId(NamedTuple):
@@ -73,6 +78,13 @@ def _check_origin(start, theta) -> tuple[int, int]:
     return int(start), int(theta)
 
 
+def _check_count(segment) -> None:
+    """Refuse a segment whose ``n_positions`` exceeds :data:`MAX_POSITIONS`."""
+    if segment.n_positions > MAX_POSITIONS:
+        raise ValueError(f"{segment.modality} segment would emit {segment.n_positions} "
+                         f"position IDs, more than MAX_POSITIONS = {MAX_POSITIONS}")
+
+
 def _frame(t: int, start: int, rows: int, cols: int, patch: int) -> list[PositionId]:
     """IDs (t, start+row, start+col) of one frame: row-major cells, stably
     sorted by their patch ``(row // patch, col // patch)``."""
@@ -90,6 +102,11 @@ class TextSegment:
 
     def __post_init__(self):
         ad.check_int(self.n_tokens, "n_tokens", 1)
+        _check_count(self)
+
+    @property
+    def n_positions(self) -> int:
+        return self.n_tokens
 
     def positions(self, start: int, theta: int) -> list[PositionId]:
         start, _ = _check_origin(start, theta)
@@ -110,10 +127,15 @@ class AudioSegment:
 
     def __post_init__(self):
         ad.check_real(self.duration_s, "duration_s", 0.0)
+        _check_count(self)
 
     @property
     def _units(self) -> int:
         return int(math.ceil(self.duration_s / AUDIO_UNIT_SECONDS))
+
+    @property
+    def n_positions(self) -> int:
+        return self._units * AUDIO_TOKENS_PER_UNIT
 
     @property
     def real_token_count(self) -> int:
@@ -123,7 +145,7 @@ class AudioSegment:
     @property
     def pad_mask(self) -> np.ndarray:
         """Boolean mask over the emitted tokens; True marks real (non-pad) slots."""
-        mask = np.zeros(self._units * AUDIO_TOKENS_PER_UNIT, dtype=bool)
+        mask = np.zeros(self.n_positions, dtype=bool)
         mask[:self.real_token_count] = True
         return mask
 
@@ -149,6 +171,11 @@ class ImageSegment:
     def __post_init__(self):
         for name in ("rows", "cols", "patch"):
             ad.check_int(getattr(self, name), name, 1)
+        _check_count(self)
+
+    @property
+    def n_positions(self) -> int:
+        return int(self.rows) * int(self.cols)  # no int64 product to wrap
 
     def positions(self, start: int, theta: int) -> list[PositionId]:
         start, _ = _check_origin(start, theta)
@@ -179,6 +206,11 @@ class VideoSegment:
         for name in ("rows", "cols", "patch", "f_l"):
             ad.check_int(getattr(self, name), name, 1)
         ad.check_int(self.f_u, "f_u", self.f_l)
+        _check_count(self)
+
+    @property
+    def n_positions(self) -> int:
+        return int(self.frame_count) * int(self.rows) * int(self.cols)
 
     @property
     def frame_count(self) -> int:

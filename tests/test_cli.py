@@ -218,6 +218,28 @@ def test_a_video_frame_time_that_overflows_exits_1_naming_duration_and_theta(
     assert not captured.out and not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["rope-dump", "train", "gradcheck"])
+def test_a_segment_of_too_many_position_ids_exits_1_before_making_any(
+        tiny_config_file, tmp_path, capsys, command):
+    """A finite audio clip of 1e12 s would emit about 6.7e12 IDs: it is
+    refused when its spec is read, with one error line."""
+    segments = [{"kind": "audio", "duration_s": 1e12}]
+    if command == "rope-dump":
+        spec = {"segments": segments}
+    else:
+        spec = {**json.loads(tiny_config_file.read_text()), "segments": segments}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = {"rope-dump": ["rope-dump", "--segments", str(path)],
+            "train": ["train", "--config", str(path), "--out", str(tmp_path / "run")],
+            "gradcheck": ["gradcheck", "--config", str(path)]}[command]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: audio segment would emit 6666666666680 position IDs, "
+                            "more than MAX_POSITIONS = 1048576\n")
+    assert not captured.out and not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["gradcheck", "train"])
 @pytest.mark.parametrize("block", ["moe", "segments"])
 def test_config_that_lacks_a_block_exits_1_naming_it(tiny_config_file, tmp_path, capsys,

@@ -10,8 +10,11 @@ or skipping silently.
 """
 
 import json
+import re
 
 import make_output_digests as mk
+
+WORKFLOW = mk.DIGESTS.parent.parent / ".github" / "workflows" / "tier1.yml"
 
 
 def committed() -> dict:
@@ -24,6 +27,18 @@ def test_made_in_this_environment():
     diff = {key: (made.get(key), here.get(key)) for key in made.keys() | here.keys()
             if made.get(key) != here.get(key)}
     assert not diff, f"digests were made in another environment (made, here): {diff}"
+
+
+def test_the_ci_workflow_installs_the_environment_the_digests_record():
+    """CI pins the Python and NumPy versions that the digests were made
+    with; the workflow is read with regexes, since CI installs no YAML
+    parser.  Digests made again under other versions fail here by name
+    until the workflow follows them."""
+    made = committed()["env"]
+    text = WORKFLOW.read_text(encoding="utf-8")
+    pinned = {"python": re.findall(r'python-version:\s*"?([^"\s]+)"?', text),
+              "numpy": re.findall(r"\bnumpy==(\S+)", text)}
+    assert pinned == {"python": [made["python"]], "numpy": [made["numpy"]]}
 
 
 def assert_unmoved(got: dict, prefix: str) -> None:

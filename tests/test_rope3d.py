@@ -230,6 +230,53 @@ class TestSegmentChecks:
         with pytest.raises(ValueError, match=field):
             segment.positions(start, theta)
 
+    @pytest.mark.parametrize("fits,most,over,count", [
+        (lambda: rp.TextSegment(2**20), 2**20, lambda: rp.TextSegment(2**20 + 1), 2**20 + 1),
+        # 20 IDs per 3 s unit: 52,428 units fit, 52,429 do not
+        (lambda: rp.AudioSegment(3.0 * 52428), 1048560,
+         lambda: rp.AudioSegment(3.0 * 52428 + 0.1), 1048580),
+        (lambda: rp.ImageSegment(1024, 1024), 2**20,
+         lambda: rp.ImageSegment(17, 61681), 2**20 + 1),
+        (lambda: rp.VideoSegment(16.0, 1.0, 1, 65536, f_l=1, f_u=16), 2**20,
+         lambda: rp.VideoSegment(17.0, 1.0, 1, 61681, f_l=1, f_u=17), 2**20 + 1)],
+        ids=["text", "audio", "image", "video"])
+    def test_a_segment_over_max_positions_is_refused_when_built(self, monkeypatch, fits,
+                                                                 most, over, count):
+        """The most IDs of a kind that fit are built, and the next count up
+        is refused, naming the kind and the count; no ID is made."""
+        def refuse(*args):
+            raise AssertionError("an ID was made")
+
+        monkeypatch.setattr(rp, "PositionId", refuse)
+        assert rp.MAX_POSITIONS == 2**20
+        segment = fits()
+        assert segment.n_positions == most
+        with pytest.raises(ValueError) as refused:
+            over()
+        assert str(refused.value) == (f"{segment.modality} segment would emit {count} "
+                                      f"position IDs, more than MAX_POSITIONS = 1048576")
+
+    @pytest.mark.parametrize("make", [
+        lambda n: rp.ImageSegment(n, n), lambda n: rp.VideoSegment(1.0, 1.0, n, n, f_l=1)],
+        ids=["image", "video"])
+    def test_numpy_integer_fields_count_without_wrapping(self, make):
+        """2**32 rows of 2**32 columns are 2**64 IDs, which an int64
+        product would wrap to 0."""
+        with pytest.raises(ValueError, match=f"would emit {2**64} position IDs"):
+            make(np.int64(2**32))
+
+    @settings(max_examples=200, deadline=None)
+    @given(segment=st.one_of(
+        st.builds(rp.TextSegment, st.integers(1, 50)),
+        st.builds(rp.AudioSegment, st.floats(0.01, 40.0)),
+        st.builds(rp.ImageSegment, st.integers(1, 6), st.integers(1, 6), st.integers(1, 3)),
+        st.builds(rp.VideoSegment, st.floats(0.01, 20.0), st.floats(0.01, 4.0),
+                  st.integers(1, 4), st.integers(1, 4), f_l=st.integers(1, 3),
+                  f_u=st.integers(3, 12))),
+        start=st.integers(0, 50), theta=st.integers(1, 4))
+    def test_n_positions_counts_the_ids_the_segment_emits(self, segment, start, theta):
+        assert segment.n_positions == len(segment.positions(start, theta))
+
 
 class TestAssignSequence:
     @pytest.mark.parametrize("theta", [2.0, True, 0, 1.5])

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import analytics_reference as ref
 from dyncapmoe import analytics as an
+from dyncapmoe import cli
 
 HEADER = ",".join(an.CSV_COLUMNS)
 WHOLE_FILE = 1 << 22  # a block size no test file reaches
@@ -265,6 +266,86 @@ def test_every_block_size_imports_a_jsonl_as_one_block_does(monkeypatch, tmp_pat
     path.write_bytes("".join(line + newline for line in lines).encode("utf-8"))
     sizes = data.draw(st.lists(st.integers(1, 2000), min_size=1, max_size=3))
     assert_blocks_agree(monkeypatch, path, sizes + [1])
+
+
+# ---------------------------------------------------------------------------
+# bytes that are not UTF-8: named by their offset in the file
+# ---------------------------------------------------------------------------
+
+def not_utf8_error(offset):
+    return ValueError, f"byte {offset} is not UTF-8 (invalid start byte)"
+
+
+def ff_at_byte_20000(tmp_path, fmt):
+    """A trace file of the format, 39 KB (CSV) or 102 KB (JSONL), whose
+    byte 20,000 is 0xFF."""
+    path = tmp_path / f"trace.{fmt}"
+    an.export_trace(benchmark_trace(10), path, fmt=fmt)
+    data = bytearray(path.read_bytes())
+    data[20_000] = 0xFF
+    path.write_bytes(bytes(data))
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("chars", [1, 100, None], ids=["1", "100", "default"])
+def test_a_byte_that_is_not_utf8_is_named_by_its_offset_in_the_file(monkeypatch, tmp_path,
+                                                                       fmt, chars):
+    path = ff_at_byte_20000(tmp_path, fmt)
+    got = outcome_in_blocks(monkeypatch, path, chars or an._BLOCK_CHARS)
+    assert got == not_utf8_error(20_000)
+
+
+def test_analyze_of_a_trace_with_a_byte_that_is_not_utf8_exits_1_naming_it(tmp_path,
+                                                                           capsys):
+    path = ff_at_byte_20000(tmp_path, "csv")
+    out = tmp_path / "report.csv"
+    assert cli.main(["analyze", "--trace", str(path), "--layer", "0",
+                     "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: byte 20000 is not UTF-8 (invalid start byte)\n"
+    assert not captured.out and not out.exists()
+
+
+# Edits that make a parse fault in any row or record.
+ALWAYS_FAULTY = {"csv": ("malformed", "number", "float-in-integer", "k"),
+                 "jsonl": tuple(sorted(set(JSONL_EDITS) - {"key"}))}
+# Good records after the trace's own, about 17 KB of them: a text file is
+# decoded 8 KiB at a time, so a byte far enough into them is decoded only
+# after the blocks before it are parsed.
+TAIL = {"csv": [f"{9 + n},0,0,text,1,routed,0.5,0,1" for n in range(600)],
+        "jsonl": [jsonl_line(0, step=9 + n) for n in range(120)]}
+
+
+@PROPERTY
+@given(fmt=st.sampled_from(["csv", "jsonl"]), trace=traces(), data=st.data(),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_a_byte_that_is_not_utf8_after_a_parse_fault_is_named_by_its_offset(
+        monkeypatch, tmp_path, fmt, trace, data, newline):
+    """The import reads to the end of the file: a parse fault in an early
+    line does not hide a later byte that is not UTF-8, whatever the blocks."""
+    path = tmp_path / f"trace.{fmt}"
+    an.export_trace(trace, path, fmt=fmt)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    first = 1 if fmt == "csv" else 0  # the CSV header is line 0
+    i = data.draw(st.integers(first, len(lines) - 1), label="faulty line")
+    edit = data.draw(st.sampled_from(ALWAYS_FAULTY[fmt]), label="fault")
+    if fmt == "csv":
+        lines[i] = ",".join(CSV_EDITS[edit](lines[i].split(",")))
+    else:
+        lines[i] = JSONL_EDITS[edit](json.loads(lines[i]))
+    lines += TAIL[fmt]
+    text = [(line + newline).encode("utf-8") for line in lines]
+    whole = b"".join(text)
+    path.write_bytes(whole)
+    with pytest.raises(ValueError):  # a parse fault, before any byte is wrong
+        an.import_trace(path)
+    j = data.draw(st.integers(i + 1, len(lines) - 1), label="line of the byte")
+    at = data.draw(st.integers(0, len(lines[j])), label="character of the byte")
+    offset = sum(map(len, text[:j])) + len(lines[j][:at].encode("utf-8"))
+    path.write_bytes(whole[:offset] + b"\xff" + whole[offset:])
+    for chars in (1, data.draw(st.integers(1, 2000), label="block size"), an._BLOCK_CHARS):
+        assert outcome_in_blocks(monkeypatch, path, chars) == not_utf8_error(offset), chars
 
 
 # ---------------------------------------------------------------------------
