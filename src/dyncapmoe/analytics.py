@@ -15,13 +15,14 @@ From a trace the module reproduces the standard MoE diagnostics:
 Shared experts are excluded from reports by default — being always-on,
 they would flatten every proportion — but can be included with a flag.
 Traces round-trip losslessly through CSV (fixed column set, floats via
-``repr``) and JSONL (one record per line).  Import and export hold one
-block of whole records (about 256 Ki characters of the file) plus the
-result columns, never the whole file, so their memory grows with the
-trace's columns and not with its text.  Both formats are imported by one
-block loop that reads to the end of the file and names the fault of the
-lowest rank, whatever the blocks; a byte that is not UTF-8 is named by its
-offset in the file.
+``repr``) and JSONL (one record per line); a file's path names its format,
+JSONL for ``.jsonl`` and CSV for any other, for export and import alike.
+Import and export hold one block of whole records (about 256 Ki
+characters of the file) plus the result columns, never the whole file, so
+their memory grows with the trace's columns and not with its text.  Both
+formats are imported by one block loop that reads to the end of the file
+and names the fault of the lowest rank, whatever the blocks; a byte that
+is not UTF-8 is named by its offset in the file.
 
 The trace is stored as columns: NumPy arrays with one entry per record
 (step, layer, token_index, modality code), arrays with one entry per slot
@@ -154,25 +155,30 @@ _KINDS = {"integer": ((int, np.integer), np.int64),
           "string": ((str,), None)}
 
 
-def _misfits(field: str, values: Sequence) -> set[type]:
-    """The types among the values that the field does not take."""
-    types = _KINDS[_FIELD_KIND[field]][0]
-    return {t for t in set(map(type, values)) if t is bool or not issubclass(t, types)}
+class _FieldError(ValueError):
+    """A value that a field's column cannot hold: ``field`` names the field,
+    and ``out_of_range`` is True if the value is of the field's kind but
+    beyond its column's range."""
+
+    def __init__(self, message: str, field: str, out_of_range: bool):
+        super().__init__(message)
+        self.field, self.out_of_range = field, out_of_range
 
 
 def _column(field: str, values: Sequence):
     """The column of a field's values, by the field's kind in _FIELD_KIND.
 
-    Raises a ValueError naming the field and its first value of another
-    kind, or its first integer outside the column's range (int64, or
-    float64 for a number); nothing is truncated or parsed.
+    Raises a :class:`_FieldError` naming the field and its first value of
+    another kind, or else its first integer outside the column's range
+    (int64, or float64 for a number); nothing is truncated or parsed.
     """
     kind = _FIELD_KIND[field]
-    dtype = _KINDS[kind][1]
-    wrong = _misfits(field, values)
+    types, dtype = _KINDS[kind]
+    wrong = {t for t in set(map(type, values)) if t is bool or not issubclass(t, types)}
     if wrong:
         bad = next(v for v in values if type(v) in wrong)
-        raise ValueError(f"{field} must be a JSON {kind}, got {json.dumps(bad, default=repr)}")
+        raise _FieldError(f"{field} must be a JSON {kind}, "
+                          f"got {json.dumps(bad, default=repr)}", field, False)
     if dtype is None:
         return _encode(values)
     try:
@@ -182,8 +188,8 @@ def _column(field: str, values: Sequence):
         low, high = int(info.min), int(info.max)
         bad = next(v for v in values
                    if isinstance(v, (int, np.integer)) and not low <= v <= high)
-        raise ValueError(f"{field} must be a JSON {kind} in the {np.dtype(dtype)} range, "
-                         f"got {bad}") from None
+        raise _FieldError(f"{field} must be a JSON {kind} in the {np.dtype(dtype)} range, "
+                          f"got {bad}", field, True) from None
 
 
 # The order in which _Columns.from_fields converts the fields: of two
@@ -697,18 +703,32 @@ def _jsonl_text(c: _Columns) -> str:
                      c.selected_rank, last))
 
 
-def export_trace(trace: RoutingTrace, path, fmt: str = "csv") -> None:
+def _format_of(path) -> str:
+    """The format a trace file is written and read in: JSONL for a
+    ``.jsonl`` path, CSV for any other."""
+    return "jsonl" if Path(path).suffix == ".jsonl" else "csv"
+
+
+def export_trace(trace: RoutingTrace, path, fmt: str | None = None) -> None:
     """Write the trace; CSV uses the fixed column set, JSONL one record/line.
 
-    Row order is deterministic ((step, layer, token_index), slots in selection
-    order) and floats are written with ``repr``, so export -> import -> export
+    ``fmt`` defaults to the path's format (:func:`_format_of`), the one
+    :func:`import_trace` reads it in; a ``fmt`` it would not be read back
+    in raises ``ValueError`` before the file is opened.  Row order is
+    deterministic ((step, layer, token_index), slots in selection order)
+    and floats are written with ``repr``, so export -> import -> export
     reproduces the file byte for byte.  CSV fields are not quoted, so a CSV
     export raises ``ValueError`` if a modality or role holds ',', '\\n' or
     '\\r', before the file is opened; JSONL holds any string.  The text is
     made and written one block of whole records at a time.
     """
+    read_as = _format_of(path)
+    fmt = read_as if fmt is None else fmt
     if fmt not in ("csv", "jsonl"):
         raise ValueError("format must be 'csv' or 'jsonl'")
+    if fmt != read_as:
+        raise ValueError(f"{str(path)!r} would be imported as {read_as}, not {fmt}: "
+                         f"only a .jsonl path holds JSONL")
     c = trace._store()
     if fmt == "csv":
         _check_csv_fields("modality", c.modalities)
@@ -915,25 +935,14 @@ def _jsonl_fields(lines: list[str], line: int) -> tuple[list, dict[str, list], l
     return counts, fields, k
 
 
-def _conversion_fault(fields: dict[str, Sequence]) -> tuple[int, bool]:
-    """The place in ``fields`` of the first field that holds a value its
-    column cannot, and whether all such values are integers beyond it:
-    :func:`_column` names a value of another kind before those."""
-    for i, (field, values) in enumerate(fields.items()):
-        try:
-            _column(field, values)
-        except ValueError:
-            return i, not _misfits(field, values)
-    raise AssertionError("every field converts")
-
-
 def _jsonl_block(body: str, line: int, last: bool) -> _Parsed:
     """Parse the JSONL records ``body``, each ended by a newline, the first
     at file line ``line``, into typed columns; none is held back.  Of the
     faults, a line that cannot be read ranks first, then a field value
-    that its column cannot hold (the first field in _FIELD_ORDER, then
-    ``k``), then a ``k`` that differs from the record's count of routable
-    slots."""
+    that its column cannot hold (by the field its :class:`_FieldError`
+    names, in _FIELD_ORDER and then ``k``, a value of another kind before
+    one out of range), then a ``k`` that differs from the record's count
+    of routable slots."""
     try:
         counts, fields, k = _jsonl_fields(body.split("\n")[:-1], line)
     except ValueError as exc:
@@ -941,8 +950,8 @@ def _jsonl_block(body: str, line: int, last: bool) -> _Parsed:
     try:
         columns = _Columns.from_fields(counts, **fields)
         claimed = np.repeat(_column("k", k), counts)
-    except ValueError as exc:
-        return None, [((1, *_conversion_fault({**fields, "k": k})), exc)], ""
+    except _FieldError as exc:
+        return None, [((1, (*_FIELD_ORDER, "k").index(exc.field), exc.out_of_range), exc)], ""
     error = columns.k_error(claimed)
     return columns, [] if error is None else [((2,), error)], ""
 
@@ -993,8 +1002,8 @@ def _undecodable(path: Path) -> ValueError:
 
 
 def import_trace(path) -> RoutingTrace:
-    """Inverse of :func:`export_trace`: a ``.jsonl`` file is read as JSONL,
-    any other as CSV.
+    """Inverse of :func:`export_trace`: a file is read in its path's
+    format (:func:`_format_of`), JSONL for ``.jsonl`` and CSV for any other.
 
     Raises :class:`DuplicateRecordError` if a key occurs twice, and
     ``ValueError`` if a record's ``k`` differs from its count of routable
@@ -1011,7 +1020,7 @@ def import_trace(path) -> RoutingTrace:
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as file:
-            if path.suffix == ".jsonl":
+            if _format_of(path) == "jsonl":
                 return RoutingTrace._of(_read(file, _jsonl_block, 1))
             if file.readline().removesuffix("\n") != ",".join(CSV_COLUMNS):
                 raise ValueError("missing or malformed CSV header")

@@ -10,7 +10,10 @@ with it the arrays the closure saved), its parents and its gradient.  So
 the leaves are the only tensors that end a sweep holding a ``.grad``
 (besides the loss), and a graph is differentiated once: a later sweep
 that reaches a consumed node raises :class:`TapeError` rather than read a
-stale gradient.
+stale gradient.  The engine never clears a leaf's ``.grad``: whoever
+applies a gradient clears it (``harness.train`` does as it steps), and a
+test that differentiates twice clears its leaves with
+``tests/autodiff_reference.zero_grads``.
 
 Three guarantees the rest of the package leans on:
 
@@ -105,7 +108,6 @@ __all__ = [
     "silu",
     "stop_gradient",
     "backward",
-    "zero_grads",
     "max_rel_err",
 ]
 
@@ -676,11 +678,6 @@ def backward(loss: Tensor) -> None:
         node._backward_fn = None
         node._parents = ()
         node._backward_done = True
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 def max_rel_err(a, b) -> float:

@@ -75,7 +75,7 @@ def cmd_train(args) -> int:
     lines = ["step,loss"]
     lines += [f"{step},{repr(loss)}" for step, loss in enumerate(result.losses)]
     (out / "loss.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    an.export_trace(result.trace, out / "trace.csv", fmt="csv")
+    an.export_trace(result.trace, out / "trace.csv")
     if result.losses:
         print(f"{cfg.steps} steps: loss {result.losses[0]!r} -> {result.losses[-1]!r}")
     else:

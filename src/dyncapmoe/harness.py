@@ -4,9 +4,11 @@ a plain-SGD training loop and a gradient-check campaign.
 
 The synthetic task plants a linear signal: each (modality, class) pair owns
 a fixed random direction, every token is its class direction plus noise,
-and the model classifies tokens.  With zero noise the labels are linearly
-recoverable, so cross-entropy on the planted task is reducible and the
-smoke-training criterion is meaningful.
+and the model classifies tokens, one per position its segments emit (a
+config's ``batch`` sums the segments' ``n_positions``; it builds none).
+With zero noise the labels are linearly recoverable, so cross-entropy on
+the planted task is reducible and the smoke-training criterion is
+meaningful.
 
 Training routes by ``config.moe.routing_mode`` (the smoke and gradcheck
 configs sample).  Each layer li draws one uniform block from the Philox
@@ -148,8 +150,8 @@ class ToyModelConfig:
 
     @property
     def batch(self) -> int:
-        """Tokens per step, determined by the segment list."""
-        return len(rp.assign_sequence(list(self.segments), self.theta))
+        """Tokens per step: the segments' positions, counted, none made."""
+        return sum(seg.n_positions for seg in self.segments)
 
     def to_json_dict(self) -> dict:
         """Every field, in field order; ``moe`` and ``rope`` as their own

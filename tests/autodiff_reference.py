@@ -13,6 +13,10 @@ sweep it replaced: it walks leaves and op nodes alike, keeps every node's
 closure, parents and ``.grad`` until it returns, and leaves a ``.grad`` on
 every tensor it reached.  Its leaf gradients are the oracle the consuming
 sweep's are checked against, bit for bit.
+
+:func:`zero_grads` clears the ``.grad`` of tensors that a test
+differentiates more than once; training clears each gradient as it
+applies it, so the package itself has no use for it.
 """
 
 from __future__ import annotations
@@ -105,3 +109,9 @@ def backward(loss: ad.Tensor) -> None:
                 parent.grad = g
             else:
                 parent.grad = parent.grad + g
+
+
+def zero_grads(tensors) -> None:
+    """Clear the ``.grad`` of each tensor."""
+    for t in tensors:
+        t.grad = None

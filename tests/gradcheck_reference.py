@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import autodiff_reference as adr
 from dyncapmoe import autodiff as ad
 from dyncapmoe import harness as hn
 
@@ -28,7 +29,7 @@ def grad_check_blocks(cfg: hn.ToyModelConfig,
     params = model.parameters()
     analytic = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
                 for name, t in params.items()}
-    ad.zero_grads(params.values())
+    adr.zero_grads(params.values())
 
     def frozen_loss() -> tuple[float, bool]:
         value, _, ok = model.forward(batch, frozen=frozen)

@@ -133,8 +133,8 @@ def train_digests() -> dict[str, str]:
                 digests[f"train-seed{seed}-{file}"] = _sha256(out / file)
         seed = TRAIN_SEEDS[0]
         first, second = tmp / "first.jsonl", tmp / "second.jsonl"
-        an.export_trace(an.import_trace(tmp / f"seed{seed}" / "trace.csv"), first, fmt="jsonl")
-        an.export_trace(an.import_trace(first), second, fmt="jsonl")
+        an.export_trace(an.import_trace(tmp / f"seed{seed}" / "trace.csv"), first)
+        an.export_trace(an.import_trace(first), second)
         digests[f"train-seed{seed}-trace.jsonl-round-trip"] = _sha256(second)
     return digests
 

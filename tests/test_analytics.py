@@ -60,6 +60,15 @@ class TestRecord:
         assert rec.k == 1  # shared slots never count toward the budget
         assert [s.selected_rank for s in rec.slots] == [0, -1, -1]
 
+    @pytest.mark.parametrize("slots", [(), (an.SlotEntry(9, "shared", 1.0, -1),)],
+                             ids=["none", "shared-only"])
+    def test_add_refuses_a_record_with_no_routable_slot(self, slots):
+        trace = an.RoutingTrace()
+        with pytest.raises(ValueError, match="a record needs at least one routable slot"):
+            trace.add(an.TraceRecord(0, 0, 0, "text", slots))
+        an.record(trace, 0, 0, 1, "text", make_decision([(2, 0.9)]))
+        assert [rec.token_index for rec in trace.records()] == [1]
+
 
 class TestActivationProportions:
     def test_single_record_single_expert(self):
@@ -221,6 +230,28 @@ class TestSerialization:
         with pytest.raises(ValueError, match="format must be 'csv' or 'jsonl'"):
             an.export_trace(an.RoutingTrace(), path, fmt="xml")
         assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["trace.jsonl", "trace.csv", "trace.txt", "trace"])
+    def test_default_format_is_the_one_import_reads_back(self, tmp_path, name):
+        trace = random_trace(np.random.default_rng(9), n_steps=2, n_tokens=4)
+        first, second = tmp_path / name, tmp_path / f"again-{name}"
+        an.export_trace(trace, first)
+        assert first.read_text().startswith("{" if name.endswith(".jsonl") else "step,")
+        back = an.import_trace(first)
+        assert back.records() == trace.records()
+        an.export_trace(back, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("name,fmt", [("trace.csv", "jsonl"), ("trace", "jsonl"),
+                                          ("trace.jsonl", "csv")])
+    def test_export_refuses_a_format_its_path_is_not_read_back_in(self, tmp_path, name,
+                                                                  fmt):
+        path = tmp_path / name
+        path.write_bytes(b"kept\r\n\xff")
+        read_as = "jsonl" if name.endswith(".jsonl") else "csv"
+        with pytest.raises(ValueError, match=f"would be imported as {read_as}, not {fmt}"):
+            an.export_trace(random_trace(np.random.default_rng(10)), path, fmt=fmt)
+        assert path.read_bytes() == b"kept\r\n\xff"
 
     def test_gate_probs_survive_exactly(self, tmp_path):
         trace = an.RoutingTrace()

@@ -194,7 +194,7 @@ def test_backward_through_a_consumed_node_raises_instead_of_double_counting():
     x = ad.Tensor([1.0, -2.0, 0.5], requires_grad=True)
     y = ad.mul(x, x)
     ad.backward(ad.sum(y))
-    ad.zero_grads([x])
+    adr.zero_grads([x])
     with pytest.raises(ad.TapeError):
         ad.backward(ad.sum(ad.scale(y, 2.0)))
     assert x.grad is None  # the check runs before any gradient moves
@@ -202,7 +202,7 @@ def test_backward_through_a_consumed_node_raises_instead_of_double_counting():
     x = ad.Tensor([1.0, -2.0, 0.5], requires_grad=True)
     y = ad.mul(x, x)
     adr.backward(ad.sum(y))
-    ad.zero_grads([x])
+    adr.zero_grads([x])
     adr.backward(ad.sum(ad.scale(y, 2.0)))
     npt.assert_array_equal(x.grad, 6.0 * x.data)
 
@@ -358,6 +358,26 @@ def test_a_row_of_a_batch_has_the_bits_it_has_alone(seed, m, pick, o, k, probes)
 ])
 def test_row_ops_reject_bad_shapes(call):
     with pytest.raises(ad.ShapeError):
+        call()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ad.transpose(ad.zeros((3,))), "transpose expects a matrix"),
+    (lambda: ad.transpose(ad.zeros((2, 2, 2))), "transpose expects a matrix"),
+    (lambda: ad.index(ad.zeros((2, 3)), 0), "index expects a vector"),
+    (lambda: ad.index(ad.zeros((3,)), 3), "index 3 out of range for length 3"),
+    (lambda: ad.index(ad.zeros((3,)), -1), "index -1 out of range for length 3"),
+    (lambda: ad.row(ad.zeros((3,)), 0), "row expects a matrix"),
+    (lambda: ad.row(ad.zeros((2, 3)), 2), "row 2 out of range for 2 rows"),
+    (lambda: ad.row(ad.zeros((2, 3)), -1), "row -1 out of range for 2 rows"),
+    (lambda: ad.stack_rows([]), "stack_rows needs at least one row"),
+    (lambda: ad.stack_rows([ad.zeros((2,)), ad.zeros((3,))]), "equal-length vectors"),
+    (lambda: ad.stack_rows([ad.zeros((2, 2)), ad.zeros((2, 2))]), "equal-length vectors"),
+], ids=["transpose-vector", "transpose-cube", "index-matrix", "index-past-end",
+        "index-negative", "row-vector", "row-past-end", "row-negative", "stack-none",
+        "stack-unequal", "stack-matrices"])
+def test_transpose_index_row_and_stack_rows_reject_bad_shapes_and_indices(call, message):
+    with pytest.raises(ad.ShapeError, match=message):
         call()
 
 

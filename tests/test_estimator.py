@@ -118,6 +118,21 @@ class TestApplyEstimator:
             est.apply_estimator(ad.Tensor(np.ones(shape)), scale)
 
 
+class TestClosedFormObjective:
+    @pytest.mark.parametrize("degree", [0, 4, -1])
+    def test_refuses_a_degree_outside_one_to_three(self, degree):
+        with pytest.raises(ValueError, match=f"degree must be 1, 2 or 3, got {degree}"):
+            est.ClosedFormObjective(degree=degree, projection=np.ones(3),
+                                    expert_outputs=[np.ones(3)])
+
+    @pytest.mark.parametrize("outputs", [[np.ones(2)], [np.ones(3), np.ones(4)],
+                                         [np.ones((3, 1))], [np.ones(3), np.ones(())]],
+                             ids=["shorter", "second-longer", "column", "scalar"])
+    def test_refuses_expert_outputs_shaped_unlike_the_projection(self, outputs):
+        with pytest.raises(ad.ShapeError, match="expert outputs and projection must share"):
+            est.ClosedFormObjective(degree=1, projection=np.ones(3), expert_outputs=outputs)
+
+
 class TestExactGradientOracle:
     def test_identical_experts_uniform_probs_zero_grad(self):
         e = np.array([0.3, -0.7, 1.1])

@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+import autodiff_reference as adr
 import moe_reference as ref
 from dyncapmoe import autodiff as ad
 from dyncapmoe import harness as hn
@@ -115,7 +116,7 @@ def stage_runs(config, seed, mode):
             Z = ad.add(X, Y)
         ad.backward(ad.sum(ad.mul(Z, ad.Tensor(rng.normal(size=Z.data.shape)))))
         out.append((bits([Z.data, X.grad]), {n: bits([t.grad]) for n, t in params.items()}))
-        ad.zero_grads(params.values())
+        adr.zero_grads(params.values())
     return out
 
 

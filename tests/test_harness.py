@@ -174,6 +174,16 @@ class TestGenerateBatch:
         assert got.modality_tags == want.modality_tags
         assert got.position_ids == want.position_ids
 
+    @settings(max_examples=200, deadline=None)
+    @given(segments=st.lists(SEGMENTS, min_size=1, max_size=4), theta=st.integers(1, 3))
+    def test_config_batch_counts_the_positions_and_labels_of_its_batch(self, segments,
+                                                                       theta):
+        cfg = tiny_config(segments=tuple(segments), theta=theta)
+        batch = hn.generate_batch(cfg.segments, cfg.seed, cfg.d_model, cfg.n_classes,
+                                  cfg.noise, theta)
+        assert cfg.batch == len(rp.assign_sequence(list(segments), theta)) \
+            == len(batch.labels)
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("make_config", [hn.smoke_train_config,
                                              hn.gradcheck_default_config,

@@ -251,6 +251,50 @@ class TestSelectDeterministic:
 # sampled Top-P
 # --------------------------------------------------------------------------
 
+def _select_sampled(p, top_p):
+    return moe.select_top_p_sampled(p, top_p, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("select", [moe.select_top_p_deterministic, _select_sampled],
+                         ids=["deterministic", "sampled"])
+@pytest.mark.parametrize("p,message", [
+    (np.full((2, 2), 0.25), "1-D and non-empty"),
+    (np.full((1, 1), 1.0), "1-D and non-empty"),
+    (np.array([]), "1-D and non-empty"),
+    (np.array([0.5, 0.4]), "must sum to 1"),
+    (np.array([0.5, 0.6]), "must sum to 1"),
+], ids=["matrix", "one-by-one", "empty", "short", "over"])
+def test_selection_refuses_a_probability_vector_it_cannot_take(select, p, message):
+    with pytest.raises(ValueError, match=message):
+        select(p, 0.7)
+
+
+def _activation(slot, rank):
+    return moe.ExpertActivation(index=slot, role=moe.ExpertRole.ROUTED, gate_prob=0.5,
+                                rank=rank, is_argmax=rank == 0)
+
+
+class TestRoutingDecision:
+    @pytest.mark.parametrize("active,k,ranks", [
+        ((0,), 2, (0,)),
+        ((0, 1), 2, (0,)),
+        ((0, 1), 1, (0, 1)),
+    ], ids=["k-over-active", "fewer-activations", "k-under-both"])
+    def test_refuses_a_k_other_than_its_activated_slots(self, active, k, ranks):
+        with pytest.raises(ValueError, match="k must equal the number of activated"):
+            moe.RoutingDecision(active=active, k=k,
+                                per_expert=tuple(_activation(active[r], r) for r in ranks))
+
+    def test_refuses_no_active_slot(self):
+        with pytest.raises(ValueError, match="at least one routable slot must be active"):
+            moe.RoutingDecision(active=(), k=0, per_expert=())
+
+    def test_refuses_a_repeated_slot(self):
+        with pytest.raises(ValueError, match="active slots must be unique"):
+            moe.RoutingDecision(active=(1, 1), k=2,
+                                per_expert=(_activation(1, 0), _activation(1, 1)))
+
+
 class TestSelectSampled:
     def test_one_hot_always_selects_the_hot_slot(self):
         p = np.array([1.0, 0.0, 0.0])
@@ -602,6 +646,20 @@ class TestForwardTrain:
         _, two_rows, _ = token_layer.forward_rows(ad.Tensor([xv, xv]), "infer")
         with pytest.raises(ValueError, match="cover 1 tokens"):
             token_layer.forward_frozen(x, two_rows)
+
+
+class TestPerTokenForwardShapes:
+    @pytest.mark.parametrize("shape", [(3,), (5,), (1, 4), ()])
+    @pytest.mark.parametrize("forward", ["infer", "train", "frozen"])
+    def test_a_token_of_another_shape_is_refused(self, forward, shape):
+        layer = small_layer()
+        _, recorded, _ = layer.forward_rows(ad.Tensor(np.ones((1, 4))), "infer")
+        x = ad.Tensor(np.ones(shape))
+        call = {"infer": lambda: layer.forward_infer(x),
+                "train": lambda: layer.forward_train(x, np.random.default_rng(0)),
+                "frozen": lambda: layer.forward_frozen(x, recorded)}[forward]
+        with pytest.raises(ad.ShapeError, match=r"token must have shape \(4,\), got"):
+            call()
 
 
 # --------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import autodiff_reference as adr
 import moe_reference as ref
 from dyncapmoe import autodiff as ad
 from dyncapmoe import harness as hn
@@ -48,7 +49,7 @@ def run_and_backward(layer, X, upstream, forward):
     tensors = {"X": X, **layer.parameters()}
     grads = {name: (None if t.grad is None else t.grad.copy())
              for name, t in tensors.items()}
-    ad.zero_grads(tensors.values())
+    adr.zero_grads(tensors.values())
     return rows.data.copy(), decisions, matches, grads
 
 
@@ -127,7 +128,7 @@ def test_pair_buffer_fill_matches_per_expert_scatters_bit_for_bit(make_config, s
         tensors = {"X": X, **layer.parameters()}
         grads = {name: None if t.grad is None else t.grad.copy()
                  for name, t in tensors.items()}
-        ad.zero_grads(tensors.values())
+        adr.zero_grads(tensors.values())
         return Y.data.copy(), routing, matches, grads
 
     recorded = {}
@@ -164,7 +165,7 @@ def test_model_forward_matches_per_token_reference(make_config, seed):
         loss, per_layer, matches = forward(batch, **kwargs)
         ad.backward(loss)
         grads = {name: t.grad.copy() for name, t in params.items() if t.grad is not None}
-        ad.zero_grads(params.values())
+        adr.zero_grads(params.values())
         return float(loss.data), per_layer, matches, grads
 
     recorded = None

@@ -396,6 +396,12 @@ class TestApplyRope3d:
     def cfg(self, head_dim=12):
         return rp.RopeFreqConfig(head_dim)
 
+    @pytest.mark.parametrize("shape", [(2, 12), (4, 12), (3, 10), (36,), (1, 3, 12)])
+    def test_rows_refuse_any_shape_but_one_row_per_position(self, shape):
+        pids = [rp.PositionId(j, j, j) for j in range(3)]
+        with pytest.raises(ad.ShapeError, match=r"expected shape \(3, 12\), got"):
+            rp.apply_rope3d_rows(ad.Tensor(np.ones(shape)), pids, self.cfg())
+
     def test_zero_id_is_identity(self):
         v = ad.Tensor(np.linspace(-1, 1, 12))
         out = rp.apply_rope3d(v, rp.PositionId(0, 0, 0), self.cfg())
