@@ -31,15 +31,10 @@ Checks sit at the boundaries.  A :class:`Tensor` built from data rejects
 NaN and infinity; op results are not scanned, so a non-finite value
 produced inside a graph propagates to its consumers, and the callers that
 own a boundary (the training loss, the gradients before an update) check
-it there.  The MoE layer dispatches through three row ops:
-:func:`_gather_rows` and :func:`_fold_rows` take indices their caller
-built, so they do not check them, and each states its precondition in its
-docstring; :func:`_concat_rows` takes no index.  Neither index op takes a
-repeated index, so neither needs ``np.add.at``: a gathered row or cell is
-read once, and the fold adds a token's rows rank by rank.
+it there.
 
 Per-row products run in fixed blocks.  :func:`matvec_rows` (and the MoE
-layer's expert FFN, through the same helpers) pads the rows with zeros to
+layer's fused op and expert FFN, through the same helpers) pads the rows with zeros to
 a multiple of ``_ROW_BLOCK`` rows and takes one ``np.matmul`` of the
 blocks [..., m / B, B, k] with ``w`` transposed: one GEMM of the same
 fixed shape per block, the same kernel whatever the batch.  So a row has
@@ -50,7 +45,7 @@ depending on the batch, and a matrix-vector product differently again.
 The identity rests on the BLAS the blocks run on: a BLAS that breaks it
 fails the property test in ``tests/test_autodiff.py``.
 
-Fused ops (the MoE layer's expert FFN, the harness's attention block)
+Fused ops (the MoE layer, its expert FFN, the harness's attention block)
 are defined through :func:`op_node` with a hand-written backward.  A fused
 op lists an input once for each consumer it replaces, and its backward
 returns one term per entry.  :func:`backward` adds a node's terms to a
@@ -59,9 +54,9 @@ order the composed graph added them: a single summed term would round
 differently, while one term per entry keeps every gradient bit-identical
 to the composed graph.
 
-The ops a frozen forward runs (``add``, ``matmul``, ``matvec_rows``,
-``scale_rows``, the three row ops, and the fused ops defined outside the
-engine) also accept leading *probe axes*: an operand of shape
+The ops a frozen forward runs (``add``, ``matmul``, ``matvec_rows``, and
+the fused ops defined outside the engine: the MoE layer, ``gated_ffn`` and
+the attention block) also accept leading *probe axes*: an operand of shape
 ``[*lead, *core]`` broadcasts over ``lead`` as NumPy does, and each probe
 computes the bits the unbatched call computes.  ``grad_check`` evaluates
 the finite-difference probes of up to 64 consecutive coordinates of the
@@ -103,7 +98,6 @@ __all__ = [
     "index",
     "row",
     "stack_rows",
-    "scale_rows",
     "softmax",
     "silu",
     "stop_gradient",
@@ -474,88 +468,6 @@ def stack_rows(rows: Iterable[Tensor]) -> Tensor:
         return tuple(g[i].copy() for i in range(len(rows)))
 
     return op_node(np.stack([r.data for r in rows]), rows, backward_fn, "stack_rows")
-
-
-def _gather_rows(a: Tensor, idx) -> Tensor:
-    """The rows ``a[idx]`` of a matrix, or with a pair ``(rows, cols)`` the
-    cells ``a[rows[i], cols[i]]``.  The matrix may carry leading probe
-    axes, and the rows are then taken along the axis after them.
-
-    Precondition: ``idx`` is a non-empty 1-D integer array of distinct
-    in-range rows, or a pair of such arrays of one length naming distinct
-    cells.  Each row then receives one gradient term, ``0.0 + g``, and no
-    two terms need adding up.
-    """
-
-    def backward_fn(g):
-        out = np.zeros_like(a.data)
-        out[idx] += g
-        return (out,)
-
-    data = a.data[(..., *idx)] if isinstance(idx, tuple) else a.data[..., idx, :]
-    return op_node(data, (a,), backward_fn, "gather_rows", a.data.ndim > 2)
-
-
-def _fold_rows(n: int, tok: np.ndarray, rank: np.ndarray, rows: Tensor) -> Tensor:
-    """An [n, d] matrix whose row t sums the rows ``rows[i]`` with
-    ``tok[i] == t`` in ascending ``rank[i]``, as the left fold
-    ``((0.0 + r0) + r1) + ...``.  ``rows`` may carry leading probe axes,
-    which the result takes.
-
-    One assignment puts row i at ``slab[rank[i], tok[i]]`` of a zeros slab
-    [R, n, d], R = max rank + 1, and R dense adds fold the slab's ranks
-    into a zeros result.  That is exact: the chain starts at +0.0, so it
-    never holds -0.0, and the +0.0 a token gets for a rank it lacks
-    changes no bit.
-
-    Precondition: ``tok`` and ``rank`` are non-empty 1-D integer arrays of
-    one length, ``tok`` in [0, n) and ``rank`` >= 0, with no (rank, tok)
-    pair twice; ``rows`` is ``[len(tok), d]``.
-    """
-    rd = rows.data
-    slab = np.zeros(rd.shape[:-2] + (int(rank.max()) + 1, n, rd.shape[-1]))
-    slab[..., rank, tok, :] = rd
-    out = np.zeros(slab.shape[:-3] + slab.shape[-2:])
-    for r in range(slab.shape[-3]):
-        out += slab[..., r, :, :]
-
-    def backward_fn(g):
-        return (g[tok],)
-
-    return op_node(out, (rows,), backward_fn, "fold_rows", rd.ndim > 2)
-
-
-def _concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """The rows of every part [m_i, d], one part after the other, as one
-    tape node; each part's gradient is its block of the upstream rows.
-    Parts may carry leading probe axes, which the result takes."""
-    lead = max((part.data.shape[:-2] for part in parts), key=len)
-    blocks, m = [], 0
-    for part in parts:
-        blocks.append(slice(m, m + part.data.shape[-2]))
-        m = blocks[-1].stop
-    out = np.empty(lead + (m, parts[0].data.shape[-1]))
-    for part, rows in zip(parts, blocks):
-        out[..., rows, :] = part.data
-
-    def backward_fn(g):
-        return tuple(g[rows] for rows in blocks)
-
-    return op_node(out, parts, backward_fn, "concat_rows", len(lead) > 0)
-
-
-def scale_rows(a: Tensor, c: Tensor) -> Tensor:
-    """Row ``i`` of matrix ``a`` times entry ``i`` of vector ``c``; either
-    may carry leading probe axes."""
-    ad, cd = a.data, c.data
-    if ad.ndim < 2 or cd.ndim < 1 or cd.shape[-1] != ad.shape[-2]:
-        raise ShapeError(f"scale_rows: shapes {ad.shape} and {cd.shape} do not match")
-    col = cd[..., None]
-
-    def backward_fn(g):
-        return g * col, (g * ad).sum(axis=1)
-
-    return op_node(ad * col, (a, c), backward_fn, "scale_rows", ad.ndim > 2 or cd.ndim > 1)
 
 
 # ---------------------------------------------------------------------------

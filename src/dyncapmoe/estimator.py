@@ -41,6 +41,7 @@ __all__ = [
     "BERNOULLI_P",
     "hybrid_scale",
     "apply_estimator",
+    "estimator_grad",
     "ClosedFormObjective",
     "exact_gradient_oracle",
     "estimator_expectation",
@@ -90,7 +91,14 @@ def apply_estimator(o: ad.Tensor, scale) -> ad.Tensor:
         if o.data.ndim != 2 or np.shape(scale) != (o.data.shape[0],):
             raise ad.ShapeError("per-row scales need one entry per row of o")
         scale = np.asarray(scale)[:, None]
-    return ad.op_node(o.data * scale, (o,), lambda g: (g * 2.0,), "estimator")
+    return ad.op_node(o.data * scale, (o,), lambda g: (estimator_grad(g),), "estimator")
+
+
+def estimator_grad(g: np.ndarray) -> np.ndarray:
+    """The estimator's gradient rule: whatever the forward scale, the
+    upstream ``g`` reaches ``o`` doubled.  ``apply_estimator`` and the MoE
+    layer's fused op both apply it."""
+    return g * 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -524,7 +524,8 @@ def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
     """Central differences vs the tape, with every discrete choice frozen.
 
     One train-mode forward fixes the per-token active sets and (delta, B)
-    draws; analytic gradients come from that frozen graph.  Each coordinate
+    draws (with the parameters' ``requires_grad`` off, so it builds no
+    tape); analytic gradients come from that frozen graph.  Each coordinate
     is then perturbed by +/-eps and the frozen loss re-evaluated; if either
     perturbation would flip a live selection the coordinate is skipped and
     counted instead of compared.  ``eps`` and ``tol`` must be finite and
@@ -561,12 +562,17 @@ def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
     model = ToyTransformer(cfg)
     batch = generate_batch(cfg.segments, cfg.seed, cfg.d_model, cfg.n_classes,
                            cfg.noise, cfg.theta)
+    params = model.parameters()
+    # the live forward only records the routing: nothing differentiates it
+    for t in params.values():
+        t.requires_grad = False
     _, frozen, _ = model.forward(batch, mode="train")
+    for t in params.values():
+        t.requires_grad = True
 
     stage_inputs: list[tuple[np.ndarray, bool]] = []
     loss, _, _ = model.forward(batch, frozen=frozen, stage_inputs=stage_inputs)
     ad.backward(loss)
-    params = model.parameters()
     analytic = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
                 for name, t in params.items()}
     for t in params.values():

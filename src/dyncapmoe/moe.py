@@ -22,18 +22,19 @@ estimator from :mod:`dyncapmoe.estimator`; gate probabilities are never
 renormalized after selection.
 
 :meth:`DynamicCapacityMoE.forward_rows` runs the layer on a batch of token
-rows: one router product, one uniform block in training, vectorized
-selection, one gated FFN per routed expert over the rows of the tokens
-that chose it (dropless grouped dispatch; each FFN call is one tape node,
-see :func:`gated_ffn`), then one routing step that applies gates, forward
-scales and the estimator to every (token, slot) pair at once.  It returns
-the batch's choices as one :class:`Routing`, ``[n, n_slots]`` arrays of
-rank, gate, argmax flag, B draw and forward scale; a token's
-:class:`RoutingDecision` is built only when someone indexes the Routing.
-Frozen replay takes a Routing back, hand-edited with
-:func:`dataclasses.replace` if need be; a Routing checks its own rule when
-built, so every reader trusts it.  The per-token forwards are one-row
-calls of ``forward_rows``.
+rows as one tape node: one router product, one uniform block in training,
+vectorized selection, then one fused op (dropless grouped dispatch) that
+runs each routed expert's gated FFN on the rows of the tokens that chose
+it, the shared experts on every row, and applies gates, forward scales and
+the estimator to every (token, slot) pair at once; its hand-written
+backward keeps the bits of the op graph it replaced (kept in
+``tests/moe_reference.py``).  It returns the batch's choices as one
+:class:`Routing`, ``[n, n_slots]`` arrays of rank, gate, argmax flag, B
+draw and forward scale; a token's :class:`RoutingDecision` is built only
+when someone indexes the Routing.  Frozen replay takes a Routing back,
+hand-edited with :func:`dataclasses.replace` if need be; a Routing checks
+its own rule when built, so every reader trusts it.  The per-token
+forwards are one-row calls of ``forward_rows``.
 """
 
 from __future__ import annotations
@@ -338,6 +339,36 @@ class ExpertParams:
     w_down: ad.Tensor
 
 
+def _gated(a: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(a, up, sigmoid(a), silu(a), silu(a) * up)`` of the gate and up
+    products ``a`` and ``up``: what the down product and the backward read."""
+    s = ad._sigmoid(a)
+    gate = a * s
+    return a, up, s, gate, gate * up
+
+
+def _gated_vjp(g_h, a, up, s, gate) -> tuple[np.ndarray, np.ndarray]:
+    """The upstream ``g_h`` of ``silu(a) * up`` back to ``a`` and to ``up``."""
+    return g_h * up * ad._silu_slope(a, s), g_h * gate
+
+
+def _hidden(parts, core: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """``_gated`` of the gate and up products of several experts at once.
+
+    ``parts`` lists ``(params, blocks, place)``: an expert's row blocks
+    [..., b, _ROW_BLOCK, d_model] and where its products go in arrays of
+    shape ``core`` (after the broadcast probe axes), one GEMM per block
+    each; the silu and gate work then runs once over all of them.
+    """
+    lead = np.broadcast_shapes(*(shape for params, xb, _ in parts for shape in (
+        xb.shape[:-3], params.w_gate.data.shape[:-2], params.w_up.data.shape[:-2])))
+    a, up = np.empty(lead + core), np.empty(lead + core)
+    for params, xb, place in parts:
+        a[place] = ad._block_matvec(params.w_gate.data, xb)
+        up[place] = ad._block_matvec(params.w_up.data, xb)
+    return _gated(a, up)
+
+
 def gated_ffn(x: ad.Tensor, params: ExpertParams) -> ad.Tensor:
     """``W_down @ (silu(W_gate @ x_i) * (W_up @ x_i))`` for every row ``x_i``
     of the token rows ``x`` [m, d_model], as one tape node.  The rows and
@@ -351,29 +382,24 @@ def gated_ffn(x: ad.Tensor, params: ExpertParams) -> ad.Tensor:
     parent twice, once for each product that reads it, gate before up, so
     :func:`~dyncapmoe.autodiff.backward` adds its two terms one at a time,
     as the five-op graph ``matvec_rows``, ``silu``, ``matvec_rows``,
-    ``mul``, ``matvec_rows`` does (see the autodiff module notes).
+    ``mul``, ``matvec_rows`` does (see the autodiff module notes).  The MoE
+    layer runs the same products, blocks and backward for every expert in
+    its own single node.
     """
     xd, wg, wu, wd = x.data, params.w_gate.data, params.w_up.data, params.w_down.data
     if xd.ndim < 2 or xd.shape[-1] != wg.shape[-1]:
         raise ad.ShapeError(f"gated_ffn: token rows must have shape (m, {wg.shape[-1]}), "
                             f"got {xd.shape}")
     m = xd.shape[-2]
-    # the products run on blocks of rows; a padded row stays zero through
-    # the hidden blocks, which are then the blocks matvec_rows would cut
-    # from the hidden rows
+    # a padded row stays zero through the hidden blocks, which are then the
+    # blocks matvec_rows would cut from the hidden rows
     xb = ad._row_blocks(xd)
-    ab = ad._block_matvec(wg, xb)
-    sb = ad._sigmoid(ab)
-    gateb = ab * sb
-    upb = ad._block_matvec(wu, xb)
-    hb = gateb * upb
-    out = ad._block_rows(ad._block_matvec(wd, hb), m)
+    blocks = _gated(ad._block_matvec(wg, xb), ad._block_matvec(wu, xb))
+    out = ad._block_rows(ad._block_matvec(wd, blocks[-1]), m)
 
     def backward_fn(g):
-        a, s, gate, up, h = (ad._block_rows(v, m) for v in (ab, sb, gateb, upb, hb))
-        g_h = g @ wd
-        g_a = g_h * up * ad._silu_slope(a, s)
-        g_up = g_h * gate
+        a, up, s, gate, h = (ad._block_rows(v, m) for v in blocks)
+        g_a, g_up = _gated_vjp(g @ wd, a, up, s, gate)
         return g_a @ wg, g_up @ wu, g_a.T @ xd, g_up.T @ xd, g.T @ h
 
     return ad.op_node(out, (x, x, params.w_gate, params.w_up, params.w_down),
@@ -456,10 +482,11 @@ class DynamicCapacityMoE:
           and the weights with leading probe axes (see the autodiff module
           notes); ``matches`` is then a bool array, one flag per probe.
 
-        Each routed expert runs once on the rows of the tokens that chose
-        it, then gates, scales and the estimator apply to all pairs at once;
-        null slots never reach the tape and shared experts run on every row.
-        Every row is computed as it would be alone, bit for bit.
+        The whole layer is one tape node: each routed expert runs once on
+        the rows of the tokens that chose it, then gates, scales and the
+        estimator apply to all pairs at once; null slots cost nothing and
+        shared experts run on every row.  Every row is computed as it
+        would be alone, bit for bit.
         """
         if mode not in ("infer", "train"):
             raise ValueError("mode must be 'infer' or 'train'")
@@ -486,62 +513,153 @@ class DynamicCapacityMoE:
             raise ValueError(f"frozen routing must cover {n} tokens and {cfg.n_slots} "
                              f"slots, {cfg.n_routed} of them routed, with "
                              f"{cfg.n_shared} shared experts")
-        logits = ad.matvec_rows(self.router, X)
-        probs = ad.softmax(logits)
-        P = probs.data
-        is_argmax = np.argmax(logits.data, axis=-1)[..., None] == np.arange(cfg.n_slots)
-        matches = True
+        # the token rows in blocks, cut once for the router and the shared experts
+        xb = ad._row_blocks(X.data)
+        logits = ad._block_rows(ad._block_matvec(self.router.data, xb), n)
+        P = ad._softmax_data(logits)
+        routing, matches = self._select(logits, P, U, frozen)
+        return self._layer(X, xb, P, routing, train=U is not None), routing, matches
+
+    def _select(self, logits: np.ndarray, P: np.ndarray, U: np.ndarray | None,
+                frozen: Routing | None):
+        """``(routing, matches)`` of a batch from its router ``logits`` and
+        their softmax ``P``: train when ``U`` is given, replay when
+        ``frozen`` is, inference otherwise."""
+        cfg = self.config
+        is_argmax = np.argmax(logits, axis=-1)[..., None] == np.arange(cfg.n_slots)
         if frozen is not None:
-            routing = frozen
-            flips = ((routing.rank >= 0) & (routing.is_argmax != is_argmax)).any(axis=(-2, -1))
+            flips = ((frozen.rank >= 0) & (frozen.is_argmax != is_argmax)).any(axis=(-2, -1))
             if cfg.routing_mode == "deterministic":
-                flips |= (_prefix_ranks(P, cfg.top_p) != routing.rank).any(axis=(-2, -1))
-            matches = ~flips if flips.ndim else not flips
-        elif U is None:
-            routing = Routing(_prefix_ranks(P, cfg.top_p), P, is_argmax, None,
-                              cfg.n_routed, cfg.n_shared)
-        else:
-            sampled = cfg.routing_mode == "sampled"
-            rank = _prefix_ranks(P, cfg.top_p, U[:, :cfg.n_slots] if sampled else None)
-            bern = U[:, cfg.n_slots:] < est.BERNOULLI_P
-            routing = Routing(rank, P, is_argmax, bern, cfg.n_routed, cfg.n_shared)
-        Y = self._mix(X, probs, routing, train=U is not None)
-        for params in self.shared:
-            Y = ad.add(Y, gated_ffn(X, params))
-        return Y, routing, matches
+                flips |= (_prefix_ranks(P, cfg.top_p) != frozen.rank).any(axis=(-2, -1))
+            return frozen, ~flips if flips.ndim else not flips
+        if U is None:
+            return Routing(_prefix_ranks(P, cfg.top_p), P, is_argmax, None,
+                           cfg.n_routed, cfg.n_shared), True
+        sampled = cfg.routing_mode == "sampled"
+        rank = _prefix_ranks(P, cfg.top_p, U[:, :cfg.n_slots] if sampled else None)
+        bern = U[:, cfg.n_slots:] < est.BERNOULLI_P
+        return Routing(rank, P, is_argmax, bern, cfg.n_routed, cfg.n_shared), True
 
-    def _mix(self, X: ad.Tensor, probs: ad.Tensor, routing: Routing,
-             train: bool) -> ad.Tensor:
-        """Sum of the routed contributions per token, zeros if there are none.
+    def _layer(self, X: ad.Tensor, xb: np.ndarray, P: np.ndarray, routing: Routing,
+               train: bool) -> ad.Tensor:
+        """The layer's output [n, d_model] for the token rows ``X`` (cut into
+        the blocks ``xb``) and their router softmax ``P``, as one tape node.
 
-        Contributions are the routing record's routed (token, slot) pairs,
-        expert-major and in (rank, token) order within an expert; the record
-        lists them once, so every replay of it reuses the list.  Each expert
-        runs on the tokens of its block of pairs, and one op concatenates
-        the experts' rows into a pair buffer; then the gates, the gradient
-        rule (the estimator in training, the recorded scales on a replay
-        with B draws) and one rank fold into the output apply to every pair
-        at once.  The fold adds each token's terms one rank at a time,
-        starting from zeros, so each token sums its terms in selection order
-        whatever the order of the pairs.
+        The routing record lists the routed (token, slot) pairs once,
+        expert-major and in (rank, token) order within an expert.  One
+        assignment places each chosen expert's rows into zero-padded blocks
+        of its own, and every product is one fixed-shape GEMM per block, so
+        a row has the bits it has alone.  The silu and gate work runs once
+        over the blocks of all routed experts and once over those of all
+        shared experts.  Each pair's output row takes its gate, then the
+        forward scale (the estimator's in training, the recorded ones on a
+        replay with B draws), and each token folds its pairs into the
+        output one rank at a time, starting from zeros, so it sums its
+        terms in selection order.  The shared experts' outputs are added
+        after, one by one.
+
+        The backward is written by hand, each term in the formula and shape
+        of the op it replaces (the row gathers, ``gated_ffn``, the softmax,
+        the router product, the gates, the estimator and the fold).  ``X``
+        is listed once for each consumer the composed graph had, in the
+        order that graph added their terms: the row gather of each chosen
+        routed expert, the router product, then the gate and up products
+        of each shared expert (see the autodiff module notes).  ``X``, the
+        router and the expert weights may carry leading probe axes.
         """
         cfg = self.config
+        B = ad._ROW_BLOCK
+        xd, wr = X.data, self.router.data
+        lead, (n, d) = xd.shape[:-2], xd.shape[-2:]
         tok, slot, rank, _, bounds = routing._active
-        m = bounds[cfg.n_routed]
-        if not m:
-            return ad.zeros((X.data.shape[-2], cfg.d_model))
+        m = int(bounds[cfg.n_routed])
         tok, slot, rank = tok[:m], slot[:m], rank[:m]
-        # a Routing's pairs are distinct (token, slot) cells with distinct
-        # (rank, token), so they meet the row ops' preconditions
-        buf = ad._concat_rows([gated_ffn(ad._gather_rows(X, tok[lo:hi]), params)
-                               for params, lo, hi in zip(self.routed, bounds, bounds[1:])
-                               if lo < hi])
-        buf = ad.scale_rows(buf, ad._gather_rows(probs, (tok, slot)))
-        if train:
-            buf = est.apply_estimator(buf, routing.scale[tok, slot])
-        elif routing.bern is not None:
-            buf = ad.scale_rows(buf, ad.Tensor(routing.scale[tok, slot]))
-        return ad._fold_rows(X.data.shape[-2], tok, rank, buf)
+        # (params, first pair, end pair, first block, end block) of each chosen expert
+        experts, nb = [], 0
+        for params, lo, hi in zip(self.routed, bounds.tolist(), bounds[1:].tolist()):
+            if lo < hi:
+                experts.append((params, lo, hi, nb, nb + (hi - lo + B - 1) // B))
+                nb = experts[-1][4]
+        scale = None
+        if train or routing.bern is not None:
+            scale = routing.scale[tok, slot][:, None]
+
+        Y = np.zeros((n, d))
+        if m:
+            dest = np.arange(m) + np.repeat([b0 * B - lo for _, lo, _, b0, _ in experts],
+                                            [hi - lo for _, lo, hi, _, _ in experts])
+            xr = np.zeros(lead + (nb * B, d))
+            xr[..., dest, :] = xd[..., tok, :]
+            xr = xr.reshape(lead + (nb, B, d))
+            routed = _hidden([(e[0], xr[..., e[3]:e[4], :, :], (..., slice(e[3], e[4]),
+                                                                  slice(None), slice(None)))
+                              for e in experts], (nb, B, cfg.expert_hidden))
+            h = routed[-1]
+            buf = np.empty(np.broadcast_shapes(
+                h.shape[:-3], *(e[0].w_down.data.shape[:-2] for e in experts)) + (m, d))
+            for params, lo, hi, b0, b1 in experts:
+                buf[..., lo:hi, :] = ad._block_rows(
+                    ad._block_matvec(params.w_down.data, h[..., b0:b1, :, :]), hi - lo)
+            gp = P[..., tok, slot][..., None]
+            pairs = buf * gp
+            if scale is not None:
+                pairs = pairs * scale
+            slab = np.zeros(pairs.shape[:-2] + (int(rank.max()) + 1, n, d))
+            slab[..., rank, tok, :] = pairs
+            Y = np.zeros(slab.shape[:-3] + (n, d))
+            for r in range(slab.shape[-3]):
+                Y += slab[..., r, :, :]
+        if self.shared:
+            shared = _hidden([(params, xb, (..., i, slice(None), slice(None), slice(None)))
+                              for i, params in enumerate(self.shared)],
+                             (len(self.shared),) + xb.shape[-3:-1] + (cfg.shared_hidden,))
+            for i, params in enumerate(self.shared):
+                Y = Y + ad._block_rows(ad._block_matvec(params.w_down.data,
+                                                        shared[-1][..., i, :, :, :]), n)
+
+        def backward_fn(g):
+            x_terms, w_terms = [], []
+            if m:
+                g_pairs = g[tok]
+                if train:
+                    g_pairs = est.estimator_grad(g_pairs)
+                elif scale is not None:
+                    g_pairs = g_pairs * scale
+                g_buf = g_pairs * gp
+                g_probs = np.zeros_like(P)
+                g_probs[tok, slot] += (g_pairs * buf).sum(axis=1)
+                g_logits = ad._softmax_vjp(P, g_probs)
+                g_h = np.zeros((nb * B, cfg.expert_hidden))
+                for params, lo, hi, b0, _ in experts:
+                    g_h[b0 * B:b0 * B + hi - lo] = g_buf[lo:hi] @ params.w_down.data
+                a, up, s, gate, hid = (v.reshape(nb * B, -1) for v in routed)
+                g_a, g_up = _gated_vjp(g_h, a, up, s, gate)
+                x = xr.reshape(nb * B, d)
+                for params, lo, hi, b0, _ in experts:
+                    rows = slice(b0 * B, b0 * B + hi - lo)
+                    term = np.zeros_like(xd)
+                    term[tok[lo:hi]] += (g_a[rows] @ params.w_gate.data
+                                         + g_up[rows] @ params.w_up.data)
+                    x_terms.append(term)
+                    w_terms += [g_a[rows].T @ x[rows], g_up[rows].T @ x[rows],
+                                g_buf[lo:hi].T @ hid[rows]]
+                x_terms += [g_logits @ wr, g_logits.T @ xd]
+            if self.shared:
+                g_h = np.empty((len(self.shared), n, cfg.shared_hidden))
+                for i, params in enumerate(self.shared):
+                    g_h[i] = g @ params.w_down.data
+                a, up, s, gate, hid = (ad._block_rows(v, n) for v in shared)
+                g_a, g_up = _gated_vjp(g_h, a, up, s, gate)
+                for i, params in enumerate(self.shared):
+                    x_terms += [g_a[i] @ params.w_gate.data, g_up[i] @ params.w_up.data]
+                    w_terms += [g_a[i].T @ xd, g_up[i].T @ xd, g.T @ hid[i]]
+            return x_terms + w_terms
+
+        parents = [X] * len(experts) + [X, self.router] * (m > 0) + [X, X] * len(self.shared)
+        weights = [w for params in [e[0] for e in experts] + self.shared
+                   for w in (params.w_gate, params.w_up, params.w_down)]
+        probes = max(a.ndim for a in (xd, wr, *(w.data for w in weights))) > 2
+        return ad.op_node(Y, parents + weights, backward_fn, "moe_layer", probes)
 
     def _forward_token(self, x: ad.Tensor, U: np.ndarray | None, frozen: Routing | None):
         if x.data.shape != (self.config.d_model,):

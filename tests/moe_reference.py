@@ -218,11 +218,39 @@ def forward_frozen(layer, x, frozen):
     return _accumulate(layer, terms), matches
 
 
+def composed_mix(layer, X, probs, routing, train):
+    """Sum of the routed contributions per token, zeros if there are none,
+    as the graph of row ops the fused layer replaced.
+
+    Contributions are the routing record's routed (token, slot) pairs,
+    expert-major and in (rank, token) order within an expert.  Each expert
+    runs ``moe.gated_ffn`` on the gathered rows of its tokens, one op
+    concatenates the experts' rows into a pair buffer, and the gates, the
+    gradient rule (the estimator in training, the recorded scales on a
+    replay with B draws) and one rank fold into the output apply to every
+    pair at once.
+    """
+    cfg = layer.config
+    tok, slot, rank, _, bounds = routing._active
+    m = bounds[cfg.n_routed]
+    if not m:
+        return ad.zeros((X.data.shape[-2], cfg.d_model))
+    tok, slot, rank = tok[:m], slot[:m], rank[:m]
+    buf = adr.concat_rows([moe.gated_ffn(adr.gather_distinct_rows(X, tok[lo:hi]), params)
+                           for params, lo, hi in zip(layer.routed, bounds, bounds[1:])
+                           if lo < hi])
+    buf = adr.scale_rows(buf, adr.gather_distinct_rows(probs, (tok, slot)))
+    if train:
+        buf = est.apply_estimator(buf, routing.scale[tok, slot])
+    elif routing.bern is not None:
+        buf = adr.scale_rows(buf, ad.Tensor(routing.scale[tok, slot]))
+    return adr.fold_rows(X.data.shape[-2], tok, rank, buf)
+
+
 def scatter_fill_mix(layer, X, probs, routing, train):
-    """``DynamicCapacityMoE._mix`` with the generic row ops: the pair
-    buffer is a zeros buffer plus one ``scatter_add_rows`` per routed
-    expert, and the pairs reach the output through one more, in pair
-    order."""
+    """:func:`composed_mix` with the generic row ops: the pair buffer is a
+    zeros buffer plus one ``scatter_add_rows`` per routed expert, and the
+    pairs reach the output through one more, in pair order."""
     cfg = layer.config
     rank = routing.rank[:, :cfg.n_routed]
     tok, slot = np.nonzero(rank >= 0)
@@ -236,21 +264,39 @@ def scatter_fill_mix(layer, X, probs, routing, train):
         if pos.size:
             buf = adr.scatter_add_rows(buf, pos, moe.gated_ffn(adr.gather_rows(X, tok[pos]),
                                                                params))
-    buf = ad.scale_rows(buf, adr.gather_rows(probs, (tok, slot)))
+    buf = adr.scale_rows(buf, adr.gather_rows(probs, (tok, slot)))
     if train:
         buf = est.apply_estimator(buf, routing.scale[tok, slot])
     elif routing.bern is not None:
-        buf = ad.scale_rows(buf, ad.Tensor(routing.scale[tok, slot]))
+        buf = adr.scale_rows(buf, ad.Tensor(routing.scale[tok, slot]))
     return adr.scatter_add_rows(ad.zeros((len(X.data), cfg.d_model)), tok, buf)
 
 
-def scatter_fill_forward_rows(layer, X, mode="infer", key=None, frozen=None):
-    """``layer.forward_rows`` with :func:`scatter_fill_mix` as its mixture."""
-    layer._mix = functools.partial(scatter_fill_mix, layer)
+def composed_rows(layer, X, U, frozen, mix=composed_mix):
+    """``DynamicCapacityMoE._forward_rows`` as the graph of engine ops the
+    fused layer replaced: the router product and softmax, ``mix`` for the
+    routed experts, then one ``gated_ffn`` and one ``add`` per shared
+    expert.  The selection is the layer's own."""
+    logits = ad.matvec_rows(layer.router, X)
+    probs = ad.softmax(logits)
+    routing, matches = layer._select(logits.data, probs.data, U, frozen)
+    Y = mix(layer, X, probs, routing, train=U is not None)
+    for params in layer.shared:
+        Y = ad.add(Y, moe.gated_ffn(X, params))
+    return Y, routing, matches
+
+
+def composed_forward_rows(layer, X, mode="infer", key=None, frozen=None, mix=composed_mix):
+    """``layer.forward_rows`` with :func:`composed_rows` in place of the
+    fused layer."""
+    layer._forward_rows = functools.partial(composed_rows, layer, mix=mix)
     try:
         return layer.forward_rows(X, mode, key, frozen)
     finally:
-        del layer._mix
+        del layer._forward_rows
+
+
+scatter_fill_forward_rows = functools.partial(composed_forward_rows, mix=scatter_fill_mix)
 
 
 def moe_rows(layer, X, mode, key, frozen=None):

@@ -268,13 +268,13 @@ def test_index_row_stack_grads():
 
 def test_gather_rows_hands_each_distinct_row_or_cell_its_gradient():
     a = ad.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    g = ad._gather_rows(a, np.array([2, 0]))
+    g = adr.gather_distinct_rows(a, np.array([2, 0]))
     npt.assert_array_equal(g.data, [[4.0, 5.0], [0.0, 1.0]])
     ad.backward(ad.sum(ad.mul(g, ad.Tensor([[1.0, -0.0], [3.0, 4.0]]))))
     npt.assert_array_equal(a.grad, [[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
     assert not np.signbit(a.grad).any()  # 0.0 + g, so no row keeps a -0.0
     b = ad.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    cells = ad._gather_rows(b, (np.array([2, 0, 1]), np.array([1, 0, 0])))
+    cells = adr.gather_distinct_rows(b, (np.array([2, 0, 1]), np.array([1, 0, 0])))
     npt.assert_array_equal(cells.data, [5.0, 0.0, 2.0])
     ad.backward(ad.sum(ad.mul(cells, ad.Tensor([1.0, 2.0, 4.0]))))
     npt.assert_array_equal(b.grad, [[2.0, 0.0], [4.0, 0.0], [0.0, 1.0]])
@@ -282,7 +282,7 @@ def test_gather_rows_hands_each_distinct_row_or_cell_its_gradient():
 
 def test_fold_rows_adds_a_tokens_rows_in_rank_order_from_zeros():
     rows = np.array([[1.0], [-1e16], [1e16], [-0.0]])
-    out = ad._fold_rows(3, np.array([0, 0, 0, 2]), np.array([1, 2, 0, 0]),
+    out = adr.fold_rows(3, np.array([0, 0, 0, 2]), np.array([1, 2, 0, 0]),
                         ad.Tensor(rows, requires_grad=True))
     npt.assert_array_equal(out.data, [[((0.0 + 1e16) + 1.0) - 1e16], [0.0], [0.0]])
     assert out.data[0, 0] == 0.0  # the pair order would leave -1e16 + 1e16 + 1.0 = 1.0
@@ -295,12 +295,12 @@ def test_fold_rows_adds_a_tokens_rows_in_rank_order_from_zeros():
 def test_concat_rows_puts_the_parts_one_after_the_other_and_hands_back_their_rows():
     parts = [ad.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True),
              ad.Tensor([[5.0, 6.0]], requires_grad=True)]
-    out = ad._concat_rows(parts)
+    out = adr.concat_rows(parts)
     npt.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     ad.backward(ad.sum(ad.mul(out, ad.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))))
     npt.assert_array_equal(parts[0].grad, [[1.0, 2.0], [3.0, 4.0]])
     npt.assert_array_equal(parts[1].grad, [[5.0, 6.0]])
-    probed = ad._concat_rows([ad.Tensor(np.stack([parts[0].data, -parts[0].data])),
+    probed = adr.concat_rows([ad.Tensor(np.stack([parts[0].data, -parts[0].data])),
                               ad.Tensor(parts[1].data)])
     npt.assert_array_equal(probed.data, [out.data, [[-1.0, -2.0], [-3.0, -4.0], [5.0, 6.0]]])
 
@@ -350,9 +350,9 @@ def test_a_row_of_a_batch_has_the_bits_it_has_alone(seed, m, pick, o, k, probes)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: ad.scale_rows(ad.zeros((3, 2)), ad.zeros((2,))),
-    lambda: ad.scale_rows(ad.zeros((3,)), ad.zeros((3,))),
-    lambda: ad.scale_rows(ad.zeros((3, 2)), ad.zeros((3, 1))),
+    lambda: adr.scale_rows(ad.zeros((3, 2)), ad.zeros((2,))),
+    lambda: adr.scale_rows(ad.zeros((3,)), ad.zeros((3,))),
+    lambda: adr.scale_rows(ad.zeros((3, 2)), ad.zeros((3, 1))),
     lambda: ad.matvec_rows(ad.zeros((4, 3)), ad.zeros((2, 4))),
     lambda: ad.matvec_rows(ad.zeros((4, 3)), ad.zeros((3,))),
 ])
@@ -431,24 +431,24 @@ def test_every_op_backward_matches_finite_differences(seed):
         "silu": lambda t: ad.sum(ad.mul(ad.silu(t), ad.Tensor(yv))),
         "sum": lambda t: ad.scale(ad.sum(t), 2.0),
         "row": lambda t: ad.sum(ad.mul(ad.row(t, 1), ad.Tensor(yv[1]))),
-        "gather_rows": lambda t: ad.sum(ad.mul(ad._gather_rows(t, np.array([2, 0])),
+        "gather_rows": lambda t: ad.sum(ad.mul(adr.gather_distinct_rows(t, np.array([2, 0])),
                                                ad.Tensor(gv[:2]))),
-        "gather_rows.cells": lambda t: ad.sum(ad.mul(ad._gather_rows(
+        "gather_rows.cells": lambda t: ad.sum(ad.mul(adr.gather_distinct_rows(
             t, (np.array([2, 0, 1, 2]), np.array([3, 1, 0, 1]))), ad.Tensor(gv[0]))),
-        "fold_rows": lambda t: ad.sum(ad.mul(ad._fold_rows(
+        "fold_rows": lambda t: ad.sum(ad.mul(adr.fold_rows(
             4, np.array([3, 0, 3]), np.array([1, 0, 0]), t), ad.Tensor(gv))),
-        "scale_rows.a": lambda t: ad.sum(ad.mul(ad.scale_rows(t, ad.Tensor(cv)),
+        "scale_rows.a": lambda t: ad.sum(ad.mul(adr.scale_rows(t, ad.Tensor(cv)),
                                                 ad.Tensor(yv))),
         "scale_rows.c": lambda t: ad.sum(ad.mul(
-            ad.scale_rows(ad.Tensor(yv), ad.matmul(t, ad.Tensor(wv[:, 0]))), ad.Tensor(yv))),
+            adr.scale_rows(ad.Tensor(yv), ad.matmul(t, ad.Tensor(wv[:, 0]))), ad.Tensor(yv))),
         "matvec_rows.x": lambda t: ad.sum(ad.mul(ad.matvec_rows(ad.Tensor(wv.T), t),
                                                  ad.Tensor(mv))),
         "matvec_rows.w": lambda t: ad.sum(ad.mul(ad.matvec_rows(t, ad.Tensor(gv)),
                                                  ad.Tensor(gv[:, :3]))),
         "concat_rows.first": lambda t: ad.sum(ad.mul(
-            ad._concat_rows([t, ad.Tensor(yv[:2])]), ad.Tensor(np.vstack([gv, yv[:1]])))),
+            adr.concat_rows([t, ad.Tensor(yv[:2])]), ad.Tensor(np.vstack([gv, yv[:1]])))),
         "concat_rows.last": lambda t: ad.sum(ad.mul(
-            ad._concat_rows([ad.Tensor(yv[:2]), t]), ad.Tensor(np.vstack([gv, yv[:1]])))),
+            adr.concat_rows([ad.Tensor(yv[:2]), t]), ad.Tensor(np.vstack([gv, yv[:1]])))),
         "gated_ffn.x": lambda t: ad.sum(ad.mul(
             gated_ffn(t, T(wv.T), T(gv[:2]), T(wv)), ad.Tensor(yv))),
         "gated_ffn.w_gate": lambda t: ad.sum(ad.mul(
@@ -530,11 +530,11 @@ def _op_nodes(rng):
         "index": ad.index(leaf(3), 1),
         "row": ad.row(leaf(3, 2), 2),
         "stack_rows": ad.stack_rows([leaf(2), leaf(2)]),
-        "gather_rows": ad._gather_rows(leaf(3, 2), np.array([2, 0])),
-        "gather_rows.cells": ad._gather_rows(leaf(3, 2), (np.array([2, 0]), np.array([1, 1]))),
-        "fold_rows": ad._fold_rows(3, np.array([1, 1, 0]), np.array([0, 1, 0]), leaf(3, 2)),
-        "concat_rows": ad._concat_rows([leaf(2, 2), leaf(1, 2)]),
-        "scale_rows": ad.scale_rows(leaf(3, 2), leaf(3)),
+        "gather_rows": adr.gather_distinct_rows(leaf(3, 2), np.array([2, 0])),
+        "gather_rows.cells": adr.gather_distinct_rows(leaf(3, 2), (np.array([2, 0]), np.array([1, 1]))),
+        "fold_rows": adr.fold_rows(3, np.array([1, 1, 0]), np.array([0, 1, 0]), leaf(3, 2)),
+        "concat_rows": adr.concat_rows([leaf(2, 2), leaf(1, 2)]),
+        "scale_rows": adr.scale_rows(leaf(3, 2), leaf(3)),
         "softmax": ad.softmax(leaf(3, 2)),
         "silu": ad.silu(leaf(3, 2)),
         "rope3d": rp.apply_rope3d(leaf(6), pids[0], rope),
@@ -601,15 +601,15 @@ _DAG_OPS = {
     "matmul": lambda a, b, j, w: ad.matmul(a, w["square"]),
     "matvec_rows": lambda a, b, j, w: ad.matvec_rows(w["square"], a),
     "transpose": lambda a, b, j, w: ad.transpose(ad.transpose(a)),
-    "scale_rows": lambda a, b, j, w: ad.scale_rows(a, ad.row(ad.transpose(b), j % 4)),
+    "scale_rows": lambda a, b, j, w: adr.scale_rows(a, ad.row(ad.transpose(b), j % 4)),
     "stack_rows": lambda a, b, j, w: ad.stack_rows([ad.row(a, 0), ad.row(b, 1), ad.row(a, 2)]),
     "softmax": lambda a, b, j, w: ad.softmax(a),
     "silu": lambda a, b, j, w: ad.silu(a),
-    "gather_rows": lambda a, b, j, w: ad._gather_rows(a, np.array([2, 0, 1])),
-    "fold_rows": lambda a, b, j, w: ad._fold_rows(3, np.array([0, 2, 0]),
+    "gather_rows": lambda a, b, j, w: adr.gather_distinct_rows(a, np.array([2, 0, 1])),
+    "fold_rows": lambda a, b, j, w: adr.fold_rows(3, np.array([0, 2, 0]),
                                                   np.array([0, 0, 1]), a),
-    "concat_rows": lambda a, b, j, w: ad._concat_rows(
-        [ad._gather_rows(a, np.array([2, 0])), ad._gather_rows(b, np.array([1]))]),
+    "concat_rows": lambda a, b, j, w: adr.concat_rows(
+        [adr.gather_distinct_rows(a, np.array([2, 0])), adr.gather_distinct_rows(b, np.array([1]))]),
     "gated_ffn": lambda a, b, j, w: gated_ffn(a, *w["ffn"]),
     "attention": lambda a, b, j, w: attend(a, *w["attention"]),
 }

@@ -28,6 +28,7 @@ def composed(monkeypatch):
 
     def use():
         monkeypatch.setattr(moe, "gated_ffn", ref.composed_gated_ffn)
+        monkeypatch.setattr(moe.DynamicCapacityMoE, "_forward_rows", ref.composed_rows)
         monkeypatch.setattr(hn.ToyTransformer, "_attend", ref.composed_attend)
 
     return use

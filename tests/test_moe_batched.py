@@ -6,8 +6,8 @@ agree exactly: each row is computed as it would be alone and sums its terms
 in the same order.  Gradients sum over tokens in another order, so they
 agree within 1e-12.
 
-The layer's one-op pair-buffer fill and its rank fold are also checked
-against the generic row ops of ``autodiff_reference`` (one
+The fused layer is also checked against the composed graph built from the
+generic row ops of ``autodiff_reference`` (one
 ``scatter_add_rows`` per expert, and one that adds the pairs into the
 output in pair order with ``np.add.at``), bit for bit in outputs and
 gradients alike, on the shipped model shapes.

