@@ -102,7 +102,6 @@ __all__ = [
     "silu",
     "stop_gradient",
     "backward",
-    "max_rel_err",
 ]
 
 
@@ -590,11 +589,3 @@ def backward(loss: Tensor) -> None:
         node._backward_fn = None
         node._parents = ()
         node._backward_done = True
-
-
-def max_rel_err(a, b) -> float:
-    """max |a-b| scaled by max(1, |b|_inf); below unit scale this is absolute error."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = max(1.0, float(np.max(np.abs(b)))) if b.size else 1.0
-    return float(np.max(np.abs(a - b)) / denom)

@@ -32,10 +32,11 @@ reported rather than compared.
 The forward runs in stages: each layer's attention, each layer's MoE with
 its residual add, then the classifier head and the loss.  A parameter of
 stage s changes nothing before stage s, so the gradient check records every
-stage's input once, during the frozen replay that yields the analytic
-gradients.  It evaluates the +/-eps probes of up to 64 consecutive
-coordinates of the model, which may span parameters and stages, in one
-forward resumed at the stage of the first of them (see :func:`grad_check`).
+stage's input once, during the one train forward that draws the routing
+and yields the analytic gradients.  It evaluates the +/-eps probes of up
+to 64 consecutive coordinates of the model, which may span parameters and
+stages, in one replay resumed at the stage of the first of them (see
+:func:`grad_check`).
 The skipped prefix would recompute the recorded bits from the same
 parameters, so the report is exactly the one a full forward per evaluation
 gives.
@@ -374,13 +375,16 @@ class ToyTransformer:
 
     def forward(self, batch: SyntheticBatch, mode: str = "train",
                 frozen: list[moe.Routing] | None = None, *,
-                stage_inputs: list[tuple[np.ndarray, bool]] | None = None):
+                stage_inputs: list[tuple[np.ndarray, bool]] | None = None,
+                grad_rule: str | None = None):
         """Full pass to the mean cross-entropy, one stage after another (see
         :meth:`stage_parameters`).
 
         ``mode`` is "train" or "infer" (see ``DynamicCapacityMoE.forward_rows``);
         ``frozen`` replays a recorded :class:`~dyncapmoe.moe.Routing` per layer
-        and overrides it.  Returns (loss, routing of each MoE stage run, matches):
+        and overrides it.  ``grad_rule`` goes to every MoE layer: how the
+        gradient crosses the forward scales, whatever the routing's source.
+        Returns (loss, routing of each MoE stage run, matches):
         ``matches`` is only meaningful when replaying frozen routing.  A
         replay whose parameters hold probe stacks (see :func:`grad_check`)
         returns one loss and one ``matches`` flag per probe.
@@ -411,7 +415,7 @@ class ToyTransformer:
             else:
                 Y, routing, ok = self.blocks[li].forward_rows(
                     X, mode, key=(self.cfg.seed, 5077 + li),
-                    frozen=frozen[li] if frozen is not None else None)
+                    frozen=frozen[li] if frozen is not None else None, grad_rule=grad_rule)
                 X = ad.add(X, Y)
                 matches = matches & ok
                 per_layer.append(routing)
@@ -523,19 +527,20 @@ def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
                tol: float = 1e-4) -> GradCheckReport:
     """Central differences vs the tape, with every discrete choice frozen.
 
-    One train-mode forward fixes the per-token active sets and (delta, B)
-    draws (with the parameters' ``requires_grad`` off, so it builds no
-    tape); analytic gradients come from that frozen graph.  Each coordinate
-    is then perturbed by +/-eps and the frozen loss re-evaluated; if either
-    perturbation would flip a live selection the coordinate is skipped and
-    counted instead of compared.  ``eps`` and ``tol`` must be finite and
-    positive (``ValueError`` otherwise).
+    One taped train-mode forward draws the per-token active sets and
+    (delta, B), with the gradient crossing each forward scale as a constant
+    (``grad_rule="constant"``), so its backward is the true derivative of
+    the frozen (smooth) branch: the analytic gradients.  Each coordinate is
+    then perturbed by +/-eps and the loss re-evaluated on a replay of that
+    routing; if either perturbation would flip a live selection the
+    coordinate is skipped and counted instead of compared.  ``eps`` and
+    ``tol`` must be finite and positive (``ValueError`` otherwise).
 
-    The frozen replay that yields the analytic gradients also records each
-    stage's input (see :meth:`ToyTransformer.forward`).  A coordinate of
-    stage s is re-evaluated by resuming the forward at stage s from that
-    record: stages before s see the same parameters as the replay, so they
-    would recompute the recorded bits.  Once the analytic gradients are
+    The train forward also records each stage's input (see
+    :meth:`ToyTransformer.forward`).  A coordinate of stage s is
+    re-evaluated by resuming the replay at stage s from that record: stages
+    before s see the same parameters as the train forward, whose bits a
+    replay of its routing recomputes.  Once the analytic gradients are
     taken, the model's parameters stop requiring gradients, so the
     evaluations fold into constants and build no tape.
 
@@ -549,13 +554,16 @@ def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
     probes are unperturbed copies.  One forward, resumed at the stage of
     the chunk's first coordinate, returns all 2K losses and match flags
     (the probe axes of the autodiff module notes); then every original
-    array goes back.  A stage that runs a probe with the replay's
+    array goes back.  A stage that runs a probe with the train forward's
     parameters recomputes the recorded bits, and each probe computes the
     bits of its own unbatched forward, so the report is the one a full
     forward per evaluation gives, to the bit.  A forward holds 2K copies of
     the parameters the chunk touches and 2K probes' activations, so peak
     memory grows with the chunk (at most 2 x 64 probes) rather than with
     all of a weight's coordinates at once.
+
+    The report reduces every block at once, over flat vectors of all
+    coordinates (see :func:`_block_errors`).
     """
     ad.check_real(eps, "eps", 0.0)
     ad.check_real(tol, "tol", 0.0)
@@ -563,18 +571,10 @@ def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
     batch = generate_batch(cfg.segments, cfg.seed, cfg.d_model, cfg.n_classes,
                            cfg.noise, cfg.theta)
     params = model.parameters()
-    # the live forward only records the routing: nothing differentiates it
-    for t in params.values():
-        t.requires_grad = False
-    _, frozen, _ = model.forward(batch, mode="train")
-    for t in params.values():
-        t.requires_grad = True
-
     stage_inputs: list[tuple[np.ndarray, bool]] = []
-    loss, _, _ = model.forward(batch, frozen=frozen, stage_inputs=stage_inputs)
+    loss, frozen, _ = model.forward(batch, mode="train", stage_inputs=stage_inputs,
+                                    grad_rule="constant")
     ad.backward(loss)
-    analytic = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
-                for name, t in params.items()}
     for t in params.values():
         t.requires_grad = False
 
@@ -584,6 +584,10 @@ def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
         for name, t in stage_params.items():
             layout.append((name, stage, t.data, total))
             total += t.data.size
+    analytic = np.zeros(total)
+    for name, _, weights, first in layout:
+        if params[name].grad is not None:
+            analytic[first:first + weights.size] = params[name].grad.reshape(-1)
     fd = np.zeros(total)
     keep = np.ones(total, dtype=bool)
     for lo in range(0, total, _PROBE_CHUNK):
@@ -608,13 +612,31 @@ def grad_check(cfg: ToyModelConfig, eps: float = 1e-6,
         keep[lo:lo + k] = ok[:k] & ok[k:]
         fd[lo:lo + k] = (loss[:k] - loss[k:]) / (2.0 * eps)
 
-    blocks = []
-    for name, _, weights, first in layout:
-        span = slice(first, first + weights.size)
-        kept = keep[span]
-        err = (ad.max_rel_err(analytic[name].reshape(-1)[kept], fd[span][kept])
-               if kept.any() else 0.0)
-        blocks.append(BlockReport(name=name, max_rel_err=float(err),
-                                  n_checked=int(kept.sum()),
-                                  n_skipped=int(kept.size - kept.sum())))
-    return GradCheckReport(blocks=tuple(blocks), tol=tol, eps=eps)
+    errors, checked = _block_errors(analytic, fd, keep,
+                                    np.array([first for _, _, _, first in layout]))
+    blocks = tuple(BlockReport(name=name, max_rel_err=err, n_checked=c,
+                               n_skipped=weights.size - c)
+                   for (name, _, weights, _), err, c in zip(layout, errors, checked))
+    return GradCheckReport(blocks=blocks, tol=tol, eps=eps)
+
+
+def _block_errors(analytic: np.ndarray, fd: np.ndarray, keep: np.ndarray,
+                  starts: np.ndarray) -> tuple[list[float], list[int]]:
+    """Each block's relative error and count of kept coordinates, all at
+    once: block i is ``[starts[i], starts[i + 1])`` of the flat vectors (the
+    last runs to the end), and none is empty.
+
+    The error is the largest ``|analytic - fd|`` over the kept coordinates
+    divided by ``max(1.0, largest |fd| kept)``; a NaN on either side makes
+    it NaN, and a block that keeps none reports 0.0.  (Python's ``max``
+    would read a NaN ``fd`` as 1.0, but that coordinate's difference is
+    NaN, so the error is too.)  A coordinate not kept reads as 0.0, which
+    changes no maximum of absolute values, and is never subtracted, so it
+    raises no floating-point warning.
+    """
+    diff = np.zeros(analytic.shape)
+    np.subtract(analytic, fd, out=diff, where=keep)
+    num = np.maximum.reduceat(np.abs(diff), starts)
+    fd_max = np.maximum.reduceat(np.where(keep, np.abs(fd), 0.0), starts)
+    err = num / np.maximum(fd_max, 1.0)
+    return err.tolist(), np.add.reduceat(keep, starts, dtype=np.int64).tolist()

@@ -33,8 +33,11 @@ backward keeps the bits of the op graph it replaced (kept in
 draw and forward scale; a token's :class:`RoutingDecision` is built only
 when someone indexes the Routing.  Frozen replay takes a Routing back,
 hand-edited with :func:`dataclasses.replace` if need be; a Routing checks
-its own rule when built, so every reader trusts it.  The per-token
-forwards are one-row calls of ``forward_rows``.
+its own rule when built, so every reader trusts it.  Where the routing
+comes from (a live draw or a given Routing) and how the gradient crosses
+its forward scales (the estimator's doubling or the scale as a constant)
+are independent arguments.  The per-token forwards are one-row calls of
+``forward_rows``.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ class ExpertRole(enum.Enum):
 
 
 _ROUTING_MODES = ("deterministic", "sampled")
+_GRAD_RULES = (None, "estimator", "constant")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -458,7 +462,8 @@ class DynamicCapacityMoE:
 
     def forward_rows(self, X: ad.Tensor, mode: str = "infer",
                      key: Sequence[int] | None = None,
-                     frozen: Routing | None = None,
+                     frozen: Routing | None = None, *,
+                     grad_rule: str | None = None,
                      ) -> tuple[ad.Tensor, Routing, bool]:
         """The layer on a batch: row t of ``X`` [n, d_model] is token t.
 
@@ -482,6 +487,14 @@ class DynamicCapacityMoE:
           and the weights with leading probe axes (see the autodiff module
           notes); ``matches`` is then a bool array, one flag per probe.
 
+        ``grad_rule`` is how the gradient crosses each routed pair's forward
+        scale, whatever the routing's source: ``"estimator"`` doubles it
+        (:func:`~dyncapmoe.estimator.estimator_grad`), ``"constant"``
+        multiplies it by the scale, as by a constant.  None takes the
+        estimator in training and the constant scale on a replay.  A rule
+        needs B draws: given one, inference and a replay of a Routing
+        without ``bern`` raise ``ValueError``.
+
         The whole layer is one tape node: each routed expert runs once on
         the rows of the tokens that chose it, then gates, scales and the
         estimator apply to all pairs at once; null slots cost nothing and
@@ -494,17 +507,26 @@ class DynamicCapacityMoE:
         if len(shape) < 2 or shape[-1] != self.config.d_model or shape[-2] < 1:
             raise ad.ShapeError(f"token rows must have shape (n, {self.config.d_model}) "
                                 f"with n >= 1, got {shape}")
+        if grad_rule not in _GRAD_RULES:
+            raise ValueError(f"grad_rule must be one of {_GRAD_RULES}")
+        if grad_rule is not None and (mode == "infer" if frozen is None
+                                      else frozen.bern is None):
+            raise ValueError("a gradient rule needs B draws: train mode or a replay "
+                             "of a Routing with bern")
         U = None
         if frozen is None and mode == "train":
             if key is None:
                 raise ValueError("train mode needs an rng key")
             U = np.random.Generator(np.random.Philox(list(key))).random(
                 (X.data.shape[-2], 2 * self.config.n_slots))
-        return self._forward_rows(X, U, frozen)
+        estimator = grad_rule == "estimator" if grad_rule else U is not None
+        return self._forward_rows(X, U, frozen, estimator)
 
-    def _forward_rows(self, X: ad.Tensor, U: np.ndarray | None, frozen: Routing | None):
+    def _forward_rows(self, X: ad.Tensor, U: np.ndarray | None, frozen: Routing | None,
+                      estimator: bool):
         """``forward_rows`` on a uniform block: train when ``U`` [n, 2 * n_slots]
-        is given, replay when ``frozen`` is, inference otherwise."""
+        is given, replay when ``frozen`` is, inference otherwise; the
+        gradient crosses the forward scales doubled if ``estimator``."""
         cfg = self.config
         n = X.data.shape[-2]
         if frozen is not None and (len(frozen) != n or frozen.rank.shape[1] != cfg.n_slots
@@ -518,7 +540,7 @@ class DynamicCapacityMoE:
         logits = ad._block_rows(ad._block_matvec(self.router.data, xb), n)
         P = ad._softmax_data(logits)
         routing, matches = self._select(logits, P, U, frozen)
-        return self._layer(X, xb, P, routing, train=U is not None), routing, matches
+        return self._layer(X, xb, P, routing, estimator), routing, matches
 
     def _select(self, logits: np.ndarray, P: np.ndarray, U: np.ndarray | None,
                 frozen: Routing | None):
@@ -541,7 +563,7 @@ class DynamicCapacityMoE:
         return Routing(rank, P, is_argmax, bern, cfg.n_routed, cfg.n_shared), True
 
     def _layer(self, X: ad.Tensor, xb: np.ndarray, P: np.ndarray, routing: Routing,
-               train: bool) -> ad.Tensor:
+               estimator: bool) -> ad.Tensor:
         """The layer's output [n, d_model] for the token rows ``X`` (cut into
         the blocks ``xb``) and their router softmax ``P``, as one tape node.
 
@@ -552,11 +574,12 @@ class DynamicCapacityMoE:
         a row has the bits it has alone.  The silu and gate work runs once
         over the blocks of all routed experts and once over those of all
         shared experts.  Each pair's output row takes its gate, then the
-        forward scale (the estimator's in training, the recorded ones on a
-        replay with B draws), and each token folds its pairs into the
-        output one rank at a time, starting from zeros, so it sums its
-        terms in selection order.  The shared experts' outputs are added
-        after, one by one.
+        routing's forward scale where it has B draws, and each token folds
+        its pairs into the output one rank at a time, starting from zeros,
+        so it sums its terms in selection order.  The shared experts'
+        outputs are added after, one by one.  The gradient crosses the
+        scale doubled if ``estimator`` (the estimator's rule), else times
+        the scale.
 
         The backward is written by hand, each term in the formula and shape
         of the op it replaces (the row gathers, ``gated_ffn``, the softmax,
@@ -581,7 +604,7 @@ class DynamicCapacityMoE:
                 experts.append((params, lo, hi, nb, nb + (hi - lo + B - 1) // B))
                 nb = experts[-1][4]
         scale = None
-        if train or routing.bern is not None:
+        if estimator or routing.bern is not None:
             scale = routing.scale[tok, slot][:, None]
 
         Y = np.zeros((n, d))
@@ -621,7 +644,7 @@ class DynamicCapacityMoE:
             x_terms, w_terms = [], []
             if m:
                 g_pairs = g[tok]
-                if train:
+                if estimator:
                     g_pairs = est.estimator_grad(g_pairs)
                 elif scale is not None:
                     g_pairs = g_pairs * scale
@@ -665,7 +688,7 @@ class DynamicCapacityMoE:
         if x.data.shape != (self.config.d_model,):
             raise ad.ShapeError(f"token must have shape ({self.config.d_model},), "
                                 f"got {x.data.shape}")
-        Y, routing, matches = self._forward_rows(ad.stack_rows([x]), U, frozen)
+        Y, routing, matches = self._forward_rows(ad.stack_rows([x]), U, frozen, U is not None)
         return ad.row(Y, 0), routing[0], matches
 
     def forward_infer(self, x: ad.Tensor) -> tuple[ad.Tensor, RoutingDecision]:

@@ -24,7 +24,9 @@ sweep's are checked against, bit for bit.
 
 :func:`zero_grads` clears the ``.grad`` of tensors that a test
 differentiates more than once; training clears each gradient as it
-applies it, so the package itself has no use for it.
+applies it, so the package itself has no use for it.  :func:`max_rel_err`
+compares an analytic gradient with a finite-difference one; the gradient
+check reduces every parameter block at once and needs no per-block call.
 """
 
 from __future__ import annotations
@@ -208,3 +210,13 @@ def zero_grads(tensors) -> None:
     """Clear the ``.grad`` of each tensor."""
     for t in tensors:
         t.grad = None
+
+
+def max_rel_err(a, b) -> float:
+    """max |a-b| scaled by max(1, |b|_inf); below unit scale this is absolute
+    error.  ``harness.grad_check`` reduces all its blocks at once with these
+    semantics; this is the one-block form the tests compare with."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    denom = max(1.0, float(np.max(np.abs(b)))) if b.size else 1.0
+    return float(np.max(np.abs(a - b)) / denom)

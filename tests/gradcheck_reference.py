@@ -52,7 +52,7 @@ def grad_check_blocks(cfg: hn.ToyModelConfig,
                 skipped += 1
                 continue
             fd[idx] = (up - down) / (2.0 * eps)
-        err = ad.max_rel_err(analytic[name][keep], fd[keep]) if keep.any() else 0.0
+        err = adr.max_rel_err(analytic[name][keep], fd[keep]) if keep.any() else 0.0
         blocks.append(hn.BlockReport(name=name, max_rel_err=float(err),
                                      n_checked=int(keep.sum()), n_skipped=skipped))
     return tuple(blocks)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import autodiff_reference as adr
 import batch_reference
 import moe_reference as ref
 from fd_reference import finite_diff_grad
@@ -276,7 +278,7 @@ class TestCrossEntropy:
         fd = finite_diff_grad(f, x)
         y = ad.Tensor(x.data, requires_grad=True)
         ad.backward(f(y))
-        assert ad.max_rel_err(y.grad, fd) <= 1e-6
+        assert adr.max_rel_err(y.grad, fd) <= 1e-6
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ad.ShapeError):
@@ -348,6 +350,10 @@ class TestToyTransformer:
         npt.assert_array_equal(y_frozen.data, y_inf.data[0])
 
 
+def grad_bytes(params):
+    return {name: None if t.grad is None else t.grad.tobytes() for name, t in params.items()}
+
+
 class TestTrain:
     def test_zero_learning_rate_flat_loss(self):
         cfg = tiny_config(learning_rate=0.0, steps=6,
@@ -396,6 +402,43 @@ class TestTrain:
         cfg = tiny_config(steps=50, learning_rate=1e6)
         with pytest.raises(hn.TrainingDivergedError, match="step"):
             hn.train(cfg)
+
+    @pytest.mark.parametrize("make", [hn.smoke_train_config, hn.gradcheck_default_config])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_steps_routing_replayed_under_the_estimator_gives_its_loss_and_gradients(
+            self, monkeypatch, make, seed):
+        """The Routing a one-step ``train`` draws, replayed on a fresh model
+        under the estimator rule, gives that step's loss and every
+        parameter gradient bit for bit: a recorded (rank, B) choice can be
+        pushed through the real layer with the estimator on."""
+        cfg = dataclasses.replace(make(seed), steps=1)
+        model = hn.ToyTransformer(cfg)
+        params = model.parameters()
+        seen = {}
+        real_forward, real_backward = model.forward, ad.backward
+
+        def recording_forward(*args, **kwargs):
+            seen["loss"], seen["routing"], _ = out = real_forward(*args, **kwargs)
+            return out
+
+        def recording_backward(loss):
+            real_backward(loss)
+            seen["grads"] = grad_bytes(params)
+
+        model.forward = recording_forward
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "backward", recording_backward)
+            result = hn.train(cfg, model)
+        assert seen["loss"].data.tobytes() == np.float64(result.losses[0]).tobytes()
+
+        replay = hn.ToyTransformer(cfg)
+        batch = hn.generate_batch(cfg.segments, cfg.seed, cfg.d_model, cfg.n_classes,
+                                  cfg.noise, cfg.theta)
+        loss, _, matches = replay.forward(batch, frozen=seen["routing"], grad_rule="estimator")
+        real_backward(loss)
+        assert matches
+        assert loss.data.tobytes() == seen["loss"].data.tobytes()
+        assert grad_bytes(replay.parameters()) == seen["grads"]
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_non_finite_gradient_stops_the_step_before_any_update(self, monkeypatch,
@@ -482,6 +525,39 @@ class TestGradCheck:
         assert rep.failed_blocks == ("router",)
         assert not rep.passed
         assert rep.lines() == ["FAIL router: max rel err nan (3 coords)"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    def test_blocks_reduced_at_once_equal_one_max_rel_err_per_block(self, data, sizes):
+        """Whole-array reduction against the per-block ``max_rel_err``:
+        NaN and infinite values on either side and blocks that keep
+        nothing."""
+        total = sum(sizes)
+        values = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(
+            (0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf, 1e308)))
+        vectors = st.lists(values, min_size=total, max_size=total)
+        analytic = np.array(data.draw(vectors))
+        fd = np.array(data.draw(vectors))
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=total, max_size=total)))
+        starts = np.cumsum([0] + sizes[:-1])
+        with np.errstate(all="ignore"):
+            errors, checked = hn._block_errors(analytic, fd, keep, starts)
+            want = []
+            for lo, size in zip(starts, sizes):
+                k = keep[lo:lo + size]
+                want.append(adr.max_rel_err(analytic[lo:lo + size][k], fd[lo:lo + size][k])
+                            if k.any() else 0.0)
+        assert [repr(e) for e in errors] == [repr(e) for e in want]
+        assert checked == [int(keep[lo:lo + size].sum()) for lo, size in zip(starts, sizes)]
+
+    def test_coordinates_not_kept_raise_no_floating_point_warning(self):
+        analytic = np.array([math.inf, 1.0, math.nan, -math.inf, 2.0])
+        fd = np.array([math.inf, 0.5, math.nan, -math.inf, 2.5])
+        keep = np.array([False, True, False, False, True])
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errors, checked = hn._block_errors(analytic, fd, keep, np.array([0, 3]))
+        assert (errors, checked) == ([0.5, 0.2], [1, 1])
 
     def test_failing_tolerance_lists_blocks(self):
         rep = hn.grad_check(hn.gradcheck_default_config(), eps=1e-6, tol=1e-300)

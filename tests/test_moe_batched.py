@@ -217,6 +217,18 @@ def test_train_mode_needs_a_key_and_rows_need_the_model_width():
         layer.forward_rows(ad.Tensor(np.ones((2, 5))), frozen=[])
 
 
+def test_a_gradient_rule_is_known_and_needs_b_draws():
+    layer = make_layer(0, "sampled", 1, 0)
+    X = ad.Tensor(np.ones((2, 5)))
+    recorded = layer.forward_rows(X, "train", key=(0, 1))[1]
+    with pytest.raises(ValueError, match="grad_rule must be one of"):
+        layer.forward_rows(X, "train", key=(0, 1), grad_rule="straight-through")
+    for mode, frozen in (("infer", None), ("train", dataclasses.replace(recorded, bern=None))):
+        for rule in ("estimator", "constant"):
+            with pytest.raises(ValueError, match="a gradient rule needs B draws"):
+                layer.forward_rows(X, mode, key=(0, 1), frozen=frozen, grad_rule=rule)
+
+
 @pytest.mark.parametrize("mode", ["infer", "train", "frozen"])
 def test_zero_token_rows_are_refused_by_the_row_shape_check(mode):
     layer = make_layer(0, "sampled", 1, 1)

@@ -301,15 +301,15 @@ def chunk_forwards(cfg):
 def test_a_default_campaign_runs_one_forward_per_64_coordinates(monkeypatch, seed):
     cfg = hn.gradcheck_default_config(seed)
     forwards = campaign_forwards(monkeypatch, cfg)
-    assert len(forwards) == 13  # the live forward, the replay and 11 chunks
-    assert forwards[:2] == [([], 0), ([], 0)]
-    assert forwards[2:] == chunk_forwards(cfg)
-    assert [probes for swapped, _ in forwards[2:] for _, probes in swapped[:1]] == \
+    assert len(forwards) == 12  # one base forward and 11 chunks
+    assert forwards[0] == ([], 0)
+    assert forwards[1:] == chunk_forwards(cfg)
+    assert [probes for swapped, _ in forwards[1:] for _, probes in swapped[:1]] == \
         [128] * 10 + [124]
-    assert forwards[2] == ([("layer0.attn.w_q", 128), ("layer0.attn.w_k", 128)], 0)
+    assert forwards[1] == ([("layer0.attn.w_q", 128), ("layer0.attn.w_k", 128)], 0)
     # coordinates 128-191: the end of w_o, layer 0's router, routed0.w_gate
     # and the start of routed0.w_up, resumed at layer 0's attention
-    assert forwards[4] == ([("layer0.attn.w_o", 128), ("layer0.moe.router", 128),
+    assert forwards[3] == ([("layer0.attn.w_o", 128), ("layer0.moe.router", 128),
                             ("layer0.moe.routed0.w_gate", 128),
                             ("layer0.moe.routed0.w_up", 128)], 0)
     assert max(probes for swapped, _ in forwards for _, probes in swapped) <= 128
@@ -329,7 +329,7 @@ def test_a_campaign_splits_a_wide_parameter_into_chunks(monkeypatch):
         "routed1.w_down", "shared0.w_gate", "shared0.w_up", "shared0.w_down")]
         + [("cls.w", 128)], 1)
     assert want[10] == ([("cls.w", 16)], 2)
-    assert (len(forwards), forwards[2:]) == (2 + 11, want)
+    assert (len(forwards), forwards[1:]) == (1 + 11, want)
     assert max(probes for swapped, _ in forwards for _, probes in swapped) <= 128
 
 

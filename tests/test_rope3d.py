@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import autodiff_reference as adr
 import batch_reference
 from fd_reference import finite_diff_grad
 from dyncapmoe import autodiff as ad
@@ -464,7 +465,7 @@ class TestApplyRope3d:
         fd = finite_diff_grad(f, x)
         y = ad.Tensor(x.data, requires_grad=True)
         ad.backward(f(y))
-        assert ad.max_rel_err(y.grad, fd) <= 1e-6
+        assert adr.max_rel_err(y.grad, fd) <= 1e-6
 
     def test_pure_temporal_split_matches_1d_rope(self):
         cfg = rp.RopeFreqConfig(8, split=(8, 0, 0))
@@ -504,7 +505,7 @@ class TestApplyRope3d:
         fd = finite_diff_grad(f, x)
         y = ad.Tensor(x.data, requires_grad=True)
         ad.backward(f(y))
-        assert ad.max_rel_err(y.grad, fd) <= 1e-6
+        assert adr.max_rel_err(y.grad, fd) <= 1e-6
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ad.ShapeError):

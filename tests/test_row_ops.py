@@ -75,7 +75,7 @@ def test_reference_row_ops_backward_match_finite_differences(seed):
         x = ad.Tensor(xv, requires_grad=True)
         ad.backward(f(x))
         fd = finite_diff_grad(f, x, eps=1e-6)
-        assert ad.max_rel_err(x.grad, fd) <= 1e-6, name
+        assert adr.max_rel_err(x.grad, fd) <= 1e-6, name
 
 
 def edge_rows(rng, shape):

@@ -10,15 +10,16 @@ s = 0-3: 8 nodes per one-step ``harness.train`` and 8 per
 benchmark's trainval shape) takes 16 nodes for a one-step ``train`` plus
 an inference forward: the count follows the model, not the batch size.
 
-A default ``grad_check`` differentiates only its frozen replay: its live
-train forward, which only records the routing, and its
-finite-difference evaluations run with the parameters' ``requires_grad``
-off and put nothing on the tape.  The evaluations run one probe-batched
-forward per chunk of up to 64 consecutive coordinates of the model,
-across parameter and stage boundaries (11 chunks), not one per parameter
-(29) nor two per coordinate (702 coordinates).  On
-``gradcheck_default_config(s)``, s = 0-3, a campaign makes 83 ``op_node``
-calls and 8 of them (the replay) require gradients.
+A default ``grad_check`` runs one taped train forward, which draws the
+routing, records every stage input and yields the analytic gradients
+under the constant-scale rule; no second forward recomputes its routing.
+Its finite-difference evaluations run with the parameters'
+``requires_grad`` off and put nothing on the tape.  The evaluations run
+one probe-batched forward per chunk of up to 64 consecutive coordinates
+of the model, across parameter and stage boundaries (11 chunks), not one
+per parameter (29) nor two per coordinate (702 coordinates).  On
+``gradcheck_default_config(s)``, s = 0-3, a campaign makes 75 ``op_node``
+calls and 8 of them (the train forward) require gradients.
 
 The MoE layer takes distinct indices from its routing record, so none of
 these calls runs ``ufunc.at``: ``np.add.at`` takes a slow unbuffered loop
@@ -45,7 +46,7 @@ from dyncapmoe import harness as hn
 TRAIN_STEP_NODES = 8
 INFER_FORWARD_NODES = 8
 TRAINVAL_OP_NODES = 16
-GRADCHECK_OP_NODES = 83
+GRADCHECK_OP_NODES = 75
 GRADCHECK_TAPE_NODES = 8
 TRAINVAL_STEP_MIB = 5.0
 SMOKE_STEP_MIB = 0.70
